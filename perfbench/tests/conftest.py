@@ -1,0 +1,9 @@
+"""Put the benchmark's modules and the checkout's telecost on sys.path."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
