@@ -33,6 +33,7 @@ from .protocol import (
 )
 
 GOLDEN_ATOL = 1e-12
+MAX_SWEEP_POINTS = 100_001
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,9 @@ class RunConfig:
                 raise ValueError("--distill-target requires --noise-f")
             if not 0.0 < self.distill_target <= 1.0:
                 raise ValueError(f"--distill-target must be in (0, 1], got {self.distill_target}")
+            if self.noise_f is not None and self.distill_target > self.noise_f and self.noise_f <= 0.5:
+                raise ValueError(f"--noise-f {self.noise_f} <= 1/2 cannot be distilled to "
+                                 f"--distill-target {self.distill_target}")
         if self.max_rounds < 1:
             raise ValueError(f"--max-rounds must be >= 1, got {self.max_rounds}")
 
@@ -247,17 +251,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.f_step <= 0:
         print(f"sweep error: --f-step must be > 0, got {cfg.f_step}", file=sys.stderr)
         return 2
-    grid = []
-    f = cfg.f_min
-    while f <= cfg.f_max + 1e-12:
-        grid.append(round(f, 12))
-        f += cfg.f_step
-    if not grid:
+    # points by index, not by adding floats; the slack keeps an f_max that sits on the grid
+    span = (cfg.f_max - cfg.f_min) / cfg.f_step + 1e-9
+    if span < 0:
         print(
             f"sweep error: empty grid, --f-min {cfg.f_min} exceeds --f-max {cfg.f_max}",
             file=sys.stderr,
         )
         return 2
+    if not span < MAX_SWEEP_POINTS:  # also rejects NaN bounds
+        print(f"sweep error: grid from --f-min {cfg.f_min} to --f-max {cfg.f_max} at --f-step "
+              f"{cfg.f_step} has more than {MAX_SWEEP_POINTS} points", file=sys.stderr)
+        return 2
+    grid = [round(cfg.f_min + k * cfg.f_step, 12) for k in range(int(span) + 1)]
     if grid[0] < 0.0 or grid[-1] > 1.0:
         print("sweep error: grid must stay inside [0, 1]", file=sys.stderr)
         return 2

@@ -9,8 +9,9 @@ used as cross-checks: F=1 gives 1, the maximally mixed channel gives 1/2.
 One distillation step takes two Werner pairs, applies a bilateral CNOT,
 measures the target pair on both sides, keeps the source pair when the
 announced outcomes agree (2 classical bits per attempt, tagged LOCC) and
-re-twirls the kept pair to Werner form. For F > 1/2 the step strictly
-improves fidelity; at F = 1/4 it is a fixed point.
+re-twirls the kept pair to Werner form. It is computed from its exact
+closed form; the 4-qubit density evolution is the test oracle. For
+F > 1/2 the step strictly improves fidelity; at F = 1/4 it is a fixed point.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .cost import CostLedger
 from .kinds import ALICE, BOB, ProtocolKind, Purpose
 from .protocol import UnknownQubit, correction_for
-from .statevector import StateVector, apply_cnot, apply_h, apply_x, apply_z, basis_state
+from .statevector import _H, _X, _Z, StateVector, _cnot_axes, _unitary1_axes
 
 MAX_DENSITY_QUBITS = 4
 PSD_FLOOR = -1e-10
@@ -34,9 +35,6 @@ BELL_VECTORS = {
     "psi_plus": np.array([0, 1, 1, 0], dtype=complex) / _SQRT2,
     "psi_minus": np.array([0, 1, -1, 0], dtype=complex) / _SQRT2,
 }
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -89,32 +87,26 @@ def werner_state(f: float) -> DensityMatrix:
     return DensityMatrix(2, mat)
 
 
-def _gate_unitary(n: int, gate: str, qubits: tuple[int, ...]) -> np.ndarray:
-    """Full-register unitary, built column by column through the
-    statevector engine so both simulation layers share one gate
-    convention."""
-    dim = 2**n
-    cols = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        basis = basis_state(n, format(i, f"0{n}b"))
-        if gate == "CNOT":
-            out = apply_cnot(basis, qubits[0], qubits[1])
-        else:
-            out = {"H": apply_h, "X": apply_x, "Z": apply_z}[gate](basis, qubits[0])
-        cols[:, i] = out.amps
-    return cols
+def _density_gate(t: np.ndarray, n: int, gate: str, qubits: tuple[int, ...]) -> np.ndarray:
+    """U t U^dagger on an n-qubit density matrix held as a tensor of 2n axes
+    (unchecked): the statevector kernels apply U to row axis q and conj(U)
+    to column axis n + q."""
+    if gate == "CNOT":
+        control, target = qubits
+        # a real permutation: it acts the same way on rows and columns
+        return _cnot_axes(_cnot_axes(t, control, target), n + control, n + target)
+    (q,) = qubits
+    m = {"H": _H, "X": _X, "Z": _Z}[gate]
+    return _unitary1_axes(_unitary1_axes(t, q, m), n + q, m.conj())
 
 
 def apply_gate_density(rho: DensityMatrix, gate: str, qubits: tuple[int, ...]) -> DensityMatrix:
-    u = _gate_unitary(rho.n_qubits, gate, qubits)
-    return DensityMatrix(rho.n_qubits, u @ rho.mat @ u.conj().T)
-
-
-def _correction_matrix(gates: tuple[str, ...]) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    for g in gates:
-        m = {"X": _X, "Z": _Z}[g] @ m  # listed order = application order
-    return m
+    """U rho U^dagger for "H", "X", "Z" on (q,) or "CNOT" on (control, target)."""
+    n = rho.n_qubits
+    if len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
+        raise ValueError(f"qubits {qubits} are not distinct indices of a {n}-qubit register")
+    t = _density_gate(rho.mat.reshape([2] * (2 * n)), n, gate, qubits)
+    return DensityMatrix(n, t.reshape(2**n, 2**n))
 
 
 def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: DensityMatrix) -> float:
@@ -134,8 +126,9 @@ def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: Dens
         for m1 in (0, 1):
             idx = [4 * m0 + 2 * m1, 4 * m0 + 2 * m1 + 1]
             block = rho.mat[np.ix_(idx, idx)]
-            g = _correction_matrix(correction_for(kind, f"{m0}{m1}"))
-            acc += g @ block @ g.conj().T
+            for g in correction_for(kind, f"{m0}{m1}"):  # listed order = application order
+                block = _density_gate(block, 1, g, (0,))
+            acc += block
     return float(np.real(psi_vec.conj() @ acc @ psi_vec))
 
 
@@ -145,23 +138,15 @@ def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: Dens
 
 
 def distill_step_map(f: float) -> tuple[float, float]:
-    """Exact (success probability, output fidelity) of one recurrence
-    step on two Werner pairs of fidelity f, by 4-qubit density-matrix
-    evolution. Register order (A1, B1, A2, B2); pair 2 is measured."""
-    pair = werner_state(f)
-    rho = density_tensor(pair, pair)
-    rho = apply_gate_density(rho, "CNOT", (0, 2))  # Alice's side
-    rho = apply_gate_density(rho, "CNOT", (1, 3))  # Bob's side
-    keep = np.zeros((4, 4), dtype=complex)
-    p_succ = 0.0
-    for a, b in ((0, 0), (1, 1)):
-        idx = [8 * p0 + 4 * p1 + 2 * a + b for p0 in (0, 1) for p1 in (0, 1)]
-        block = rho.mat[np.ix_(idx, idx)]
-        p_succ += float(np.real(np.trace(block)))
-        keep = keep + block
-    phi = BELL_VECTORS["phi_plus"]
-    f_out = float(np.real(phi.conj() @ keep @ phi)) / p_succ
-    return p_succ, f_out
+    """Exact (success probability, output fidelity) of one recurrence step
+    on two Werner pairs of fidelity f, by the BBPSSW closed form (Bennett et
+    al., quant-ph/9511027). tests/oracle_dense.oracle_distill_map derives it
+    by 4-qubit density evolution."""
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity parameter must be in [0, 1], got {f}")
+    r = (1.0 - f) / 3.0
+    p_succ = f**2 + 2.0 * f * r + 5.0 * r**2
+    return p_succ, (f**2 + r**2) / p_succ
 
 
 @dataclass(frozen=True)
@@ -172,8 +157,8 @@ class DistillStepOutcome:
 
 
 def distill_step(f_in: float, rng: np.random.Generator) -> DistillStepOutcome:
-    """One sampled recurrence attempt. Success follows the exact density
-    computation; on failure both pairs are lost and the surviving raw
+    """One sampled recurrence attempt. Success follows the exact map's
+    probability; on failure both pairs are lost and the surviving raw
     supply is still at f_in. Costs 2 LOCC bits either way."""
     p_succ, f_out = distill_step_map(f_in)
     success = bool(rng.random() < p_succ)

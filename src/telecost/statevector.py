@@ -79,14 +79,27 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(n, np.kron(a.amps, b.amps))
 
 
+def _unitary1_axes(t: np.ndarray, q: int, m: np.ndarray) -> np.ndarray:
+    """Apply the 2x2 matrix m to axis q of a tensor of size-2 axes (unchecked)."""
+    return np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
+
+
+def _cnot_axes(t: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Flip axis target where axis control is 1, on a copy (unchecked)."""
+    sel: list = [slice(None)] * t.ndim
+    sel[control] = 1
+    out = t.copy()
+    out[tuple(sel)] = np.flip(t, axis=target)[tuple(sel)]
+    return out
+
+
 def apply_unitary1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
     """Apply a 2x2 unitary to one qubit."""
     _check_qubit(s, q)
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    t = s.amps.reshape([2] * s.n_qubits)
-    t = np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
+    t = _unitary1_axes(s.amps.reshape([2] * s.n_qubits), q, m)
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
@@ -108,12 +121,7 @@ def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
     _check_qubit(s, target)
     if control == target:
         raise ValueError("control and target must differ")
-    t = s.amps.reshape([2] * s.n_qubits).copy()
-    sel: list = [slice(None)] * s.n_qubits
-    sel[control] = 1
-    # with the control axis fixed, the target axis index shifts down past it
-    t_ax = target if target < control else target - 1
-    t[tuple(sel)] = np.flip(t[tuple(sel)], axis=t_ax)
+    t = _cnot_axes(s.amps.reshape([2] * s.n_qubits), control, target)
     return StateVector(s.n_qubits, t.reshape(-1))
 
 

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from telecost.cli import GOLDEN_ATOL, RunConfig, main
+from telecost.cli import GOLDEN_ATOL, MAX_SWEEP_POINTS, RunConfig, main
 
 EXPANSION_NAMES = {
     "epr_pair", "sqtp_initial", "sqtp_after_cnot", "sqtp_after_h", "sqtp_branch_form",
@@ -196,6 +196,51 @@ def test_sweep_grid_outside_unit_interval_rejected(capsys):
     code, _, err = run_cli(["sweep", "--f-min", "-0.2", "--f-max", "0.4"], capsys)
     assert code == 2
     assert "inside [0, 1]" in err
+
+
+def test_sweep_oversized_grid_rejected(capsys):
+    # 4e8 points: the cap must fire before any of them is built
+    code, out, err = run_cli(["sweep", "--f-step", "1e-9"], capsys)
+    assert code == 2 and out == ""
+    assert "--f-step" in err and str(MAX_SWEEP_POINTS) in err
+
+
+def _accumulated_grid(f_min, f_max, f_step):
+    """The sweep grid built by adding the step in a float loop."""
+    grid, f = [], f_min
+    while f <= f_max + 1e-12:
+        grid.append(round(f, 12))
+        f += f_step
+    return grid
+
+
+@pytest.mark.parametrize(
+    "f_min,f_max,f_step",
+    [(0.55, 0.95, 0.1), (0.51, 0.99, 0.01), (0.5037, 0.9837, 0.02), (0.26, 1.0, 0.001)],
+)
+def test_sweep_grid_matches_accumulated_loop(f_min, f_max, f_step, capsys):
+    argv = ["sweep", "--f-min", str(f_min), "--f-max", str(f_max), "--f-step", str(f_step)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    got = [float(r["F_in"]) for r in csv.DictReader(io.StringIO(out))]
+    assert got == _accumulated_grid(f_min, f_max, f_step)
+
+
+def test_compare_undistillable_channel_rejected(capsys):
+    code, out, err = run_cli(
+        ["compare", "--runs", "2", "--noise-f", "0.5", "--distill-target", "0.9"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--noise-f" in err
+
+
+def test_compare_channel_below_half_already_at_target(capsys):
+    code, out, _ = run_cli(
+        ["compare", "--runs", "2", "--noise-f", "0.4", "--distill-target", "0.3",
+         "--format", "json"], capsys
+    )
+    assert code == 0
+    assert all(r["locc_bits"] == 0 for r in json.loads(out)["per_run"])
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import (
     SWEEP_COLUMNS,
     DensityMatrix,
+    apply_gate_density,
     density_from_pure,
     density_tensor,
     deterministic_rounds_to_target,
@@ -138,6 +139,13 @@ def test_fidelity_matches_dense_oracle():
                 assert abs(got - want) < 1e-9
 
 
+def test_apply_gate_density_rejects_bad_qubits():
+    rho = werner_state(0.8)
+    for gate, qubits in (("H", (2,)), ("X", (-1,)), ("CNOT", (1, 1))):
+        with pytest.raises(ValueError):
+            apply_gate_density(rho, gate, qubits)
+
+
 def test_channel_size_validation():
     with pytest.raises(ValueError):
         teleport_fidelity_noisy(ProtocolKind.SQTP, haar(1), density_from_pure(basis_state(1, "0")))
@@ -157,6 +165,13 @@ def test_distill_map_matches_live_oracle():
         closed = oracle_dense.closed_form_distill(f)
         assert abs(got[0] - dense[0]) < 1e-9 and abs(got[1] - dense[1]) < 1e-9
         assert abs(got[0] - closed[0]) < 1e-9 and abs(got[1] - closed[1]) < 1e-9
+
+
+def test_sweep_rounds_the_exact_recurrence_value():
+    # with f the double nearest 0.9589, exact rational arithmetic gives
+    # F_out = 0.97145391717550002731..., just above a 12-digit rounding tie
+    row = sweep_rows([0.9589], 0.99)[0]
+    assert row["F_out"] == 0.971453917176
 
 
 def test_distill_map_monotone_above_half():

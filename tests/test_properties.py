@@ -1,0 +1,72 @@
+"""Property tests: the closed-form recurrence, the density gate kernel and
+the Werner teleport fidelity, each against an independent reference."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_dense
+from telecost.kinds import ProtocolKind
+from telecost.noise import (
+    DensityMatrix,
+    apply_gate_density,
+    distill_step_map,
+    teleport_fidelity_noisy,
+    werner_state,
+)
+from telecost.protocol import UnknownQubit
+
+TOL = 1e-12
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
+
+unit_f = st.floats(min_value=0.0, max_value=1.0)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+GATES_1Q = {"H": oracle_dense.H, "X": oracle_dense.X, "Z": oracle_dense.Z}
+
+
+@PROPERTY
+@given(unit_f)
+def test_distill_map_equals_dense_oracle(f):
+    p, f_out = distill_step_map(f)
+    p_ref, f_ref = oracle_dense.oracle_distill_map(f)
+    assert abs(p - p_ref) < TOL
+    assert abs(f_out - f_ref) < TOL
+
+
+@st.composite
+def gate_on_density(draw):
+    """A random n-qubit density matrix AA^dagger/tr, n in 1..4, with a gate
+    and a valid qubit choice for it."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    gates = ["H", "X", "Z"] + (["CNOT"] if n > 1 else [])
+    gate = draw(st.sampled_from(gates))
+    if gate == "CNOT":
+        qubits = tuple(draw(st.permutations(range(n)))[:2])
+    else:
+        qubits = (draw(st.integers(min_value=0, max_value=n - 1)),)
+    rng = np.random.default_rng(draw(seeds))
+    dim = 2**n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return n, gate, qubits, rho / np.real(np.trace(rho))
+
+
+@PROPERTY
+@given(gate_on_density())
+def test_apply_gate_density_equals_embedded_unitary(case):
+    n, gate, qubits, rho = case
+    if gate == "CNOT":
+        u = oracle_dense.embed_cnot(n, *qubits)
+    else:
+        u = oracle_dense.embed_1q(n, qubits[0], GATES_1Q[gate])
+    got = apply_gate_density(DensityMatrix(n, rho), gate, qubits)
+    assert np.max(np.abs(got.mat - u @ rho @ u.conj().T)) < TOL
+
+
+@PROPERTY
+@given(unit_f, seeds)
+def test_werner_teleport_fidelity_is_two_f_plus_one_over_three(f, seed):
+    psi = UnknownQubit.haar(np.random.default_rng(seed))
+    channel = werner_state(f)
+    for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
+        assert abs(teleport_fidelity_noisy(kind, psi, channel) - (2 * f + 1) / 3) < TOL
