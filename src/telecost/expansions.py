@@ -60,20 +60,26 @@ def load_expansions(path: str | Path | None = None) -> dict[str, Expansion]:
     if path is None:
         raw = resources.files("telecost").joinpath("data/expansions.json").read_text()
     else:
-        raw = Path(path).read_text()
+        try:
+            raw = Path(path).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read golden file {path}: {exc}") from exc
     data = json.loads(raw)
     table: dict[str, Expansion] = {}
     for name, entry in data.items():
         terms = []
-        for t in entry["terms"]:
-            if t["coeff"] not in _COEFF_VALUES:
-                raise ValueError(f"{name}: unknown coefficient token {t['coeff']!r}")
-            if t["var"] not in ("alpha", "beta", "1"):
-                raise ValueError(f"{name}: unknown variable {t['var']!r}")
-            if len(t["basis"]) != entry["n_qubits"] or any(c not in "01" for c in t["basis"]):
-                raise ValueError(f"{name}: bad basis label {t['basis']!r}")
-            terms.append((t["basis"], t["coeff"], t["var"]))
-        table[name] = Expansion(name, int(entry["n_qubits"]), tuple(terms))
+        try:
+            for t in entry["terms"]:
+                if t["coeff"] not in _COEFF_VALUES:
+                    raise ValueError(f"{name}: unknown coefficient token {t['coeff']!r}")
+                if t["var"] not in ("alpha", "beta", "1"):
+                    raise ValueError(f"{name}: unknown variable {t['var']!r}")
+                if len(t["basis"]) != entry["n_qubits"] or any(c not in "01" for c in t["basis"]):
+                    raise ValueError(f"{name}: bad basis label {t['basis']!r}")
+                terms.append((t["basis"], t["coeff"], t["var"]))
+            table[name] = Expansion(name, int(entry["n_qubits"]), tuple(terms))
+        except KeyError as exc:
+            raise ValueError(f"{name}: entry has no field {exc}") from exc
     missing = [n for n in ALL_EXPANSIONS if n not in table]
     if missing:
         raise ValueError(f"golden table is missing expansions: {missing}")

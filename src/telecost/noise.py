@@ -22,7 +22,7 @@ import numpy as np
 
 from .cost import CostLedger
 from .kinds import ALICE, BOB, ProtocolKind, Purpose
-from .protocol import UnknownQubit, correction_for
+from .protocol import SCHEDULES, UnknownQubit, correction_for
 from .statevector import _H, _X, _Z, StateVector, _cnot_axes, _unitary1_axes
 
 MAX_DENSITY_QUBITS = 4
@@ -116,10 +116,9 @@ def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: Dens
     if channel.n_qubits != 2:
         raise ValueError(f"channel must be a 2-qubit state, got {channel.n_qubits}")
     rho = density_tensor(density_from_pure(psi.to_statevector()), channel)
-    rho = apply_gate_density(rho, "CNOT", (0, 1))
-    if kind is ProtocolKind.KAK:
-        rho = apply_gate_density(rho, "CNOT", (1, 2))
-    rho = apply_gate_density(rho, "H", (0,))
+    for _party, gate, qubits, _name in SCHEDULES[kind].ops:
+        if gate != "transfer":  # ownership does not change the state
+            rho = apply_gate_density(rho, gate, qubits)
     psi_vec = psi.to_statevector().amps
     acc = np.zeros((2, 2), dtype=complex)
     for m0 in (0, 1):
@@ -203,14 +202,15 @@ def distill_to_threshold(
 
 def deterministic_rounds_to_target(f_in: float, f_target: float, max_rounds: int = 64) -> int:
     """Successful recurrence levels needed on the exact map, ignoring
-    attempt failures; -1 if the target is out of reach within the cap."""
+    attempt failures; -1 if the target is out of reach within the cap or
+    the iterate stops moving (in floats it stalls just below 1)."""
     if f_in >= f_target:
         return 0
     if f_in <= 0.5:
         return -1
-    f, rounds = f_in, 0
-    while f < f_target and rounds < max_rounds:
-        f = distill_step_map(f)[1]
+    f, f_prev, rounds = f_in, None, 0
+    while f < f_target and rounds < max_rounds and f != f_prev:
+        f, f_prev = distill_step_map(f)[1], f
         rounds += 1
     return rounds if f >= f_target else -1
 
@@ -293,9 +293,9 @@ def run_noisy_teleport(
             ledger.add(ALICE, BOB, 1, Purpose.LOCC)
             ledger.add(BOB, ALICE, 1, Purpose.LOCC)
     fid = teleport_fidelity_noisy(kind, psi, werner_state(f_final))
-    teleport_bits = 1 if kind is ProtocolKind.KAK else 2
-    ledger.add(ALICE, BOB, teleport_bits, Purpose.TELEPORT)
-    copies = attempts if kind is ProtocolKind.KAK else 0
+    ledger.add(ALICE, BOB, SCHEDULES[kind].announced, Purpose.TELEPORT)
+    # gates before the transfer: the channel meets the payload before it is shared
+    copies = attempts if SCHEDULES[kind].ops[0][1] != "transfer" else 0
     return NoisyTeleportReport(
         kind, channel_f, f_final, rounds, attempts, copies, fid, ledger
     )

@@ -1,29 +1,31 @@
-"""Two-party teleportation engine with explicit ownership and traces.
+"""Two-party teleportation engine driven by one schedule table per protocol.
 
-Two protocols are implemented over the same machinery:
+Both protocols start from the unknown qubit q0 next to the resource pair
+(|00>+|11>)/sqrt(2) on q1 and q2, all three held by Alice. `SCHEDULES[kind]`
+holds the rest: the ordered ops (party, gate or "transfer", qubits,
+checkpoint name or None), the names of the initial and final registers,
+how many of Alice's measured bits (q0, q1) she announces, and Bob's
+correction on q2 for each announced value.
 
-SQTP (standard): Alice and Bob pre-share (|00>+|11>)/sqrt(2); Alice
-entangles her unknown qubit with her half (CNOT q0->q1), applies H to q0,
-measures both of her qubits and sends Bob the two outcome bits; Bob fixes
-his half with the four-row correction table (11 needs Z then X and leaves
-a global phase of -1).
+SQTP (standard): Alice hands q2 to Bob, runs CNOT q0->q1 and H on q0 and
+announces both bits; Bob's four-row table applies Z then X on 11, leaving
+a global phase of -1. KAK (chained XOR): Alice runs CNOT q0->q1 and
+q1->q2 before q2 leaves her, then H on q0, and announces only q0's bit;
+Bob applies Z when it is 1. The residual never depends on q1's outcome,
+which is why one bit suffices.
 
-KAK (chained XOR): all three qubits start with Alice. She runs the XOR
-chain q0->q1 then q1->q2, hands q2 to Bob, applies H to q0 and measures
-q0 and q1. Only q0's bit is transmitted; Bob applies Z when it is 1. The
-residual state never depends on q1's outcome, which is why one classical
-bit suffices.
-
-Every run is executed by a small state machine that tracks which party
-owns which qubit. Gates can only be applied by the owner of every qubit
-they touch, ownership changes only through transfer events, and classical
-bits only move through send events, so ordering claims about the protocol
-(no signaling before the message, channel interaction order) are enforced
-structurally rather than by convention.
+One interpreter runs a table through `ProtocolMachine`, which lets a party
+act only on qubits it owns, moves ownership only by transfers and bits
+only by sends, so ordering claims (no signaling before the message,
+channel interaction order) hold structurally. Sampled runs, checkpoints,
+the branch walk, the entangled-input probe (the KAK table shifted one
+qubit up) and the density walk in `noise` all read the same table;
+`run_batch` is the one seeded batch runner.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,25 +48,49 @@ from .statevector import (
     tensor,
 )
 
-# Correction tables. Gate tuples are applied left to right, so the SQTP
-# 11 row means "first Z, then X".
-SQTP_CORRECTIONS: dict[str, tuple[str, ...]] = {
-    "00": (),
-    "01": ("X",),
-    "10": ("Z",),
-    "11": ("Z", "X"),
-}
+# Correction tables keyed by the announced bits. Gate tuples are applied
+# left to right, so the SQTP 11 row means "first Z, then X".
+SQTP_CORRECTIONS: dict[str, tuple[str, ...]] = {"00": (), "01": ("X",), "10": ("Z",), "11": ("Z", "X")}
 KAK_CORRECTIONS: dict[str, tuple[str, ...]] = {"0": (), "1": ("Z",)}
+
+@dataclass(frozen=True)
+class Schedule:
+    """One protocol as data. The ops run in order up to Alice's measurement
+    of q0 and q1; a "transfer" op hands its qubit from its party to Bob. The
+    first `announced` measured bits go to Bob, who applies the matching
+    `corrections` row to q2."""
+
+    initial: str
+    ops: tuple[tuple[str, str, tuple[int, ...], str | None], ...]
+    final: tuple[str, ...]
+    announced: int
+    corrections: dict[str, tuple[str, ...]]
+
+
+SCHEDULES: dict[ProtocolKind, Schedule] = {
+    ProtocolKind.SQTP: Schedule(
+        "sqtp_initial",
+        ((ALICE, "transfer", (2,), None),  # the pre-shared half of the resource pair
+         (ALICE, "CNOT", (0, 1), "sqtp_after_cnot"),
+         (ALICE, "H", (0,), "sqtp_after_h")),
+        final=("sqtp_branch_form",), announced=2, corrections=SQTP_CORRECTIONS,
+    ),
+    ProtocolKind.KAK: Schedule(
+        "kak_initial",
+        ((ALICE, "CNOT", (0, 1), "kak_after_xor1"),
+         (ALICE, "CNOT", (1, 2), "kak_after_xor2"),
+         (ALICE, "transfer", (2,), None),
+         (ALICE, "H", (0,), "kak_after_h")),
+        final=("kak_branch_form", "kak_two_class_form"), announced=1, corrections=KAK_CORRECTIONS,
+    ),
+}
 
 
 def correction_for(kind: ProtocolKind, outcome_bits: str) -> tuple[str, ...]:
-    """Correction gate sequence for a full two-bit measurement outcome.
-
-    KAK keys on the first (q0) bit only; the q1 outcome is irrelevant.
-    """
-    if kind is ProtocolKind.KAK:
-        return KAK_CORRECTIONS[outcome_bits[0]]
-    return SQTP_CORRECTIONS[outcome_bits]
+    """Bob's gates for Alice's full two-bit outcome: the table row keyed by
+    the announced bits, so KAK ignores the q1 outcome."""
+    schedule = SCHEDULES[kind]
+    return schedule.corrections[outcome_bits[: schedule.announced]]
 
 
 @dataclass(frozen=True)
@@ -207,9 +233,6 @@ class ProtocolMachine:
     def state(self) -> StateVector:
         return self._state
 
-    def owner(self, qubit: int) -> str:
-        return self._owners[qubit]
-
     def _require_owner(self, party: str, qubits: tuple[int, ...]) -> None:
         for q in qubits:
             if self._owners.get(q) != party:
@@ -254,90 +277,82 @@ class ProtocolMachine:
             self._state = self._GATES_1Q[g](self._state, qubit)
         self.steps.append(CorrectionApplied(party, qubit, tuple(gates)))
 
+    def fork(self, state: StateVector) -> ProtocolMachine:
+        """A machine with this one's owners and no history, holding `state`:
+        the branch walk continues each measurement outcome on its own fork."""
+        return ProtocolMachine(state, self._owners)
+
 
 # ---------------------------------------------------------------------------
-# protocol schedules
+# schedule interpreter
 # ---------------------------------------------------------------------------
 
 
-def _sqtp_prefix(psi: UnknownQubit) -> ProtocolMachine:
-    """SQTP up to (not including) Alice's measurement."""
-    m = ProtocolMachine(tensor(psi.to_statevector(), bell_pair()), {0: ALICE, 1: ALICE, 2: ALICE})
-    m.transfer(2, ALICE, BOB)  # the pre-shared half of the resource pair
-    m.apply(ALICE, "CNOT", 0, 1)
-    m.apply(ALICE, "H", 0)
-    return m
+def _prefix(
+    kind: ProtocolKind, source: StateVector, offset: int = 0
+) -> tuple[ProtocolMachine, dict[str, StateVector]]:
+    """Run SCHEDULES[kind] on source (x) resource pair up to, not including,
+    Alice's measurement, with every qubit index shifted up by `offset`; the
+    first `offset` qubits of source are held back by a third party.
+    Returns the machine and the named register states along the way."""
+    schedule = SCHEDULES[kind]
+    register = tensor(source, bell_pair())
+    owners = dict.fromkeys(range(register.n_qubits), ALICE)
+    owners.update(dict.fromkeys(range(offset), "holdout"))
+    m = ProtocolMachine(register, owners)
+    states = {schedule.initial: register}
+    for party, gate, qubits, name in schedule.ops:
+        if offset:
+            qubits = tuple(q + offset for q in qubits)
+        if gate == "transfer":
+            m.transfer(*qubits, party, BOB)
+        else:
+            m.apply(party, gate, *qubits)
+        if name is not None:
+            states[name] = m.state
+    states.update(dict.fromkeys(schedule.final, m.state))
+    return m, states
 
 
-def _kak_prefix(psi: UnknownQubit) -> ProtocolMachine:
-    """Chained-XOR protocol up to (not including) Alice's measurement.
-
-    The unknown state takes part in the XOR chain before any qubit leaves
-    Alice, so the channel cannot be established ahead of psi: the machine
-    schedule itself fixes XOR, XOR, transfer, H in that order.
-    """
-    m = ProtocolMachine(tensor(psi.to_statevector(), bell_pair()), {0: ALICE, 1: ALICE, 2: ALICE})
-    m.apply(ALICE, "CNOT", 0, 1)
-    m.apply(ALICE, "CNOT", 1, 2)
-    m.transfer(2, ALICE, BOB)
-    m.apply(ALICE, "H", 0)
-    return m
+def _bob_residual(
+    m: ProtocolMachine, bits: str, gates: tuple[str, ...], offset: int = 0
+) -> StateVector:
+    """Bob applies `gates` to his qubit; returns the register without
+    Alice's measured qubits, which must already be collapsed to `bits`."""
+    m.apply_correction(BOB, 2 + offset, gates)
+    return collapse_residual(m.state, (offset, 1 + offset), bits)
 
 
-def _finish_run(
-    kind: ProtocolKind, m: ProtocolMachine, psi: UnknownQubit, rng: np.random.Generator
-) -> ProtocolTrace:
+def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
+    """One sampled run: the schedule, Alice's measurement, her announcement
+    and Bob's correction."""
+    target = psi.to_statevector()
+    m, _ = _prefix(kind, target)
     bits = m.measure(ALICE, (0, 1), rng)
-    sent = bits[0] if kind is ProtocolKind.KAK else bits
-    m.send(ALICE, BOB, sent, Purpose.TELEPORT)
-    m.apply_correction(BOB, 2, correction_for(kind, bits))
-    bob = collapse_residual(m.state, (0, 1), bits)
-    fid = fidelity_pure(bob, psi.to_statevector())
-    return ProtocolTrace(kind, m.steps, bob, fid, m.ledger)
+    m.send(ALICE, BOB, bits[: SCHEDULES[kind].announced], Purpose.TELEPORT)
+    bob = _bob_residual(m, bits, correction_for(kind, bits))
+    return ProtocolTrace(kind, m.steps, bob, fidelity_pure(bob, target), m.ledger)
 
 
 def run_sqtp(psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
     """One sampled run of standard teleportation (2 classical bits)."""
-    return _finish_run(ProtocolKind.SQTP, _sqtp_prefix(psi), psi, rng)
+    return run_protocol(ProtocolKind.SQTP, psi, rng)
 
 
 def run_kak(psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
     """One sampled run of the chained-XOR protocol (1 classical bit)."""
-    return _finish_run(ProtocolKind.KAK, _kak_prefix(psi), psi, rng)
-
-
-def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
-    return run_kak(psi, rng) if kind is ProtocolKind.KAK else run_sqtp(psi, rng)
+    return run_protocol(ProtocolKind.KAK, psi, rng)
 
 
 def sqtp_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
-    """Named register states at each step of the standard protocol."""
-    initial = tensor(psi.to_statevector(), bell_pair())
-    after_cnot = apply_cnot(initial, 0, 1)
-    after_h = apply_h(after_cnot, 0)
-    return {
-        "epr_pair": bell_pair(),
-        "sqtp_initial": initial,
-        "sqtp_after_cnot": after_cnot,
-        "sqtp_after_h": after_h,
-        "sqtp_branch_form": after_h,
-    }
+    """Named register states at each step of the standard protocol, plus
+    the resource pair on its own."""
+    return {"epr_pair": bell_pair(), **_prefix(ProtocolKind.SQTP, psi.to_statevector())[1]}
 
 
 def kak_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
     """Named register states at each step of the chained-XOR protocol."""
-    initial = tensor(psi.to_statevector(), bell_pair())
-    after_xor1 = apply_cnot(initial, 0, 1)
-    after_xor2 = apply_cnot(after_xor1, 1, 2)
-    after_h = apply_h(after_xor2, 0)
-    return {
-        "kak_initial": initial,
-        "kak_after_xor1": after_xor1,
-        "kak_after_xor2": after_xor2,
-        "kak_after_h": after_h,
-        "kak_branch_form": after_h,
-        "kak_two_class_form": after_h,
-    }
+    return _prefix(ProtocolKind.KAK, psi.to_statevector())[1]
 
 
 @dataclass(frozen=True)
@@ -356,14 +371,12 @@ def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBr
     a global -1). For KAK the uncorrected residuals come in exactly two
     classes keyed on the q0 bit.
     """
-    m = _kak_prefix(psi) if kind is ProtocolKind.KAK else _sqtp_prefix(psi)
     target = psi.to_statevector()
+    m, _ = _prefix(kind, target)
     out = []
     for branch in enumerate_branches(m.state, (0, 1)):
-        corrected = branch.post_state
-        for g in correction_for(kind, branch.outcome_bits):
-            corrected = {"X": apply_x, "Z": apply_z}[g](corrected, 2)
-        bob = collapse_residual(corrected, (0, 1), branch.outcome_bits)
+        bits = branch.outcome_bits
+        bob = _bob_residual(m.fork(branch.post_state), bits, correction_for(kind, bits))
         out.append(ProtocolBranch(branch, bob, fidelity_pure(bob, target)))
     return out
 
@@ -397,35 +410,28 @@ class EntangledInputReport:
     def min_branch_fidelity(self) -> float:
         return min(b.fidelity_best for b in self.branches)
 
-    @property
-    def max_branch_fidelity(self) -> float:
-        return max(b.fidelity_best for b in self.branches)
-
 
 def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
     """Feed the second qubit of `joint` through the chained-XOR protocol
     while holding the first back, and compare the resulting
     (holdout, Bob) joint state against the original on every branch.
 
-    Register layout: q0 holdout, q1 fed qubit, q2 and q3 the resource
-    pair; the XOR chain runs q1->q2->q3, q3 goes to Bob, Alice measures
-    q1 and q2 and announces q1's bit.
+    This is the KAK schedule shifted one qubit up: q0 is the holdout, q1
+    the fed qubit, q2 and q3 the resource pair.
     """
     if joint.n_qubits != 2:
         raise ValueError(f"joint input must be 2 qubits, got {joint.n_qubits}")
-    state = tensor(joint, bell_pair())
-    state = apply_cnot(state, 1, 2)
-    state = apply_cnot(state, 2, 3)
-    state = apply_h(state, 1)
+    schedule = SCHEDULES[ProtocolKind.KAK]
+    m, _ = _prefix(ProtocolKind.KAK, joint, offset=1)
     branches = []
-    for branch in enumerate_branches(state, (1, 2)):
-        residual = collapse_residual(branch.post_state, (1, 2), branch.outcome_bits)
-        fid_none = fidelity_pure(residual, joint)
-        fid_z = fidelity_pure(apply_z(residual, 1), joint)
-        prescribed = fid_z if branch.outcome_bits[0] == "1" else fid_none
-        branches.append(
-            EntangledBranch(branch.outcome_bits, branch.probability, prescribed, max(fid_none, fid_z))
-        )
+    for branch in enumerate_branches(m.state, (1, 2)):
+        bits = branch.outcome_bits
+        fids = {}
+        for key, gates in schedule.corrections.items():
+            bob = _bob_residual(m.fork(branch.post_state), bits, gates, offset=1)
+            fids[key] = fidelity_pure(bob, joint)
+        prescribed = fids[bits[: schedule.announced]]
+        branches.append(EntangledBranch(bits, branch.probability, prescribed, max(fids.values())))
     return EntangledInputReport(joint.dim, tuple(branches))
 
 
@@ -443,23 +449,35 @@ class MonteCarloSummary:
     teleport_bits_per_run: int
 
 
-def monte_carlo(kind: ProtocolKind, n_runs: int, seed: int) -> MonteCarloSummary:
-    """Seeded batch of runs over Haar-random inputs.
-
-    Each run gets its own generator spawned from one SeedSequence, so run
-    i's result does not depend on how many runs precede it.
-    """
+def run_batch(
+    kinds: list[ProtocolKind], n_runs: int, seed: int, run_one: Callable
+) -> Iterator[tuple[int, ProtocolKind, object]]:
+    """Seeded batch over Haar-random inputs, yielding (run, kind, result)
+    one at a time. Run i splits child i of SeedSequence(seed) into
+    1 + len(kinds) streams: psi draws from the first and kind k runs
+    run_one(kind, psi, rng) on stream 1 + k, so run i does not depend on
+    n_runs. Each result has a cost ledger whose TELEPORT bits must not
+    vary across the runs of one kind."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    teleport_bits: dict[ProtocolKind, int] = {}
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
+        subs = child.spawn(1 + len(kinds))
+        psi = UnknownQubit.haar(np.random.default_rng(subs[0]))
+        for k, kind in enumerate(kinds):
+            result = run_one(kind, psi, np.random.default_rng(subs[1 + k]))
+            bits = result.ledger.total(Purpose.TELEPORT)
+            if teleport_bits.setdefault(kind, bits) != bits:
+                raise AssertionError(
+                    f"teleport bits varied for {kind.value}: {teleport_bits[kind]} then {bits}"
+                )
+            yield i, kind, result
+
+
+def monte_carlo(kind: ProtocolKind, n_runs: int, seed: int) -> MonteCarloSummary:
+    """run_batch for one protocol, with the draws of `compare --protocol`."""
     fids = []
-    bit_counts = set()
-    for child in np.random.SeedSequence(seed).spawn(n_runs):
-        rng = np.random.default_rng(child)
-        trace = run_protocol(kind, UnknownQubit.haar(rng), rng)
+    for _, _, trace in run_batch([kind], n_runs, seed, run_protocol):
         fids.append(trace.fidelity_achieved)
-        bit_counts.add(trace.ledger.total(Purpose.TELEPORT))
-    if len(bit_counts) != 1:
-        raise AssertionError(f"teleport bit count varied across runs: {sorted(bit_counts)}")
-    return MonteCarloSummary(
-        kind, n_runs, float(np.mean(fids)), float(min(fids)), bit_counts.pop()
-    )
+        bits = trace.ledger.total(Purpose.TELEPORT)
+    return MonteCarloSummary(kind, n_runs, float(np.mean(fids)), float(min(fids)), bits)

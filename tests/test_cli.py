@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from telecost.cli import GOLDEN_ATOL, MAX_SWEEP_POINTS, RunConfig, main
+from telecost.cli import GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, main
 
 EXPANSION_NAMES = {
     "epr_pair", "sqtp_initial", "sqtp_after_cnot", "sqtp_after_h", "sqtp_branch_form",
@@ -69,6 +69,25 @@ def test_verify_detects_corrupted_golden(tmp_path, capsys):
     assert code == 1
     assert "overall: FAIL" in out
     assert "verify failed: first mismatch in epr_pair" in err
+
+
+def test_verify_missing_golden_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "no_such_table.json"
+    code, out, err = run_cli(["verify", "--runs", "1", "--golden", str(missing)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(missing) in err
+
+
+def test_verify_golden_entry_without_terms_exits_2(tmp_path, capsys):
+    table = json.loads(
+        resources.files("telecost").joinpath("data/expansions.json").read_text()
+    )
+    del table["kak_after_h"]["terms"]
+    bad = tmp_path / "no_terms.json"
+    bad.write_text(json.dumps(table))
+    code, out, err = run_cli(["verify", "--runs", "1", "--golden", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "kak_after_h" in err and "terms" in err
 
 
 def test_compare_ideal_summary(tmp_path, capsys):
@@ -256,6 +275,21 @@ def test_config_validation_exit_code(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--runs", "1", "--noise-f", "0.75", "--distill-target", "1.0",
+         "--max-rounds", "1000000000"],
+        ["sweep", "--distill-target", "1.0", "--max-rounds", "1000000000"],
+    ],
+)
+def test_max_rounds_above_cap_rejected(argv, capsys):
+    # a run at this cap would take hours: the config must refuse it up front
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(MAX_ROUNDS) in err
 
 
 def test_unwritable_out_path(tmp_path, capsys):

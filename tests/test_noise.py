@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracle_dense
+from telecost import noise
 from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import (
     SWEEP_COLUMNS,
@@ -252,6 +253,15 @@ def test_deterministic_rounds_edge_cases():
     assert deterministic_rounds_to_target(0.95, 0.9) == 0
     assert deterministic_rounds_to_target(0.4, 0.9) == -1
     assert deterministic_rounds_to_target(0.75, 1.0) == -1  # cap hit
+
+
+def test_deterministic_rounds_stop_when_the_iterate_stalls(monkeypatch):
+    # in floats the recurrence stalls just below 1, so F = 1 is never reached
+    calls = []
+    monkeypatch.setattr(noise, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
+    assert deterministic_rounds_to_target(0.75, 1.0, 100_000) == -1
+    assert len(calls) < 300
+    assert distill_step_map(calls[-1])[1] == calls[-1]
 
 
 def test_sweep_rows_shape_and_coupling():

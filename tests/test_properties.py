@@ -1,12 +1,14 @@
-"""Property tests: the closed-form recurrence, the density gate kernel and
-the Werner teleport fidelity, each against an independent reference."""
+"""Property tests: the closed-form recurrence, the density gate kernel,
+the Werner teleport fidelity and branch recovery, each against an
+independent reference."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_dense
-from telecost.kinds import ProtocolKind
+from telecost.cost import CostModel, ideal_bits
+from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import (
     DensityMatrix,
     apply_gate_density,
@@ -14,7 +16,7 @@ from telecost.noise import (
     teleport_fidelity_noisy,
     werner_state,
 )
-from telecost.protocol import UnknownQubit
+from telecost.protocol import SCHEDULES, UnknownQubit, enumerate_protocol, run_protocol
 
 TOL = 1e-12
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -70,3 +72,25 @@ def test_werner_teleport_fidelity_is_two_f_plus_one_over_three(f, seed):
     channel = werner_state(f)
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         assert abs(teleport_fidelity_noisy(kind, psi, channel) - (2 * f + 1) / 3) < TOL
+
+
+# Haar-uniform input from its two angles: cos(theta) uniform on [-1, 1],
+# phase uniform on [0, 2pi)
+haar_angles = st.tuples(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True),
+)
+
+
+@PROPERTY
+@given(haar_angles, seeds)
+def test_every_corrected_branch_recovers_the_input(angles, seed):
+    cos_theta, phi = angles
+    theta = np.arccos(cos_theta)
+    psi = UnknownQubit(complex(np.cos(theta / 2)), complex(np.exp(1j * phi) * np.sin(theta / 2)))
+    for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
+        for branch in enumerate_protocol(kind, psi):
+            assert branch.fidelity >= 1 - TOL
+        trace = run_protocol(kind, psi, np.random.default_rng(seed))
+        announced = SCHEDULES[kind].announced
+        assert trace.ledger.total(Purpose.TELEPORT) == announced == ideal_bits(CostModel(2, kind))

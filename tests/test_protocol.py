@@ -1,15 +1,21 @@
 """Protocol-level behavior: traces, ownership, corrections, branch
 structure, the entangled-input probe and Monte Carlo batches."""
 
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracle_dense
+from telecost.cost import CostLedger
+from telecost.expansions import ALL_EXPANSIONS
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
+from telecost.noise import run_noisy_teleport
 from telecost.protocol import (
     KAK_CORRECTIONS,
+    SCHEDULES,
     SQTP_CORRECTIONS,
     CorrectionApplied,
     GateApplied,
@@ -23,6 +29,7 @@ from telecost.protocol import (
     kak_checkpoints,
     kak_entangled_input_demo,
     monte_carlo,
+    run_batch,
     run_kak,
     run_protocol,
     run_sqtp,
@@ -280,3 +287,41 @@ def test_monte_carlo_deterministic_and_exact():
 def test_monte_carlo_rejects_zero_runs():
     with pytest.raises(ValueError):
         monte_carlo(ProtocolKind.SQTP, 0, 1)
+
+
+def test_run_batch_run_i_does_not_depend_on_n_runs():
+    kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
+
+    def digest(batch):
+        return [(i, kind, trace.steps, trace.fidelity_achieved, tuple(trace.final_bob_state.amps))
+                for i, kind, trace in batch]
+
+    first = digest(run_batch(kinds, 12, 5, run_protocol))
+    assert len(first) == 24
+    assert digest(run_batch(kinds, 5, 5, run_protocol)) == first[:10]
+
+
+def test_run_batch_rejects_varying_teleport_bits():
+    calls = itertools.count(1)
+
+    def run_one(kind, psi, rng):
+        ledger = CostLedger()
+        ledger.add(ALICE, BOB, min(next(calls), 2), Purpose.TELEPORT)  # 1 bit, then 2
+        return SimpleNamespace(ledger=ledger)
+
+    with pytest.raises(AssertionError):
+        list(run_batch([ProtocolKind.KAK], 3, 0, run_one))
+
+
+def test_run_batch_rejects_zero_runs():
+    with pytest.raises(ValueError):
+        list(run_batch([ProtocolKind.SQTP], 0, 1, run_protocol))
+
+
+def test_schedules_cover_every_expansion_and_noisy_bit_count():
+    psi = haar(14)
+    assert set(sqtp_checkpoints(psi)) | set(kak_checkpoints(psi)) == set(ALL_EXPANSIONS)
+    for kind in ProtocolKind:
+        report = run_noisy_teleport(kind, psi, 0.8, np.random.default_rng(14), distill_target=0.9)
+        assert report.attempts > 0
+        assert report.ledger.total(Purpose.TELEPORT) == SCHEDULES[kind].announced
