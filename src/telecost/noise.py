@@ -12,6 +12,11 @@ announced outcomes agree (2 classical bits per attempt, tagged LOCC) and
 re-twirls the kept pair to Werner form. It is computed from its exact
 closed form; the 4-qubit density evolution is the test oracle. For
 F > 1/2 the step strictly improves fidelity; at F = 1/4 it is a fixed point.
+
+Validation happens at the public boundary: the DensityMatrix(...)
+constructor and werner_state check shape, Hermiticity, trace and
+positivity. density_from_pure, density_tensor and apply_gate_density build
+states that are valid by construction from valid inputs and skip the checks.
 """
 
 from __future__ import annotations
@@ -63,16 +68,28 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
+    @classmethod
+    def _trusted(cls, n_qubits: int, mat: np.ndarray) -> DensityMatrix:
+        """Unchecked build from a kernel's fresh, valid-by-construction
+        complex matrix, which is taken over and made read-only."""
+        rho = object.__new__(cls)
+        mat.flags.writeable = False
+        object.__setattr__(rho, "n_qubits", n_qubits)
+        object.__setattr__(rho, "mat", mat)
+        return rho
+
 
 def density_from_pure(s: StateVector) -> DensityMatrix:
-    return DensityMatrix(s.n_qubits, np.outer(s.amps, s.amps.conj()))
+    if s.n_qubits > MAX_DENSITY_QUBITS:
+        raise ValueError(f"n_qubits must be in 1..{MAX_DENSITY_QUBITS}, got {s.n_qubits}")
+    return DensityMatrix._trusted(s.n_qubits, np.outer(s.amps, s.amps.conj()))
 
 
 def density_tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     n = a.n_qubits + b.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"product would need {n} qubits, limit is {MAX_DENSITY_QUBITS}")
-    return DensityMatrix(n, np.kron(a.mat, b.mat))
+    return DensityMatrix._trusted(n, np.kron(a.mat, b.mat))
 
 
 def werner_state(f: float) -> DensityMatrix:
@@ -106,7 +123,7 @@ def apply_gate_density(rho: DensityMatrix, gate: str, qubits: tuple[int, ...]) -
     if len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
         raise ValueError(f"qubits {qubits} are not distinct indices of a {n}-qubit register")
     t = _density_gate(rho.mat.reshape([2] * (2 * n)), n, gate, qubits)
-    return DensityMatrix(n, t.reshape(2**n, 2**n))
+    return DensityMatrix._trusted(n, t.reshape(2**n, 2**n))
 
 
 def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: DensityMatrix) -> float:
@@ -115,11 +132,12 @@ def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: Dens
     over the four measurement outcomes with their Born weights."""
     if channel.n_qubits != 2:
         raise ValueError(f"channel must be a 2-qubit state, got {channel.n_qubits}")
-    rho = density_tensor(density_from_pure(psi.to_statevector()), channel)
+    psi_sv = psi.to_statevector()
+    rho = density_tensor(density_from_pure(psi_sv), channel)
     for _party, gate, qubits, _name in SCHEDULES[kind].ops:
         if gate != "transfer":  # ownership does not change the state
             rho = apply_gate_density(rho, gate, qubits)
-    psi_vec = psi.to_statevector().amps
+    psi_vec = psi_sv.amps
     acc = np.zeros((2, 2), dtype=complex)
     for m0 in (0, 1):
         for m1 in (0, 1):
@@ -175,8 +193,10 @@ class DistillRun:
 def distill_to_threshold(
     f_in: float, f_target: float, max_rounds: int, rng: np.random.Generator
 ) -> DistillRun:
-    """Repeat distill_step until the fidelity reaches f_target or
-    max_rounds successful levels are exhausted.
+    """Repeat distill_step until the fidelity reaches f_target, max_rounds
+    successful levels are exhausted, or a success leaves the fidelity
+    unchanged (in floats the iterate stalls just below 1, so final_f can
+    stay under the target).
 
     rounds counts successes, attempts counts every invocation; failed
     attempts retry the current level on fresh pairs. LOCC bits are 2 per
@@ -189,13 +209,13 @@ def distill_to_threshold(
         raise ValueError(f"f_target must be in (0, 1], got {f_target}")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    f = f_in
+    f, f_prev = f_in, None
     rounds = attempts = 0
-    while f < f_target and rounds < max_rounds:
+    while f < f_target and rounds < max_rounds and f != f_prev:
         out = distill_step(f, rng)
         attempts += 1
         if out.success:
-            f = out.f_out
+            f, f_prev = out.f_out, f
             rounds += 1
     return DistillRun(rounds, attempts, 2 * attempts, f)
 

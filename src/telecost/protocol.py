@@ -102,7 +102,7 @@ class UnknownQubit:
 
     def __post_init__(self) -> None:
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN and infinite amplitudes
             raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm}")
 
     @classmethod

@@ -7,10 +7,16 @@ Conventions, fixed across the whole package:
   - states are immutable; every operation returns a new StateVector
   - the only state-equality notion used for physics checks is the
     phase-invariant fidelity |<a|b>|^2
+  - validation happens at the public boundary: the StateVector(...)
+    constructor, basis_state and apply_unitary1 (whose matrix comes from
+    the caller) check size, finiteness and norm. Kernels whose output is
+    valid by construction (the fixed gates H, X, Z and CNOT, tensor and
+    the measurement collapses) trust it and skip the checks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +53,16 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
+    @classmethod
+    def _trusted(cls, n_qubits: int, amps: np.ndarray) -> StateVector:
+        """Unchecked build from a kernel's fresh, valid-by-construction
+        complex array, which is taken over and made read-only."""
+        s = object.__new__(cls)
+        amps.flags.writeable = False
+        object.__setattr__(s, "n_qubits", n_qubits)
+        object.__setattr__(s, "amps", amps)
+        return s
+
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
@@ -66,9 +82,12 @@ def basis_state(n_qubits: int, label: str) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+_BELL_PAIR = StateVector(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0))
+
+
 def bell_pair() -> StateVector:
     """The shared resource pair (|00> + |11>)/sqrt(2)."""
-    return StateVector(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0))
+    return _BELL_PAIR
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -76,7 +95,8 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     n = a.n_qubits + b.n_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"tensor product would need {n} qubits, limit is {MAX_QUBITS}")
-    return StateVector(n, np.kron(a.amps, b.amps))
+    # the same bits as np.kron for vectors
+    return StateVector._trusted(n, np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def _unitary1_axes(t: np.ndarray, q: int, m: np.ndarray) -> np.ndarray:
@@ -94,7 +114,8 @@ def _cnot_axes(t: np.ndarray, control: int, target: int) -> np.ndarray:
 
 
 def apply_unitary1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to one qubit."""
+    """Apply a 2x2 unitary to one qubit; the result is validated, since m
+    comes from the caller."""
     _check_qubit(s, q)
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
@@ -103,16 +124,23 @@ def apply_unitary1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
+def _apply_fixed1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
+    """apply_unitary1 for the package's own unitaries, output trusted."""
+    _check_qubit(s, q)
+    t = _unitary1_axes(s.amps.reshape([2] * s.n_qubits), q, m)
+    return StateVector._trusted(s.n_qubits, t.reshape(-1))
+
+
 def apply_h(s: StateVector, q: int) -> StateVector:
-    return apply_unitary1(s, q, _H)
+    return _apply_fixed1(s, q, _H)
 
 
 def apply_x(s: StateVector, q: int) -> StateVector:
-    return apply_unitary1(s, q, _X)
+    return _apply_fixed1(s, q, _X)
 
 
 def apply_z(s: StateVector, q: int) -> StateVector:
-    return apply_unitary1(s, q, _Z)
+    return _apply_fixed1(s, q, _Z)
 
 
 def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
@@ -122,7 +150,7 @@ def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
     if control == target:
         raise ValueError("control and target must differ")
     t = _cnot_axes(s.amps.reshape([2] * s.n_qubits), control, target)
-    return StateVector(s.n_qubits, t.reshape(-1))
+    return StateVector._trusted(s.n_qubits, t.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -159,17 +187,20 @@ def _marginal_probs(s: StateVector, qubits: list[int]) -> np.ndarray:
     return m.reshape(-1)
 
 
-def _outcome_mask(n: int, qubits: list[int], bits: str) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _outcome_mask(n: int, qubits: tuple[int, ...], bits: str) -> np.ndarray:
+    """Read-only mask of the basis indices where `qubits` read `bits`."""
     mask = np.ones(2**n, dtype=bool)
     idx = np.arange(2**n)
     for q, b in zip(qubits, bits):
         mask &= ((idx >> (n - 1 - q)) & 1) == int(b)
+    mask.flags.writeable = False
     return mask
 
 
 def _collapse(s: StateVector, qubits: list[int], bits: str, prob: float) -> StateVector:
-    amps = np.where(_outcome_mask(s.n_qubits, qubits, bits), s.amps, 0.0)
-    return StateVector(s.n_qubits, amps / np.sqrt(prob))
+    amps = np.where(_outcome_mask(s.n_qubits, tuple(qubits), bits), s.amps, 0.0)
+    return StateVector._trusted(s.n_qubits, amps / np.sqrt(prob))
 
 
 def measure_sample(
@@ -209,7 +240,7 @@ def collapse_residual(s: StateVector, qubits: list[int] | tuple[int, ...], bits:
     qubits = _validate_qubit_list(s, qubits)
     if len(bits) != len(qubits):
         raise ValueError("one bit per measured qubit required")
-    mask = _outcome_mask(s.n_qubits, qubits, bits)
+    mask = _outcome_mask(s.n_qubits, tuple(qubits), bits)
     off_block = float(np.sum(np.abs(s.amps[~mask]) ** 2))
     if off_block > 1e-9:
         raise ValueError(f"register is not collapsed onto outcome {bits}, leakage {off_block:.3e}")
@@ -221,7 +252,8 @@ def collapse_residual(s: StateVector, qubits: list[int] | tuple[int, ...], bits:
     for q, b in zip(qubits, bits):
         sel[q] = int(b)
     res = t[tuple(sel)].reshape(-1)
-    return StateVector(len(keep), res / np.linalg.norm(res))
+    # the off-block check above leaves norm(res) close to 1, never 0
+    return StateVector._trusted(len(keep), res / np.linalg.norm(res))
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:

@@ -1,13 +1,22 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
 import csv
+import hashlib
+import importlib.util
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from telecost.cli import GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, main
+from telecost.kinds import ProtocolKind, Purpose
+from telecost.noise import run_noisy_teleport
+from telecost.protocol import run_batch
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 EXPANSION_NAMES = {
     "epr_pair", "sqtp_initial", "sqtp_after_cnot", "sqtp_after_h", "sqtp_branch_form",
@@ -245,6 +254,22 @@ def test_sweep_grid_matches_accumulated_loop(f_min, f_max, f_step, capsys):
     assert got == _accumulated_grid(f_min, f_max, f_step)
 
 
+def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
+    # F = 1 is out of reach in floats; every one of the 1024 levels used to be
+    # attempted, billing 2050 LOCC bits
+    code, out, _ = run_cli(
+        ["compare", "--runs", "1", "--noise-f", "0.75", "--distill-target", "1.0",
+         "--max-rounds", "1024", "--protocol", "kak", "--format", "json"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["per_run"][0]["locc_bits"] == 182
+    # the same run through the API: the printed channel_f 1.0 is a rounding
+    [(_, _, report)] = run_batch([ProtocolKind.KAK], 1, 0, lambda kind, psi, rng: run_noisy_teleport(
+        kind, psi, 0.75, rng, distill_target=1.0, max_rounds=1024))
+    assert report.f_final < 1.0
+    assert report.ledger.total(Purpose.LOCC) == 182
+
+
 def test_compare_undistillable_channel_rejected(capsys):
     code, out, err = run_cli(
         ["compare", "--runs", "2", "--noise-f", "0.5", "--distill-target", "0.9"], capsys
@@ -308,3 +333,21 @@ def test_run_config_direct_validation():
         RunConfig(command="compare", noise_f=-0.2)
     cfg = RunConfig(command="compare", noise_f=0.8, distill_target=0.9)
     assert [k.value for k in cfg.kinds()] == ["sqtp", "kak"]
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py (stdlib only), loaded without touching sys.path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(REFERENCE["sha256"]))
+def test_benchmark_reference_output_is_byte_identical(workload, capsys):
+    workloads = _benchmark_workloads()
+    assert REFERENCE["seed"] == workloads.REFERENCE_SEED == 0
+    argv = workloads.reference_argv(workload, REFERENCE["sizes"][workload])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE["sha256"][workload]

@@ -264,6 +264,15 @@ def test_deterministic_rounds_stop_when_the_iterate_stalls(monkeypatch):
     assert distill_step_map(calls[-1])[1] == calls[-1]
 
 
+def test_distill_to_threshold_stops_when_the_iterate_stalls():
+    # F = 1 is out of reach in floats; a cap of 1024 levels must not be spent
+    run = distill_to_threshold(0.75, 1.0, 1024, np.random.default_rng(0))
+    assert run.final_f < 1.0
+    assert distill_step_map(run.final_f)[1] == run.final_f
+    assert run.rounds < 300
+    assert run.locc_bits == 2 * run.attempts
+
+
 def test_sweep_rows_shape_and_coupling():
     rows = sweep_rows(F_GRID, 0.95)
     assert [r["F_in"] for r in rows] == F_GRID

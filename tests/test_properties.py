@@ -1,6 +1,7 @@
 """Property tests: the closed-form recurrence, the density gate kernel,
 the Werner teleport fidelity and branch recovery, each against an
-independent reference."""
+independent reference; and the states that kernels build unchecked, which
+must still pass the public constructors' checks."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,11 +13,21 @@ from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import (
     DensityMatrix,
     apply_gate_density,
+    density_from_pure,
+    density_tensor,
     distill_step_map,
     teleport_fidelity_noisy,
     werner_state,
 )
-from telecost.protocol import SCHEDULES, UnknownQubit, enumerate_protocol, run_protocol
+from telecost.protocol import (
+    SCHEDULES,
+    UnknownQubit,
+    enumerate_protocol,
+    kak_checkpoints,
+    run_protocol,
+    sqtp_checkpoints,
+)
+from telecost.statevector import StateVector
 
 TOL = 1e-12
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -82,15 +93,48 @@ haar_angles = st.tuples(
 )
 
 
+def qubit_from_angles(angles) -> UnknownQubit:
+    cos_theta, phi = angles
+    theta = np.arccos(cos_theta)
+    return UnknownQubit(complex(np.cos(theta / 2)), complex(np.exp(1j * phi) * np.sin(theta / 2)))
+
+
 @PROPERTY
 @given(haar_angles, seeds)
 def test_every_corrected_branch_recovers_the_input(angles, seed):
-    cos_theta, phi = angles
-    theta = np.arccos(cos_theta)
-    psi = UnknownQubit(complex(np.cos(theta / 2)), complex(np.exp(1j * phi) * np.sin(theta / 2)))
+    psi = qubit_from_angles(angles)
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         for branch in enumerate_protocol(kind, psi):
             assert branch.fidelity >= 1 - TOL
         trace = run_protocol(kind, psi, np.random.default_rng(seed))
         announced = SCHEDULES[kind].announced
         assert trace.ledger.total(Purpose.TELEPORT) == announced == ideal_bits(CostModel(2, kind))
+
+
+def assert_valid_and_frozen(state) -> None:
+    """A state built unchecked passes the public constructor and is read-only."""
+    if isinstance(state, StateVector):
+        StateVector(state.n_qubits, state.amps)
+        assert not state.amps.flags.writeable
+    else:
+        DensityMatrix(state.n_qubits, state.mat)
+        assert not state.mat.flags.writeable
+
+
+@PROPERTY
+@given(haar_angles, seeds, unit_f)
+def test_kernel_built_states_revalidate_and_stay_read_only(angles, seed, f):
+    psi = qubit_from_angles(angles)
+    states = [*sqtp_checkpoints(psi).values(), *kak_checkpoints(psi).values()]
+    for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
+        states.append(run_protocol(kind, psi, np.random.default_rng(seed)).final_bob_state)
+        for branch in enumerate_protocol(kind, psi):
+            states += [branch.outcome.post_state, branch.bob_state]
+        rho = density_tensor(density_from_pure(psi.to_statevector()), werner_state(f))
+        states.append(rho)
+        for _party, gate, qubits, _name in SCHEDULES[kind].ops:
+            if gate != "transfer":
+                rho = apply_gate_density(rho, gate, qubits)
+                states.append(rho)
+    for state in states:
+        assert_valid_and_frozen(state)

@@ -59,6 +59,17 @@ def test_unknown_qubit_validation():
     assert np.allclose(q.to_statevector().amps, [0.6, 0.8j], atol=ATOL)
 
 
+@pytest.mark.parametrize("alpha,beta", [
+    (float("nan"), 0.0),
+    (1.0, complex(0.0, float("nan"))),
+    (float("inf"), 0.0),
+])
+def test_unknown_qubit_rejects_non_finite_amplitudes(alpha, beta):
+    # a NaN norm fails every comparison, so the check must not be "norm too far off"
+    with pytest.raises(ValueError):
+        UnknownQubit(alpha, beta)
+
+
 def test_correction_tables_shape():
     assert len(SQTP_CORRECTIONS) == 4
     assert len(KAK_CORRECTIONS) == 2

@@ -9,6 +9,7 @@ from telecost.statevector import (
     StateVector,
     apply_cnot,
     apply_h,
+    apply_unitary1,
     apply_x,
     apply_z,
     basis_state,
@@ -52,6 +53,12 @@ def test_statevector_validation():
         StateVector(0, np.array([1.0], dtype=complex))
     with pytest.raises(ValueError):
         StateVector(9, np.zeros(512, dtype=complex))
+
+
+def test_apply_unitary1_validates_its_output():
+    # the caller's matrix is not checked for unitarity; the result's norm is
+    with pytest.raises(ValueError):
+        apply_unitary1(basis_state(1, "0"), 0, 2 * np.eye(2))
 
 
 def test_amps_are_read_only():
