@@ -6,21 +6,16 @@ from .cost import (
     LedgerEntry,
     ideal_bits,
     ledger_rows,
-    total_cost,
-    write_ledger_csv,
-    write_ledger_json,
 )
 from .expansions import ALL_EXPANSIONS, Expansion, load_expansions
 from .kinds import ALICE, BOB, ProtocolKind, Purpose
 from .noise import (
     DensityMatrix,
     DistillRun,
-    DistillStepOutcome,
     NoisyTeleportReport,
     density_from_pure,
     density_tensor,
     deterministic_rounds_to_target,
-    distill_step,
     distill_step_map,
     distill_to_threshold,
     run_noisy_teleport,
@@ -30,7 +25,6 @@ from .noise import (
 )
 from .protocol import (
     EntangledInputReport,
-    MonteCarloSummary,
     ProtocolBranch,
     ProtocolMachine,
     ProtocolTrace,
@@ -38,10 +32,7 @@ from .protocol import (
     enumerate_protocol,
     kak_checkpoints,
     kak_entangled_input_demo,
-    monte_carlo,
-    run_kak,
     run_protocol,
-    run_sqtp,
     sqtp_checkpoints,
 )
 from .statevector import (

@@ -224,24 +224,17 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.f_step <= 0:
-        print(f"sweep error: --f-step must be > 0, got {cfg.f_step}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--f-step must be > 0, got {cfg.f_step}")
     # points by index, not by adding floats; the slack keeps an f_max that sits on the grid
     span = (cfg.f_max - cfg.f_min) / cfg.f_step + 1e-9
     if span < 0:
-        print(
-            f"sweep error: empty grid, --f-min {cfg.f_min} exceeds --f-max {cfg.f_max}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"empty grid, --f-min {cfg.f_min} exceeds --f-max {cfg.f_max}")
     if not span < MAX_SWEEP_POINTS:  # also rejects NaN bounds
-        print(f"sweep error: grid from --f-min {cfg.f_min} to --f-max {cfg.f_max} at --f-step "
-              f"{cfg.f_step} has more than {MAX_SWEEP_POINTS} points", file=sys.stderr)
-        return 2
+        raise ValueError(f"grid from --f-min {cfg.f_min} to --f-max {cfg.f_max} at --f-step "
+                         f"{cfg.f_step} has more than {MAX_SWEEP_POINTS} points")
     grid = [round(cfg.f_min + k * cfg.f_step, 12) for k in range(int(span) + 1)]
     if grid[0] < 0.0 or grid[-1] > 1.0:
-        print("sweep error: grid must stay inside [0, 1]", file=sys.stderr)
-        return 2
+        raise ValueError("grid must stay inside [0, 1]")
     target = cfg.distill_target if cfg.distill_target is not None else 0.95
     rows = sweep_rows(grid, target, cfg.max_rounds)
     _emit(_csv_text(SWEEP_COLUMNS, rows), cfg.out)

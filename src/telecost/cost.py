@@ -9,10 +9,7 @@ distillation is tagged LOCC and accounted on top.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .kinds import ProtocolKind, Purpose
 
@@ -77,10 +74,6 @@ def ideal_bits(model: CostModel) -> int:
     return n_qubits if model.kind is ProtocolKind.KAK else 2 * n_qubits
 
 
-def total_cost(ledger: CostLedger, purpose: Purpose | None = None) -> int:
-    return ledger.total(purpose)
-
-
 def ledger_rows(run_id: str | int, ledger: CostLedger) -> list[dict]:
     """Flat export rows, one per message."""
     return [
@@ -93,19 +86,3 @@ def ledger_rows(run_id: str | int, ledger: CostLedger) -> list[dict]:
         }
         for e in ledger.entries
     ]
-
-
-_LEDGER_COLUMNS = ["run_id", "from", "to", "bits", "purpose"]
-
-
-def write_ledger_csv(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_LEDGER_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def write_ledger_json(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -167,22 +167,6 @@ def distill_step_map(f: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class DistillStepOutcome:
-    success: bool
-    f_out: float
-    locc_bits: int = 2
-
-
-def distill_step(f_in: float, rng: np.random.Generator) -> DistillStepOutcome:
-    """One sampled recurrence attempt. Success follows the exact map's
-    probability; on failure both pairs are lost and the surviving raw
-    supply is still at f_in. Costs 2 LOCC bits either way."""
-    p_succ, f_out = distill_step_map(f_in)
-    success = bool(rng.random() < p_succ)
-    return DistillStepOutcome(success, f_out if success else f_in)
-
-
-@dataclass(frozen=True)
 class DistillRun:
     rounds: int
     attempts: int
@@ -193,15 +177,17 @@ class DistillRun:
 def distill_to_threshold(
     f_in: float, f_target: float, max_rounds: int, rng: np.random.Generator
 ) -> DistillRun:
-    """Repeat distill_step until the fidelity reaches f_target, max_rounds
-    successful levels are exhausted, or a success leaves the fidelity
-    unchanged (in floats the iterate stalls just below 1, so final_f can
-    stay under the target).
+    """Repeat sampled recurrence attempts until the fidelity reaches
+    f_target, max_rounds successful levels are exhausted, or a success
+    leaves the fidelity unchanged (in floats the iterate stalls just below
+    1, so final_f can stay under the target).
 
-    rounds counts successes, attempts counts every invocation; failed
-    attempts retry the current level on fresh pairs. LOCC bits are 2 per
-    attempt. Inputs at or above target return immediately. Inputs at or
-    below 1/2 are rejected: the recurrence cannot improve them.
+    Each attempt succeeds with the exact map's probability, one rng draw
+    apiece. rounds counts successes, attempts counts every try; a failure
+    loses both pairs and the next attempt retries the current level on
+    fresh pairs. LOCC bits are 2 per attempt. Inputs at or above target
+    return immediately. Inputs at or below 1/2 are rejected: the
+    recurrence cannot improve them.
     """
     if not 0.5 < f_in <= 1.0:
         raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
@@ -212,10 +198,10 @@ def distill_to_threshold(
     f, f_prev = f_in, None
     rounds = attempts = 0
     while f < f_target and rounds < max_rounds and f != f_prev:
-        out = distill_step(f, rng)
+        p_succ, f_out = distill_step_map(f)
         attempts += 1
-        if out.success:
-            f, f_prev = out.f_out, f
+        if rng.random() < p_succ:
+            f, f_prev = f_out, f
             rounds += 1
     return DistillRun(rounds, attempts, 2 * attempts, f)
 

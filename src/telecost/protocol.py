@@ -334,16 +334,6 @@ def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator
     return ProtocolTrace(kind, m.steps, bob, fidelity_pure(bob, target), m.ledger)
 
 
-def run_sqtp(psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
-    """One sampled run of standard teleportation (2 classical bits)."""
-    return run_protocol(ProtocolKind.SQTP, psi, rng)
-
-
-def run_kak(psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
-    """One sampled run of the chained-XOR protocol (1 classical bit)."""
-    return run_protocol(ProtocolKind.KAK, psi, rng)
-
-
 def sqtp_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
     """Named register states at each step of the standard protocol, plus
     the resource pair on its own."""
@@ -440,15 +430,6 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
-    kind: ProtocolKind
-    runs: int
-    mean_fidelity: float
-    min_fidelity: float
-    teleport_bits_per_run: int
-
-
 def run_batch(
     kinds: list[ProtocolKind], n_runs: int, seed: int, run_one: Callable
 ) -> Iterator[tuple[int, ProtocolKind, object]]:
@@ -472,12 +453,3 @@ def run_batch(
                     f"teleport bits varied for {kind.value}: {teleport_bits[kind]} then {bits}"
                 )
             yield i, kind, result
-
-
-def monte_carlo(kind: ProtocolKind, n_runs: int, seed: int) -> MonteCarloSummary:
-    """run_batch for one protocol, with the draws of `compare --protocol`."""
-    fids = []
-    for _, _, trace in run_batch([kind], n_runs, seed, run_protocol):
-        fids.append(trace.fidelity_achieved)
-        bits = trace.ledger.total(Purpose.TELEPORT)
-    return MonteCarloSummary(kind, n_runs, float(np.mean(fids)), float(min(fids)), bits)

@@ -8,10 +8,11 @@ Conventions, fixed across the whole package:
   - the only state-equality notion used for physics checks is the
     phase-invariant fidelity |<a|b>|^2
   - validation happens at the public boundary: the StateVector(...)
-    constructor, basis_state and apply_unitary1 (whose matrix comes from
-    the caller) check size, finiteness and norm. Kernels whose output is
-    valid by construction (the fixed gates H, X, Z and CNOT, tensor and
-    the measurement collapses) trust it and skip the checks.
+    constructor, basis_state and apply_unitary1 check size, finiteness and
+    norm, and apply_unitary1 also rejects a caller's matrix unless it is
+    unitary within ATOL. Kernels whose output is valid by construction
+    (the fixed gates H, X, Z and CNOT, tensor and the measurement
+    collapses) trust it and skip the checks.
 """
 
 from __future__ import annotations
@@ -114,12 +115,14 @@ def _cnot_axes(t: np.ndarray, control: int, target: int) -> np.ndarray:
 
 
 def apply_unitary1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to one qubit; the result is validated, since m
-    comes from the caller."""
+    """Apply a 2x2 unitary to one qubit. m comes from the caller, so it must
+    satisfy m^dagger m = I within ATOL, and the result is validated."""
     _check_qubit(s, q)
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.allclose(m.conj().T @ m, np.eye(2), rtol=0.0, atol=ATOL):  # also rejects NaN
+        raise ValueError("matrix must be unitary, m^dagger m differs from I")
     t = _unitary1_axes(s.amps.reshape([2] * s.n_qubits), q, m)
     return StateVector(s.n_qubits, t.reshape(-1))
 

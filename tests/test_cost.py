@@ -1,8 +1,5 @@
 """Ledger arithmetic and the ideal cost table."""
 
-import csv
-import json
-
 import numpy as np
 import pytest
 
@@ -12,9 +9,6 @@ from telecost.cost import (
     LedgerEntry,
     ideal_bits,
     ledger_rows,
-    total_cost,
-    write_ledger_csv,
-    write_ledger_json,
 )
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import run_noisy_teleport
@@ -61,7 +55,6 @@ def test_ledger_totals_by_purpose():
     assert ledger.total() == 4
     assert ledger.total(Purpose.TELEPORT) == 2
     assert ledger.total(Purpose.LOCC) == 2
-    assert total_cost(ledger, Purpose.LOCC) == 2
 
 
 def test_ledger_equality():
@@ -105,22 +98,3 @@ def test_ledger_rows_schema():
         {"run_id": "run-7", "from": ALICE, "to": BOB, "bits": 2, "purpose": "teleport"},
         {"run_id": "run-7", "from": BOB, "to": ALICE, "bits": 1, "purpose": "locc"},
     ]
-
-
-def test_ledger_exports_round_trip(tmp_path):
-    ledger = CostLedger()
-    ledger.add(ALICE, BOB, 2, Purpose.TELEPORT)
-    ledger.add(ALICE, BOB, 1, Purpose.LOCC)
-    rows = ledger_rows(0, ledger)
-
-    jpath = tmp_path / "ledger.json"
-    write_ledger_json(jpath, rows)
-    assert json.loads(jpath.read_text()) == rows
-
-    cpath = tmp_path / "ledger.csv"
-    write_ledger_csv(cpath, rows)
-    with open(cpath, newline="") as fh:
-        back = list(csv.DictReader(fh))
-    assert [r["purpose"] for r in back] == ["teleport", "locc"]
-    assert [int(r["bits"]) for r in back] == [2, 1]
-    assert back[0]["run_id"] == "0"

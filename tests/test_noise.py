@@ -14,7 +14,6 @@ from telecost.noise import (
     density_from_pure,
     density_tensor,
     deterministic_rounds_to_target,
-    distill_step,
     distill_step_map,
     distill_to_threshold,
     run_noisy_teleport,
@@ -188,27 +187,27 @@ def test_distill_quarter_fixed_point():
 
 
 def test_distill_step_failure_keeps_input_fidelity():
-    rng = np.random.default_rng(123)
-    saw_failure = saw_success = False
-    _, f_expected = distill_step_map(0.75)
-    while not (saw_failure and saw_success):
-        out = distill_step(0.75, rng)
-        if out.success:
-            saw_success = True
-            assert abs(out.f_out - f_expected) < 1e-12
-        else:
-            saw_failure = True
-            assert out.f_out == 0.75
-        assert out.locc_bits == 2
+    # a failed attempt retries the same level, so a run with failures ends on
+    # the rung of the exact ladder that its successes alone reach
+    saw_failure = False
+    for seed in range(20):
+        run = distill_to_threshold(0.75, 0.9, 64, np.random.default_rng(seed))
+        saw_failure |= run.attempts > run.rounds
+        f = 0.75
+        for _ in range(run.rounds):
+            f = distill_step_map(f)[1]
+        assert run.final_f == f
+    assert saw_failure
 
 
 def test_distill_step_success_frequency():
+    # one level from 0.75 clears 0.76; its attempts are geometric with mean 1/p
     rng = np.random.default_rng(7)
     n = 4000
     p, _ = distill_step_map(0.75)
-    wins = sum(distill_step(0.75, rng).success for _ in range(n))
-    sigma = np.sqrt(n * p * (1.0 - p))
-    assert abs(wins - n * p) < 3.0 * sigma
+    attempts = [distill_to_threshold(0.75, 0.76, 1, rng).attempts for _ in range(n)]
+    sigma = np.sqrt((1.0 - p) / (n * p**2))
+    assert abs(np.mean(attempts) - 1.0 / p) < 3.0 * sigma
 
 
 def test_distill_to_threshold_already_there():

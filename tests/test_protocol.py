@@ -28,11 +28,8 @@ from telecost.protocol import (
     enumerate_protocol,
     kak_checkpoints,
     kak_entangled_input_demo,
-    monte_carlo,
     run_batch,
-    run_kak,
     run_protocol,
-    run_sqtp,
     sqtp_checkpoints,
     step_to_json,
 )
@@ -81,7 +78,7 @@ def test_correction_tables_shape():
 def test_run_sqtp_recovers_input():
     for seed in range(20):
         psi = haar(seed)
-        trace = run_sqtp(psi, np.random.default_rng(seed + 1000))
+        trace = run_protocol(ProtocolKind.SQTP, psi, np.random.default_rng(seed + 1000))
         assert trace.fidelity_achieved > 1 - ATOL
         assert trace.ledger.total(Purpose.TELEPORT) == 2
         assert trace.ledger.total(Purpose.LOCC) == 0
@@ -90,7 +87,7 @@ def test_run_sqtp_recovers_input():
 def test_run_kak_recovers_input_with_one_bit():
     for seed in range(20):
         psi = haar(seed)
-        trace = run_kak(psi, np.random.default_rng(seed + 2000))
+        trace = run_protocol(ProtocolKind.KAK, psi, np.random.default_rng(seed + 2000))
         assert trace.fidelity_achieved > 1 - ATOL
         assert trace.ledger.total(Purpose.TELEPORT) == 1
         sent = [s for s in trace.steps if isinstance(s, MessageSent)]
@@ -108,7 +105,7 @@ def test_degenerate_inputs_pass_through():
 
 
 def test_sqtp_trace_order():
-    trace = run_sqtp(haar(4), np.random.default_rng(4))
+    trace = run_protocol(ProtocolKind.SQTP, haar(4), np.random.default_rng(4))
     kinds = [type(s) for s in trace.steps]
     # EPR share first, then CNOT, H, measurement, message, correction
     assert kinds == [QubitTransferred, GateApplied, GateApplied, Measured,
@@ -118,7 +115,7 @@ def test_sqtp_trace_order():
 
 
 def test_kak_trace_order_transfer_between_xors_and_h():
-    trace = run_kak(haar(5), np.random.default_rng(5))
+    trace = run_protocol(ProtocolKind.KAK, haar(5), np.random.default_rng(5))
     kinds = [type(s) for s in trace.steps]
     assert kinds == [GateApplied, GateApplied, QubitTransferred, GateApplied,
                      Measured, MessageSent, CorrectionApplied]
@@ -223,7 +220,7 @@ def test_replay_ledger_matches_run_ledger():
 
 
 def test_trace_json_schema():
-    trace = run_kak(haar(13), np.random.default_rng(13))
+    trace = run_protocol(ProtocolKind.KAK, haar(13), np.random.default_rng(13))
     payload = trace.to_json_dict()
     assert payload["protocol"] == "kak"
     allowed = {"step_type", "party", "qubits", "bits", "purpose", "gate_seq"}
@@ -283,21 +280,6 @@ def test_entangled_demo_bell_input_frozen_values():
 def test_entangled_demo_rejects_wrong_size():
     with pytest.raises(ValueError):
         kak_entangled_input_demo(basis_state(3, "000"))
-
-
-def test_monte_carlo_deterministic_and_exact():
-    a = monte_carlo(ProtocolKind.SQTP, 40, 7)
-    b = monte_carlo(ProtocolKind.SQTP, 40, 7)
-    assert a == b
-    assert a.mean_fidelity > 1 - ATOL
-    assert a.min_fidelity > 1 - ATOL
-    assert a.teleport_bits_per_run == 2
-    assert monte_carlo(ProtocolKind.KAK, 40, 7).teleport_bits_per_run == 1
-
-
-def test_monte_carlo_rejects_zero_runs():
-    with pytest.raises(ValueError):
-        monte_carlo(ProtocolKind.SQTP, 0, 1)
 
 
 def test_run_batch_run_i_does_not_depend_on_n_runs():

@@ -56,9 +56,20 @@ def test_statevector_validation():
 
 
 def test_apply_unitary1_validates_its_output():
-    # the caller's matrix is not checked for unitarity; the result's norm is
+    # the caller's matrix is checked for unitarity before the result's norm is
     with pytest.raises(ValueError):
         apply_unitary1(basis_state(1, "0"), 0, 2 * np.eye(2))
+
+
+def test_apply_unitary1_rejects_non_unitary_matrices():
+    # both keep the norm of this particular input, so only the matrix check catches them
+    with pytest.raises(ValueError, match="unitary"):
+        apply_unitary1(basis_state(2, "00"), 0, np.array([[1, 0], [5, 0]]) / np.sqrt(26))
+    with pytest.raises(ValueError, match="unitary"):
+        apply_unitary1(basis_state(1, "0"), 0, np.diag([1, 2]))
+    s = random_state(np.random.default_rng(4), 3)
+    phased_h = np.exp(0.3j) * np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    assert np.isclose(fidelity_pure(apply_unitary1(s, 1, phased_h), apply_h(s, 1)), 1.0, atol=ATOL)
 
 
 def test_amps_are_read_only():

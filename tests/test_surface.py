@@ -1,0 +1,43 @@
+"""The public surface stays what the package, the README and the acceptance
+gate use: a public top-level function or class that only unit tests call
+has no job in the program."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "telecost"
+# ROADMAP item 1: `compare --trace` writes each run's ledger as ledger_rows
+UNREFERENCED_ALLOWED = {"ledger_rows"}
+
+
+def _identifiers(node):
+    """Names a piece of code reads, as plain names or as attributes."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_public_definition_has_a_caller():
+    modules = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+               if p.name != "__init__.py"}
+    # one identifier set per top-level statement, so a definition's own body is left out
+    statements = [(stmt, _identifiers(stmt)) for tree in modules.values() for stmt in tree.body]
+    docs = (ROOT / "README.md").read_text() + (ROOT / "tests" / "test_acceptance.py").read_text()
+    orphans = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in UNREFERENCED_ALLOWED):
+                continue
+            used = any(node.name in ids for stmt, ids in statements if stmt is not node)
+            if not used and not re.search(rf"\b{node.name}\b", docs):
+                orphans.append(f"{module}:{node.name}")
+    assert orphans == [], (
+        f"public names with no caller in src/, README.md or tests/test_acceptance.py: {orphans}"
+    )
