@@ -26,7 +26,6 @@ from .noise import (
 from .protocol import (
     EntangledInputReport,
     ProtocolBranch,
-    ProtocolMachine,
     ProtocolTrace,
     UnknownQubit,
     enumerate_protocol,

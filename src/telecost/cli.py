@@ -59,6 +59,8 @@ class RunConfig:
             raise ValueError(f"protocol must be sqtp, kak or both, got {self.protocol!r}")
         if self.n_runs < 1:
             raise ValueError(f"--runs must be >= 1, got {self.n_runs}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if self.noise_f is not None and not 0.0 <= self.noise_f <= 1.0:
             raise ValueError(f"--noise-f must be in [0, 1], got {self.noise_f}")
         if self.distill_target is not None:
@@ -120,7 +122,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     table = load_expansions(cfg.golden)
     rng = np.random.default_rng(cfg.seed)
     max_err = {name: 0.0 for name in ALL_EXPANSIONS}
-    branch_err = {"sqtp_branch_recovery": 0.0, "kak_branch_recovery": 0.0}
+    branch_err = dict.fromkeys(ProtocolKind, 0.0)
     for _ in range(cfg.n_runs):
         psi = UnknownQubit.haar(rng)
         states = {**sqtp_checkpoints(psi), **kak_checkpoints(psi)}
@@ -128,17 +130,16 @@ def cmd_verify(cfg: RunConfig) -> int:
             ref = table[name].instantiate(psi.alpha, psi.beta)
             err = float(np.max(np.abs(states[name].amps - ref)))
             max_err[name] = max(max_err[name], err)
-        for key, kind in (("sqtp_branch_recovery", ProtocolKind.SQTP),
-                          ("kak_branch_recovery", ProtocolKind.KAK)):
+        for kind in ProtocolKind:
             worst = max(1.0 - b.fidelity for b in enumerate_protocol(kind, psi))
-            branch_err[key] = max(branch_err[key], worst)
+            branch_err[kind] = max(branch_err[kind], worst)
 
     checks = [
         {"name": name, "max_abs_err": max_err[name], "pass": max_err[name] <= GOLDEN_ATOL}
         for name in ALL_EXPANSIONS
     ] + [
-        {"name": name, "max_abs_err": err, "pass": err <= GOLDEN_ATOL}
-        for name, err in branch_err.items()
+        {"name": f"{kind.value}_branch_recovery", "max_abs_err": err, "pass": err <= GOLDEN_ATOL}
+        for kind, err in branch_err.items()
     ]
     all_pass = all(c["pass"] for c in checks)
 

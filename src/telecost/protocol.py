@@ -14,19 +14,20 @@ q1->q2 before q2 leaves her, then H on q0, and announces only q0's bit;
 Bob applies Z when it is 1. The residual never depends on q1's outcome,
 which is why one bit suffices.
 
-One interpreter runs a table through `ProtocolMachine`, which lets a party
-act only on qubits it owns, moves ownership only by transfers and bits
-only by sends, so ordering claims (no signaling before the message,
-channel interaction order) hold structurally. Sampled runs, checkpoints,
-the branch walk, the entangled-input probe (the KAK table shifted one
-qubit up) and the density walk in `noise` all read the same table;
-`run_batch` is the one seeded batch runner.
+Building a `Schedule` is the one place locality is checked: a party may
+gate or hand over only qubits it holds, and at the end Alice must hold q0
+and q1 and Bob q2, so Alice measures her own qubits and Bob corrects his.
+A non-local schedule cannot be built, and no run checks it again. One
+interpreter runs a table's gates: sampled runs, checkpoints, the branch
+walk, the entangled-input probe (the KAK table shifted one qubit up) and
+the density walk in `noise` all read the same table; `run_batch` is the
+one seeded batch runner.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,18 +54,82 @@ from .statevector import (
 SQTP_CORRECTIONS: dict[str, tuple[str, ...]] = {"00": (), "01": ("X",), "10": ("Z",), "11": ("Z", "X")}
 KAK_CORRECTIONS: dict[str, tuple[str, ...]] = {"0": (), "1": ("Z",)}
 
+# ---------------------------------------------------------------------------
+# trace events
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GateApplied:
+    party: str
+    gate: str
+    qubits: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class QubitTransferred:
+    src: str
+    dst: str
+    qubit: int
+
+
+@dataclass(frozen=True)
+class Measured:
+    party: str
+    qubits: tuple[int, ...]
+    bits: str
+
+
+@dataclass(frozen=True)
+class MessageSent:
+    src: str
+    dst: str
+    bits: str
+    purpose: Purpose
+
+
+@dataclass(frozen=True)
+class CorrectionApplied:
+    party: str
+    qubit: int
+    gates: tuple[str, ...]
+
+
+TraceStep = GateApplied | QubitTransferred | Measured | MessageSent | CorrectionApplied
+
+
 @dataclass(frozen=True)
 class Schedule:
     """One protocol as data. The ops run in order up to Alice's measurement
     of q0 and q1; a "transfer" op hands its qubit from its party to Bob. The
     first `announced` measured bits go to Bob, who applies the matching
-    `corrections` row to q2."""
+    `corrections` row to q2.
+
+    Building one checks that it is local, starting from Alice holding all
+    three qubits, and records the ops as trace steps in `steps`."""
 
     initial: str
     ops: tuple[tuple[str, str, tuple[int, ...], str | None], ...]
     final: tuple[str, ...]
     announced: int
     corrections: dict[str, tuple[str, ...]]
+    steps: tuple[GateApplied | QubitTransferred, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        owners = {0: ALICE, 1: ALICE, 2: ALICE}
+        steps = []
+        for party, gate, qubits, _name in self.ops:
+            for q in qubits:
+                if owners.get(q) != party:
+                    raise ValueError(f"{party} cannot {gate} qubit {q}, owned by {owners.get(q)!r}")
+            if gate == "transfer":
+                owners[qubits[0]] = BOB
+                steps.append(QubitTransferred(party, BOB, qubits[0]))
+            else:
+                steps.append(GateApplied(party, gate, qubits))
+        if owners != {0: ALICE, 1: ALICE, 2: BOB}:
+            raise ValueError(f"Alice must end holding q0 and q1 and Bob q2, got {owners}")
+        object.__setattr__(self, "steps", tuple(steps))
 
 
 SCHEDULES: dict[ProtocolKind, Schedule] = {
@@ -111,50 +176,6 @@ class UnknownQubit:
 
     def to_statevector(self) -> StateVector:
         return StateVector(1, np.array([self.alpha, self.beta], dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# trace events
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GateApplied:
-    party: str
-    gate: str
-    qubits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class QubitTransferred:
-    src: str
-    dst: str
-    qubit: int
-
-
-@dataclass(frozen=True)
-class Measured:
-    party: str
-    qubits: tuple[int, ...]
-    bits: str
-
-
-@dataclass(frozen=True)
-class MessageSent:
-    src: str
-    dst: str
-    bits: str
-    purpose: Purpose
-
-
-@dataclass(frozen=True)
-class CorrectionApplied:
-    party: str
-    qubit: int
-    gates: tuple[str, ...]
-
-
-TraceStep = GateApplied | QubitTransferred | Measured | MessageSent | CorrectionApplied
 
 
 def step_to_json(step: TraceStep) -> dict:
@@ -207,131 +228,58 @@ class ProtocolTrace:
 
 
 # ---------------------------------------------------------------------------
-# two-party state machine
-# ---------------------------------------------------------------------------
-
-
-class ProtocolMachine:
-    """Executes a schedule over a shared register while enforcing ownership.
-
-    The machine refuses gates on qubits the acting party does not own and
-    refuses transfers by non-owners, so any trace it emits is a physically
-    schedulable sequence of local operations and classical messages.
-    """
-
-    _GATES_1Q = {"H": apply_h, "X": apply_x, "Z": apply_z}
-
-    def __init__(self, state: StateVector, owners: dict[int, str]) -> None:
-        if sorted(owners) != list(range(state.n_qubits)):
-            raise ValueError("owners must cover every qubit index exactly once")
-        self._state = state
-        self._owners = dict(owners)
-        self.steps: list[TraceStep] = []
-        self.ledger = CostLedger()
-
-    @property
-    def state(self) -> StateVector:
-        return self._state
-
-    def _require_owner(self, party: str, qubits: tuple[int, ...]) -> None:
-        for q in qubits:
-            if self._owners.get(q) != party:
-                raise ValueError(
-                    f"{party} cannot act on qubit {q}, owned by {self._owners.get(q)!r}"
-                )
-
-    def apply(self, party: str, gate: str, *qubits: int) -> None:
-        self._require_owner(party, qubits)
-        if gate == "CNOT":
-            if len(qubits) != 2:
-                raise ValueError("CNOT takes control and target")
-            self._state = apply_cnot(self._state, qubits[0], qubits[1])
-        elif gate in self._GATES_1Q and len(qubits) == 1:
-            self._state = self._GATES_1Q[gate](self._state, qubits[0])
-        else:
-            raise ValueError(f"unsupported gate {gate!r} on {len(qubits)} qubit(s)")
-        self.steps.append(GateApplied(party, gate, tuple(qubits)))
-
-    def transfer(self, qubit: int, src: str, dst: str) -> None:
-        self._require_owner(src, (qubit,))
-        if src == dst:
-            raise ValueError("transfer must change ownership")
-        self._owners[qubit] = dst
-        self.steps.append(QubitTransferred(src, dst, qubit))
-
-    def measure(self, party: str, qubits: tuple[int, ...], rng: np.random.Generator) -> str:
-        self._require_owner(party, qubits)
-        bits, self._state = measure_sample(self._state, list(qubits), rng)
-        self.steps.append(Measured(party, tuple(qubits), bits))
-        return bits
-
-    def send(self, src: str, dst: str, bits: str, purpose: Purpose) -> None:
-        if not bits or any(c not in "01" for c in bits):
-            raise ValueError(f"bits must be a nonempty 0/1 string, got {bits!r}")
-        self.steps.append(MessageSent(src, dst, bits, purpose))
-        self.ledger.add(src, dst, len(bits), purpose)
-
-    def apply_correction(self, party: str, qubit: int, gates: tuple[str, ...]) -> None:
-        self._require_owner(party, (qubit,))
-        for g in gates:
-            self._state = self._GATES_1Q[g](self._state, qubit)
-        self.steps.append(CorrectionApplied(party, qubit, tuple(gates)))
-
-    def fork(self, state: StateVector) -> ProtocolMachine:
-        """A machine with this one's owners and no history, holding `state`:
-        the branch walk continues each measurement outcome on its own fork."""
-        return ProtocolMachine(state, self._owners)
-
-
-# ---------------------------------------------------------------------------
 # schedule interpreter
 # ---------------------------------------------------------------------------
+
+# a dict, not a tuple or closure, so the benchmark's tracer can wrap its kernels
+_GATES = {"H": apply_h, "X": apply_x, "Z": apply_z, "CNOT": apply_cnot}
 
 
 def _prefix(
     kind: ProtocolKind, source: StateVector, offset: int = 0
-) -> tuple[ProtocolMachine, dict[str, StateVector]]:
+) -> tuple[StateVector, dict[str, StateVector]]:
     """Run SCHEDULES[kind] on source (x) resource pair up to, not including,
     Alice's measurement, with every qubit index shifted up by `offset`; the
-    first `offset` qubits of source are held back by a third party.
-    Returns the machine and the named register states along the way."""
+    first `offset` qubits of source are held back by a third party, which
+    no op touches. Returns the register before the measurement and the
+    named register states along the way."""
     schedule = SCHEDULES[kind]
-    register = tensor(source, bell_pair())
-    owners = dict.fromkeys(range(register.n_qubits), ALICE)
-    owners.update(dict.fromkeys(range(offset), "holdout"))
-    m = ProtocolMachine(register, owners)
-    states = {schedule.initial: register}
-    for party, gate, qubits, name in schedule.ops:
-        if offset:
-            qubits = tuple(q + offset for q in qubits)
-        if gate == "transfer":
-            m.transfer(*qubits, party, BOB)
-        else:
-            m.apply(party, gate, *qubits)
+    state = tensor(source, bell_pair())
+    states = {schedule.initial: state}
+    for _party, gate, qubits, name in schedule.ops:
+        if gate != "transfer":
+            state = _GATES[gate](state, *(q + offset for q in qubits))
         if name is not None:
-            states[name] = m.state
-    states.update(dict.fromkeys(schedule.final, m.state))
-    return m, states
+            states[name] = state
+    states.update(dict.fromkeys(schedule.final, state))
+    return state, states
 
 
 def _bob_residual(
-    m: ProtocolMachine, bits: str, gates: tuple[str, ...], offset: int = 0
+    state: StateVector, bits: str, gates: tuple[str, ...], offset: int = 0
 ) -> StateVector:
     """Bob applies `gates` to his qubit; returns the register without
     Alice's measured qubits, which must already be collapsed to `bits`."""
-    m.apply_correction(BOB, 2 + offset, gates)
-    return collapse_residual(m.state, (offset, 1 + offset), bits)
+    for gate in gates:
+        state = _GATES[gate](state, 2 + offset)
+    return collapse_residual(state, (offset, 1 + offset), bits)
 
 
 def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
     """One sampled run: the schedule, Alice's measurement, her announcement
     and Bob's correction."""
+    schedule = SCHEDULES[kind]
     target = psi.to_statevector()
-    m, _ = _prefix(kind, target)
-    bits = m.measure(ALICE, (0, 1), rng)
-    m.send(ALICE, BOB, bits[: SCHEDULES[kind].announced], Purpose.TELEPORT)
-    bob = _bob_residual(m, bits, correction_for(kind, bits))
-    return ProtocolTrace(kind, m.steps, bob, fidelity_pure(bob, target), m.ledger)
+    state, _ = _prefix(kind, target)
+    bits, state = measure_sample(state, [0, 1], rng)
+    sent = bits[: schedule.announced]
+    gates = schedule.corrections[sent]
+    bob = _bob_residual(state, bits, gates)
+    ledger = CostLedger()
+    ledger.add(ALICE, BOB, len(sent), Purpose.TELEPORT)
+    steps = [*schedule.steps, Measured(ALICE, (0, 1), bits),
+             MessageSent(ALICE, BOB, sent, Purpose.TELEPORT), CorrectionApplied(BOB, 2, gates)]
+    return ProtocolTrace(kind, steps, bob, fidelity_pure(bob, target), ledger)
 
 
 def sqtp_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
@@ -362,11 +310,11 @@ def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBr
     classes keyed on the q0 bit.
     """
     target = psi.to_statevector()
-    m, _ = _prefix(kind, target)
+    state, _ = _prefix(kind, target)
     out = []
-    for branch in enumerate_branches(m.state, (0, 1)):
+    for branch in enumerate_branches(state, (0, 1)):
         bits = branch.outcome_bits
-        bob = _bob_residual(m.fork(branch.post_state), bits, correction_for(kind, bits))
+        bob = _bob_residual(branch.post_state, bits, correction_for(kind, bits))
         out.append(ProtocolBranch(branch, bob, fidelity_pure(bob, target)))
     return out
 
@@ -412,13 +360,13 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
     if joint.n_qubits != 2:
         raise ValueError(f"joint input must be 2 qubits, got {joint.n_qubits}")
     schedule = SCHEDULES[ProtocolKind.KAK]
-    m, _ = _prefix(ProtocolKind.KAK, joint, offset=1)
+    state, _ = _prefix(ProtocolKind.KAK, joint, offset=1)
     branches = []
-    for branch in enumerate_branches(m.state, (1, 2)):
+    for branch in enumerate_branches(state, (1, 2)):
         bits = branch.outcome_bits
         fids = {}
         for key, gates in schedule.corrections.items():
-            bob = _bob_residual(m.fork(branch.post_state), bits, gates, offset=1)
+            bob = _bob_residual(branch.post_state, bits, gates, offset=1)
             fids[key] = fidelity_pure(bob, joint)
         prescribed = fids[bits[: schedule.announced]]
         branches.append(EntangledBranch(bits, branch.probability, prescribed, max(fids.values())))
@@ -426,7 +374,7 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo
+# seeded batches
 # ---------------------------------------------------------------------------
 
 

@@ -317,6 +317,14 @@ def test_max_rounds_above_cap_rejected(argv, capsys):
     assert err.startswith("error:") and str(MAX_ROUNDS) in err
 
 
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_negative_seed_rejected_naming_the_flag(command, capsys):
+    # numpy would refuse it too, but without saying which flag was wrong
+    code, out, err = run_cli([command, "--runs", "1", "--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--seed" in err
+
+
 def test_unwritable_out_path(tmp_path, capsys):
     target = tmp_path / "missing_dir" / "x.json"
     code, _, err = run_cli(

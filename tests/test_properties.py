@@ -1,7 +1,8 @@
 """Property tests: the closed-form recurrence, the density gate kernel,
 the Werner teleport fidelity and branch recovery, each against an
-independent reference; and the states that kernels build unchecked, which
-must still pass the public constructors' checks."""
+independent reference; the locality of every sampled run's trace; and the
+states that kernels build unchecked, which must still pass the public
+constructors' checks."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracle_dense
 from telecost.cost import CostModel, ideal_bits
-from telecost.kinds import ProtocolKind, Purpose
+from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import (
     DensityMatrix,
     apply_gate_density,
@@ -21,6 +22,11 @@ from telecost.noise import (
 )
 from telecost.protocol import (
     SCHEDULES,
+    CorrectionApplied,
+    GateApplied,
+    Measured,
+    MessageSent,
+    QubitTransferred,
     UnknownQubit,
     enumerate_protocol,
     kak_checkpoints,
@@ -109,6 +115,28 @@ def test_every_corrected_branch_recovers_the_input(angles, seed):
         trace = run_protocol(kind, psi, np.random.default_rng(seed))
         announced = SCHEDULES[kind].announced
         assert trace.ledger.total(Purpose.TELEPORT) == announced == ideal_bits(CostModel(2, kind))
+
+
+@PROPERTY
+@given(haar_angles, seeds)
+def test_every_run_trace_replays_as_local(angles, seed):
+    # Alice starts with all three qubits; only the trace's transfers move them
+    psi = qubit_from_angles(angles)
+    for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
+        owners = {0: ALICE, 1: ALICE, 2: ALICE}
+        sent = False
+        for step in run_protocol(kind, psi, np.random.default_rng(seed)).steps:
+            if isinstance(step, (GateApplied, Measured)):
+                assert all(owners[q] == step.party for q in step.qubits)
+            elif isinstance(step, QubitTransferred):
+                assert owners[step.qubit] == step.src != step.dst
+                owners[step.qubit] = step.dst
+            elif isinstance(step, MessageSent):
+                sent = True
+            else:
+                assert isinstance(step, CorrectionApplied)
+                assert sent and owners[step.qubit] == step.party == BOB
+        assert isinstance(step, CorrectionApplied)  # every run ends with Bob's correction
 
 
 def assert_valid_and_frozen(state) -> None:

@@ -1,5 +1,5 @@
-"""Protocol-level behavior: traces, ownership, corrections, branch
-structure, the entangled-input probe and Monte Carlo batches."""
+"""Protocol-level behavior: traces, schedule locality, corrections, branch
+structure, the entangled-input probe and seeded batches."""
 
 import itertools
 import json
@@ -21,8 +21,8 @@ from telecost.protocol import (
     GateApplied,
     Measured,
     MessageSent,
-    ProtocolMachine,
     QubitTransferred,
+    Schedule,
     UnknownQubit,
     correction_for,
     enumerate_protocol,
@@ -144,16 +144,27 @@ def test_no_signaling_correction_after_message():
             assert i_msg < i_corr
 
 
-def test_ownership_enforced_by_machine():
-    m = ProtocolMachine(tensor(haar(7).to_statevector(), bell_pair()),
-                        {0: ALICE, 1: ALICE, 2: BOB})
+def test_ownership_enforced_by_schedule():
+    def schedule(*ops):
+        return Schedule("initial", ops, final=("final",), announced=1, corrections=KAK_CORRECTIONS)
+
     with pytest.raises(ValueError):
-        m.apply(BOB, "H", 0)  # Bob does not own qubit 0
+        schedule((BOB, "H", (0,), None), (ALICE, "transfer", (2,), None))  # Bob doesn't own qubit 0
     with pytest.raises(ValueError):
-        m.apply(ALICE, "CNOT", 1, 2)  # qubit 2 is Bob's
+        schedule((ALICE, "transfer", (2,), None), (ALICE, "CNOT", (1, 2), None))  # qubit 2 is Bob's
     with pytest.raises(ValueError):
-        m.transfer(2, ALICE, BOB)  # Alice cannot hand over Bob's qubit
-    m.apply(ALICE, "CNOT", 0, 1)  # both Alice's, fine
+        # Alice cannot hand over Bob's qubit
+        schedule((ALICE, "transfer", (2,), None), (ALICE, "transfer", (2,), None))
+    with pytest.raises(ValueError):
+        schedule((ALICE, "CNOT", (0, 1), None))  # Bob never gets qubit 2
+    with pytest.raises(ValueError):
+        # Alice must keep qubit 1 to measure it
+        schedule((ALICE, "transfer", (2,), None), (ALICE, "transfer", (1,), None))
+    schedule((ALICE, "CNOT", (0, 1), None), (ALICE, "transfer", (2,), None))  # both Alice's, fine
+    for shipped in SCHEDULES.values():
+        rebuilt = Schedule(shipped.initial, shipped.ops, shipped.final, shipped.announced,
+                           shipped.corrections)
+        assert rebuilt.steps == shipped.steps
 
 
 def test_measured_register_is_classical_for_alice():
