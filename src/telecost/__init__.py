@@ -32,21 +32,15 @@ from .protocol import (
     kak_checkpoints,
     kak_entangled_input_demo,
     run_protocol,
+    run_protocol_stack,
     sqtp_checkpoints,
 )
 from .statevector import (
     BranchOutcome,
     StateVector,
-    apply_cnot,
-    apply_h,
-    apply_x,
-    apply_z,
     basis_state,
     bell_pair,
-    collapse_residual,
-    enumerate_branches,
     fidelity_pure,
-    measure_sample,
     tensor,
 )
 

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -29,7 +30,7 @@ from .protocol import (
     enumerate_protocol,
     kak_checkpoints,
     run_batch,
-    run_protocol,
+    run_protocol_stack,
     sqtp_checkpoints,
 )
 
@@ -169,10 +170,14 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _compare_data(cfg: RunConfig) -> dict:
     kinds = cfg.kinds()
-    run_one = run_protocol if cfg.noise_f is None else lambda kind, psi, rng: run_noisy_teleport(
-        kind, psi, cfg.noise_f, rng, distill_target=cfg.distill_target, max_rounds=cfg.max_rounds)
+
+    def run_noisy_chunk(kind, psis, rngs):
+        return [run_noisy_teleport(kind, psi, cfg.noise_f, rng, distill_target=cfg.distill_target,
+                                   max_rounds=cfg.max_rounds) for psi, rng in zip(psis, rngs)]
+
+    run_chunk = run_protocol_stack if cfg.noise_f is None else run_noisy_chunk
     per_run: list[dict] = []
-    for i, kind, result in run_batch(kinds, cfg.n_runs, cfg.seed, run_one):
+    for i, kind, result in run_batch(kinds, cfg.n_runs, cfg.seed, run_chunk):
         if cfg.noise_f is None:
             outcome = next(s.bits for s in result.steps if isinstance(s, Measured))
             fidelity, channel_f = result.fidelity_achieved, None
@@ -224,13 +229,16 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    for flag, value in (("--f-min", cfg.f_min), ("--f-max", cfg.f_max), ("--f-step", cfg.f_step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if cfg.f_step <= 0:
         raise ValueError(f"--f-step must be > 0, got {cfg.f_step}")
     # points by index, not by adding floats; the slack keeps an f_max that sits on the grid
     span = (cfg.f_max - cfg.f_min) / cfg.f_step + 1e-9
     if span < 0:
         raise ValueError(f"empty grid, --f-min {cfg.f_min} exceeds --f-max {cfg.f_max}")
-    if not span < MAX_SWEEP_POINTS:  # also rejects NaN bounds
+    if not span < MAX_SWEEP_POINTS:
         raise ValueError(f"grid from --f-min {cfg.f_min} to --f-max {cfg.f_max} at --f-step "
                          f"{cfg.f_step} has more than {MAX_SWEEP_POINTS} points")
     grid = [round(cfg.f_min + k * cfg.f_step, 12) for k in range(int(span) + 1)]
@@ -254,18 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
         p.add_argument("--runs", type=int, default=20, dest="n_runs")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text", dest="fmt")
+        p.add_argument("--format", choices=formats, default="text", dest="fmt")
         p.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="check golden expansions and branch recovery")
-    common(p_verify)
+    common(p_verify, ("json", "text"))
     p_verify.add_argument("--golden", default=None, help="alternate golden expansion file")
 
     p_compare = sub.add_parser("compare", help="fidelity and classical cost per protocol")
-    common(p_compare)
+    common(p_compare, ("json", "csv", "text"))
     p_compare.add_argument("--protocol", choices=("sqtp", "kak", "both"), default="both")
     p_compare.add_argument("--noise-f", type=float, default=None, dest="noise_f")
     p_compare.add_argument("--distill-target", type=float, default=None, dest="distill_target")

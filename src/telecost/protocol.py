@@ -17,11 +17,18 @@ which is why one bit suffices.
 Building a `Schedule` is the one place locality is checked: a party may
 gate or hand over only qubits it holds, and at the end Alice must hold q0
 and q1 and Bob q2, so Alice measures her own qubits and Bob corrects his.
-A non-local schedule cannot be built, and no run checks it again. One
-interpreter runs a table's gates: sampled runs, checkpoints, the branch
-walk, the entangled-input probe (the KAK table shifted one qubit up) and
-the density walk in `noise` all read the same table; `run_batch` is the
-one seeded batch runner.
+A non-local schedule cannot be built, and no run checks it again.
+
+One interpreter runs a table once over a stack of registers, shape
+(runs, 2, 2, 2), through the statevector axis kernels, and applies Bob's
+corrections for all four outcomes to the whole stack; only drawing each
+run's outcome from its own stream and normalising its state are per run.
+`run_protocol_stack` is that for sampled runs. `run_protocol`, the
+checkpoints, the branch walk and the entangled-input probe (the KAK table
+shifted one qubit up) are stacks of one. The density walk in `noise`
+reads the same table. `run_batch` is the one seeded batch runner; it
+evaluates its runs in chunks of BATCH_CHUNK. The per-state path this
+replaced is the bit-for-bit reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -34,19 +41,16 @@ import numpy as np
 from .cost import CostLedger
 from .kinds import ALICE, BOB, ProtocolKind, Purpose
 from .statevector import (
+    _H,
+    _X,
+    _Z,
     BranchOutcome,
     StateVector,
-    apply_cnot,
-    apply_h,
-    apply_x,
-    apply_z,
+    _cnot_axes,
+    _unitary1_axes,
     bell_pair,
-    collapse_residual,
-    enumerate_branches,
     fidelity_pure,
     haar_amplitudes,
-    measure_sample,
-    tensor,
 )
 
 # Correction tables keyed by the announced bits. Gate tuples are applied
@@ -228,69 +232,132 @@ class ProtocolTrace:
 
 
 # ---------------------------------------------------------------------------
-# schedule interpreter
+# stacked schedule interpreter
 # ---------------------------------------------------------------------------
 
-# a dict, not a tuple or closure, so the benchmark's tracer can wrap its kernels
-_GATES = {"H": apply_h, "X": apply_x, "Z": apply_z, "CNOT": apply_cnot}
+_MATRICES = {"H": _H, "X": _X, "Z": _Z}
 
 
-def _prefix(
-    kind: ProtocolKind, source: StateVector, offset: int = 0
-) -> tuple[StateVector, dict[str, StateVector]]:
-    """Run SCHEDULES[kind] on source (x) resource pair up to, not including,
-    Alice's measurement, with every qubit index shifted up by `offset`; the
-    first `offset` qubits of source are held back by a third party, which
-    no op touches. Returns the register before the measurement and the
-    named register states along the way."""
+def _sources(psis: list[UnknownQubit]) -> np.ndarray:
+    """The inputs' amplitudes, one row each; UnknownQubit checked their norm."""
+    return np.array([(psi.alpha, psi.beta) for psi in psis], dtype=complex)
+
+
+def _evolve(
+    kind: ProtocolKind, sources: np.ndarray, offset: int = 0
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Run SCHEDULES[kind] once over a stack of registers, row i of
+    `sources` (x) the resource pair, up to, not including, Alice's
+    measurement. Axis 0 of the stack indexes the runs and axis q + 1 holds
+    qubit q. Every op's qubits are shifted up by `offset`: the first
+    `offset` qubits of each source are held back by a third party, which
+    no op touches. Returns the stack before the measurement and the named
+    stacks along the way."""
     schedule = SCHEDULES[kind]
-    state = tensor(source, bell_pair())
-    states = {schedule.initial: state}
+    shape = (len(sources),) + (2,) * (3 + offset)
+    t = np.multiply.outer(sources, bell_pair().amps).reshape(shape)
+    stacks = {schedule.initial: t}
     for _party, gate, qubits, name in schedule.ops:
-        if gate != "transfer":
-            state = _GATES[gate](state, *(q + offset for q in qubits))
+        axes = [q + offset + 1 for q in qubits]
+        if gate == "CNOT":
+            t = _cnot_axes(t, *axes)
+        elif gate != "transfer":
+            t = _unitary1_axes(t, *axes, _MATRICES[gate])
         if name is not None:
-            states[name] = state
-    states.update(dict.fromkeys(schedule.final, state))
-    return state, states
+            stacks[name] = t
+    stacks.update(dict.fromkeys(schedule.final, t))
+    return t, stacks
 
 
-def _bob_residual(
-    state: StateVector, bits: str, gates: tuple[str, ...], offset: int = 0
-) -> StateVector:
-    """Bob applies `gates` to his qubit; returns the register without
-    Alice's measured qubits, which must already be collapsed to `bits`."""
-    for gate in gates:
-        state = _GATES[gate](state, 2 + offset)
-    return collapse_residual(state, (offset, 1 + offset), bits)
+def _born_rows(t: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Born probabilities of Alice's two measured qubits, one row per run,
+    indexed like _OUTCOMES."""
+    others = (*range(1, offset + 1), offset + 3)
+    return (np.abs(t) ** 2).sum(axis=others).reshape(len(t), 4)
+
+
+# Alice's two measured bits; outcome k reads as the binary number k
+_OUTCOMES = ("00", "01", "10", "11")
+
+
+def _residuals(
+    t: np.ndarray, probs: np.ndarray, corrections: list[tuple[str, ...]], offset: int = 0
+) -> np.ndarray:
+    """The unmeasured qubits of every run for every outcome k, shape
+    (runs, 4, 2 ** (1 + offset)): the stack where Alice reads outcome k,
+    divided by sqrt(probs[:, k]), with Bob's gates corrections[k] applied
+    to his qubit. Each vector still needs _normalised."""
+    scale = (-1,) + (1,) * (offset + 1)
+    out = []
+    for k, gates in enumerate(corrections):
+        at_k = (slice(None),) * (offset + 1) + divmod(k, 2)
+        res = t[at_k] / np.sqrt(probs[:, k]).reshape(scale)
+        for gate in gates:
+            res = _unitary1_axes(res, offset + 1, _MATRICES[gate])
+        out.append(res.reshape(len(t), -1))
+    return np.stack(out, axis=1)
+
+
+def _normalised(v: np.ndarray) -> np.ndarray:
+    """v over its norm, one vector at a time: a norm along an axis of the
+    stack sums in another order and can move the last bit, which the
+    per-state reference in the tests would catch."""
+    return v / np.linalg.norm(v)
+
+
+def run_protocol_stack(
+    kind: ProtocolKind, psis: list[UnknownQubit], rngs: list[np.random.Generator]
+) -> list[ProtocolTrace]:
+    """One sampled run per input: the schedule and Bob's corrections for
+    every outcome run once over the whole stack, then each run draws
+    Alice's outcome from its own stream and keeps that outcome's state."""
+    schedule = SCHEDULES[kind]
+    sources = _sources(psis)
+    t, _ = _evolve(kind, sources)
+    probs = _born_rows(t)
+    bobs = _residuals(t, probs, [correction_for(kind, bits) for bits in _OUTCOMES])
+    traces = []
+    for source, p, bob_rows, rng in zip(sources, probs, bobs, rngs, strict=True):
+        k = int(rng.choice(4, p=p / p.sum()))
+        bits = _OUTCOMES[k]
+        sent = bits[: schedule.announced]
+        gates = schedule.corrections[sent]
+        bob = StateVector._trusted(1, _normalised(bob_rows[k]))
+        ledger = CostLedger()
+        ledger.add(ALICE, BOB, len(sent), Purpose.TELEPORT)
+        steps = [*schedule.steps, Measured(ALICE, (0, 1), bits),
+                 MessageSent(ALICE, BOB, sent, Purpose.TELEPORT), CorrectionApplied(BOB, 2, gates)]
+        fidelity = fidelity_pure(bob, StateVector._trusted(1, source))
+        traces.append(ProtocolTrace(kind, steps, bob, fidelity, ledger))
+    return traces
 
 
 def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
     """One sampled run: the schedule, Alice's measurement, her announcement
-    and Bob's correction."""
-    schedule = SCHEDULES[kind]
-    target = psi.to_statevector()
-    state, _ = _prefix(kind, target)
-    bits, state = measure_sample(state, [0, 1], rng)
-    sent = bits[: schedule.announced]
-    gates = schedule.corrections[sent]
-    bob = _bob_residual(state, bits, gates)
-    ledger = CostLedger()
-    ledger.add(ALICE, BOB, len(sent), Purpose.TELEPORT)
-    steps = [*schedule.steps, Measured(ALICE, (0, 1), bits),
-             MessageSent(ALICE, BOB, sent, Purpose.TELEPORT), CorrectionApplied(BOB, 2, gates)]
-    return ProtocolTrace(kind, steps, bob, fidelity_pure(bob, target), ledger)
+    and Bob's correction, as a stack of one."""
+    return run_protocol_stack(kind, [psi], [rng])[0]
+
+
+def _named_states(kind: ProtocolKind, psi: UnknownQubit) -> dict[str, StateVector]:
+    """The named registers of one input; names of the same register share
+    one StateVector."""
+    _, stacks = _evolve(kind, _sources([psi]))
+    built: dict[int, StateVector] = {}
+    for t in stacks.values():
+        if id(t) not in built:
+            built[id(t)] = StateVector._trusted(3, t[0].reshape(-1))
+    return {name: built[id(t)] for name, t in stacks.items()}
 
 
 def sqtp_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
     """Named register states at each step of the standard protocol, plus
     the resource pair on its own."""
-    return {"epr_pair": bell_pair(), **_prefix(ProtocolKind.SQTP, psi.to_statevector())[1]}
+    return {"epr_pair": bell_pair(), **_named_states(ProtocolKind.SQTP, psi)}
 
 
 def kak_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
     """Named register states at each step of the chained-XOR protocol."""
-    return _prefix(ProtocolKind.KAK, psi.to_statevector())[1]
+    return _named_states(ProtocolKind.KAK, psi)
 
 
 @dataclass(frozen=True)
@@ -309,13 +376,19 @@ def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBr
     a global -1). For KAK the uncorrected residuals come in exactly two
     classes keyed on the q0 bit.
     """
-    target = psi.to_statevector()
-    state, _ = _prefix(kind, target)
+    sources = _sources([psi])
+    target = StateVector._trusted(1, sources[0])
+    t, _ = _evolve(kind, sources)
+    probs = _born_rows(t)
+    collapsed = _residuals(t, probs, [()] * 4)[0]
+    bobs = _residuals(t, probs, [correction_for(kind, bits) for bits in _OUTCOMES])[0]
     out = []
-    for branch in enumerate_branches(state, (0, 1)):
-        bits = branch.outcome_bits
-        bob = _bob_residual(branch.post_state, bits, correction_for(kind, bits))
-        out.append(ProtocolBranch(branch, bob, fidelity_pure(bob, target)))
+    for k, bits in enumerate(_OUTCOMES):
+        post = np.zeros((4, 2), dtype=complex)  # the full register, collapsed onto bits
+        post[k] = collapsed[k]
+        outcome = BranchOutcome(bits, float(probs[0, k]), StateVector._trusted(3, post.reshape(-1)))
+        bob = StateVector._trusted(1, _normalised(bobs[k]))
+        out.append(ProtocolBranch(outcome, bob, fidelity_pure(bob, target)))
     return out
 
 
@@ -360,16 +433,16 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
     if joint.n_qubits != 2:
         raise ValueError(f"joint input must be 2 qubits, got {joint.n_qubits}")
     schedule = SCHEDULES[ProtocolKind.KAK]
-    state, _ = _prefix(ProtocolKind.KAK, joint, offset=1)
+    t, _ = _evolve(ProtocolKind.KAK, joint.amps[None], offset=1)
+    probs = _born_rows(t, offset=1)
+    fids = {key: [fidelity_pure(StateVector._trusted(2, _normalised(v)), joint)
+                  for v in _residuals(t, probs, [gates] * 4, offset=1)[0]]
+            for key, gates in schedule.corrections.items()}
     branches = []
-    for branch in enumerate_branches(state, (1, 2)):
-        bits = branch.outcome_bits
-        fids = {}
-        for key, gates in schedule.corrections.items():
-            bob = _bob_residual(branch.post_state, bits, gates, offset=1)
-            fids[key] = fidelity_pure(bob, joint)
-        prescribed = fids[bits[: schedule.announced]]
-        branches.append(EntangledBranch(bits, branch.probability, prescribed, max(fids.values())))
+    for k, bits in enumerate(_OUTCOMES):
+        row = {key: fid[k] for key, fid in fids.items()}
+        prescribed = row[bits[: schedule.announced]]
+        branches.append(EntangledBranch(bits, float(probs[0, k]), prescribed, max(row.values())))
     return EntangledInputReport(joint.dim, tuple(branches))
 
 
@@ -377,27 +450,36 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
 # seeded batches
 # ---------------------------------------------------------------------------
 
+# runs per stack: bounds the inputs, streams and results held at once
+BATCH_CHUNK = 256
+
 
 def run_batch(
-    kinds: list[ProtocolKind], n_runs: int, seed: int, run_one: Callable
+    kinds: list[ProtocolKind], n_runs: int, seed: int, run_chunk: Callable
 ) -> Iterator[tuple[int, ProtocolKind, object]]:
     """Seeded batch over Haar-random inputs, yielding (run, kind, result)
-    one at a time. Run i splits child i of SeedSequence(seed) into
-    1 + len(kinds) streams: psi draws from the first and kind k runs
-    run_one(kind, psi, rng) on stream 1 + k, so run i does not depend on
-    n_runs. Each result has a cost ledger whose TELEPORT bits must not
-    vary across the runs of one kind."""
+    in run order. Run i splits child i of SeedSequence(seed) into
+    1 + len(kinds) streams: psi draws from the first and kind k from
+    stream 1 + k, so run i does not depend on n_runs. The runs go in
+    chunks of BATCH_CHUNK, and run_chunk(kind, psis, rngs) returns one
+    result per input of a chunk; spawn keeps numbering children across
+    calls, so the chunks change no stream. Each result has a cost ledger
+    whose TELEPORT bits must not vary across the runs of one kind."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    root = np.random.SeedSequence(seed)
     teleport_bits: dict[ProtocolKind, int] = {}
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
-        subs = child.spawn(1 + len(kinds))
-        psi = UnknownQubit.haar(np.random.default_rng(subs[0]))
-        for k, kind in enumerate(kinds):
-            result = run_one(kind, psi, np.random.default_rng(subs[1 + k]))
-            bits = result.ledger.total(Purpose.TELEPORT)
-            if teleport_bits.setdefault(kind, bits) != bits:
-                raise AssertionError(
-                    f"teleport bits varied for {kind.value}: {teleport_bits[kind]} then {bits}"
-                )
-            yield i, kind, result
+    for start in range(0, n_runs, BATCH_CHUNK):
+        streams = [child.spawn(1 + len(kinds))
+                   for child in root.spawn(min(BATCH_CHUNK, n_runs - start))]
+        psis = [UnknownQubit.haar(np.random.default_rng(subs[0])) for subs in streams]
+        results = [run_chunk(kind, psis, [np.random.default_rng(subs[1 + k]) for subs in streams])
+                   for k, kind in enumerate(kinds)]
+        for j in range(len(psis)):
+            for kind, chunk in zip(kinds, results):
+                bits = chunk[j].ledger.total(Purpose.TELEPORT)
+                if teleport_bits.setdefault(kind, bits) != bits:
+                    raise AssertionError(
+                        f"teleport bits varied for {kind.value}: {teleport_bits[kind]} then {bits}"
+                    )
+                yield start + j, kind, chunk[j]

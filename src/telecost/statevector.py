@@ -11,13 +11,17 @@ Conventions, fixed across the whole package:
     constructor, basis_state and apply_unitary1 check size, finiteness and
     norm, and apply_unitary1 also rejects a caller's matrix unless it is
     unitary within ATOL. Kernels whose output is valid by construction
-    (the fixed gates H, X, Z and CNOT, tensor and the measurement
-    collapses) trust it and skip the checks.
+    (tensor, and the registers the protocol interpreter builds) trust it
+    and skip the checks.
+  - the private axis kernels _unitary1_axes and _cnot_axes act on a tensor
+    of size-2 axes and take any leading axes along, so `protocol` runs one
+    gate over a whole stack of registers and `noise` over the row and
+    column axes of a density matrix. The per-state gates, sampling and
+    collapse helpers live in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,35 +131,6 @@ def apply_unitary1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
     return StateVector(s.n_qubits, t.reshape(-1))
 
 
-def _apply_fixed1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
-    """apply_unitary1 for the package's own unitaries, output trusted."""
-    _check_qubit(s, q)
-    t = _unitary1_axes(s.amps.reshape([2] * s.n_qubits), q, m)
-    return StateVector._trusted(s.n_qubits, t.reshape(-1))
-
-
-def apply_h(s: StateVector, q: int) -> StateVector:
-    return _apply_fixed1(s, q, _H)
-
-
-def apply_x(s: StateVector, q: int) -> StateVector:
-    return _apply_fixed1(s, q, _X)
-
-
-def apply_z(s: StateVector, q: int) -> StateVector:
-    return _apply_fixed1(s, q, _Z)
-
-
-def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
-    """Controlled NOT; flips target where control is 1."""
-    _check_qubit(s, control)
-    _check_qubit(s, target)
-    if control == target:
-        raise ValueError("control and target must differ")
-    t = _cnot_axes(s.amps.reshape([2] * s.n_qubits), control, target)
-    return StateVector._trusted(s.n_qubits, t.reshape(-1))
-
-
 @dataclass(frozen=True)
 class BranchOutcome:
     """One projective measurement branch.
@@ -167,96 +142,6 @@ class BranchOutcome:
     outcome_bits: str
     probability: float
     post_state: StateVector
-
-
-def _validate_qubit_list(s: StateVector, qubits: tuple[int, ...] | list[int]) -> list[int]:
-    qubits = list(qubits)
-    if not qubits or len(set(qubits)) != len(qubits):
-        raise ValueError(f"qubits must be a non-empty list of distinct indices, got {qubits}")
-    for q in qubits:
-        _check_qubit(s, q)
-    return qubits
-
-
-def _marginal_probs(s: StateVector, qubits: list[int]) -> np.ndarray:
-    """Outcome probabilities for the listed qubits, indexed by their bit
-    string in the given qubit order."""
-    p = np.abs(s.amps.reshape([2] * s.n_qubits)) ** 2
-    other = tuple(ax for ax in range(s.n_qubits) if ax not in qubits)
-    m = p.sum(axis=other) if other else p
-    # after the sum the axes are in ascending qubit order; restore caller order
-    ascending = sorted(qubits)
-    m = m.transpose([ascending.index(q) for q in qubits])
-    return m.reshape(-1)
-
-
-@functools.lru_cache(maxsize=256)
-def _outcome_mask(n: int, qubits: tuple[int, ...], bits: str) -> np.ndarray:
-    """Read-only mask of the basis indices where `qubits` read `bits`."""
-    mask = np.ones(2**n, dtype=bool)
-    idx = np.arange(2**n)
-    for q, b in zip(qubits, bits):
-        mask &= ((idx >> (n - 1 - q)) & 1) == int(b)
-    mask.flags.writeable = False
-    return mask
-
-
-def _collapse(s: StateVector, qubits: list[int], bits: str, prob: float) -> StateVector:
-    amps = np.where(_outcome_mask(s.n_qubits, tuple(qubits), bits), s.amps, 0.0)
-    return StateVector._trusted(s.n_qubits, amps / np.sqrt(prob))
-
-
-def measure_sample(
-    s: StateVector, qubits: list[int] | tuple[int, ...], rng: np.random.Generator
-) -> tuple[str, StateVector]:
-    """Sample one computational-basis outcome for the listed qubits.
-
-    Returns (outcome bit string in qubit-list order, collapsed full register).
-    """
-    qubits = _validate_qubit_list(s, qubits)
-    probs = _marginal_probs(s, qubits)
-    k = int(rng.choice(len(probs), p=probs / probs.sum()))
-    bits = format(k, f"0{len(qubits)}b")
-    return bits, _collapse(s, qubits, bits, float(probs[k]))
-
-
-def enumerate_branches(
-    s: StateVector, qubits: list[int] | tuple[int, ...]
-) -> list[BranchOutcome]:
-    """All measurement branches with nonzero probability, in lexicographic
-    outcome order. Probabilities sum to 1."""
-    qubits = _validate_qubit_list(s, qubits)
-    probs = _marginal_probs(s, qubits)
-    out = []
-    for k, p in enumerate(probs):
-        if p <= 0.0:
-            continue
-        bits = format(k, f"0{len(qubits)}b")
-        out.append(BranchOutcome(bits, float(p), _collapse(s, qubits, bits, float(p))))
-    return out
-
-
-def collapse_residual(s: StateVector, qubits: list[int] | tuple[int, ...], bits: str) -> StateVector:
-    """State of the remaining qubits given that `qubits` are collapsed to
-    `bits`. The input must already have (near) zero amplitude outside that
-    block; remaining qubits keep ascending-index order."""
-    qubits = _validate_qubit_list(s, qubits)
-    if len(bits) != len(qubits):
-        raise ValueError("one bit per measured qubit required")
-    mask = _outcome_mask(s.n_qubits, tuple(qubits), bits)
-    off_block = float(np.sum(np.abs(s.amps[~mask]) ** 2))
-    if off_block > 1e-9:
-        raise ValueError(f"register is not collapsed onto outcome {bits}, leakage {off_block:.3e}")
-    keep = [q for q in range(s.n_qubits) if q not in qubits]
-    if not keep:
-        raise ValueError("cannot drop every qubit of the register")
-    t = s.amps.reshape([2] * s.n_qubits)
-    sel: list = [slice(None)] * s.n_qubits
-    for q, b in zip(qubits, bits):
-        sel[q] = int(b)
-    res = t[tuple(sel)].reshape(-1)
-    # the off-block check above leaves norm(res) close to 1, never 0
-    return StateVector._trusted(len(keep), res / np.linalg.norm(res))
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:

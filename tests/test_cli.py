@@ -99,6 +99,15 @@ def test_verify_golden_entry_without_terms_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "kak_after_h" in err and "terms" in err
 
 
+def test_verify_rejects_csv_format(capsys):
+    # verify writes only json and text; csv used to print the text table
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--runs", "1", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--format" in captured.err
+
+
 def test_compare_ideal_summary(tmp_path, capsys):
     path = tmp_path / "compare.json"
     code, _, _ = run_cli(
@@ -233,6 +242,18 @@ def test_sweep_oversized_grid_rejected(capsys):
     assert "--f-step" in err and str(MAX_SWEEP_POINTS) in err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--f-step", "inf"),  # used to build the grid [nan] and fail inside distill_step_map
+    ("--f-step", "nan"),  # these three used to report an oversized grid
+    ("--f-min", "nan"),
+    ("--f-max", "inf"),
+])
+def test_sweep_non_finite_flag_rejected_naming_it(flag, value, capsys):
+    code, out, err = run_cli(["sweep", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{flag} must be finite" in err
+
+
 def _accumulated_grid(f_min, f_max, f_step):
     """The sweep grid built by adding the step in a float loop."""
     grid, f = [], f_min
@@ -264,8 +285,8 @@ def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
     assert code == 0
     assert json.loads(out)["per_run"][0]["locc_bits"] == 182
     # the same run through the API: the printed channel_f 1.0 is a rounding
-    [(_, _, report)] = run_batch([ProtocolKind.KAK], 1, 0, lambda kind, psi, rng: run_noisy_teleport(
-        kind, psi, 0.75, rng, distill_target=1.0, max_rounds=1024))
+    [(_, _, report)] = run_batch([ProtocolKind.KAK], 1, 0, lambda kind, psis, rngs: [
+        run_noisy_teleport(kind, psis[0], 0.75, rngs[0], distill_target=1.0, max_rounds=1024)])
     assert report.f_final < 1.0
     assert report.ledger.total(Purpose.LOCC) == 182
 
@@ -343,9 +364,9 @@ def test_run_config_direct_validation():
     assert [k.value for k in cfg.kinds()] == ["sqtp", "kak"]
 
 
-def _benchmark_workloads():
-    """perfbench/workloads.py (stdlib only), loaded without touching sys.path."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+def _perfbench_module(name):
+    """perfbench/<name>.py (stdlib only), loaded without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -353,9 +374,26 @@ def _benchmark_workloads():
 
 @pytest.mark.parametrize("workload", sorted(REFERENCE["sha256"]))
 def test_benchmark_reference_output_is_byte_identical(workload, capsys):
-    workloads = _benchmark_workloads()
+    workloads = _perfbench_module("workloads")
     assert REFERENCE["seed"] == workloads.REFERENCE_SEED == 0
     argv = workloads.reference_argv(workload, REFERENCE["sizes"][workload])
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE["sha256"][workload]
+
+
+def test_benchmark_tracer_installs_and_changes_no_output(capsys):
+    # the tracer refuses a layer function held where it cannot rebind it
+    # (a tuple, a default argument, a closure), raising TracingError
+    tracer = _perfbench_module("tracer").Tracer()
+    argvs = [["compare", "--runs", "3", "--seed", "2", "--format", "json"],
+             ["verify", "--runs", "2", "--seed", "2"]]
+    plain = [run_cli(argv, capsys) for argv in argvs]
+    tracer.install()
+    try:
+        traced = [run_cli(argv, capsys) for argv in argvs]
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    spans = {span[3] for span in tracer.spans}
+    assert {"protocol.run_protocol_stack", "protocol.enumerate_protocol"} <= spans

@@ -1,7 +1,8 @@
 """Property tests: the closed-form recurrence, the density gate kernel,
 the Werner teleport fidelity and branch recovery, each against an
-independent reference; the locality of every sampled run's trace; and the
-states that kernels build unchecked, which must still pass the public
+independent reference; the stacked interpreter against the per-state path
+it replaced, bit for bit; the locality of every sampled run's trace; and
+the states that kernels build unchecked, which must still pass the public
 constructors' checks."""
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_dense
+import per_state_reference
 from telecost.cost import CostModel, ideal_bits
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import (
@@ -30,6 +32,7 @@ from telecost.protocol import (
     UnknownQubit,
     enumerate_protocol,
     kak_checkpoints,
+    kak_entangled_input_demo,
     run_protocol,
     sqtp_checkpoints,
 )
@@ -115,6 +118,33 @@ def test_every_corrected_branch_recovers_the_input(angles, seed):
         trace = run_protocol(kind, psi, np.random.default_rng(seed))
         announced = SCHEDULES[kind].announced
         assert trace.ledger.total(Purpose.TELEPORT) == announced == ideal_bits(CostModel(2, kind))
+
+
+@PROPERTY
+@given(haar_angles)
+def test_stacks_of_one_match_the_per_state_path_bit_for_bit(angles):
+    psi = qubit_from_angles(angles)
+    for kind, checkpoints in ((ProtocolKind.SQTP, sqtp_checkpoints),
+                              (ProtocolKind.KAK, kak_checkpoints)):
+        want, got = per_state_reference.checkpoints(kind, psi), checkpoints(psi)
+        assert list(got) == list(want)
+        for name, state in want.items():
+            assert got[name].amps.tobytes() == state.amps.tobytes()
+        for a, b in zip(per_state_reference.enumerate_protocol(kind, psi),
+                        enumerate_protocol(kind, psi), strict=True):
+            assert (b.outcome.outcome_bits, b.outcome.probability, b.fidelity) == (
+                a.outcome.outcome_bits, a.outcome.probability, a.fidelity)
+            assert b.outcome.post_state.amps.tobytes() == a.outcome.post_state.amps.tobytes()
+            assert b.bob_state.amps.tobytes() == a.bob_state.amps.tobytes()
+
+
+@PROPERTY
+@given(seeds)
+def test_entangled_probe_matches_the_per_state_path_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    joint = StateVector(2, amps / np.linalg.norm(amps))
+    assert kak_entangled_input_demo(joint) == per_state_reference.kak_entangled_input_demo(joint)
 
 
 @PROPERTY

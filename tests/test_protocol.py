@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import oracle_dense
+import per_state_reference
+from per_state_reference import collapse_residual
 from telecost.cost import CostLedger
 from telecost.expansions import ALL_EXPANSIONS
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import run_noisy_teleport
 from telecost.protocol import (
+    BATCH_CHUNK,
     KAK_CORRECTIONS,
     SCHEDULES,
     SQTP_CORRECTIONS,
@@ -30,6 +33,7 @@ from telecost.protocol import (
     kak_entangled_input_demo,
     run_batch,
     run_protocol,
+    run_protocol_stack,
     sqtp_checkpoints,
     step_to_json,
 )
@@ -37,7 +41,6 @@ from telecost.statevector import (
     StateVector,
     basis_state,
     bell_pair,
-    collapse_residual,
     fidelity_pure,
     tensor,
 )
@@ -300,26 +303,47 @@ def test_run_batch_run_i_does_not_depend_on_n_runs():
         return [(i, kind, trace.steps, trace.fidelity_achieved, tuple(trace.final_bob_state.amps))
                 for i, kind, trace in batch]
 
-    first = digest(run_batch(kinds, 12, 5, run_protocol))
+    first = digest(run_batch(kinds, 12, 5, run_protocol_stack))
     assert len(first) == 24
-    assert digest(run_batch(kinds, 5, 5, run_protocol)) == first[:10]
+    assert digest(run_batch(kinds, 5, 5, run_protocol_stack)) == first[:10]
+
+
+def _trace_bits(trace):
+    """Everything a run reports, its amplitudes as raw bytes."""
+    return (trace.kind, trace.steps, trace.fidelity_achieved,
+            trace.final_bob_state.amps.tobytes(), trace.ledger)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_run_batch_matches_the_per_state_path_bit_for_bit(seed):
+    # run counts on both sides of a chunk boundary: every chunk continues the seed's streams
+    kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
+    want = [(i, kind, _trace_bits(trace))
+            for i, kind, trace in per_state_reference.run_batch(kinds, BATCH_CHUNK + 1, seed)]
+    for n_runs in (BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1):
+        got = [(i, kind, _trace_bits(trace))
+               for i, kind, trace in run_batch(kinds, n_runs, seed, run_protocol_stack)]
+        assert got == want[: 2 * n_runs]
 
 
 def test_run_batch_rejects_varying_teleport_bits():
     calls = itertools.count(1)
 
-    def run_one(kind, psi, rng):
-        ledger = CostLedger()
-        ledger.add(ALICE, BOB, min(next(calls), 2), Purpose.TELEPORT)  # 1 bit, then 2
-        return SimpleNamespace(ledger=ledger)
+    def run_chunk(kind, psis, rngs):
+        results = []
+        for _ in psis:
+            ledger = CostLedger()
+            ledger.add(ALICE, BOB, min(next(calls), 2), Purpose.TELEPORT)  # 1 bit, then 2
+            results.append(SimpleNamespace(ledger=ledger))
+        return results
 
     with pytest.raises(AssertionError):
-        list(run_batch([ProtocolKind.KAK], 3, 0, run_one))
+        list(run_batch([ProtocolKind.KAK], 3, 0, run_chunk))
 
 
 def test_run_batch_rejects_zero_runs():
     with pytest.raises(ValueError):
-        list(run_batch([ProtocolKind.SQTP], 0, 1, run_protocol))
+        list(run_batch([ProtocolKind.SQTP], 0, 1, run_protocol_stack))
 
 
 def test_schedules_cover_every_expansion_and_noisy_bit_count():

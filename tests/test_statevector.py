@@ -1,24 +1,27 @@
 """Register-level invariants: indexing convention, gate algebra,
-measurement branches and sampling."""
+measurement branches and sampling. The per-state gates, measurement and
+collapse helpers are the test reference in per_state_reference."""
 
 import numpy as np
 import pytest
 
+from per_state_reference import (
+    apply_cnot,
+    apply_h,
+    apply_x,
+    apply_z,
+    collapse_residual,
+    enumerate_branches,
+    measure_sample,
+)
 from telecost.statevector import (
     BranchOutcome,
     StateVector,
-    apply_cnot,
-    apply_h,
     apply_unitary1,
-    apply_x,
-    apply_z,
     basis_state,
     bell_pair,
-    collapse_residual,
-    enumerate_branches,
     fidelity_pure,
     haar_amplitudes,
-    measure_sample,
     tensor,
 )
 
