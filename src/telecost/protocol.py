@@ -20,9 +20,10 @@ and q1 and Bob q2, so Alice measures her own qubits and Bob corrects his.
 A non-local schedule cannot be built, and no run checks it again.
 
 One interpreter runs a table once over a stack of registers, shape
-(runs, 2, 2, 2), through the statevector axis kernels, and applies Bob's
-corrections for all four outcomes to the whole stack; only drawing each
-run's outcome from its own stream and normalising its state are per run.
+(runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
+apply_cnot), and applies Bob's corrections for all four outcomes to the
+whole stack; only drawing each run's outcome from its own stream
+(measure_sample) and normalising its state are per run.
 `run_protocol_stack` is that for sampled runs. `run_protocol`, the
 checkpoints, the branch walk and the entangled-input probe (the KAK table
 shifted one qubit up) are stacks of one. The density walk in `noise`
@@ -41,16 +42,16 @@ import numpy as np
 from .cost import CostLedger
 from .kinds import ALICE, BOB, ProtocolKind, Purpose
 from .statevector import (
-    _H,
-    _X,
-    _Z,
     BranchOutcome,
     StateVector,
-    _cnot_axes,
-    _unitary1_axes,
+    apply_cnot,
+    apply_h,
+    apply_x,
+    apply_z,
     bell_pair,
     fidelity_pure,
     haar_amplitudes,
+    measure_sample,
 )
 
 # Correction tables keyed by the announced bits. Gate tuples are applied
@@ -235,7 +236,9 @@ class ProtocolTrace:
 # stacked schedule interpreter
 # ---------------------------------------------------------------------------
 
-_MATRICES = {"H": _H, "X": _X, "Z": _Z}
+# the stacked gate kernels by schedule name; a module dict, so the
+# benchmark tracer can rebind them
+_GATES = {"H": apply_h, "X": apply_x, "Z": apply_z, "CNOT": apply_cnot}
 
 
 def _sources(psis: list[UnknownQubit]) -> np.ndarray:
@@ -258,11 +261,8 @@ def _evolve(
     t = np.multiply.outer(sources, bell_pair().amps).reshape(shape)
     stacks = {schedule.initial: t}
     for _party, gate, qubits, name in schedule.ops:
-        axes = [q + offset + 1 for q in qubits]
-        if gate == "CNOT":
-            t = _cnot_axes(t, *axes)
-        elif gate != "transfer":
-            t = _unitary1_axes(t, *axes, _MATRICES[gate])
+        if gate != "transfer":
+            t = _GATES[gate](t, *(q + offset + 1 for q in qubits))
         if name is not None:
             stacks[name] = t
     stacks.update(dict.fromkeys(schedule.final, t))
@@ -293,7 +293,7 @@ def _residuals(
         at_k = (slice(None),) * (offset + 1) + divmod(k, 2)
         res = t[at_k] / np.sqrt(probs[:, k]).reshape(scale)
         for gate in gates:
-            res = _unitary1_axes(res, offset + 1, _MATRICES[gate])
+            res = _GATES[gate](res, offset + 1)
         out.append(res.reshape(len(t), -1))
     return np.stack(out, axis=1)
 
@@ -318,7 +318,7 @@ def run_protocol_stack(
     bobs = _residuals(t, probs, [correction_for(kind, bits) for bits in _OUTCOMES])
     traces = []
     for source, p, bob_rows, rng in zip(sources, probs, bobs, rngs, strict=True):
-        k = int(rng.choice(4, p=p / p.sum()))
+        k = measure_sample(p, rng)
         bits = _OUTCOMES[k]
         sent = bits[: schedule.announced]
         gates = schedule.corrections[sent]
@@ -342,10 +342,7 @@ def _named_states(kind: ProtocolKind, psi: UnknownQubit) -> dict[str, StateVecto
     """The named registers of one input; names of the same register share
     one StateVector."""
     _, stacks = _evolve(kind, _sources([psi]))
-    built: dict[int, StateVector] = {}
-    for t in stacks.values():
-        if id(t) not in built:
-            built[id(t)] = StateVector._trusted(3, t[0].reshape(-1))
+    built = {id(t): StateVector._trusted(3, t[0].reshape(-1)) for t in stacks.values()}
     return {name: built[id(t)] for name, t in stacks.items()}
 
 

@@ -14,10 +14,14 @@ Conventions, fixed across the whole package:
     (tensor, and the registers the protocol interpreter builds) trust it
     and skip the checks.
   - the private axis kernels _unitary1_axes and _cnot_axes act on a tensor
-    of size-2 axes and take any leading axes along, so `protocol` runs one
-    gate over a whole stack of registers and `noise` over the row and
-    column axes of a density matrix. The per-state gates, sampling and
-    collapse helpers live in tests/per_state_reference.py.
+    of size-2 axes and take any leading axes along. The fixed gates
+    apply_h/x/z and apply_cnot are those kernels on a stack of registers,
+    one axis per qubit, so `protocol` runs one gate over all its runs;
+    `noise` uses the kernels on the row and column axes of a density
+    matrix. measure_sample draws one run's outcome from its row of Born
+    probabilities. The per-state gates, sampling and collapse helpers the
+    stacked path replaced are the test reference in
+    tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -116,6 +120,33 @@ def _cnot_axes(t: np.ndarray, control: int, target: int) -> np.ndarray:
     out = t.copy()
     out[tuple(sel)] = np.flip(t, axis=target)[tuple(sel)]
     return out
+
+
+# The fixed gates and the outcome draw of the protocol interpreter. The
+# gates act on one axis of a stack of registers (unchecked), so `protocol`
+# runs each op once over all its runs.
+
+
+def apply_h(t: np.ndarray, axis: int) -> np.ndarray:
+    return _unitary1_axes(t, axis, _H)
+
+
+def apply_x(t: np.ndarray, axis: int) -> np.ndarray:
+    return _unitary1_axes(t, axis, _X)
+
+
+def apply_z(t: np.ndarray, axis: int) -> np.ndarray:
+    return _unitary1_axes(t, axis, _Z)
+
+
+def apply_cnot(t: np.ndarray, control: int, target: int) -> np.ndarray:
+    return _cnot_axes(t, control, target)
+
+
+def measure_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of one outcome drawn from a run's row of Born probabilities,
+    renormalised against rounding."""
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
 
 
 def apply_unitary1(s: StateVector, q: int, m: np.ndarray) -> StateVector:

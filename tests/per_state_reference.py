@@ -7,10 +7,10 @@ measured with `measure_sample`, corrected on the full collapsed register
 and cut down with `collapse_residual`. It uses the package's axis kernels
 on one state at a time, so the stacked path must match it bit for bit.
 
-The per-state statevector helpers that no package code calls any more
-(`apply_h/x/z/cnot`, `measure_sample`, `enumerate_branches`,
-`collapse_residual`) live here too, with their own unit tests in
-`test_statevector.py`.
+The per-state statevector helpers the stacked path replaced live here
+too, with their own unit tests in `test_statevector.py`: `apply_h/x/z/cnot`
+and `measure_sample` on one `StateVector` (the package's functions of the
+same names act on a stack), `enumerate_branches` and `collapse_residual`.
 """
 
 from __future__ import annotations

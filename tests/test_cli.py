@@ -395,5 +395,21 @@ def test_benchmark_tracer_installs_and_changes_no_output(capsys):
     finally:
         tracer.uninstall()
     assert traced == plain
-    spans = {span[3] for span in tracer.spans}
-    assert {"protocol.run_protocol_stack", "protocol.enumerate_protocol"} <= spans
+    spans = [span[3] for span in tracer.spans]
+    assert {"protocol.run_protocol_stack", "protocol.enumerate_protocol",
+            "statevector.apply_h", "statevector.apply_cnot"} <= set(spans)
+    # one outcome draw per sampled run: 3 runs of sqtp and kak
+    assert spans.count("statevector.measure_sample") == 3 * 2
+
+
+def test_benchmark_tracer_refuses_a_gate_held_in_a_tuple(monkeypatch):
+    # perfbench's own self-test builds its unpatchable tuple from the gate
+    # kernel that protocol imports by name
+    import telecost.protocol
+
+    tracer_module = _perfbench_module("tracer")
+    monkeypatch.setattr(telecost.protocol, "_FROZEN", (telecost.protocol.apply_h,), raising=False)
+    original = telecost.protocol.run_protocol
+    with pytest.raises(tracer_module.TracingError, match="_FROZEN"):
+        tracer_module.Tracer().install()
+    assert telecost.protocol.run_protocol is original

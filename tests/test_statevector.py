@@ -5,6 +5,8 @@ collapse helpers are the test reference in per_state_reference."""
 import numpy as np
 import pytest
 
+import telecost.statevector as sv
+
 from per_state_reference import (
     apply_cnot,
     apply_h,
@@ -31,6 +33,21 @@ ATOL = 1e-12
 def random_state(rng, n):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def test_stacked_gates_match_the_per_state_gates_on_every_register():
+    # the protocol's kernels: axis 0 indexes the registers, axis q + 1 holds qubit q
+    rng = np.random.default_rng(5)
+    states = [random_state(rng, 3) for _ in range(4)]
+    stack = np.stack([s.amps.reshape(2, 2, 2) for s in states])
+    cases = [(sv.apply_h, apply_h, (q,)) for q in range(3)]
+    cases += [(sv.apply_x, apply_x, (q,)) for q in range(3)]
+    cases += [(sv.apply_z, apply_z, (q,)) for q in range(3)]
+    cases += [(sv.apply_cnot, apply_cnot, qs) for qs in [(0, 1), (1, 2), (2, 0)]]
+    for stacked, single, qubits in cases:
+        out = stacked(stack, *(q + 1 for q in qubits))
+        for row, s in zip(out, states):
+            assert row.reshape(-1).tobytes() == single(s, *qubits).amps.tobytes()
 
 
 def test_basis_state_index_convention():
