@@ -13,8 +13,6 @@ from .noise import (
     DensityMatrix,
     DistillRun,
     NoisyTeleportReport,
-    density_from_pure,
-    density_tensor,
     deterministic_rounds_to_target,
     distill_step_map,
     distill_to_threshold,

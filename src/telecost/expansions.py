@@ -65,10 +65,17 @@ def load_expansions(path: str | Path | None = None) -> dict[str, Expansion]:
         except OSError as exc:
             raise ValueError(f"cannot read golden file {path}: {exc}") from exc
     data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError(f"golden table must be a JSON object, got {type(data).__name__}")
     table: dict[str, Expansion] = {}
     for name, entry in data.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"{name}: entry must be a JSON object, got {type(entry).__name__}")
         terms = []
         try:
+            size = 2 if name == "epr_pair" else 3
+            if entry["n_qubits"] != size:
+                raise ValueError(f"{name}: n_qubits must be {size}, got {entry['n_qubits']!r}")
             for t in entry["terms"]:
                 if t["coeff"] not in _COEFF_VALUES:
                     raise ValueError(f"{name}: unknown coefficient token {t['coeff']!r}")

@@ -13,10 +13,10 @@ re-twirls the kept pair to Werner form. It is computed from its exact
 closed form; the 4-qubit density evolution is the test oracle. For
 F > 1/2 the step strictly improves fidelity; at F = 1/4 it is a fixed point.
 
-Validation happens at the public boundary: the DensityMatrix(...)
-constructor and werner_state check shape, Hermiticity, trace and
-positivity. density_from_pure, density_tensor and apply_gate_density build
-states that are valid by construction from valid inputs and skip the checks.
+Every DensityMatrix is checked when built: shape, Hermiticity, trace and
+positivity. No density matrix is evolved: the protocol is linear in the
+resource pair, so the fidelity through any 2-qubit channel is a quadratic
+form, in the channel's matrix, of `protocol.pair_response`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import numpy as np
 
 from .cost import CostLedger
 from .kinds import ALICE, BOB, ProtocolKind, Purpose
-from .protocol import SCHEDULES, UnknownQubit, correction_for
-from .statevector import _H, _X, _Z, StateVector, _cnot_axes, _unitary1_axes
+from .protocol import SCHEDULES, UnknownQubit, pair_response
 
 MAX_DENSITY_QUBITS = 4
 PSD_FLOOR = -1e-10
@@ -68,29 +67,6 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
-    @classmethod
-    def _trusted(cls, n_qubits: int, mat: np.ndarray) -> DensityMatrix:
-        """Unchecked build from a kernel's fresh, valid-by-construction
-        complex matrix, which is taken over and made read-only."""
-        rho = object.__new__(cls)
-        mat.flags.writeable = False
-        object.__setattr__(rho, "n_qubits", n_qubits)
-        object.__setattr__(rho, "mat", mat)
-        return rho
-
-
-def density_from_pure(s: StateVector) -> DensityMatrix:
-    if s.n_qubits > MAX_DENSITY_QUBITS:
-        raise ValueError(f"n_qubits must be in 1..{MAX_DENSITY_QUBITS}, got {s.n_qubits}")
-    return DensityMatrix._trusted(s.n_qubits, np.outer(s.amps, s.amps.conj()))
-
-
-def density_tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    n = a.n_qubits + b.n_qubits
-    if n > MAX_DENSITY_QUBITS:
-        raise ValueError(f"product would need {n} qubits, limit is {MAX_DENSITY_QUBITS}")
-    return DensityMatrix._trusted(n, np.kron(a.mat, b.mat))
-
 
 def werner_state(f: float) -> DensityMatrix:
     """Werner pair with Bell fidelity f; f = 1/4 is the maximally mixed state."""
@@ -104,49 +80,16 @@ def werner_state(f: float) -> DensityMatrix:
     return DensityMatrix(2, mat)
 
 
-def _density_gate(t: np.ndarray, n: int, gate: str, qubits: tuple[int, ...]) -> np.ndarray:
-    """U t U^dagger on an n-qubit density matrix held as a tensor of 2n axes
-    (unchecked): the statevector kernels apply U to row axis q and conj(U)
-    to column axis n + q."""
-    if gate == "CNOT":
-        control, target = qubits
-        # a real permutation: it acts the same way on rows and columns
-        return _cnot_axes(_cnot_axes(t, control, target), n + control, n + target)
-    (q,) = qubits
-    m = {"H": _H, "X": _X, "Z": _Z}[gate]
-    return _unitary1_axes(_unitary1_axes(t, q, m), n + q, m.conj())
-
-
-def apply_gate_density(rho: DensityMatrix, gate: str, qubits: tuple[int, ...]) -> DensityMatrix:
-    """U rho U^dagger for "H", "X", "Z" on (q,) or "CNOT" on (control, target)."""
-    n = rho.n_qubits
-    if len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
-        raise ValueError(f"qubits {qubits} are not distinct indices of a {n}-qubit register")
-    t = _density_gate(rho.mat.reshape([2] * (2 * n)), n, gate, qubits)
-    return DensityMatrix._trusted(n, t.reshape(2**n, 2**n))
-
-
 def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: DensityMatrix) -> float:
     """Fidelity <psi| rho_Bob |psi> of the protocol run through an
     arbitrary 2-qubit channel state, averaging Bob's corrected output
-    over the four measurement outcomes with their Born weights."""
+    over the four measurement outcomes with their Born weights: with
+    a = pair_response(kind, psi), the sum over outcomes k of
+    a[k]^T channel conj(a[k])."""
     if channel.n_qubits != 2:
         raise ValueError(f"channel must be a 2-qubit state, got {channel.n_qubits}")
-    psi_sv = psi.to_statevector()
-    rho = density_tensor(density_from_pure(psi_sv), channel)
-    for _party, gate, qubits, _name in SCHEDULES[kind].ops:
-        if gate != "transfer":  # ownership does not change the state
-            rho = apply_gate_density(rho, gate, qubits)
-    psi_vec = psi_sv.amps
-    acc = np.zeros((2, 2), dtype=complex)
-    for m0 in (0, 1):
-        for m1 in (0, 1):
-            idx = [4 * m0 + 2 * m1, 4 * m0 + 2 * m1 + 1]
-            block = rho.mat[np.ix_(idx, idx)]
-            for g in correction_for(kind, f"{m0}{m1}"):  # listed order = application order
-                block = _density_gate(block, 1, g, (0,))
-            acc += block
-    return float(np.real(psi_vec.conj() @ acc @ psi_vec))
+    a = pair_response(kind, psi)
+    return float(np.real(np.sum((a @ channel.mat) * a.conj())))
 
 
 # ---------------------------------------------------------------------------

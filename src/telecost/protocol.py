@@ -25,11 +25,13 @@ apply_cnot), and applies Bob's corrections for all four outcomes to the
 whole stack; only drawing each run's outcome from its own stream
 (measure_sample) and normalising its state are per run.
 `run_protocol_stack` is that for sampled runs. `run_protocol`, the
-checkpoints, the branch walk and the entangled-input probe (the KAK table
-shifted one qubit up) are stacks of one. The density walk in `noise`
-reads the same table. `run_batch` is the one seeded batch runner; it
-evaluates its runs in chunks of BATCH_CHUNK. The per-state path this
-replaced is the bit-for-bit reference in tests/per_state_reference.py.
+checkpoints and the branch walk are stacks of one. The schedule is
+linear, so the entangled-input probe stacks the held-back qubit's two
+values, and `pair_response`, all `noise` needs for a mixed channel, the
+resource pair's four basis states. `run_batch` is the one seeded batch
+runner; it evaluates its runs in chunks of BATCH_CHUNK. The per-state
+path this replaced is the bit-for-bit reference in
+tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -247,54 +249,49 @@ def _sources(psis: list[UnknownQubit]) -> np.ndarray:
 
 
 def _evolve(
-    kind: ProtocolKind, sources: np.ndarray, offset: int = 0
+    kind: ProtocolKind, sources: np.ndarray, pairs: np.ndarray | None = None
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Run SCHEDULES[kind] once over a stack of registers, row i of
-    `sources` (x) the resource pair, up to, not including, Alice's
-    measurement. Axis 0 of the stack indexes the runs and axis q + 1 holds
-    qubit q. Every op's qubits are shifted up by `offset`: the first
-    `offset` qubits of each source are held back by a third party, which
-    no op touches. Returns the stack before the measurement and the named
-    stacks along the way."""
+    `sources` (x) a resource pair, up to, not including, Alice's
+    measurement. `pairs` holds the pair's four amplitudes, one vector for
+    every row or one row per source, and defaults to the Bell pair. Axis 0
+    of the stack indexes the runs and axis q + 1 holds qubit q. Returns
+    the stack before the measurement and the named stacks along the way."""
     schedule = SCHEDULES[kind]
-    shape = (len(sources),) + (2,) * (3 + offset)
-    t = np.multiply.outer(sources, bell_pair().amps).reshape(shape)
+    if pairs is None:
+        pairs = bell_pair().amps
+    t = (sources[:, :, None] * pairs[..., None, :]).reshape(len(sources), 2, 2, 2)
     stacks = {schedule.initial: t}
     for _party, gate, qubits, name in schedule.ops:
         if gate != "transfer":
-            t = _GATES[gate](t, *(q + offset + 1 for q in qubits))
+            t = _GATES[gate](t, *(q + 1 for q in qubits))
         if name is not None:
             stacks[name] = t
     stacks.update(dict.fromkeys(schedule.final, t))
     return t, stacks
 
 
-def _born_rows(t: np.ndarray, offset: int = 0) -> np.ndarray:
+def _born_rows(t: np.ndarray) -> np.ndarray:
     """Born probabilities of Alice's two measured qubits, one row per run,
     indexed like _OUTCOMES."""
-    others = (*range(1, offset + 1), offset + 3)
-    return (np.abs(t) ** 2).sum(axis=others).reshape(len(t), 4)
+    return (np.abs(t) ** 2).sum(axis=3).reshape(len(t), 4)
 
 
 # Alice's two measured bits; outcome k reads as the binary number k
 _OUTCOMES = ("00", "01", "10", "11")
 
 
-def _residuals(
-    t: np.ndarray, probs: np.ndarray, corrections: list[tuple[str, ...]], offset: int = 0
-) -> np.ndarray:
-    """The unmeasured qubits of every run for every outcome k, shape
-    (runs, 4, 2 ** (1 + offset)): the stack where Alice reads outcome k,
-    divided by sqrt(probs[:, k]), with Bob's gates corrections[k] applied
-    to his qubit. Each vector still needs _normalised."""
-    scale = (-1,) + (1,) * (offset + 1)
+def _residuals(t: np.ndarray, probs: np.ndarray, corrections: list[tuple[str, ...]]) -> np.ndarray:
+    """Bob's qubit of every run for every outcome k, shape (runs, 4, 2):
+    the stack where Alice reads outcome k, divided by sqrt(probs[:, k]),
+    with Bob's gates corrections[k] applied. Each vector still needs
+    _normalised."""
     out = []
     for k, gates in enumerate(corrections):
-        at_k = (slice(None),) * (offset + 1) + divmod(k, 2)
-        res = t[at_k] / np.sqrt(probs[:, k]).reshape(scale)
+        res = t[(slice(None), *divmod(k, 2))] / np.sqrt(probs[:, k]).reshape(-1, 1)
         for gate in gates:
-            res = _GATES[gate](res, offset + 1)
-        out.append(res.reshape(len(t), -1))
+            res = _GATES[gate](res, 1)
+        out.append(res)
     return np.stack(out, axis=1)
 
 
@@ -339,11 +336,9 @@ def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator
 
 
 def _named_states(kind: ProtocolKind, psi: UnknownQubit) -> dict[str, StateVector]:
-    """The named registers of one input; names of the same register share
-    one StateVector."""
+    """The named registers of one input."""
     _, stacks = _evolve(kind, _sources([psi]))
-    built = {id(t): StateVector._trusted(3, t[0].reshape(-1)) for t in stacks.values()}
-    return {name: built[id(t)] for name, t in stacks.items()}
+    return {name: StateVector._trusted(3, t[0].reshape(-1)) for name, t in stacks.items()}
 
 
 def sqtp_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
@@ -355,6 +350,19 @@ def sqtp_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
 def kak_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
     """Named register states at each step of the chained-XOR protocol."""
     return _named_states(ProtocolKind.KAK, psi)
+
+
+def pair_response(kind: ProtocolKind, psi: UnknownQubit) -> np.ndarray:
+    """a[k, j] = <psi| Bob's corrected qubit for outcome k>, unnormalised,
+    when the resource pair is the basis pair |j>: the four pairs run as
+    one stack, and probabilities of 1 leave the residuals as they are.
+    The schedule is linear, so through a 2-qubit channel rho Bob holds
+    sum_jl rho[j, l] b[k, j] b[k, l]^dagger for outcome k, and the
+    teleport fidelity is sum_k a[k]^T rho conj(a[k])."""
+    sources = np.repeat(_sources([psi]), 4, axis=0)
+    t, _ = _evolve(kind, sources, np.eye(4, dtype=complex))
+    bobs = _residuals(t, np.ones((4, 4)), [correction_for(kind, bits) for bits in _OUTCOMES])
+    return (bobs @ sources[0].conj()).T
 
 
 @dataclass(frozen=True)
@@ -424,22 +432,25 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
     while holding the first back, and compare the resulting
     (holdout, Bob) joint state against the original on every branch.
 
-    This is the KAK schedule shifted one qubit up: q0 is the holdout, q1
-    the fed qubit, q2 and q3 the resource pair.
+    The schedule is linear, so the holdout's two values are the rows of a
+    KAK stack: row h carries the fed qubit's amplitudes where the holdout
+    reads h. Alice's outcome probabilities sum over the rows, and the
+    joint state of outcome k is its rows of Bob's qubit side by side.
     """
     if joint.n_qubits != 2:
         raise ValueError(f"joint input must be 2 qubits, got {joint.n_qubits}")
     schedule = SCHEDULES[ProtocolKind.KAK]
-    t, _ = _evolve(ProtocolKind.KAK, joint.amps[None], offset=1)
-    probs = _born_rows(t, offset=1)
+    t, _ = _evolve(ProtocolKind.KAK, joint.amps.reshape(2, 2))
+    probs = _born_rows(t).sum(axis=0)
+    rows = np.broadcast_to(probs, (2, 4))
     fids = {key: [fidelity_pure(StateVector._trusted(2, _normalised(v)), joint)
-                  for v in _residuals(t, probs, [gates] * 4, offset=1)[0]]
+                  for v in _residuals(t, rows, [gates] * 4).transpose(1, 0, 2).reshape(4, 4)]
             for key, gates in schedule.corrections.items()}
     branches = []
     for k, bits in enumerate(_OUTCOMES):
         row = {key: fid[k] for key, fid in fids.items()}
         prescribed = row[bits[: schedule.announced]]
-        branches.append(EntangledBranch(bits, float(probs[0, k]), prescribed, max(row.values())))
+        branches.append(EntangledBranch(bits, float(probs[k]), prescribed, max(row.values())))
     return EntangledInputReport(joint.dim, tuple(branches))
 
 

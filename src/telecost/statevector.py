@@ -14,13 +14,12 @@ Conventions, fixed across the whole package:
     (tensor, and the registers the protocol interpreter builds) trust it
     and skip the checks.
   - the private axis kernels _unitary1_axes and _cnot_axes act on a tensor
-    of size-2 axes and take any leading axes along. The fixed gates
-    apply_h/x/z and apply_cnot are those kernels on a stack of registers,
-    one axis per qubit, so `protocol` runs one gate over all its runs;
-    `noise` uses the kernels on the row and column axes of a density
-    matrix. measure_sample draws one run's outcome from its row of Born
-    probabilities. The per-state gates, sampling and collapse helpers the
-    stacked path replaced are the test reference in
+    of size-2 axes and take any leading axes along; only this module uses
+    them. The fixed gates apply_h/x/z and apply_cnot are those kernels on
+    a stack of registers, one axis per qubit, so `protocol` runs one gate
+    over all its runs. measure_sample draws one run's outcome from its
+    row of Born probabilities. The per-state gates, sampling and collapse
+    helpers the stacked path replaced are the test reference in
     tests/per_state_reference.py.
 """
 

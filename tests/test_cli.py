@@ -99,6 +99,29 @@ def test_verify_golden_entry_without_terms_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "kak_after_h" in err and "terms" in err
 
 
+@pytest.mark.parametrize("reshape, message", [
+    (lambda table: list(table.values()), "golden table must be a JSON object, got list"),
+    (lambda table: {**table, "kak_after_h": [1, 2]},
+     "kak_after_h: entry must be a JSON object, got list"),
+    # the 2-qubit EPR entry under a 3-qubit checkpoint's name
+    (lambda table: {**table, "kak_after_h": table["epr_pair"]},
+     "kak_after_h: n_qubits must be 3, got 2"),
+    # rejected before any 2**64-amplitude vector is asked for
+    (lambda table: {**table, "kak_after_h": {
+        "n_qubits": 64, "terms": [{"basis": "0" * 64, "coeff": "1", "var": "alpha"}]}},
+     "kak_after_h: n_qubits must be 3, got 64"),
+], ids=["top_level_list", "list_entry", "two_qubit_checkpoint", "oversized_register"])
+def test_verify_golden_of_the_wrong_shape_exits_2(tmp_path, capsys, reshape, message):
+    table = json.loads(
+        resources.files("telecost").joinpath("data/expansions.json").read_text()
+    )
+    bad = tmp_path / "bad_shape.json"
+    bad.write_text(json.dumps(reshape(table)))
+    code, out, err = run_cli(["verify", "--runs", "1", "--golden", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_rejects_csv_format(capsys):
     # verify writes only json and text; csv used to print the text table
     with pytest.raises(SystemExit) as exc:

@@ -10,9 +10,6 @@ from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import (
     SWEEP_COLUMNS,
     DensityMatrix,
-    apply_gate_density,
-    density_from_pure,
-    density_tensor,
     deterministic_rounds_to_target,
     distill_step_map,
     distill_to_threshold,
@@ -51,6 +48,10 @@ def haar(seed):
     return UnknownQubit.haar(np.random.default_rng(seed))
 
 
+def pure_density(state):
+    return DensityMatrix(state.n_qubits, np.outer(state.amps, state.amps.conj()))
+
+
 def test_werner_eigenvalues():
     w = werner_state(0.7)
     eigs = sorted(np.linalg.eigvalsh(w.mat))
@@ -87,16 +88,8 @@ def test_density_matrix_read_only():
         w.mat[0, 0] = 99.0
 
 
-def test_density_tensor_size_cap():
-    w = werner_state(0.8)
-    rho4 = density_tensor(w, w)
-    assert rho4.n_qubits == 4
-    with pytest.raises(ValueError):
-        density_tensor(rho4, density_from_pure(basis_state(1, "0")))
-
-
 def test_perfect_channel_boundary():
-    chan = density_from_pure(bell_pair())
+    chan = pure_density(bell_pair())
     for kind in ProtocolKind:
         for seed in range(20):
             fid = teleport_fidelity_noisy(kind, haar(seed), chan)
@@ -139,16 +132,9 @@ def test_fidelity_matches_dense_oracle():
                 assert abs(got - want) < 1e-9
 
 
-def test_apply_gate_density_rejects_bad_qubits():
-    rho = werner_state(0.8)
-    for gate, qubits in (("H", (2,)), ("X", (-1,)), ("CNOT", (1, 1))):
-        with pytest.raises(ValueError):
-            apply_gate_density(rho, gate, qubits)
-
-
 def test_channel_size_validation():
     with pytest.raises(ValueError):
-        teleport_fidelity_noisy(ProtocolKind.SQTP, haar(1), density_from_pure(basis_state(1, "0")))
+        teleport_fidelity_noisy(ProtocolKind.SQTP, haar(1), pure_density(basis_state(1, "0")))
 
 
 def test_distill_map_frozen_goldens():

@@ -1,9 +1,9 @@
-"""Property tests: the closed-form recurrence, the density gate kernel,
-the Werner teleport fidelity and branch recovery, each against an
-independent reference; the stacked interpreter against the per-state path
-it replaced, bit for bit; the locality of every sampled run's trace; and
-the states that kernels build unchecked, which must still pass the public
-constructors' checks."""
+"""Property tests: the closed-form recurrence, the teleport fidelity
+through Werner and arbitrary full-rank channels, and branch recovery, each
+against an independent reference; the stacked interpreter against the
+per-state path it replaced, bit for bit; the locality of every sampled
+run's trace; and the states that kernels build unchecked, which must still
+pass the public constructor's checks."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,9 +15,6 @@ from telecost.cost import CostModel, ideal_bits
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import (
     DensityMatrix,
-    apply_gate_density,
-    density_from_pure,
-    density_tensor,
     distill_step_map,
     teleport_fidelity_noisy,
     werner_state,
@@ -43,7 +40,6 @@ PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
 
 unit_f = st.floats(min_value=0.0, max_value=1.0)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-GATES_1Q = {"H": oracle_dense.H, "X": oracle_dense.X, "Z": oracle_dense.Z}
 
 
 @PROPERTY
@@ -55,36 +51,6 @@ def test_distill_map_equals_dense_oracle(f):
     assert abs(f_out - f_ref) < TOL
 
 
-@st.composite
-def gate_on_density(draw):
-    """A random n-qubit density matrix AA^dagger/tr, n in 1..4, with a gate
-    and a valid qubit choice for it."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    gates = ["H", "X", "Z"] + (["CNOT"] if n > 1 else [])
-    gate = draw(st.sampled_from(gates))
-    if gate == "CNOT":
-        qubits = tuple(draw(st.permutations(range(n)))[:2])
-    else:
-        qubits = (draw(st.integers(min_value=0, max_value=n - 1)),)
-    rng = np.random.default_rng(draw(seeds))
-    dim = 2**n
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return n, gate, qubits, rho / np.real(np.trace(rho))
-
-
-@PROPERTY
-@given(gate_on_density())
-def test_apply_gate_density_equals_embedded_unitary(case):
-    n, gate, qubits, rho = case
-    if gate == "CNOT":
-        u = oracle_dense.embed_cnot(n, *qubits)
-    else:
-        u = oracle_dense.embed_1q(n, qubits[0], GATES_1Q[gate])
-    got = apply_gate_density(DensityMatrix(n, rho), gate, qubits)
-    assert np.max(np.abs(got.mat - u @ rho @ u.conj().T)) < TOL
-
-
 @PROPERTY
 @given(unit_f, seeds)
 def test_werner_teleport_fidelity_is_two_f_plus_one_over_three(f, seed):
@@ -92,6 +58,20 @@ def test_werner_teleport_fidelity_is_two_f_plus_one_over_three(f, seed):
     channel = werner_state(f)
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         assert abs(teleport_fidelity_noisy(kind, psi, channel) - (2 * f + 1) / 3) < TOL
+
+
+@PROPERTY
+@given(seeds)
+def test_teleport_fidelity_through_any_channel_equals_dense_oracle(seed):
+    # a random full-rank 2-qubit channel AA^dagger/tr, far from Werner form
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    rho = rho / np.real(np.trace(rho))
+    psi = UnknownQubit.haar(rng)
+    for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
+        want = oracle_dense.oracle_teleport_fidelity(kind.value, psi.alpha, psi.beta, rho)
+        assert abs(teleport_fidelity_noisy(kind, psi, DensityMatrix(2, rho)) - want) < TOL
 
 
 # Haar-uniform input from its two angles: cos(theta) uniform on [-1, 1],
@@ -169,30 +149,20 @@ def test_every_run_trace_replays_as_local(angles, seed):
         assert isinstance(step, CorrectionApplied)  # every run ends with Bob's correction
 
 
-def assert_valid_and_frozen(state) -> None:
+def assert_valid_and_frozen(state: StateVector) -> None:
     """A state built unchecked passes the public constructor and is read-only."""
-    if isinstance(state, StateVector):
-        StateVector(state.n_qubits, state.amps)
-        assert not state.amps.flags.writeable
-    else:
-        DensityMatrix(state.n_qubits, state.mat)
-        assert not state.mat.flags.writeable
+    StateVector(state.n_qubits, state.amps)
+    assert not state.amps.flags.writeable
 
 
 @PROPERTY
-@given(haar_angles, seeds, unit_f)
-def test_kernel_built_states_revalidate_and_stay_read_only(angles, seed, f):
+@given(haar_angles, seeds)
+def test_kernel_built_states_revalidate_and_stay_read_only(angles, seed):
     psi = qubit_from_angles(angles)
     states = [*sqtp_checkpoints(psi).values(), *kak_checkpoints(psi).values()]
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         states.append(run_protocol(kind, psi, np.random.default_rng(seed)).final_bob_state)
         for branch in enumerate_protocol(kind, psi):
             states += [branch.outcome.post_state, branch.bob_state]
-        rho = density_tensor(density_from_pure(psi.to_statevector()), werner_state(f))
-        states.append(rho)
-        for _party, gate, qubits, _name in SCHEDULES[kind].ops:
-            if gate != "transfer":
-                rho = apply_gate_density(rho, gate, qubits)
-                states.append(rho)
     for state in states:
         assert_valid_and_frozen(state)

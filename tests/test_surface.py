@@ -1,6 +1,7 @@
 """The public surface stays what the package, the README and the acceptance
 gate use: a public top-level function or class that only unit tests call
-has no job in the program."""
+has no job in the program. The private names of `statevector` stay
+inside it."""
 
 import ast
 import re
@@ -41,3 +42,16 @@ def test_every_public_definition_has_a_caller():
     assert orphans == [], (
         f"public names with no caller in src/, README.md or tests/test_acceptance.py: {orphans}"
     )
+
+
+def test_only_statevector_touches_its_private_names():
+    # the gate matrices and axis kernels have one owner; other modules use the public gates
+    leaks = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "statevector.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("statevector",
+                                                                    "telecost.statevector"):
+                leaks += [f"{path.name}:{a.name}" for a in node.names if a.name.startswith("_")]
+    assert leaks == [], f"private statevector names imported elsewhere: {leaks}"
