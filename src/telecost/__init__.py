@@ -13,7 +13,6 @@ from .noise import (
     DensityMatrix,
     DistillRun,
     NoisyTeleportReport,
-    deterministic_rounds_to_target,
     distill_step_map,
     distill_to_threshold,
     run_noisy_teleport,

@@ -76,7 +76,11 @@ def load_expansions(path: str | Path | None = None) -> dict[str, Expansion]:
             size = 2 if name == "epr_pair" else 3
             if entry["n_qubits"] != size:
                 raise ValueError(f"{name}: n_qubits must be {size}, got {entry['n_qubits']!r}")
+            if not isinstance(entry["terms"], list):
+                raise ValueError(f"{name}: terms must be a list, got {entry['terms']!r}")
             for t in entry["terms"]:
+                if not isinstance(t, dict) or not all(isinstance(v, str) for v in t.values()):
+                    raise ValueError(f"{name}: term {t!r} must be an object of strings")
                 if t["coeff"] not in _COEFF_VALUES:
                     raise ValueError(f"{name}: unknown coefficient token {t['coeff']!r}")
                 if t["var"] not in ("alpha", "beta", "1"):

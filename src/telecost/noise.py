@@ -12,6 +12,7 @@ announced outcomes agree (2 classical bits per attempt, tagged LOCC) and
 re-twirls the kept pair to Werner form. It is computed from its exact
 closed form; the 4-qubit density evolution is the test oracle. For
 F > 1/2 the step strictly improves fidelity; at F = 1/4 it is a fixed point.
+Sampled runs and sweeps climb the same exact ladder of steps (`_ladder`).
 
 Every DensityMatrix is checked when built: shape, Hermiticity, trace and
 positivity. No density matrix is evolved: the protocol is linear in the
@@ -109,6 +110,18 @@ def distill_step_map(f: float) -> tuple[float, float]:
     return p_succ, (f**2 + r**2) / p_succ
 
 
+def _ladder(f_in: float, f_target: float, max_rounds: int) -> list[tuple[float, float]]:
+    """Exact (success probability, fidelity after) per recurrence level from
+    f_in, none at or below 1/2. It stops at the target, after max_rounds
+    levels, or after a level that leaves F unchanged (floats stall below 1)."""
+    levels: list[tuple[float, float]] = []
+    f, f_prev = f_in, None
+    while 0.5 < f < f_target and len(levels) < max_rounds and f != f_prev:
+        levels.append(distill_step_map(f))
+        f, f_prev = levels[-1][1], f
+    return levels
+
+
 @dataclass(frozen=True)
 class DistillRun:
     rounds: int
@@ -120,48 +133,28 @@ class DistillRun:
 def distill_to_threshold(
     f_in: float, f_target: float, max_rounds: int, rng: np.random.Generator
 ) -> DistillRun:
-    """Repeat sampled recurrence attempts until the fidelity reaches
-    f_target, max_rounds successful levels are exhausted, or a success
-    leaves the fidelity unchanged (in floats the iterate stalls just below
-    1, so final_f can stay under the target).
+    """Climb the recurrence ladder from f_in toward f_target with sampled
+    attempts; final_f stays under the target if the ladder stops short.
 
-    Each attempt succeeds with the exact map's probability, one rng draw
+    Each attempt succeeds with its level's exact probability, one rng draw
     apiece. rounds counts successes, attempts counts every try; a failure
     loses both pairs and the next attempt retries the current level on
-    fresh pairs. LOCC bits are 2 per attempt. Inputs at or above target
-    return immediately. Inputs at or below 1/2 are rejected: the
-    recurrence cannot improve them.
-    """
+    fresh pairs. LOCC bits are 2 per attempt. f_in at or below 1/2 raises,
+    as the recurrence cannot improve it; any other f_in at or above the
+    target returns with no attempts."""
     if not 0.5 < f_in <= 1.0:
         raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
     if not 0.0 < f_target <= 1.0:
         raise ValueError(f"f_target must be in (0, 1], got {f_target}")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    f, f_prev = f_in, None
-    rounds = attempts = 0
-    while f < f_target and rounds < max_rounds and f != f_prev:
-        p_succ, f_out = distill_step_map(f)
+    levels = _ladder(f_in, f_target, max_rounds)
+    attempts = 0
+    for p_succ, _ in levels:
         attempts += 1
-        if rng.random() < p_succ:
-            f, f_prev = f_out, f
-            rounds += 1
-    return DistillRun(rounds, attempts, 2 * attempts, f)
-
-
-def deterministic_rounds_to_target(f_in: float, f_target: float, max_rounds: int = 64) -> int:
-    """Successful recurrence levels needed on the exact map, ignoring
-    attempt failures; -1 if the target is out of reach within the cap or
-    the iterate stops moving (in floats it stalls just below 1)."""
-    if f_in >= f_target:
-        return 0
-    if f_in <= 0.5:
-        return -1
-    f, f_prev, rounds = f_in, None, 0
-    while f < f_target and rounds < max_rounds and f != f_prev:
-        f, f_prev = distill_step_map(f)[1], f
-        rounds += 1
-    return rounds if f >= f_target else -1
+        while not rng.random() < p_succ:
+            attempts += 1
+    return DistillRun(len(levels), attempts, 2 * attempts, levels[-1][1] if levels else f_in)
 
 
 SWEEP_COLUMNS = [
@@ -177,12 +170,15 @@ SWEEP_COLUMNS = [
 
 def sweep_rows(f_grid: list[float], distill_target: float, max_rounds: int = 64) -> list[dict]:
     """Deterministic no-failure expectation per grid point: one-step
-    success probability and output fidelity, rounds to reach the target,
-    and the resulting per-qubit totals for both protocol families."""
+    success probability and output fidelity, the ladder's length to the
+    target (-1 if short), and per-qubit totals for both protocol families."""
+    sqtp_bits, kak_bits = SCHEDULES[ProtocolKind.SQTP].announced, SCHEDULES[ProtocolKind.KAK].announced
     rows = []
     for f in f_grid:
-        p_succ, f_out = distill_step_map(f)
-        rounds = deterministic_rounds_to_target(f, distill_target, max_rounds)
+        levels = _ladder(f, distill_target, max_rounds)
+        p_succ, f_out = levels[0] if levels else distill_step_map(f)
+        reached = levels[-1][1] if levels else f
+        rounds = len(levels) if reached >= distill_target else -1
         locc = 2 * rounds if rounds >= 0 else -1
         rows.append(
             {
@@ -191,8 +187,8 @@ def sweep_rows(f_grid: list[float], distill_target: float, max_rounds: int = 64)
                 "F_out": round(f_out, 12),
                 "rounds_to_target": rounds,
                 "locc_bits": locc,
-                "total_bits_sqtp": 2 + locc if locc >= 0 else -1,
-                "total_bits_kak": 1 + locc if locc >= 0 else -1,
+                "total_bits_sqtp": sqtp_bits + locc if locc >= 0 else -1,
+                "total_bits_kak": kak_bits + locc if locc >= 0 else -1,
             }
         )
     return rows

@@ -110,7 +110,21 @@ def test_verify_golden_entry_without_terms_exits_2(tmp_path, capsys):
     (lambda table: {**table, "kak_after_h": {
         "n_qubits": 64, "terms": [{"basis": "0" * 64, "coeff": "1", "var": "alpha"}]}},
      "kak_after_h: n_qubits must be 3, got 64"),
-], ids=["top_level_list", "list_entry", "two_qubit_checkpoint", "oversized_register"])
+    (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": 5}},
+     "kak_after_h: terms must be a list, got 5"),
+    (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": "abc"}},
+     "kak_after_h: terms must be a list, got 'abc'"),
+    (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": [1]}},
+     "kak_after_h: term 1 must be an object of strings"),
+    (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": [
+        {"basis": "000", "coeff": ["1"], "var": "alpha"}]}},
+     "kak_after_h: term {'basis': '000', 'coeff': ['1'], 'var': 'alpha'}"
+     " must be an object of strings"),
+    (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": [
+        {"basis": 0, "coeff": "1", "var": "alpha"}]}},
+     "kak_after_h: term {'basis': 0, 'coeff': '1', 'var': 'alpha'} must be an object of strings"),
+], ids=["top_level_list", "list_entry", "two_qubit_checkpoint", "oversized_register",
+        "number_terms", "string_terms", "number_term", "list_coeff", "number_basis"])
 def test_verify_golden_of_the_wrong_shape_exits_2(tmp_path, capsys, reshape, message):
     table = json.loads(
         resources.files("telecost").joinpath("data/expansions.json").read_text()

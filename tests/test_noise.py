@@ -10,7 +10,6 @@ from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import (
     SWEEP_COLUMNS,
     DensityMatrix,
-    deterministic_rounds_to_target,
     distill_step_map,
     distill_to_threshold,
     run_noisy_teleport,
@@ -226,25 +225,29 @@ def test_distill_to_threshold_validation():
         distill_to_threshold(0.75, 0.9, 0, rng)
 
 
+def sweep_rounds(f_in, f_target, max_rounds=64):
+    return sweep_rows([f_in], f_target, max_rounds)[0]["rounds_to_target"]
+
+
 def test_deterministic_ladder_from_075():
     f = 0.75
     for want in LADDER_075:
         f = distill_step_map(f)[1]
         assert abs(f - want) < 1e-9
-    assert deterministic_rounds_to_target(0.75, 0.9) == 5
+    assert sweep_rounds(0.75, 0.9) == 5
 
 
 def test_deterministic_rounds_edge_cases():
-    assert deterministic_rounds_to_target(0.95, 0.9) == 0
-    assert deterministic_rounds_to_target(0.4, 0.9) == -1
-    assert deterministic_rounds_to_target(0.75, 1.0) == -1  # cap hit
+    assert sweep_rounds(0.95, 0.9) == 0
+    assert sweep_rounds(0.4, 0.9) == -1
+    assert sweep_rounds(0.75, 1.0) == -1  # cap hit
 
 
 def test_deterministic_rounds_stop_when_the_iterate_stalls(monkeypatch):
     # in floats the recurrence stalls just below 1, so F = 1 is never reached
     calls = []
     monkeypatch.setattr(noise, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
-    assert deterministic_rounds_to_target(0.75, 1.0, 100_000) == -1
+    assert sweep_rounds(0.75, 1.0, 100_000) == -1
     assert len(calls) < 300
     assert distill_step_map(calls[-1])[1] == calls[-1]
 
@@ -256,6 +259,14 @@ def test_distill_to_threshold_stops_when_the_iterate_stalls():
     assert distill_step_map(run.final_f)[1] == run.final_f
     assert run.rounds < 300
     assert run.locc_bits == 2 * run.attempts
+
+
+def test_distill_to_threshold_steps_the_map_once_per_level(monkeypatch):
+    # a failed attempt retries its level without evaluating the map again
+    calls = []
+    monkeypatch.setattr(noise, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
+    run = distill_to_threshold(0.75, 0.9, 64, np.random.default_rng(1))
+    assert run.attempts > run.rounds == len(calls) == len(set(calls))
 
 
 def test_sweep_rows_shape_and_coupling():

@@ -1,12 +1,13 @@
 """Property tests: the closed-form recurrence, the teleport fidelity
 through Werner and arbitrary full-rank channels, and branch recovery, each
-against an independent reference; the stacked interpreter against the
-per-state path it replaced, bit for bit; the locality of every sampled
-run's trace; and the states that kernels build unchecked, which must still
-pass the public constructor's checks."""
+against an independent reference; the sampled distillation run and the
+sweep against the two recurrence walks they replaced; the stacked
+interpreter against the per-state path it replaced, bit for bit; the
+locality of every sampled run's trace; and the states that kernels build
+unchecked, which must still pass the public constructor's checks."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_dense
@@ -16,6 +17,8 @@ from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import (
     DensityMatrix,
     distill_step_map,
+    distill_to_threshold,
+    sweep_rows,
     teleport_fidelity_noisy,
     werner_state,
 )
@@ -49,6 +52,62 @@ def test_distill_map_equals_dense_oracle(f):
     p_ref, f_ref = oracle_dense.oracle_distill_map(f)
     assert abs(p - p_ref) < TOL
     assert abs(f_out - f_ref) < TOL
+
+
+def walked_distill_run(f_in, f_target, max_rounds, rng):
+    """The per-attempt loop the ladder replaced, as (rounds, attempts,
+    locc_bits, final_f)."""
+    f, f_prev = f_in, None
+    rounds = attempts = 0
+    while f < f_target and rounds < max_rounds and f != f_prev:
+        p_succ, f_out = distill_step_map(f)
+        attempts += 1
+        if rng.random() < p_succ:
+            f, f_prev = f_out, f
+            rounds += 1
+    return rounds, attempts, 2 * attempts, f
+
+
+def walked_rounds_to_target(f_in, f_target, max_rounds):
+    """The deterministic walk the ladder replaced: levels to the target,
+    or -1 when the cap or a stalled iterate stops it short."""
+    if f_in >= f_target:
+        return 0
+    if f_in <= 0.5:
+        return -1
+    f, f_prev, rounds = f_in, None, 0
+    while f < f_target and rounds < max_rounds and f != f_prev:
+        f, f_prev = distill_step_map(f)[1], f
+        rounds += 1
+    return rounds if f >= f_target else -1
+
+
+above_half = st.floats(min_value=0.5, max_value=1.0, exclude_min=True)
+targets = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+caps = st.integers(min_value=1, max_value=1024)
+
+
+@PROPERTY
+@given(above_half, targets, caps, seeds)
+@example(0.75, 1.0, 1024, 0)  # the float iterate stalls below 1 long before the cap
+@example(0.75, 0.9, 3, 0)  # the cap stops the ladder short of the target
+def test_distill_run_matches_the_per_attempt_walk(f_in, f_target, max_rounds, seed):
+    run = distill_to_threshold(f_in, f_target, max_rounds, np.random.default_rng(seed))
+    want = walked_distill_run(f_in, f_target, max_rounds, np.random.default_rng(seed))
+    assert (run.rounds, run.attempts, run.locc_bits, run.final_f) == want
+
+
+@PROPERTY
+@given(st.lists(unit_f, min_size=1, max_size=8), targets, caps)
+@example([0.0, 0.5, 0.75, 0.95], 1.0, 1024)
+def test_sweep_rows_match_the_deterministic_walk(grid, f_target, max_rounds):
+    for f, row in zip(grid, sweep_rows(grid, f_target, max_rounds), strict=True):
+        rounds = walked_rounds_to_target(f, f_target, max_rounds)
+        locc = 2 * rounds if rounds >= 0 else -1
+        assert (row["rounds_to_target"], row["locc_bits"]) == (rounds, locc)
+        # the standard protocol announces 2 bits and the chained-XOR one 1
+        assert row["total_bits_sqtp"] == (2 + locc if locc >= 0 else -1)
+        assert row["total_bits_kak"] == (1 + locc if locc >= 0 else -1)
 
 
 @PROPERTY
