@@ -46,12 +46,13 @@ class Expansion:
     n_qubits: int
     terms: tuple[tuple[str, str, str], ...]  # (basis, coeff token, var)
 
-    def instantiate(self, alpha: complex, beta: complex) -> np.ndarray:
-        """Reference amplitude vector for concrete input amplitudes."""
-        vec = np.zeros(2**self.n_qubits, dtype=complex)
+    def instantiate(self, alpha: complex | np.ndarray, beta: complex | np.ndarray) -> np.ndarray:
+        """Reference amplitude vector for concrete input amplitudes; arrays
+        of alpha and beta give one vector per entry, along the last axis."""
+        vec = np.zeros(np.broadcast(alpha, beta).shape + (2**self.n_qubits,), dtype=complex)
         var_values = {"alpha": alpha, "beta": beta, "1": 1.0}
         for basis, coeff, var in self.terms:
-            vec[int(basis, 2)] += _COEFF_VALUES[coeff] * var_values[var]
+            vec[..., int(basis, 2)] += _COEFF_VALUES[coeff] * var_values[var]
         return vec
 
 

@@ -14,10 +14,12 @@ closed form; the 4-qubit density evolution is the test oracle. For
 F > 1/2 the step strictly improves fidelity; at F = 1/4 it is a fixed point.
 Sampled runs and sweeps climb the same exact ladder of steps (`_ladder`).
 
-Every DensityMatrix is checked when built: shape, Hermiticity, trace and
-positivity. No density matrix is evolved: the protocol is linear in the
-resource pair, so the fidelity through any 2-qubit channel is a quadratic
-form, in the channel's matrix, of `protocol.pair_response`.
+Every DensityMatrix is a 2-qubit channel state, checked when built: shape
+4x4, Hermiticity, trace and positivity. No density matrix is evolved: the
+protocol is linear in the resource pair, so the fidelity through any
+2-qubit channel is a quadratic form, in the channel's matrix, of
+`protocol.pair_response`. A chunk of noisy runs is one stack with one
+Werner channel per distinct F; `run_noisy_teleport` is a stack of one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .cost import CostLedger
 from .kinds import ALICE, BOB, ProtocolKind, Purpose
 from .protocol import SCHEDULES, UnknownQubit, pair_response
 
-MAX_DENSITY_QUBITS = 4
 PSD_FLOOR = -1e-10
 
 _SQRT2 = np.sqrt(2.0)
@@ -44,18 +45,14 @@ BELL_VECTORS = {
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated mixed state of up to 4 qubits."""
+    """Validated mixed state of two qubits, the resource pair of a channel."""
 
-    n_qubits: int
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_DENSITY_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_DENSITY_QUBITS}, got {self.n_qubits}")
         mat = np.asarray(self.mat, dtype=complex)
-        dim = 2**self.n_qubits
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
+        if mat.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
         if not np.allclose(mat, mat.conj().T, atol=1e-12):
             raise ValueError("density matrix must be Hermitian")
         tr = float(np.real(np.trace(mat)))
@@ -78,19 +75,21 @@ def werner_state(f: float) -> DensityMatrix:
     for name in ("phi_minus", "psi_plus", "psi_minus"):
         v = BELL_VECTORS[name]
         mat = mat + rest * np.outer(v, v.conj())
-    return DensityMatrix(2, mat)
+    return DensityMatrix(mat)
+
+
+def _channel_fidelity(a: np.ndarray, channel: DensityMatrix) -> float:
+    """The sum over outcomes k of a[k]^T channel conj(a[k])."""
+    return float(np.real(np.sum((a @ channel.mat) * a.conj())))
 
 
 def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: DensityMatrix) -> float:
     """Fidelity <psi| rho_Bob |psi> of the protocol run through an
     arbitrary 2-qubit channel state, averaging Bob's corrected output
     over the four measurement outcomes with their Born weights: with
-    a = pair_response(kind, psi), the sum over outcomes k of
+    a = pair_response(kind, [psi])[0], the sum over outcomes k of
     a[k]^T channel conj(a[k])."""
-    if channel.n_qubits != 2:
-        raise ValueError(f"channel must be a 2-qubit state, got {channel.n_qubits}")
-    a = pair_response(kind, psi)
-    return float(np.real(np.sum((a @ channel.mat) * a.conj())))
+    return _channel_fidelity(pair_response(kind, [psi])[0], channel)
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +218,35 @@ class NoisyTeleportReport:
     ledger: CostLedger
 
 
-def run_noisy_teleport(
-    kind: ProtocolKind,
-    psi: UnknownQubit,
-    channel_f: float,
-    rng: np.random.Generator,
-    distill_target: float | None = None,
-    max_rounds: int = 32,
-) -> NoisyTeleportReport:
-    ledger = CostLedger()
-    rounds = attempts = 0
-    f_final = channel_f
-    if distill_target is not None and channel_f < distill_target:
-        run = distill_to_threshold(channel_f, distill_target, max_rounds, rng)
-        rounds, attempts, f_final = run.rounds, run.attempts, run.final_f
-        for _ in range(attempts):
+def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit], channel_f: float,
+                    rngs: list[np.random.Generator], distill_target: float | None = None,
+                    max_rounds: int = 32) -> list[NoisyTeleportReport]:
+    """One noisy run per input: run i distills with rngs[i] alone, then all
+    inputs go through pair_response as one stack, and each distinct final
+    fidelity builds one Werner channel, shared by the runs that reach it."""
+    runs = [distill_to_threshold(channel_f, distill_target, max_rounds, rng)
+            if distill_target is not None and channel_f < distill_target
+            else DistillRun(0, 0, 0, channel_f) for rng in rngs]
+    channels = {f: werner_state(f) for f in dict.fromkeys(run.final_f for run in runs)}
+    schedule = SCHEDULES[kind]
+    # gates before the transfer: the channel meets the payload before it is shared
+    burns_copies = schedule.ops[0][1] != "transfer"
+    reports = []
+    for a, run in zip(pair_response(kind, psis), runs, strict=True):
+        ledger = CostLedger()
+        for _ in range(run.attempts):
             # both parties announce their target-pair outcome, 1 bit each
             ledger.add(ALICE, BOB, 1, Purpose.LOCC)
             ledger.add(BOB, ALICE, 1, Purpose.LOCC)
-    fid = teleport_fidelity_noisy(kind, psi, werner_state(f_final))
-    ledger.add(ALICE, BOB, SCHEDULES[kind].announced, Purpose.TELEPORT)
-    # gates before the transfer: the channel meets the payload before it is shared
-    copies = attempts if SCHEDULES[kind].ops[0][1] != "transfer" else 0
-    return NoisyTeleportReport(
-        kind, channel_f, f_final, rounds, attempts, copies, fid, ledger
-    )
+        ledger.add(ALICE, BOB, schedule.announced, Purpose.TELEPORT)
+        reports.append(NoisyTeleportReport(
+            kind, channel_f, run.final_f, run.rounds, run.attempts,
+            run.attempts if burns_copies else 0, _channel_fidelity(a, channels[run.final_f]), ledger))
+    return reports
+
+
+def run_noisy_teleport(kind: ProtocolKind, psi: UnknownQubit, channel_f: float,
+                       rng: np.random.Generator, distill_target: float | None = None,
+                       max_rounds: int = 32) -> NoisyTeleportReport:
+    """One noisy run, as a stack of one."""
+    return run_noisy_stack(kind, [psi], channel_f, [rng], distill_target, max_rounds)[0]

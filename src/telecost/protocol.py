@@ -22,16 +22,16 @@ A non-local schedule cannot be built, and no run checks it again.
 One interpreter runs a table once over a stack of registers, shape
 (runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
 apply_cnot), and applies Bob's corrections for all four outcomes to the
-whole stack; only drawing each run's outcome from its own stream
-(measure_sample) and normalising its state are per run.
-`run_protocol_stack` is that for sampled runs. `run_protocol`, the
-checkpoints and the branch walk are stacks of one. The schedule is
-linear, so the entangled-input probe stacks the held-back qubit's two
-values, and `pair_response`, all `noise` needs for a mixed channel, the
-resource pair's four basis states. `run_batch` is the one seeded batch
-runner; it evaluates its runs in chunks of BATCH_CHUNK. The per-state
-path this replaced is the bit-for-bit reference in
-tests/per_state_reference.py.
+whole stack; only each run's outcome draw (measure_sample), normalising
+its state and its fidelity are per run. Sampled runs, checkpoints and the
+branch walk each take a stack (`run_protocol_stack`, `checkpoints_stack`,
+`enumerate_protocol_stack`), and their one-input forms are stacks of one.
+The schedule is linear, so the entangled-input probe stacks the held-back
+qubit's two values, and `pair_response`, all `noise` needs for a mixed
+channel, the resource pair's four basis states under every input.
+`run_batch` is the one seeded batch runner; it evaluates its runs in
+chunks of BATCH_CHUNK. The per-state path this replaced is the
+bit-for-bit reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ from .statevector import (
     measure_sample,
 )
 
-# Correction tables keyed by the announced bits. Gate tuples are applied
-# left to right, so the SQTP 11 row means "first Z, then X".
-SQTP_CORRECTIONS: dict[str, tuple[str, ...]] = {"00": (), "01": ("X",), "10": ("Z",), "11": ("Z", "X")}
-KAK_CORRECTIONS: dict[str, tuple[str, ...]] = {"0": (), "1": ("Z",)}
+# Alice's two measured bits; outcome k reads as the binary number k
+_OUTCOMES = ("00", "01", "10", "11")
 
 # ---------------------------------------------------------------------------
 # trace events
@@ -110,10 +108,11 @@ class Schedule:
     """One protocol as data. The ops run in order up to Alice's measurement
     of q0 and q1; a "transfer" op hands its qubit from its party to Bob. The
     first `announced` measured bits go to Bob, who applies the matching
-    `corrections` row to q2.
+    `corrections` row to q2; gate tuples apply left to right.
 
     Building one checks that it is local, starting from Alice holding all
-    three qubits, and records the ops as trace steps in `steps`."""
+    three qubits, records the ops as trace steps in `steps` and Bob's gates
+    for each of Alice's four outcomes (in _OUTCOMES order) in `bob_gates`."""
 
     initial: str
     ops: tuple[tuple[str, str, tuple[int, ...], str | None], ...]
@@ -121,6 +120,7 @@ class Schedule:
     announced: int
     corrections: dict[str, tuple[str, ...]]
     steps: tuple[GateApplied | QubitTransferred, ...] = field(init=False, repr=False)
+    bob_gates: tuple[tuple[str, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         owners = {0: ALICE, 1: ALICE, 2: ALICE}
@@ -137,6 +137,8 @@ class Schedule:
         if owners != {0: ALICE, 1: ALICE, 2: BOB}:
             raise ValueError(f"Alice must end holding q0 and q1 and Bob q2, got {owners}")
         object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "bob_gates",
+                           tuple(self.corrections[bits[: self.announced]] for bits in _OUTCOMES))
 
 
 SCHEDULES: dict[ProtocolKind, Schedule] = {
@@ -145,7 +147,8 @@ SCHEDULES: dict[ProtocolKind, Schedule] = {
         ((ALICE, "transfer", (2,), None),  # the pre-shared half of the resource pair
          (ALICE, "CNOT", (0, 1), "sqtp_after_cnot"),
          (ALICE, "H", (0,), "sqtp_after_h")),
-        final=("sqtp_branch_form",), announced=2, corrections=SQTP_CORRECTIONS,
+        final=("sqtp_branch_form",), announced=2,  # 11: first Z, then X
+        corrections={"00": (), "01": ("X",), "10": ("Z",), "11": ("Z", "X")},
     ),
     ProtocolKind.KAK: Schedule(
         "kak_initial",
@@ -153,16 +156,10 @@ SCHEDULES: dict[ProtocolKind, Schedule] = {
          (ALICE, "CNOT", (1, 2), "kak_after_xor2"),
          (ALICE, "transfer", (2,), None),
          (ALICE, "H", (0,), "kak_after_h")),
-        final=("kak_branch_form", "kak_two_class_form"), announced=1, corrections=KAK_CORRECTIONS,
+        final=("kak_branch_form", "kak_two_class_form"), announced=1,
+        corrections={"0": (), "1": ("Z",)},
     ),
 }
-
-
-def correction_for(kind: ProtocolKind, outcome_bits: str) -> tuple[str, ...]:
-    """Bob's gates for Alice's full two-bit outcome: the table row keyed by
-    the announced bits, so KAK ignores the q1 outcome."""
-    schedule = SCHEDULES[kind]
-    return schedule.corrections[outcome_bits[: schedule.announced]]
 
 
 @dataclass(frozen=True)
@@ -277,10 +274,6 @@ def _born_rows(t: np.ndarray) -> np.ndarray:
     return (np.abs(t) ** 2).sum(axis=3).reshape(len(t), 4)
 
 
-# Alice's two measured bits; outcome k reads as the binary number k
-_OUTCOMES = ("00", "01", "10", "11")
-
-
 def _residuals(t: np.ndarray, probs: np.ndarray, corrections: list[tuple[str, ...]]) -> np.ndarray:
     """Bob's qubit of every run for every outcome k, shape (runs, 4, 2):
     the stack where Alice reads outcome k, divided by sqrt(probs[:, k]),
@@ -312,7 +305,7 @@ def run_protocol_stack(
     sources = _sources(psis)
     t, _ = _evolve(kind, sources)
     probs = _born_rows(t)
-    bobs = _residuals(t, probs, [correction_for(kind, bits) for bits in _OUTCOMES])
+    bobs = _residuals(t, probs, schedule.bob_gates)
     traces = []
     for source, p, bob_rows, rng in zip(sources, probs, bobs, rngs, strict=True):
         k = measure_sample(p, rng)
@@ -335,34 +328,47 @@ def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator
     return run_protocol_stack(kind, [psi], [rng])[0]
 
 
-def _named_states(kind: ProtocolKind, psi: UnknownQubit) -> dict[str, StateVector]:
-    """The named registers of one input."""
-    _, stacks = _evolve(kind, _sources([psi]))
-    return {name: StateVector._trusted(3, t[0].reshape(-1)) for name, t in stacks.items()}
+def checkpoints_stack(kind: ProtocolKind, psis: list[UnknownQubit]) -> dict[str, np.ndarray]:
+    """The named registers of every input, one array per name with one
+    amplitude row per input; SQTP's also holds the resource pair on its
+    own as "epr_pair"."""
+    _, stacks = _evolve(kind, _sources(psis))
+    named = {name: t.reshape(len(psis), -1) for name, t in stacks.items()}
+    if kind is ProtocolKind.SQTP:
+        named = {"epr_pair": np.broadcast_to(bell_pair().amps, (len(psis), 4)), **named}
+    return named
+
+
+def _checkpoints(kind: ProtocolKind, psi: UnknownQubit) -> dict[str, StateVector]:
+    return {name: StateVector._trusted(rows.shape[1].bit_length() - 1, rows[0])
+            for name, rows in checkpoints_stack(kind, [psi]).items()}
 
 
 def sqtp_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
     """Named register states at each step of the standard protocol, plus
-    the resource pair on its own."""
-    return {"epr_pair": bell_pair(), **_named_states(ProtocolKind.SQTP, psi)}
+    the resource pair on its own, as a stack of one."""
+    return _checkpoints(ProtocolKind.SQTP, psi)
 
 
 def kak_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
-    """Named register states at each step of the chained-XOR protocol."""
-    return _named_states(ProtocolKind.KAK, psi)
+    """Named register states at each step of the chained-XOR protocol, as
+    a stack of one."""
+    return _checkpoints(ProtocolKind.KAK, psi)
 
 
-def pair_response(kind: ProtocolKind, psi: UnknownQubit) -> np.ndarray:
-    """a[k, j] = <psi| Bob's corrected qubit for outcome k>, unnormalised,
-    when the resource pair is the basis pair |j>: the four pairs run as
-    one stack, and probabilities of 1 leave the residuals as they are.
-    The schedule is linear, so through a 2-qubit channel rho Bob holds
+def pair_response(kind: ProtocolKind, psis: list[UnknownQubit]) -> list[np.ndarray]:
+    """One a per input, a[k, j] = <psi| Bob's corrected qubit for outcome
+    k>, unnormalised, when the resource pair is the basis pair |j>: each
+    input's four pairs are rows of one stack of 4 x len(psis), and
+    probabilities of 1 leave the residuals as they are. The schedule is
+    linear, so through a 2-qubit channel rho Bob holds
     sum_jl rho[j, l] b[k, j] b[k, l]^dagger for outcome k, and the
     teleport fidelity is sum_k a[k]^T rho conj(a[k])."""
-    sources = np.repeat(_sources([psi]), 4, axis=0)
-    t, _ = _evolve(kind, sources, np.eye(4, dtype=complex))
-    bobs = _residuals(t, np.ones((4, 4)), [correction_for(kind, bits) for bits in _OUTCOMES])
-    return (bobs @ sources[0].conj()).T
+    sources = _sources(psis)
+    pairs = np.tile(np.eye(4, dtype=complex), (len(psis), 1))
+    t, _ = _evolve(kind, np.repeat(sources, 4, axis=0), pairs)
+    bobs = _residuals(t, np.ones((len(pairs), 4)), SCHEDULES[kind].bob_gates)
+    return [(bobs[4 * i: 4 * i + 4] @ source.conj()).T for i, source in enumerate(sources)]
 
 
 @dataclass(frozen=True)
@@ -374,27 +380,28 @@ class ProtocolBranch:
     fidelity: float
 
 
-def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBranch]:
-    """All four measurement branches with corrections applied.
-
-    For SQTP the four corrected residuals all recover psi (branch 11 up to
-    a global -1). For KAK the uncorrected residuals come in exactly two
-    classes keyed on the q0 bit.
-    """
-    sources = _sources([psi])
-    target = StateVector._trusted(1, sources[0])
+def enumerate_protocol_stack(
+    kind: ProtocolKind, psis: list[UnknownQubit]
+) -> list[list[ProtocolBranch]]:
+    """All four measurement branches of every input with corrections
+    applied. For SQTP the four corrected residuals all recover psi (branch
+    11 up to a global -1). For KAK the uncorrected residuals come in
+    exactly two classes keyed on the q0 bit."""
+    sources = _sources(psis)
     t, _ = _evolve(kind, sources)
     probs = _born_rows(t)
-    collapsed = _residuals(t, probs, [()] * 4)[0]
-    bobs = _residuals(t, probs, [correction_for(kind, bits) for bits in _OUTCOMES])[0]
     out = []
-    for k, bits in enumerate(_OUTCOMES):
-        post = np.zeros((4, 2), dtype=complex)  # the full register, collapsed onto bits
-        post[k] = collapsed[k]
-        outcome = BranchOutcome(bits, float(probs[0, k]), StateVector._trusted(3, post.reshape(-1)))
-        bob = StateVector._trusted(1, _normalised(bobs[k]))
-        out.append(ProtocolBranch(outcome, bob, fidelity_pure(bob, target)))
+    for source, p, bob_rows in zip(sources, probs, _residuals(t, probs, SCHEDULES[kind].bob_gates)):
+        target = StateVector._trusted(1, source)
+        bobs = [StateVector._trusted(1, _normalised(v)) for v in bob_rows]
+        out.append([ProtocolBranch(BranchOutcome(bits, float(pk)), bob, fidelity_pure(bob, target))
+                    for bits, pk, bob in zip(_OUTCOMES, p, bobs)])
     return out
+
+
+def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBranch]:
+    """All four measurement branches of one input, as a stack of one."""
+    return enumerate_protocol_stack(kind, [psi])[0]
 
 
 # ---------------------------------------------------------------------------

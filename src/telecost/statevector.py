@@ -163,15 +163,11 @@ def apply_unitary1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
 
 @dataclass(frozen=True)
 class BranchOutcome:
-    """One projective measurement branch.
-
-    post_state is the FULL register with the measured qubits collapsed to
-    their outcome values; nothing is traced out.
-    """
+    """One projective measurement branch: the measured bits and their Born
+    probability."""
 
     outcome_bits: str
     probability: float
-    post_state: StateVector
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:

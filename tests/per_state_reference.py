@@ -11,11 +11,14 @@ The per-state statevector helpers the stacked path replaced live here
 too, with their own unit tests in `test_statevector.py`: `apply_h/x/z/cnot`
 and `measure_sample` on one `StateVector` (the package's functions of the
 same names act on a stack), `enumerate_branches` and `collapse_residual`.
+The reference keeps its own branch record, `CollapsedBranch`, with the
+full collapsed register, which the package's branch walk does not build.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from telecost.protocol import (
     ProtocolBranch,
     ProtocolTrace,
     UnknownQubit,
-    correction_for,
 )
 from telecost.statevector import (
     _H,
@@ -50,6 +52,15 @@ from telecost.statevector import (
 # ---------------------------------------------------------------------------
 # per-state gates, measurement and collapse
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CollapsedBranch(BranchOutcome):
+    """A measurement branch with post_state, the FULL register with the
+    measured qubits collapsed to their outcome values; nothing is traced
+    out."""
+
+    post_state: StateVector
 
 
 def _apply_fixed1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
@@ -136,7 +147,7 @@ def measure_sample(
 
 def enumerate_branches(
     s: StateVector, qubits: list[int] | tuple[int, ...]
-) -> list[BranchOutcome]:
+) -> list[CollapsedBranch]:
     """All measurement branches with nonzero probability, in lexicographic
     outcome order. Probabilities sum to 1."""
     qubits = _validate_qubit_list(s, qubits)
@@ -146,7 +157,7 @@ def enumerate_branches(
         if p <= 0.0:
             continue
         bits = format(k, f"0{len(qubits)}b")
-        out.append(BranchOutcome(bits, float(p), _collapse(s, qubits, bits, float(p))))
+        out.append(CollapsedBranch(bits, float(p), _collapse(s, qubits, bits, float(p))))
     return out
 
 
@@ -236,12 +247,14 @@ def checkpoints(kind: ProtocolKind, psi: UnknownQubit) -> dict[str, StateVector]
 
 
 def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBranch]:
+    """The four branches, each outcome a CollapsedBranch."""
+    schedule = SCHEDULES[kind]
     target = psi.to_statevector()
     state, _ = prefix(kind, target)
     out = []
     for branch in enumerate_branches(state, (0, 1)):
         bits = branch.outcome_bits
-        bob = bob_residual(branch.post_state, bits, correction_for(kind, bits))
+        bob = bob_residual(branch.post_state, bits, schedule.corrections[bits[: schedule.announced]])
         out.append(ProtocolBranch(branch, bob, fidelity_pure(bob, target)))
     return out
 

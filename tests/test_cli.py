@@ -328,6 +328,30 @@ def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
     assert report.ledger.total(Purpose.LOCC) == 182
 
 
+def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch, capsys):
+    # a Werner channel depends on F alone, so a chunk validates one per distinct
+    # F (with its eigvalsh), not one per run
+    from telecost.noise import DensityMatrix
+
+    builds = []
+    original = DensityMatrix.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        original(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    for argv in (["--noise-f", "0.75", "--distill-target", "0.9"],
+                 ["--noise-f", "0.75", "--distill-target", "0.99", "--max-rounds", "3"],
+                 ["--noise-f", "0.8"]):
+        builds.clear()
+        code, out, _ = run_cli(["compare", "--runs", "20", "--seed", "4", "--format", "json",
+                                *argv], capsys)
+        assert code == 0
+        per_run = json.loads(out)["per_run"]
+        assert len(builds) == len({(r["protocol"], r["channel_f"]) for r in per_run}) == 2
+
+
 def test_compare_undistillable_channel_rejected(capsys):
     code, out, err = run_cli(
         ["compare", "--runs", "2", "--noise-f", "0.5", "--distill-target", "0.9"], capsys
@@ -433,7 +457,7 @@ def test_benchmark_tracer_installs_and_changes_no_output(capsys):
         tracer.uninstall()
     assert traced == plain
     spans = [span[3] for span in tracer.spans]
-    assert {"protocol.run_protocol_stack", "protocol.enumerate_protocol",
+    assert {"protocol.run_protocol_stack", "protocol.enumerate_protocol_stack",
             "statevector.apply_h", "statevector.apply_cnot"} <= set(spans)
     # one outcome draw per sampled run: 3 runs of sqtp and kak
     assert spans.count("statevector.measure_sample") == 3 * 2

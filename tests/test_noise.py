@@ -48,7 +48,7 @@ def haar(seed):
 
 
 def pure_density(state):
-    return DensityMatrix(state.n_qubits, np.outer(state.amps, state.amps.conj()))
+    return DensityMatrix(np.outer(state.amps, state.amps.conj()))
 
 
 def test_werner_eigenvalues():
@@ -69,16 +69,16 @@ def test_werner_rejects_out_of_range(f):
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        DensityMatrix(1, np.diag([1.5, -0.5]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        DensityMatrix(2, np.eye(2) / 2.0)  # wrong shape for 2 qubits
-    with pytest.raises(ValueError):
-        DensityMatrix(5, np.eye(32) / 32.0)  # over the size cap
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(np.pad([[0.5, 0.5j], [0.5j, 0.5]], (0, 2)))  # not Hermitian
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(np.eye(4) / 2.0)  # trace 2
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="4x4"):
+        DensityMatrix(np.eye(2) / 2.0)  # a 1-qubit state is no channel
+    with pytest.raises(ValueError, match="4x4"):
+        DensityMatrix(np.eye(32) / 32.0)  # nor is a 5-qubit one
 
 
 def test_density_matrix_read_only():

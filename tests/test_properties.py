@@ -2,9 +2,10 @@
 through Werner and arbitrary full-rank channels, and branch recovery, each
 against an independent reference; the sampled distillation run and the
 sweep against the two recurrence walks they replaced; the stacked
-interpreter against the per-state path it replaced, bit for bit; the
-locality of every sampled run's trace; and the states that kernels build
-unchecked, which must still pass the public constructor's checks."""
+interpreter against the per-state path it replaced, bit for bit, and
+every stack against its stacks of one; the locality of every sampled
+run's trace; and the states that kernels build unchecked, which must
+still pass the public constructor's checks."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -18,11 +19,14 @@ from telecost.noise import (
     DensityMatrix,
     distill_step_map,
     distill_to_threshold,
+    run_noisy_stack,
+    run_noisy_teleport,
     sweep_rows,
     teleport_fidelity_noisy,
     werner_state,
 )
 from telecost.protocol import (
+    BATCH_CHUNK,
     SCHEDULES,
     CorrectionApplied,
     GateApplied,
@@ -30,7 +34,9 @@ from telecost.protocol import (
     MessageSent,
     QubitTransferred,
     UnknownQubit,
+    checkpoints_stack,
     enumerate_protocol,
+    enumerate_protocol_stack,
     kak_checkpoints,
     kak_entangled_input_demo,
     run_protocol,
@@ -130,7 +136,7 @@ def test_teleport_fidelity_through_any_channel_equals_dense_oracle(seed):
     psi = UnknownQubit.haar(rng)
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         want = oracle_dense.oracle_teleport_fidelity(kind.value, psi.alpha, psi.beta, rho)
-        assert abs(teleport_fidelity_noisy(kind, psi, DensityMatrix(2, rho)) - want) < TOL
+        assert abs(teleport_fidelity_noisy(kind, psi, DensityMatrix(rho)) - want) < TOL
 
 
 # Haar-uniform input from its two angles: cos(theta) uniform on [-1, 1],
@@ -173,8 +179,48 @@ def test_stacks_of_one_match_the_per_state_path_bit_for_bit(angles):
                         enumerate_protocol(kind, psi), strict=True):
             assert (b.outcome.outcome_bits, b.outcome.probability, b.fidelity) == (
                 a.outcome.outcome_bits, a.outcome.probability, a.fidelity)
-            assert b.outcome.post_state.amps.tobytes() == a.outcome.post_state.amps.tobytes()
             assert b.bob_state.amps.tobytes() == a.bob_state.amps.tobytes()
+
+
+# stack sizes around the chunking: one, a pair, and more than a chunk
+stack_sizes = st.sampled_from([1, 2, BATCH_CHUNK + 1])
+STACKS = settings(PROPERTY, max_examples=30)
+
+
+@STACKS
+@given(stack_sizes, seeds)
+def test_stacks_match_their_stacks_of_one_bit_for_bit(size, seed):
+    rng = np.random.default_rng(seed)
+    psis = [UnknownQubit.haar(rng) for _ in range(size)]
+    for kind, checkpoints in ((ProtocolKind.SQTP, sqtp_checkpoints),
+                              (ProtocolKind.KAK, kak_checkpoints)):
+        stacked = checkpoints_stack(kind, psis)
+        for i, (psi, branches) in enumerate(zip(psis, enumerate_protocol_stack(kind, psis),
+                                                strict=True)):
+            single = checkpoints(psi)
+            assert list(stacked) == list(single)
+            for name, state in single.items():
+                assert stacked[name][i].tobytes() == state.amps.tobytes()
+            for a, b in zip(enumerate_protocol(kind, psi), branches, strict=True):
+                assert b.outcome == a.outcome and b.fidelity == a.fidelity
+                assert b.bob_state.amps.tobytes() == a.bob_state.amps.tobytes()
+
+
+@STACKS
+@given(stack_sizes, seeds, st.floats(min_value=0.51, max_value=1.0),
+       st.one_of(st.none(), st.floats(min_value=0.5, max_value=1.0)),
+       st.integers(min_value=1, max_value=64))
+@example(2, 0, 0.75, 1.0, 1024)  # the float recurrence stalls below the target
+def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, target, max_rounds):
+    psis = [UnknownQubit.haar(np.random.default_rng([seed, i])) for i in range(size)]
+    for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
+        stacked = run_noisy_stack(kind, psis, channel_f,
+                                  [np.random.default_rng([seed, i, 1]) for i in range(size)],
+                                  distill_target=target, max_rounds=max_rounds)
+        for i, (psi, report) in enumerate(zip(psis, stacked, strict=True)):
+            assert report == run_noisy_teleport(kind, psi, channel_f,
+                                                np.random.default_rng([seed, i, 1]),
+                                                distill_target=target, max_rounds=max_rounds)
 
 
 @PROPERTY
@@ -221,7 +267,8 @@ def test_kernel_built_states_revalidate_and_stay_read_only(angles, seed):
     states = [*sqtp_checkpoints(psi).values(), *kak_checkpoints(psi).values()]
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         states.append(run_protocol(kind, psi, np.random.default_rng(seed)).final_bob_state)
-        for branch in enumerate_protocol(kind, psi):
-            states += [branch.outcome.post_state, branch.bob_state]
+        states += [branch.bob_state for branch in enumerate_protocol(kind, psi)]
+        # the reference's collapsed registers are built unchecked too
+        states += [ref.outcome.post_state for ref in per_state_reference.enumerate_protocol(kind, psi)]
     for state in states:
         assert_valid_and_frozen(state)

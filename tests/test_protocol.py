@@ -17,9 +17,7 @@ from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import run_noisy_teleport
 from telecost.protocol import (
     BATCH_CHUNK,
-    KAK_CORRECTIONS,
     SCHEDULES,
-    SQTP_CORRECTIONS,
     CorrectionApplied,
     GateApplied,
     Measured,
@@ -27,7 +25,6 @@ from telecost.protocol import (
     QubitTransferred,
     Schedule,
     UnknownQubit,
-    correction_for,
     enumerate_protocol,
     kak_checkpoints,
     kak_entangled_input_demo,
@@ -71,11 +68,14 @@ def test_unknown_qubit_rejects_non_finite_amplitudes(alpha, beta):
 
 
 def test_correction_tables_shape():
-    assert len(SQTP_CORRECTIONS) == 4
-    assert len(KAK_CORRECTIONS) == 2
-    assert SQTP_CORRECTIONS["11"] == ("Z", "X")  # Z first, then X
-    assert correction_for(ProtocolKind.KAK, "10") == ("Z",)
-    assert correction_for(ProtocolKind.KAK, "01") == ()
+    sqtp, kak = SCHEDULES[ProtocolKind.SQTP], SCHEDULES[ProtocolKind.KAK]
+    assert len(sqtp.corrections) == 4
+    assert len(kak.corrections) == 2
+    assert sqtp.corrections["11"] == ("Z", "X")  # Z first, then X
+    # Bob's gates for Alice's full outcomes 00, 01, 10, 11: KAK ignores the q1 bit
+    kak_by_outcome = dict(zip(("00", "01", "10", "11"), kak.bob_gates, strict=True))
+    assert kak_by_outcome["10"] == ("Z",)
+    assert kak_by_outcome["01"] == ()
 
 
 def test_run_sqtp_recovers_input():
@@ -149,7 +149,8 @@ def test_no_signaling_correction_after_message():
 
 def test_ownership_enforced_by_schedule():
     def schedule(*ops):
-        return Schedule("initial", ops, final=("final",), announced=1, corrections=KAK_CORRECTIONS)
+        return Schedule("initial", ops, final=("final",), announced=1,
+                        corrections=SCHEDULES[ProtocolKind.KAK].corrections)
 
     with pytest.raises(ValueError):
         schedule((BOB, "H", (0,), None), (ALICE, "transfer", (2,), None))  # Bob doesn't own qubit 0
@@ -173,7 +174,7 @@ def test_ownership_enforced_by_schedule():
 def test_measured_register_is_classical_for_alice():
     # no-cloning bookkeeping: after measurement Alice's qubits are a basis state
     for kind in ProtocolKind:
-        for br in enumerate_protocol(kind, haar(8)):
+        for br in per_state_reference.enumerate_protocol(kind, haar(8)):
             post = br.outcome.post_state
             for i, amp in enumerate(post.amps):
                 if abs(amp) > ATOL:
@@ -196,9 +197,9 @@ def test_sqtp_branches_recover_exactly():
 def test_kak_residuals_form_two_classes_keyed_on_q0():
     psi = haar(10)
     m_states = {}
-    for br in enumerate_protocol(ProtocolKind.KAK, psi):
+    for br in per_state_reference.enumerate_protocol(ProtocolKind.KAK, psi):
         bits = br.outcome.outcome_bits
-        # residual before correction, read from the collapsed register
+        # residual before correction, read from the reference's collapsed register
         res = br.outcome.post_state
         m_states[bits] = collapse_residual(res, (0, 1), bits).amps
     assert np.allclose(m_states["00"], m_states["01"], atol=ATOL)
