@@ -249,8 +249,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     grid = [round(cfg.f_min + k * cfg.f_step, 12) for k in range(int(span) + 1)]
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise ValueError("grid must stay inside [0, 1]")
-    target = cfg.distill_target if cfg.distill_target is not None else 0.95
-    rows = sweep_rows(grid, target, cfg.max_rounds)
+    rows = sweep_rows(grid, cfg.distill_target, cfg.max_rounds)
     _emit(_csv_text(SWEEP_COLUMNS, rows), cfg.out)
     return 0
 

@@ -1,14 +1,15 @@
 """Classical-communication bookkeeping.
 
-Every classical message in a run lands here as a ledger entry. The ideal
-protocol costs are fixed by the protocol family: teleporting a state of
-dimension N takes 2*log2(N) classical bits the standard way and log2(N)
-bits (one per qubit) the chained-XOR way. Anything a noisy run spends on
-distillation is tagged LOCC and accounted on top.
+Every ledger is built from its classical messages, each a (sender,
+receiver, bits, purpose) entry. The ideal protocol costs are fixed by the
+protocol family: teleporting a state of dimension N takes 2*log2(N) bits
+the standard way and log2(N) bits (one per qubit) the chained-XOR way. A
+noisy run's distillation adds one LOCC-tagged `noise.LOCC_ROUND` per try.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .kinds import ProtocolKind, Purpose
@@ -29,10 +30,12 @@ class LedgerEntry:
 
 
 class CostLedger:
-    """Append-only list of classical messages with purpose totals."""
+    """Append-only list of classical messages, in order, with purpose totals."""
 
-    def __init__(self) -> None:
+    def __init__(self, messages: Iterable[tuple[str, str, int, Purpose]] = ()) -> None:
         self._entries: list[LedgerEntry] = []
+        for message in messages:
+            self.add(*message)
 
     def add(self, sender: str, receiver: str, bits: int, purpose: Purpose) -> LedgerEntry:
         entry = LedgerEntry(sender, receiver, bits, purpose)

@@ -59,13 +59,12 @@ class Expansion:
 def load_expansions(path: str | Path | None = None) -> dict[str, Expansion]:
     """Load the golden table, from `path` if given, else the shipped file."""
     if path is None:
-        raw = resources.files("telecost").joinpath("data/expansions.json").read_text()
+        data = json.loads(resources.files("telecost").joinpath("data/expansions.json").read_text())
     else:
         try:
-            raw = Path(path).read_text()
-        except OSError as exc:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
             raise ValueError(f"cannot read golden file {path}: {exc}") from exc
-    data = json.loads(raw)
     if not isinstance(data, dict):
         raise ValueError(f"golden table must be a JSON object, got {type(data).__name__}")
     table: dict[str, Expansion] = {}

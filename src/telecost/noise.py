@@ -8,10 +8,11 @@ used as cross-checks: F=1 gives 1, the maximally mixed channel gives 1/2.
 
 One distillation step takes two Werner pairs, applies a bilateral CNOT,
 measures the target pair on both sides, keeps the source pair when the
-announced outcomes agree (2 classical bits per attempt, tagged LOCC) and
-re-twirls the kept pair to Werner form. It is computed from its exact
-closed form; the 4-qubit density evolution is the test oracle. For
-F > 1/2 the step strictly improves fidelity; at F = 1/4 it is a fixed point.
+outcomes, announced 1 bit each way (`LOCC_ROUND`, the one record every LOCC
+bill reads), agree and re-twirls the kept pair to Werner form. It is
+computed from its exact closed form; the 4-qubit density evolution is the
+test oracle. For F > 1/2 the step strictly improves fidelity; at F = 1/4
+it is a fixed point.
 Sampled runs and sweeps climb the same exact ladder of steps (`_ladder`).
 
 Every DensityMatrix is a 2-qubit channel state, checked when built: shape
@@ -109,6 +110,10 @@ def distill_step_map(f: float) -> tuple[float, float]:
     return p_succ, (f**2 + r**2) / p_succ
 
 
+# one recurrence attempt's traffic: each party announces its target-pair outcome
+LOCC_ROUND = ((ALICE, BOB, 1, Purpose.LOCC), (BOB, ALICE, 1, Purpose.LOCC))
+
+
 def _ladder(f_in: float, f_target: float, max_rounds: int) -> list[tuple[float, float]]:
     """Exact (success probability, fidelity after) per recurrence level from
     f_in, none at or below 1/2. It stops at the target, after max_rounds
@@ -125,7 +130,6 @@ def _ladder(f_in: float, f_target: float, max_rounds: int) -> list[tuple[float, 
 class DistillRun:
     rounds: int
     attempts: int
-    locc_bits: int
     final_f: float
 
 
@@ -138,9 +142,9 @@ def distill_to_threshold(
     Each attempt succeeds with its level's exact probability, one rng draw
     apiece. rounds counts successes, attempts counts every try; a failure
     loses both pairs and the next attempt retries the current level on
-    fresh pairs. LOCC bits are 2 per attempt. f_in at or below 1/2 raises,
-    as the recurrence cannot improve it; any other f_in at or above the
-    target returns with no attempts."""
+    fresh pairs. Each attempt sends one LOCC_ROUND. f_in at or below 1/2
+    raises, as the recurrence cannot improve it; any other f_in at or above
+    the target returns with no attempts."""
     if not 0.5 < f_in <= 1.0:
         raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
     if not 0.0 < f_target <= 1.0:
@@ -153,7 +157,7 @@ def distill_to_threshold(
         attempts += 1
         while not rng.random() < p_succ:
             attempts += 1
-    return DistillRun(len(levels), attempts, 2 * attempts, levels[-1][1] if levels else f_in)
+    return DistillRun(len(levels), attempts, levels[-1][1] if levels else f_in)
 
 
 SWEEP_COLUMNS = [
@@ -172,13 +176,14 @@ def sweep_rows(f_grid: list[float], distill_target: float, max_rounds: int = 64)
     success probability and output fidelity, the ladder's length to the
     target (-1 if short), and per-qubit totals for both protocol families."""
     sqtp_bits, kak_bits = SCHEDULES[ProtocolKind.SQTP].announced, SCHEDULES[ProtocolKind.KAK].announced
+    round_bits = sum(bits for _, _, bits, _ in LOCC_ROUND)
     rows = []
     for f in f_grid:
         levels = _ladder(f, distill_target, max_rounds)
         p_succ, f_out = levels[0] if levels else distill_step_map(f)
         reached = levels[-1][1] if levels else f
         rounds = len(levels) if reached >= distill_target else -1
-        locc = 2 * rounds if rounds >= 0 else -1
+        locc = round_bits * rounds if rounds >= 0 else -1
         rows.append(
             {
                 "F_in": round(f, 12),
@@ -226,19 +231,15 @@ def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit], channel_f: flo
     fidelity builds one Werner channel, shared by the runs that reach it."""
     runs = [distill_to_threshold(channel_f, distill_target, max_rounds, rng)
             if distill_target is not None and channel_f < distill_target
-            else DistillRun(0, 0, 0, channel_f) for rng in rngs]
+            else DistillRun(0, 0, channel_f) for rng in rngs]
     channels = {f: werner_state(f) for f in dict.fromkeys(run.final_f for run in runs)}
     schedule = SCHEDULES[kind]
     # gates before the transfer: the channel meets the payload before it is shared
     burns_copies = schedule.ops[0][1] != "transfer"
     reports = []
     for a, run in zip(pair_response(kind, psis), runs, strict=True):
-        ledger = CostLedger()
-        for _ in range(run.attempts):
-            # both parties announce their target-pair outcome, 1 bit each
-            ledger.add(ALICE, BOB, 1, Purpose.LOCC)
-            ledger.add(BOB, ALICE, 1, Purpose.LOCC)
-        ledger.add(ALICE, BOB, schedule.announced, Purpose.TELEPORT)
+        ledger = CostLedger([*LOCC_ROUND * run.attempts,
+                             (ALICE, BOB, schedule.announced, Purpose.TELEPORT)])
         reports.append(NoisyTeleportReport(
             kind, channel_f, run.final_f, run.rounds, run.attempts,
             run.attempts if burns_copies else 0, _channel_fidelity(a, channels[run.final_f]), ledger))

@@ -216,11 +216,8 @@ class ProtocolTrace:
 
     def replay_ledger(self) -> CostLedger:
         """Rebuild the cost ledger from the MessageSent steps alone."""
-        ledger = CostLedger()
-        for step in self.steps:
-            if isinstance(step, MessageSent):
-                ledger.add(step.src, step.dst, len(step.bits), step.purpose)
-        return ledger
+        return CostLedger((step.src, step.dst, len(step.bits), step.purpose)
+                          for step in self.steps if isinstance(step, MessageSent))
 
     def to_json_dict(self) -> dict:
         return {
@@ -313,8 +310,7 @@ def run_protocol_stack(
         sent = bits[: schedule.announced]
         gates = schedule.corrections[sent]
         bob = StateVector._trusted(1, _normalised(bob_rows[k]))
-        ledger = CostLedger()
-        ledger.add(ALICE, BOB, len(sent), Purpose.TELEPORT)
+        ledger = CostLedger([(ALICE, BOB, len(sent), Purpose.TELEPORT)])
         steps = [*schedule.steps, Measured(ALICE, (0, 1), bits),
                  MessageSent(ALICE, BOB, sent, Purpose.TELEPORT), CorrectionApplied(BOB, 2, gates)]
         fidelity = fidelity_pure(bob, StateVector._trusted(1, source))

@@ -99,6 +99,18 @@ def test_verify_golden_entry_without_terms_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "kak_after_h" in err and "terms" in err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"epr_pair": \xff}', "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+    (b'{"epr_pair": ', "Expecting value: line 1 column 14 (char 13)"),
+], ids=["not_utf8", "truncated"])
+def test_verify_golden_that_does_not_parse_names_the_file(tmp_path, capsys, content, reason):
+    bad = tmp_path / "unparsable.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli(["verify", "--runs", "1", "--golden", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read golden file {bad}: {reason}\n"
+
+
 @pytest.mark.parametrize("reshape, message", [
     (lambda table: list(table.values()), "golden table must be a JSON object, got list"),
     (lambda table: {**table, "kak_after_h": [1, 2]},
@@ -243,6 +255,15 @@ def test_sweep_default_grid(tmp_path, capsys):
         assert locc == 2 * int(r["rounds_to_target"])
         assert int(r["total_bits_sqtp"]) == 2 + locc
         assert int(r["total_bits_kak"]) == 1 + locc
+
+
+def test_sweep_default_target_is_095(capsys):
+    argv = ["sweep", "--f-min", "0.5", "--f-max", "0.9", "--f-step", "0.1"]
+    code, default_out, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, explicit_out, _ = run_cli([*argv, "--distill-target", "0.95"], capsys)
+    assert code == 0
+    assert default_out == explicit_out
 
 
 def test_sweep_single_perfect_point(capsys):

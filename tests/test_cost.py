@@ -66,6 +66,37 @@ def test_ledger_equality():
     assert a != "not a ledger"
 
 
+def test_ledger_from_messages_equals_one_built_by_add():
+    messages = [(ALICE, BOB, 1, Purpose.LOCC), (BOB, ALICE, 1, Purpose.LOCC),
+                (ALICE, BOB, 2, Purpose.TELEPORT)]
+    by_add = CostLedger()
+    for message in messages:
+        by_add.add(*message)
+    assert CostLedger(messages) == by_add
+    assert CostLedger(iter(messages)).entries == by_add.entries
+    assert CostLedger([]) == CostLedger()
+
+
+@pytest.mark.parametrize("message, error", [
+    ((ALICE, BOB, 0, Purpose.LOCC), "bits must be a positive integer, got 0"),
+    ((BOB, BOB, 1, Purpose.TELEPORT), "sender and receiver must differ"),
+])
+def test_ledger_from_messages_rejects_a_bad_message(message, error):
+    with pytest.raises(ValueError, match=error):
+        CostLedger([(ALICE, BOB, 1, Purpose.LOCC), message])
+
+
+def test_ledger_from_messages_adds_each_once(monkeypatch):
+    # the benchmark counts ledger entries as CostLedger.add calls
+    calls = []
+    add = CostLedger.add
+    monkeypatch.setattr(CostLedger, "add", lambda self, *m: calls.append(m) or add(self, *m))
+    messages = [(ALICE, BOB, 1, Purpose.LOCC), (BOB, ALICE, 1, Purpose.LOCC)] * 3
+    ledger = CostLedger(messages)
+    assert calls == messages
+    assert len(ledger) == 6
+
+
 def test_noisy_run_cost_coupling():
     # distillation costs two bits per attempt on top of the one-bit send
     psi = UnknownQubit.haar(np.random.default_rng(17))

@@ -195,10 +195,19 @@ def test_distill_step_success_frequency():
     assert abs(np.mean(attempts) - 1.0 / p) < 3.0 * sigma
 
 
+def assert_locc_bill_matches(run, f_in, f_target, max_rounds, seed):
+    """The noisy run on the same channel and stream makes the same
+    attempts and bills 2 LOCC bits for each."""
+    report = run_noisy_teleport(ProtocolKind.KAK, haar(seed), f_in, np.random.default_rng(seed),
+                                distill_target=f_target, max_rounds=max_rounds)
+    assert report.attempts == run.attempts
+    assert report.ledger.total(Purpose.LOCC) == 2 * run.attempts
+
+
 def test_distill_to_threshold_already_there():
     run = distill_to_threshold(0.999, 0.99, 32, np.random.default_rng(0))
     assert run.rounds == 0 and run.attempts == 0
-    assert run.locc_bits == 0
+    assert_locc_bill_matches(run, 0.999, 0.99, 32, 0)
     assert run.final_f == 0.999
 
 
@@ -208,7 +217,7 @@ def test_distill_to_threshold_reaches_target():
         assert run.final_f >= 0.9
         assert run.rounds == 5  # the deterministic ladder length
         assert run.attempts >= run.rounds
-        assert run.locc_bits == 2 * run.attempts
+        assert_locc_bill_matches(run, 0.75, 0.9, 64, seed)
 
 
 def test_distill_to_threshold_validation():
@@ -258,7 +267,7 @@ def test_distill_to_threshold_stops_when_the_iterate_stalls():
     assert run.final_f < 1.0
     assert distill_step_map(run.final_f)[1] == run.final_f
     assert run.rounds < 300
-    assert run.locc_bits == 2 * run.attempts
+    assert_locc_bill_matches(run, 0.75, 1.0, 1024, 0)
 
 
 def test_distill_to_threshold_steps_the_map_once_per_level(monkeypatch):

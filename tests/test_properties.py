@@ -1,14 +1,14 @@
 """Property tests: the closed-form recurrence, the teleport fidelity
 through Werner and arbitrary full-rank channels, and branch recovery, each
 against an independent reference; the sampled distillation run and the
-sweep against the two recurrence walks they replaced; the stacked
-interpreter against the per-state path it replaced, bit for bit, and
-every stack against its stacks of one; the locality of every sampled
-run's trace; and the states that kernels build unchecked, which must
-still pass the public constructor's checks."""
+sweep against the two recurrence walks they replaced, and their two LOCC
+bills against each other; the stacked interpreter against the per-state
+path it replaced, bit for bit, and every stack against its stacks of one;
+the locality of every sampled run's trace; and the states that kernels
+build unchecked, which must still pass the public constructor's checks."""
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_dense
@@ -16,6 +16,7 @@ import per_state_reference
 from telecost.cost import CostModel, ideal_bits
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import (
+    LOCC_ROUND,
     DensityMatrix,
     distill_step_map,
     distill_to_threshold,
@@ -62,7 +63,7 @@ def test_distill_map_equals_dense_oracle(f):
 
 def walked_distill_run(f_in, f_target, max_rounds, rng):
     """The per-attempt loop the ladder replaced, as (rounds, attempts,
-    locc_bits, final_f)."""
+    final_f)."""
     f, f_prev = f_in, None
     rounds = attempts = 0
     while f < f_target and rounds < max_rounds and f != f_prev:
@@ -71,7 +72,7 @@ def walked_distill_run(f_in, f_target, max_rounds, rng):
         if rng.random() < p_succ:
             f, f_prev = f_out, f
             rounds += 1
-    return rounds, attempts, 2 * attempts, f
+    return rounds, attempts, f
 
 
 def walked_rounds_to_target(f_in, f_target, max_rounds):
@@ -100,7 +101,7 @@ caps = st.integers(min_value=1, max_value=1024)
 def test_distill_run_matches_the_per_attempt_walk(f_in, f_target, max_rounds, seed):
     run = distill_to_threshold(f_in, f_target, max_rounds, np.random.default_rng(seed))
     want = walked_distill_run(f_in, f_target, max_rounds, np.random.default_rng(seed))
-    assert (run.rounds, run.attempts, run.locc_bits, run.final_f) == want
+    assert (run.rounds, run.attempts, run.final_f) == want
 
 
 @PROPERTY
@@ -114,6 +115,32 @@ def test_sweep_rows_match_the_deterministic_walk(grid, f_target, max_rounds):
         # the standard protocol announces 2 bits and the chained-XOR one 1
         assert row["total_bits_sqtp"] == (2 + locc if locc >= 0 else -1)
         assert row["total_bits_kak"] == (1 + locc if locc >= 0 else -1)
+
+
+class AlwaysSucceeds:
+    """An rng stub under which every distillation attempt succeeds."""
+
+    def random(self):
+        return 0.0
+
+
+@PROPERTY
+@given(above_half, targets, caps, seeds)
+@example(0.55, 0.95, 64, 0)  # sweep's first default row: 16 levels
+@example(0.95, 0.9, 1, 0)  # already at the target: no LOCC round at all
+def test_noisy_ledger_without_failures_bills_what_sweep_bills(f_in, f_target, max_rounds, seed):
+    row = sweep_rows([f_in], f_target, max_rounds)[0]
+    assume(row["rounds_to_target"] >= 0)
+    psis = [UnknownQubit.haar(np.random.default_rng(seed + i)) for i in range(2)]
+    for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
+        for report in run_noisy_stack(kind, psis, f_in, [AlwaysSucceeds(), AlwaysSucceeds()],
+                                      f_target, max_rounds):
+            assert report.attempts == report.rounds == row["rounds_to_target"]
+            entries = [(e.sender, e.receiver, e.bits, e.purpose) for e in report.ledger.entries]
+            assert entries == [*LOCC_ROUND * report.attempts,
+                               (ALICE, BOB, SCHEDULES[kind].announced, Purpose.TELEPORT)]
+            assert report.ledger.total(Purpose.LOCC) == row["locc_bits"]
+            assert report.ledger.total() == row[f"total_bits_{kind.value}"]
 
 
 @PROPERTY
