@@ -114,16 +114,18 @@ def distill_step_map(f: float) -> tuple[float, float]:
 LOCC_ROUND = ((ALICE, BOB, 1, Purpose.LOCC), (BOB, ALICE, 1, Purpose.LOCC))
 
 
-def _ladder(f_in: float, f_target: float, max_rounds: int) -> list[tuple[float, float]]:
+def _ladder(f_in: float, f_target: float, max_rounds: int) -> tuple[list[tuple[float, float]], str]:
     """Exact (success probability, fidelity after) per recurrence level from
-    f_in, none at or below 1/2. It stops at the target, after max_rounds
-    levels, or after a level that leaves F unchanged (floats stall below 1)."""
+    f_in, and why it stopped: "target" reached, "half" (F at or below 1/2,
+    which no level improves), "stalled" (a level left F unchanged; floats
+    stall below 1) or "cap" (max_rounds levels)."""
     levels: list[tuple[float, float]] = []
     f, f_prev = f_in, None
     while 0.5 < f < f_target and len(levels) < max_rounds and f != f_prev:
         levels.append(distill_step_map(f))
         f, f_prev = levels[-1][1], f
-    return levels
+    return levels, ("target" if f >= f_target else "half" if f <= 0.5
+                    else "stalled" if f == f_prev else "cap")
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,15 @@ class DistillRun:
     rounds: int
     attempts: int
     final_f: float
+    target_met: bool
 
 
 def distill_to_threshold(
     f_in: float, f_target: float, max_rounds: int, rng: np.random.Generator
 ) -> DistillRun:
     """Climb the recurrence ladder from f_in toward f_target with sampled
-    attempts; final_f stays under the target if the ladder stops short.
+    attempts; if the ladder stops short, target_met is False and final_f
+    stays under the target.
 
     Each attempt succeeds with its level's exact probability, one rng draw
     apiece. rounds counts successes, attempts counts every try; a failure
@@ -151,13 +155,13 @@ def distill_to_threshold(
         raise ValueError(f"f_target must be in (0, 1], got {f_target}")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    levels = _ladder(f_in, f_target, max_rounds)
+    levels, stop = _ladder(f_in, f_target, max_rounds)
     attempts = 0
     for p_succ, _ in levels:
         attempts += 1
         while not rng.random() < p_succ:
             attempts += 1
-    return DistillRun(len(levels), attempts, levels[-1][1] if levels else f_in)
+    return DistillRun(len(levels), attempts, levels[-1][1] if levels else f_in, stop == "target")
 
 
 SWEEP_COLUMNS = [
@@ -179,10 +183,9 @@ def sweep_rows(f_grid: list[float], distill_target: float, max_rounds: int = 64)
     round_bits = sum(bits for _, _, bits, _ in LOCC_ROUND)
     rows = []
     for f in f_grid:
-        levels = _ladder(f, distill_target, max_rounds)
+        levels, stop = _ladder(f, distill_target, max_rounds)
         p_succ, f_out = levels[0] if levels else distill_step_map(f)
-        reached = levels[-1][1] if levels else f
-        rounds = len(levels) if reached >= distill_target else -1
+        rounds = len(levels) if stop == "target" else -1
         locc = round_bits * rounds if rounds >= 0 else -1
         rows.append(
             {
@@ -210,12 +213,14 @@ class NoisyTeleportReport:
     Under KAK scheduling the channel interacts with the payload before
     anything is shared, so every distillation attempt burns one fresh
     copy of the unknown state; standard scheduling distills the channel
-    on its own and burns none.
+    on its own and burns none. target_met is False only when distillation
+    stopped short of its target.
     """
 
     kind: ProtocolKind
     f_initial: float
     f_final: float
+    target_met: bool
     rounds: int
     attempts: int
     copies_consumed: int
@@ -231,7 +236,7 @@ def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit], channel_f: flo
     fidelity builds one Werner channel, shared by the runs that reach it."""
     runs = [distill_to_threshold(channel_f, distill_target, max_rounds, rng)
             if distill_target is not None and channel_f < distill_target
-            else DistillRun(0, 0, channel_f) for rng in rngs]
+            else DistillRun(0, 0, channel_f, True) for rng in rngs]
     channels = {f: werner_state(f) for f in dict.fromkeys(run.final_f for run in runs)}
     schedule = SCHEDULES[kind]
     # gates before the transfer: the channel meets the payload before it is shared
@@ -241,7 +246,7 @@ def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit], channel_f: flo
         ledger = CostLedger([*LOCC_ROUND * run.attempts,
                              (ALICE, BOB, schedule.announced, Purpose.TELEPORT)])
         reports.append(NoisyTeleportReport(
-            kind, channel_f, run.final_f, run.rounds, run.attempts,
+            kind, channel_f, run.final_f, run.target_met, run.rounds, run.attempts,
             run.attempts if burns_copies else 0, _channel_fidelity(a, channels[run.final_f]), ledger))
     return reports
 

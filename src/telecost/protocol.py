@@ -22,16 +22,16 @@ A non-local schedule cannot be built, and no run checks it again.
 One interpreter runs a table once over a stack of registers, shape
 (runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
 apply_cnot), and applies Bob's corrections for all four outcomes to the
-whole stack; only each run's outcome draw (measure_sample), normalising
-its state and its fidelity are per run. Sampled runs, checkpoints and the
-branch walk each take a stack (`run_protocol_stack`, `checkpoints_stack`,
-`enumerate_protocol_stack`), and their one-input forms are stacks of one.
-The schedule is linear, so the entangled-input probe stacks the held-back
-qubit's two values, and `pair_response`, all `noise` needs for a mixed
-channel, the resource pair's four basis states under every input.
-`run_batch` is the one seeded batch runner; it evaluates its runs in
-chunks of BATCH_CHUNK. The per-state path this replaced is the
-bit-for-bit reference in tests/per_state_reference.py.
+whole stack; one measure_sample draws every run's outcome, and only
+each run's state, fidelity and ledger are built per run. Sampled runs,
+checkpoints and the branch walk each take a stack (`run_protocol_stack`,
+`checkpoints_stack`, `enumerate_protocol_stack`); their one-input forms
+are stacks of one. The schedule is linear, so the entangled-input probe
+stacks the held-back qubit's two values, and `pair_response`, all
+`noise` needs for a mixed channel, the resource pair's four basis states
+under every input. `run_batch` is the one seeded batch runner; it
+evaluates its runs in chunks of BATCH_CHUNK. The per-state path this
+replaced is the bit-for-bit reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -296,25 +296,24 @@ def run_protocol_stack(
     kind: ProtocolKind, psis: list[UnknownQubit], rngs: list[np.random.Generator]
 ) -> list[ProtocolTrace]:
     """One sampled run per input: the schedule and Bob's corrections for
-    every outcome run once over the whole stack, then each run draws
-    Alice's outcome from its own stream and keeps that outcome's state."""
+    every outcome run once over the whole stack, and one measure_sample
+    draws every run's outcome, run i from rngs[i]. Each run keeps its
+    outcome's state; the runs of one outcome share its frozen trace tail."""
     schedule = SCHEDULES[kind]
     sources = _sources(psis)
     t, _ = _evolve(kind, sources)
     probs = _born_rows(t)
     bobs = _residuals(t, probs, schedule.bob_gates)
+    tails = [(Measured(ALICE, (0, 1), bits),
+              MessageSent(ALICE, BOB, bits[: schedule.announced], Purpose.TELEPORT),
+              CorrectionApplied(BOB, 2, gates))
+             for bits, gates in zip(_OUTCOMES, schedule.bob_gates)]
     traces = []
-    for source, p, bob_rows, rng in zip(sources, probs, bobs, rngs, strict=True):
-        k = measure_sample(p, rng)
-        bits = _OUTCOMES[k]
-        sent = bits[: schedule.announced]
-        gates = schedule.corrections[sent]
+    for source, k, bob_rows in zip(sources, measure_sample(probs, rngs), bobs, strict=True):
         bob = StateVector._trusted(1, _normalised(bob_rows[k]))
-        ledger = CostLedger([(ALICE, BOB, len(sent), Purpose.TELEPORT)])
-        steps = [*schedule.steps, Measured(ALICE, (0, 1), bits),
-                 MessageSent(ALICE, BOB, sent, Purpose.TELEPORT), CorrectionApplied(BOB, 2, gates)]
+        ledger = CostLedger([(ALICE, BOB, schedule.announced, Purpose.TELEPORT)])
         fidelity = fidelity_pure(bob, StateVector._trusted(1, source))
-        traces.append(ProtocolTrace(kind, steps, bob, fidelity, ledger))
+        traces.append(ProtocolTrace(kind, [*schedule.steps, *tails[k]], bob, fidelity, ledger))
     return traces
 
 
@@ -469,22 +468,22 @@ def run_batch(
     kinds: list[ProtocolKind], n_runs: int, seed: int, run_chunk: Callable
 ) -> Iterator[tuple[int, ProtocolKind, object]]:
     """Seeded batch over Haar-random inputs, yielding (run, kind, result)
-    in run order. Run i splits child i of SeedSequence(seed) into
-    1 + len(kinds) streams: psi draws from the first and kind k from
-    stream 1 + k, so run i does not depend on n_runs. The runs go in
-    chunks of BATCH_CHUNK, and run_chunk(kind, psis, rngs) returns one
-    result per input of a chunk; spawn keeps numbering children across
-    calls, so the chunks change no stream. Each result has a cost ledger
-    whose TELEPORT bits must not vary across the runs of one kind."""
+    in run order. Stream s of run i is SeedSequence(seed, spawn_key=(i, s)),
+    child s of child i of SeedSequence(seed): psi draws from stream 0 and
+    kind k from stream 1 + k, so run i depends neither on n_runs nor on the
+    chunks of BATCH_CHUNK runs. run_chunk(kind, psis, rngs) returns one
+    result per input of a chunk, each with a cost ledger whose TELEPORT
+    bits must not vary across the runs of one kind."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    root = np.random.SeedSequence(seed)
+    def stream(i: int, s: int) -> np.random.Generator:
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, s)))
+
     teleport_bits: dict[ProtocolKind, int] = {}
     for start in range(0, n_runs, BATCH_CHUNK):
-        streams = [child.spawn(1 + len(kinds))
-                   for child in root.spawn(min(BATCH_CHUNK, n_runs - start))]
-        psis = [UnknownQubit.haar(np.random.default_rng(subs[0])) for subs in streams]
-        results = [run_chunk(kind, psis, [np.random.default_rng(subs[1 + k]) for subs in streams])
+        runs = range(start, min(start + BATCH_CHUNK, n_runs))
+        psis = [UnknownQubit.haar(stream(i, 0)) for i in runs]
+        results = [run_chunk(kind, psis, [stream(i, 1 + k) for i in runs])
                    for k, kind in enumerate(kinds)]
         for j in range(len(psis)):
             for kind, chunk in zip(kinds, results):

@@ -17,10 +17,10 @@ Conventions, fixed across the whole package:
     of size-2 axes and take any leading axes along; only this module uses
     them. The fixed gates apply_h/x/z and apply_cnot are those kernels on
     a stack of registers, one axis per qubit, so `protocol` runs one gate
-    over all its runs. measure_sample draws one run's outcome from its
-    row of Born probabilities. The per-state gates, sampling and collapse
-    helpers the stacked path replaced are the test reference in
-    tests/per_state_reference.py.
+    over all its runs. measure_sample draws every run's outcome at once,
+    one row of Born probabilities and one stream per run. The per-state
+    gates, sampling and collapse helpers the stacked path replaced are the
+    test reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -142,10 +142,16 @@ def apply_cnot(t: np.ndarray, control: int, target: int) -> np.ndarray:
     return _cnot_axes(t, control, target)
 
 
-def measure_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of one outcome drawn from a run's row of Born probabilities,
-    renormalised against rounding."""
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
+def measure_sample(probs: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One outcome index per row of Born probabilities, row i drawn by one
+    random() of rngs[i] with rng.choice(len(row), p=row / row.sum())'s
+    arithmetic, bit for bit; a negative, non-finite or all-0 row raises first."""
+    cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    if not (np.all(probs >= 0) and np.all(cdf[:, -1] > 0)):  # NaN compares False
+        raise ValueError("Born probabilities must be finite, non-negative and not all 0")
+    cdf = cdf / cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs]).reshape(len(probs), 1)
+    return np.count_nonzero(cdf <= u, axis=1)
 
 
 def apply_unitary1(s: StateVector, q: int, m: np.ndarray) -> StateVector:

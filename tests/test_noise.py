@@ -270,6 +270,29 @@ def test_distill_to_threshold_stops_when_the_iterate_stalls():
     assert_locc_bill_matches(run, 0.75, 1.0, 1024, 0)
 
 
+@pytest.mark.parametrize("f_in,f_target,max_rounds,stop", [
+    (0.75, 0.9, 64, "target"), (0.95, 0.9, 64, "target"), (0.75, 0.9, 3, "cap"),
+    (0.75, 1.0, 1024, "stalled"), (0.5, 0.9, 64, "half"), (0.3, 0.9, 64, "half"),
+])
+def test_ladder_says_why_it_stopped(f_in, f_target, max_rounds, stop):
+    levels, got = noise._ladder(f_in, f_target, max_rounds)
+    assert got == stop
+    assert ((levels[-1][1] if levels else f_in) >= f_target) == (stop == "target")
+
+
+def test_noisy_report_says_whether_the_target_was_met():
+    def report(target, max_rounds=1024):
+        return run_noisy_teleport(ProtocolKind.KAK, haar(0), 0.75, np.random.default_rng(0),
+                                  distill_target=target, max_rounds=max_rounds)
+
+    # the stalled run prints channel_f 1.0 after rounding, yet never reaches F = 1
+    stalled = report(1.0)
+    assert stalled.target_met is False and round(stalled.f_final, 12) == 1.0
+    assert report(0.9).target_met is True
+    assert report(0.9, max_rounds=3).target_met is False
+    assert report(0.7).target_met is True and report(None).target_met is True
+
+
 def test_distill_to_threshold_steps_the_map_once_per_level(monkeypatch):
     # a failed attempt retries its level without evaluating the map again
     calls = []

@@ -43,7 +43,7 @@ from telecost.protocol import (
     run_protocol,
     sqtp_checkpoints,
 )
-from telecost.statevector import StateVector
+from telecost.statevector import StateVector, measure_sample
 
 TOL = 1e-12
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -102,6 +102,7 @@ def test_distill_run_matches_the_per_attempt_walk(f_in, f_target, max_rounds, se
     run = distill_to_threshold(f_in, f_target, max_rounds, np.random.default_rng(seed))
     want = walked_distill_run(f_in, f_target, max_rounds, np.random.default_rng(seed))
     assert (run.rounds, run.attempts, run.final_f) == want
+    assert run.target_met == (run.final_f >= f_target)
 
 
 @PROPERTY
@@ -248,6 +249,31 @@ def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, tar
             assert report == run_noisy_teleport(kind, psi, channel_f,
                                                 np.random.default_rng([seed, i, 1]),
                                                 distill_target=target, max_rounds=max_rounds)
+
+
+# amplitudes whose Born probabilities hold zeros, a lone 1 and tiny entries
+amplitude = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=1e-150, max_value=1e-6),
+                      st.floats(min_value=-1.0, max_value=1.0))
+two_qubit_rows = st.lists(st.tuples(st.lists(amplitude, min_size=4, max_size=4), seeds),
+                          min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(two_qubit_rows)
+@example([([0.0, 0.0, 1.0, 0.0], 0), ([1.0, 1e-9, 0.0, 0.0], 1), ([0.0, 1.0, 1.0, 0.0], 2)])
+def test_stacked_draw_matches_the_per_state_draw(rows):
+    # one draw per row, from its own stream, picks what rng.choice picks and
+    # leaves that stream where rng.choice leaves it
+    amps = [np.array(row, dtype=complex) for row, _ in rows]
+    assume(all(np.linalg.norm(a) > 0 for a in amps))
+    states = [StateVector(2, a / np.linalg.norm(a)) for a in amps]
+    probs = np.array([per_state_reference._marginal_probs(s, [0, 1]) for s in states])
+    ref_rngs = [np.random.default_rng(seed) for _, seed in rows]
+    rngs = [np.random.default_rng(seed) for _, seed in rows]
+    want = [int(per_state_reference.measure_sample(s, [0, 1], rng)[0], 2)
+            for s, rng in zip(states, ref_rngs)]
+    assert measure_sample(probs, rngs).tolist() == want
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in ref_rngs]
 
 
 @PROPERTY

@@ -327,6 +327,35 @@ def test_run_batch_matches_the_per_state_path_bit_for_bit(seed):
         assert got == want[: 2 * n_runs]
 
 
+def test_run_batch_streams_are_the_spawn_chain_of_each_run():
+    # stream s of run i is child s of child i of SeedSequence(seed), across chunks
+    kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
+
+    def recorded(n_runs, seed):
+        psis, draws = [], {kind: [] for kind in kinds}
+
+        def run_chunk(kind, chunk_psis, rngs):
+            if kind is kinds[0]:
+                psis.extend(chunk_psis)
+            draws[kind].extend(rng.random() for rng in rngs)
+            return [SimpleNamespace(ledger=CostLedger([(ALICE, BOB, 1, Purpose.TELEPORT)]))
+                    for _ in chunk_psis]
+
+        list(run_batch(kinds, n_runs, seed, run_chunk))
+        return psis, draws
+
+    n_runs = 2 * BATCH_CHUNK + 1
+    for seed in (0, 12345):
+        runs = [child.spawn(1 + len(kinds)) for child in np.random.SeedSequence(seed).spawn(n_runs)]
+        want_psis = [UnknownQubit.haar(np.random.default_rng(subs[0])) for subs in runs]
+        want_draws = {kind: [np.random.default_rng(subs[1 + k]).random() for subs in runs]
+                      for k, kind in enumerate(kinds)}
+        assert recorded(n_runs, seed) == (want_psis, want_draws)
+        psis, draws = recorded(BATCH_CHUNK + 3, seed)
+        assert psis == want_psis[: BATCH_CHUNK + 3]
+        assert draws == {kind: want[: BATCH_CHUNK + 3] for kind, want in want_draws.items()}
+
+
 def test_run_batch_rejects_varying_teleport_bits():
     calls = itertools.count(1)
 

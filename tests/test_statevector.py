@@ -219,6 +219,18 @@ def test_measure_sample_collapses():
     assert np.allclose(np.abs(post.amps), np.abs(expect.amps), atol=ATOL)
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.25, 0.25], [-0.25, 0.75, 0.25, 0.25], [0.0] * 4,
+                                 [np.inf, 0.5, 0.25, 0.25], [-0.25] * 4])
+def test_stacked_measure_sample_rejects_bad_rows_before_any_draw(bad):
+    # the rows Generator.choice rejected raise instead of falling to index 0;
+    # so does an all-negative row, which choice took once normalised
+    rows = np.array([[0.25] * 4, bad])
+    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-negative"):
+        sv.measure_sample(rows, rngs)
+    assert [rng.random() for rng in rngs] == [np.random.default_rng(s).random() for s in (0, 1)]
+
+
 def test_collapse_residual():
     s = bell_pair()
     branches = enumerate_branches(s, [0])
