@@ -26,6 +26,7 @@ from .kinds import ProtocolKind, Purpose
 from .noise import run_noisy_stack, sweep_rows, SWEEP_COLUMNS
 from .protocol import (
     BATCH_CHUNK,
+    MAX_RUNS,
     Measured,
     UnknownQubit,
     checkpoints_stack,
@@ -58,8 +59,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.protocol not in ("sqtp", "kak", "both"):
             raise ValueError(f"protocol must be sqtp, kak or both, got {self.protocol!r}")
-        if self.n_runs < 1:
-            raise ValueError(f"--runs must be >= 1, got {self.n_runs}")
+        if not 1 <= self.n_runs <= MAX_RUNS:  # more runs would never finish
+            raise ValueError(f"--runs must be in 1..{MAX_RUNS}, got {self.n_runs}")
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if self.noise_f is not None and not 0.0 <= self.noise_f <= 1.0:

@@ -30,12 +30,14 @@ are stacks of one. The schedule is linear, so the entangled-input probe
 stacks the held-back qubit's two values, and `pair_response`, all
 `noise` needs for a mixed channel, the resource pair's four basis states
 under every input. `run_batch` is the one seeded batch runner; it
-evaluates its runs in chunks of BATCH_CHUNK. The per-state path this
-replaced is the bit-for-bit reference in tests/per_state_reference.py.
+evaluates its runs in chunks of BATCH_CHUNK and seeds a chunk's streams
+in one pass, NumPy's SeedSequence->PCG64 bit for bit. The per-state path
+this replaced is the bit-for-bit reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -462,29 +464,90 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
 
 # runs per stack: bounds the inputs, streams and results held at once
 BATCH_CHUNK = 256
+MAX_RUNS = 2**32 - 1  # a run index is one uint32 word of its streams' spawn key
+
+# NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _M64, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1, 2**128 - 1
+
+
+class _Stream:
+    """NumPy's PCG64 on Python ints, seeded from (initstate, initseq), with
+    the only two Generator draws the package makes: random() and uniform()."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, initstate: int, initseq: int) -> None:
+        self.inc = (initseq << 1 | 1) & _M128
+        self.state = ((self.inc + initstate) * _PCG_MULT + self.inc) & _M128
+
+    def random(self) -> float:
+        state = self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        x, rot = ((state >> 64) ^ state) & _M64, state >> 122  # XSL-RR output
+        return (((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+
+def _hashmix(v: np.ndarray, hc: list[int]) -> np.ndarray:
+    """SeedSequence's hashmix; hc is [constant, multiplier], and each call
+    advances the constant."""
+    x = v ^ np.uint32(hc[0])
+    hc[0] = hc[0] * hc[1] & 0xFFFFFFFF
+    x = x * np.uint32(hc[0])
+    return x ^ x >> 16
+
+
+def _streams(seed: int, runs: range, n_streams: int) -> list[list[_Stream]]:
+    """Stream s < n_streams of each run i in runs: the PCG64 of SeedSequence(
+    seed, spawn_key=(i, s)), bit for bit. Its hash constants do not depend
+    on the data, so the entropy mixing and generate_state(4, uint64) run
+    once, on uint32 arrays over every (s, i)."""
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.broadcast_arrays(*map(np.uint32, words + [0] * (4 - len(words))),
+                                  np.arange(runs.start, runs.stop, dtype=np.uint32),
+                                  np.arange(n_streams, dtype=np.uint32)[:, None])
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return r ^ r >> 16
+
+    hc = [_INIT_A, _MULT_A]
+    pool = [_hashmix(w, hc) for w in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], _hashmix(pool[src], hc))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], _hashmix(w, hc))
+    hc = [_INIT_B, _MULT_B]
+    out = [_hashmix(pool[k % 4], hc).astype(np.uint64) for k in range(8)]
+    v = [(out[2 * j + 1] << np.uint64(32) | out[2 * j]).tolist() for j in range(4)]
+    return [[_Stream(a << 64 | b, c << 64 | d) for a, b, c, d in zip(*row)] for row in zip(*v)]
 
 
 def run_batch(
     kinds: list[ProtocolKind], n_runs: int, seed: int, run_chunk: Callable
 ) -> Iterator[tuple[int, ProtocolKind, object]]:
     """Seeded batch over Haar-random inputs, yielding (run, kind, result)
-    in run order. Stream s of run i is SeedSequence(seed, spawn_key=(i, s)),
-    child s of child i of SeedSequence(seed): psi draws from stream 0 and
-    kind k from stream 1 + k, so run i depends neither on n_runs nor on the
-    chunks of BATCH_CHUNK runs. run_chunk(kind, psis, rngs) returns one
-    result per input of a chunk, each with a cost ledger whose TELEPORT
-    bits must not vary across the runs of one kind."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    def stream(i: int, s: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, s)))
-
+    in run order. Stream s of run i is NumPy's PCG64 of SeedSequence(seed,
+    spawn_key=(i, s)), child s of child i of SeedSequence(seed), built a
+    chunk at a time by `_streams`: psi draws from stream 0 and kind k from
+    stream 1 + k, so run i depends neither on n_runs nor on the chunks of
+    BATCH_CHUNK runs. run_chunk(kind, psis, rngs) returns one result per
+    input of a chunk, each with a cost ledger whose TELEPORT bits must not
+    vary across the runs of one kind; it draws only random() and uniform()."""
+    if not 1 <= n_runs <= MAX_RUNS:
+        raise ValueError(f"n_runs must be in 1..{MAX_RUNS}, got {n_runs}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     teleport_bits: dict[ProtocolKind, int] = {}
     for start in range(0, n_runs, BATCH_CHUNK):
         runs = range(start, min(start + BATCH_CHUNK, n_runs))
-        psis = [UnknownQubit.haar(stream(i, 0)) for i in runs]
-        results = [run_chunk(kind, psis, [stream(i, 1 + k) for i in runs])
-                   for k, kind in enumerate(kinds)]
+        streams = _streams(seed, runs, 1 + len(kinds))
+        psis = [UnknownQubit.haar(rng) for rng in streams[0]]
+        results = [run_chunk(kind, psis, streams[1 + k]) for k, kind in enumerate(kinds)]
         for j in range(len(psis)):
             for kind, chunk in zip(kinds, results):
                 bits = chunk[j].ledger.total(Purpose.TELEPORT)

@@ -8,12 +8,13 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from telecost.cli import GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, main
 from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import run_noisy_teleport
-from telecost.protocol import run_batch
+from telecost.protocol import MAX_RUNS, run_batch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -428,6 +429,20 @@ def test_negative_seed_rejected_naming_the_flag(command, capsys):
     assert err.startswith("error:") and "--seed" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_runs_past_one_spawn_key_word_rejected_before_any_work(command, monkeypatch, capsys):
+    # run 2**32 has no one-word spawn key, and that many runs would never finish
+    def no_work(*args, **kwargs):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr("telecost.cli.run_batch", no_work)
+    monkeypatch.setattr("telecost.cli.UnknownQubit.haar", no_work)
+    code, out, err = run_cli([command, "--runs", str(MAX_RUNS + 1)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--runs" in err and str(MAX_RUNS) in err
+    assert RunConfig(command=command, n_runs=MAX_RUNS).n_runs == 2**32 - 1
+
+
 def test_unwritable_out_path(tmp_path, capsys):
     target = tmp_path / "missing_dir" / "x.json"
     code, _, err = run_cli(
@@ -462,6 +477,48 @@ def test_benchmark_reference_output_is_byte_identical(workload, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE["sha256"][workload]
+
+
+# stdout hashes computed with NumPy building every run's streams, before the stream kernel
+PINNED_SHA256 = [
+    (["compare", "--runs", "257", "--seed", "5"],
+     "33a2829d18a44653878352e409615b1bfa2ca256b2d9822f2383f4d0597592dc"),
+    (["compare", "--runs", "257", "--seed", "5", "--noise-f", "0.75", "--distill-target", "0.9",
+      "--format", "json"],
+     "74593ca639f2626f6b8fb7396a79e375336cf97d4f43ef99fbebad632cd0c531"),
+    (["compare", "--runs", "40", "--seed", "7", "--format", "csv"],
+     "d97bdbacd9221a9b9c2e472384dbc73133c69fe87ba5be2df84a2235f5d51967"),
+    (["compare", "--runs", "30", "--seed", "11", "--protocol", "kak", "--format", "json"],
+     "cd578d0b6d3aa0eb64fdbd55158d4853e8d3f177642e2778ed85d300d84a54fb"),
+    (["compare", "--runs", "20", "--seed", str(2**200), "--format", "json"],
+     "a89a018be54f489105f8114267a02953062db0707ac9645d52488690271e62c4"),
+    (["compare", "--runs", "33", "--seed", str(2**100 + 7), "--noise-f", "0.8",
+      "--distill-target", "0.95", "--protocol", "kak", "--format", "csv"],
+     "1cfff2fb31b2efdae2a837504d0d1fbf277ecb70de290d850c759e91a407e881"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_SHA256, ids=["ideal-257-text", "noisy-257-json",
+                                                            "csv", "kak-json", "seed-2**200",
+                                                            "noisy-kak-seed-2**100-csv"])
+def test_compare_output_is_pinned(argv, digest, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):
+    # run_batch seeds its streams itself; NumPy's constructors are only the tests' oracle
+    argv = ["compare", "--runs", "300", "--seed", "4", "--format", "json"]
+    plain = run_cli(argv, capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a NumPy stream was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert run_cli(argv, capsys) == plain
+    assert plain[0] == 0 and len(json.loads(plain[1])["per_run"]) == 600
 
 
 def test_benchmark_tracer_installs_and_changes_no_output(capsys):

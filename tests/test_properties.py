@@ -4,8 +4,10 @@ against an independent reference; the sampled distillation run and the
 sweep against the two recurrence walks they replaced, and their two LOCC
 bills against each other; the stacked interpreter against the per-state
 path it replaced, bit for bit, and every stack against its stacks of one;
-the locality of every sampled run's trace; and the states that kernels
-build unchecked, which must still pass the public constructor's checks."""
+the locality of every sampled run's trace; the seeded batch's streams
+against NumPy's SeedSequence and PCG64, bit for bit; and the states that
+kernels build unchecked, which must still pass the public constructor's
+checks."""
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -41,6 +43,7 @@ from telecost.protocol import (
     kak_checkpoints,
     kak_entangled_input_demo,
     run_protocol,
+    _streams,
     sqtp_checkpoints,
 )
 from telecost.statevector import StateVector, measure_sample
@@ -325,3 +328,24 @@ def test_kernel_built_states_revalidate_and_stay_read_only(angles, seed):
         states += [ref.outcome.post_state for ref in per_state_reference.enumerate_protocol(kind, psi)]
     for state in states:
         assert_valid_and_frozen(state)
+
+
+# one word, two to four (zero-padded to four), and more than four (mixed in after the pool)
+stream_seeds = st.one_of(seeds, st.integers(2**32, 2**128 - 1), st.integers(2**128, 2**320))
+run_indices = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@PROPERTY
+@given(stream_seeds, run_indices)
+@example(2**130 + 99, 2**32 - 1)
+@example(2**300 + 1, 0)
+@example(2**96, 1)
+def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i):
+    # a short stack ending at run i, three streams per run, as run_batch keys them
+    runs = range(max(i - 2, 0), i + 1)
+    for s, row in enumerate(_streams(seed, runs, 3)):
+        for run, ours in zip(runs, row, strict=True):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, s)))
+            assert [ours.random() for _ in range(64)] == [rng.random() for _ in range(64)]
+            for low, high in ((-1.0, 1.0), (0.0, 2.0 * np.pi)):
+                assert ours.uniform(low, high) == rng.uniform(low, high)

@@ -14,9 +14,10 @@ from per_state_reference import collapse_residual
 from telecost.cost import CostLedger
 from telecost.expansions import ALL_EXPANSIONS
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
-from telecost.noise import run_noisy_teleport
+from telecost.noise import distill_to_threshold, run_noisy_stack, run_noisy_teleport
 from telecost.protocol import (
     BATCH_CHUNK,
+    MAX_RUNS,
     SCHEDULES,
     CorrectionApplied,
     GateApplied,
@@ -356,6 +357,24 @@ def test_run_batch_streams_are_the_spawn_chain_of_each_run():
         assert draws == {kind: want[: BATCH_CHUNK + 3] for kind, want in want_draws.items()}
 
 
+def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk():
+    # a noisy run draws once per distillation attempt, so every draw of its stream must follow NumPy's
+    kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
+    n_runs, seed = BATCH_CHUNK + 1, 9
+
+    def run_chunk(kind, psis, rngs):
+        return run_noisy_stack(kind, psis, 0.75, rngs, distill_target=0.9)
+
+    got = [(i, kind, report.attempts) for i, kind, report in run_batch(kinds, n_runs, seed, run_chunk)]
+    want = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
+        subs = child.spawn(1 + len(kinds))
+        want += [(i, kind, distill_to_threshold(0.75, 0.9, 32, np.random.default_rng(subs[1 + k])).attempts)
+                 for k, kind in enumerate(kinds)]
+    assert got == want
+    assert len({attempts for _, _, attempts in want}) > 1  # the runs retry different numbers of times
+
+
 def test_run_batch_rejects_varying_teleport_bits():
     calls = itertools.count(1)
 
@@ -374,6 +393,16 @@ def test_run_batch_rejects_varying_teleport_bits():
 def test_run_batch_rejects_zero_runs():
     with pytest.raises(ValueError):
         list(run_batch([ProtocolKind.SQTP], 0, 1, run_protocol_stack))
+
+
+@pytest.mark.parametrize("n_runs, seed", [(MAX_RUNS + 1, 1), (2**64, 1), (1, -1)])
+def test_run_batch_rejects_a_run_count_or_seed_it_cannot_key(n_runs, seed):
+    # a run index past one uint32 word, or a negative seed, has no NumPy spawn-chain stream
+    def run_chunk(kind, psis, rngs):
+        raise AssertionError("no chunk may run")
+
+    with pytest.raises(ValueError):
+        next(run_batch([ProtocolKind.SQTP], n_runs, seed, run_chunk))
 
 
 def test_schedules_cover_every_expansion_and_noisy_bit_count():
