@@ -143,12 +143,13 @@ def distill_to_threshold(
     attempts; if the ladder stops short, target_met is False and final_f
     stays under the target.
 
-    Each attempt succeeds with its level's exact probability, one rng draw
-    apiece. rounds counts successes, attempts counts every try; a failure
-    loses both pairs and the next attempt retries the current level on
-    fresh pairs. Each attempt sends one LOCC_ROUND. f_in at or below 1/2
-    raises, as the recurrence cannot improve it; any other f_in at or above
-    the target returns with no attempts."""
+    Each attempt succeeds with its level's exact probability, one
+    rng.random() apiece, the only draw it needs. rounds counts successes,
+    attempts counts every try; a failure loses both pairs and the next
+    attempt retries the current level on fresh pairs. Each attempt sends
+    one LOCC_ROUND. f_in at or below 1/2 raises, as the recurrence cannot
+    improve it; any other f_in at or above the target returns with no
+    attempts."""
     if not 0.5 < f_in <= 1.0:
         raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
     if not 0.0 < f_target <= 1.0:
@@ -231,23 +232,22 @@ class NoisyTeleportReport:
 def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit], channel_f: float,
                     rngs: list[np.random.Generator], distill_target: float | None = None,
                     max_rounds: int = 32) -> list[NoisyTeleportReport]:
-    """One noisy run per input: run i distills with rngs[i] alone, then all
-    inputs go through pair_response as one stack, and each distinct final
-    fidelity builds one Werner channel, shared by the runs that reach it."""
+    """One noisy run per input: run i distills with rngs[i] alone, drawing
+    only random(), then all inputs go through pair_response as one stack,
+    and each distinct final fidelity builds one Werner channel, shared by
+    the runs that reach it."""
     runs = [distill_to_threshold(channel_f, distill_target, max_rounds, rng)
             if distill_target is not None and channel_f < distill_target
             else DistillRun(0, 0, channel_f, True) for rng in rngs]
     channels = {f: werner_state(f) for f in dict.fromkeys(run.final_f for run in runs)}
     schedule = SCHEDULES[kind]
-    # gates before the transfer: the channel meets the payload before it is shared
-    burns_copies = schedule.ops[0][1] != "transfer"
     reports = []
     for a, run in zip(pair_response(kind, psis), runs, strict=True):
-        ledger = CostLedger([*LOCC_ROUND * run.attempts,
-                             (ALICE, BOB, schedule.announced, Purpose.TELEPORT)])
+        ledger = CostLedger([*LOCC_ROUND * run.attempts, schedule.teleport])
         reports.append(NoisyTeleportReport(
             kind, channel_f, run.final_f, run.target_met, run.rounds, run.attempts,
-            run.attempts if burns_copies else 0, _channel_fidelity(a, channels[run.final_f]), ledger))
+            run.attempts if schedule.burns_copies else 0,
+            _channel_fidelity(a, channels[run.final_f]), ledger))
     return reports
 
 

@@ -31,7 +31,8 @@ stacks the held-back qubit's two values, and `pair_response`, all
 `noise` needs for a mixed channel, the resource pair's four basis states
 under every input. `run_batch` is the one seeded batch runner; it
 evaluates its runs in chunks of BATCH_CHUNK and seeds a chunk's streams
-in one pass, NumPy's SeedSequence->PCG64 bit for bit. The per-state path
+in one pass, NumPy's SeedSequence->PCG64 bit for bit, each serving only
+random(), from which UnknownQubit.haar draws the inputs. The per-state path
 this replaced is the bit-for-bit reference in tests/per_state_reference.py.
 """
 
@@ -54,7 +55,6 @@ from .statevector import (
     apply_z,
     bell_pair,
     fidelity_pure,
-    haar_amplitudes,
     measure_sample,
 )
 
@@ -113,8 +113,11 @@ class Schedule:
     `corrections` row to q2; gate tuples apply left to right.
 
     Building one checks that it is local, starting from Alice holding all
-    three qubits, records the ops as trace steps in `steps` and Bob's gates
-    for each of Alice's four outcomes (in _OUTCOMES order) in `bob_gates`."""
+    three qubits, records the ops as trace steps in `steps`, Bob's gates
+    for each of Alice's four outcomes (in _OUTCOMES order) in `bob_gates`,
+    the announcement as one ledger message in `teleport`, and in
+    `burns_copies` whether a gate comes before q2 is handed over, so that
+    a noisy channel meets the payload before it is shared."""
 
     initial: str
     ops: tuple[tuple[str, str, tuple[int, ...], str | None], ...]
@@ -123,10 +126,12 @@ class Schedule:
     corrections: dict[str, tuple[str, ...]]
     steps: tuple[GateApplied | QubitTransferred, ...] = field(init=False, repr=False)
     bob_gates: tuple[tuple[str, ...], ...] = field(init=False, repr=False)
+    teleport: tuple[str, str, int, Purpose] = field(init=False, repr=False)
+    burns_copies: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         owners = {0: ALICE, 1: ALICE, 2: ALICE}
-        steps = []
+        steps, burns_copies = [], False
         for party, gate, qubits, _name in self.ops:
             for q in qubits:
                 if owners.get(q) != party:
@@ -135,12 +140,15 @@ class Schedule:
                 owners[qubits[0]] = BOB
                 steps.append(QubitTransferred(party, BOB, qubits[0]))
             else:
+                burns_copies |= owners[2] == ALICE
                 steps.append(GateApplied(party, gate, qubits))
         if owners != {0: ALICE, 1: ALICE, 2: BOB}:
             raise ValueError(f"Alice must end holding q0 and q1 and Bob q2, got {owners}")
         object.__setattr__(self, "steps", tuple(steps))
         object.__setattr__(self, "bob_gates",
                            tuple(self.corrections[bits[: self.announced]] for bits in _OUTCOMES))
+        object.__setattr__(self, "teleport", (ALICE, BOB, self.announced, Purpose.TELEPORT))
+        object.__setattr__(self, "burns_copies", burns_copies)
 
 
 SCHEDULES: dict[ProtocolKind, Schedule] = {
@@ -178,7 +186,12 @@ class UnknownQubit:
 
     @classmethod
     def haar(cls, rng: np.random.Generator) -> UnknownQubit:
-        return cls(*haar_amplitudes(rng))
+        """Haar-uniform input from two angles, cos(theta) uniform on [-1, 1]
+        and phase uniform on [0, 2pi), each one rng.random() with
+        Generator.uniform's arithmetic; random() is the only draw it needs."""
+        theta = np.arccos(-1.0 + 2.0 * rng.random())
+        phi = 2.0 * np.pi * rng.random()
+        return cls(complex(np.cos(theta / 2.0)), complex(np.exp(1j * phi) * np.sin(theta / 2.0)))
 
     def to_statevector(self) -> StateVector:
         return StateVector(1, np.array([self.alpha, self.beta], dtype=complex))
@@ -241,7 +254,7 @@ _GATES = {"H": apply_h, "X": apply_x, "Z": apply_z, "CNOT": apply_cnot}
 
 def _sources(psis: list[UnknownQubit]) -> np.ndarray:
     """The inputs' amplitudes, one row each; UnknownQubit checked their norm."""
-    return np.array([(psi.alpha, psi.beta) for psi in psis], dtype=complex)
+    return np.array([(psi.alpha, psi.beta) for psi in psis], dtype=complex).reshape(-1, 2)
 
 
 def _evolve(
@@ -299,8 +312,9 @@ def run_protocol_stack(
 ) -> list[ProtocolTrace]:
     """One sampled run per input: the schedule and Bob's corrections for
     every outcome run once over the whole stack, and one measure_sample
-    draws every run's outcome, run i from rngs[i]. Each run keeps its
-    outcome's state; the runs of one outcome share its frozen trace tail."""
+    draws every run's outcome, run i from one random() of rngs[i], the only
+    draw it needs. Each run keeps its outcome's state; the runs of one
+    outcome share its frozen trace tail. An empty stack returns []."""
     schedule = SCHEDULES[kind]
     sources = _sources(psis)
     t, _ = _evolve(kind, sources)
@@ -313,7 +327,7 @@ def run_protocol_stack(
     traces = []
     for source, k, bob_rows in zip(sources, measure_sample(probs, rngs), bobs, strict=True):
         bob = StateVector._trusted(1, _normalised(bob_rows[k]))
-        ledger = CostLedger([(ALICE, BOB, schedule.announced, Purpose.TELEPORT)])
+        ledger = CostLedger([schedule.teleport])
         fidelity = fidelity_pure(bob, StateVector._trusted(1, source))
         traces.append(ProtocolTrace(kind, [*schedule.steps, *tails[k]], bob, fidelity, ledger))
     return traces
@@ -330,7 +344,7 @@ def checkpoints_stack(kind: ProtocolKind, psis: list[UnknownQubit]) -> dict[str,
     amplitude row per input; SQTP's also holds the resource pair on its
     own as "epr_pair"."""
     _, stacks = _evolve(kind, _sources(psis))
-    named = {name: t.reshape(len(psis), -1) for name, t in stacks.items()}
+    named = {name: t.reshape(len(psis), 2 ** (t.ndim - 1)) for name, t in stacks.items()}
     if kind is ProtocolKind.SQTP:
         named = {"epr_pair": np.broadcast_to(bell_pair().amps, (len(psis), 4)), **named}
     return named
@@ -423,7 +437,6 @@ class EntangledInputReport:
     charitable reading of what Bob could do with the transmitted bit.
     """
 
-    joint_dim: int
     branches: tuple[EntangledBranch, ...]
 
     @property
@@ -455,7 +468,7 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
         row = {key: fid[k] for key, fid in fids.items()}
         prescribed = row[bits[: schedule.announced]]
         branches.append(EntangledBranch(bits, float(probs[k]), prescribed, max(row.values())))
-    return EntangledInputReport(joint.dim, tuple(branches))
+    return EntangledInputReport(tuple(branches))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +487,7 @@ _PCG_MULT, _M64, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1, 2**128 -
 
 class _Stream:
     """NumPy's PCG64 on Python ints, seeded from (initstate, initseq), with
-    the only two Generator draws the package makes: random() and uniform()."""
+    random(), the only Generator draw the package makes."""
 
     __slots__ = ("state", "inc")
 
@@ -486,9 +499,6 @@ class _Stream:
         state = self.state = (self.state * _PCG_MULT + self.inc) & _M128
         x, rot = ((state >> 64) ^ state) & _M64, state >> 122  # XSL-RR output
         return (((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53
-
-    def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
 
 
 def _hashmix(v: np.ndarray, hc: list[int]) -> np.ndarray:
@@ -537,7 +547,7 @@ def run_batch(
     stream 1 + k, so run i depends neither on n_runs nor on the chunks of
     BATCH_CHUNK runs. run_chunk(kind, psis, rngs) returns one result per
     input of a chunk, each with a cost ledger whose TELEPORT bits must not
-    vary across the runs of one kind; it draws only random() and uniform()."""
+    vary across the runs of one kind; it draws only random()."""
     if not 1 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must be in 1..{MAX_RUNS}, got {n_runs}")
     if seed < 0:

@@ -8,19 +8,16 @@ Conventions, fixed across the whole package:
   - the only state-equality notion used for physics checks is the
     phase-invariant fidelity |<a|b>|^2
   - validation happens at the public boundary: the StateVector(...)
-    constructor, basis_state and apply_unitary1 check size, finiteness and
-    norm, and apply_unitary1 also rejects a caller's matrix unless it is
-    unitary within ATOL. Kernels whose output is valid by construction
-    (tensor, and the registers the protocol interpreter builds) trust it
-    and skip the checks.
-  - the private axis kernels _unitary1_axes and _cnot_axes act on a tensor
-    of size-2 axes and take any leading axes along; only this module uses
-    them. The fixed gates apply_h/x/z and apply_cnot are those kernels on
-    a stack of registers, one axis per qubit, so `protocol` runs one gate
-    over all its runs. measure_sample draws every run's outcome at once,
-    one row of Born probabilities and one stream per run. The per-state
-    gates, sampling and collapse helpers the stacked path replaced are the
-    test reference in tests/per_state_reference.py.
+    constructor and basis_state check size, finiteness and norm. Kernels
+    whose output is valid by construction (tensor, and the registers the
+    protocol interpreter builds) trust it and skip the checks.
+  - the fixed gates apply_h/x/z and apply_cnot act on a stack of
+    registers, one size-2 axis per qubit, and take any leading axes along,
+    so `protocol` runs one gate over all its runs; apply_h/x/z share the
+    private kernel _unitary1_axes. measure_sample draws every run's outcome
+    at once, one row of Born probabilities and one stream per run. The
+    per-state gates, sampling and collapse helpers the stacked path
+    replaced are the test reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -71,15 +68,6 @@ class StateVector:
         object.__setattr__(s, "amps", amps)
         return s
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-
-def _check_qubit(s: StateVector, q: int) -> None:
-    if not 0 <= q < s.n_qubits:
-        raise ValueError(f"qubit index {q} out of range for {s.n_qubits}-qubit register")
-
 
 def basis_state(n_qubits: int, label: str) -> StateVector:
     """Computational basis state from a bit string, e.g. ``basis_state(3, "010")``."""
@@ -112,15 +100,6 @@ def _unitary1_axes(t: np.ndarray, q: int, m: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
 
 
-def _cnot_axes(t: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Flip axis target where axis control is 1, on a copy (unchecked)."""
-    sel: list = [slice(None)] * t.ndim
-    sel[control] = 1
-    out = t.copy()
-    out[tuple(sel)] = np.flip(t, axis=target)[tuple(sel)]
-    return out
-
-
 # The fixed gates and the outcome draw of the protocol interpreter. The
 # gates act on one axis of a stack of registers (unchecked), so `protocol`
 # runs each op once over all its runs.
@@ -139,32 +118,25 @@ def apply_z(t: np.ndarray, axis: int) -> np.ndarray:
 
 
 def apply_cnot(t: np.ndarray, control: int, target: int) -> np.ndarray:
-    return _cnot_axes(t, control, target)
+    """Flip axis target where axis control is 1, on a copy."""
+    sel: list = [slice(None)] * t.ndim
+    sel[control] = 1
+    out = t.copy()
+    out[tuple(sel)] = np.flip(t, axis=target)[tuple(sel)]
+    return out
 
 
 def measure_sample(probs: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
     """One outcome index per row of Born probabilities, row i drawn by one
-    random() of rngs[i] with rng.choice(len(row), p=row / row.sum())'s
-    arithmetic, bit for bit; a negative, non-finite or all-0 row raises first."""
+    random() of rngs[i], the only draw it needs, with rng.choice(len(row),
+    p=row / row.sum())'s arithmetic, bit for bit; a negative, non-finite or
+    all-0 row raises first."""
     cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
     if not (np.all(probs >= 0) and np.all(cdf[:, -1] > 0)):  # NaN compares False
         raise ValueError("Born probabilities must be finite, non-negative and not all 0")
     cdf = cdf / cdf[:, -1:]
     u = np.array([rng.random() for rng in rngs]).reshape(len(probs), 1)
     return np.count_nonzero(cdf <= u, axis=1)
-
-
-def apply_unitary1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to one qubit. m comes from the caller, so it must
-    satisfy m^dagger m = I within ATOL, and the result is validated."""
-    _check_qubit(s, q)
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.allclose(m.conj().T @ m, np.eye(2), rtol=0.0, atol=ATOL):  # also rejects NaN
-        raise ValueError("matrix must be unitary, m^dagger m differs from I")
-    t = _unitary1_axes(s.amps.reshape([2] * s.n_qubits), q, m)
-    return StateVector(s.n_qubits, t.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -181,11 +153,3 @@ def fidelity_pure(a: StateVector, b: StateVector) -> float:
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"dimension mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
-def haar_amplitudes(rng: np.random.Generator) -> tuple[complex, complex]:
-    """Haar-uniform single-qubit amplitudes from two angles: cos(theta)
-    uniform on [-1, 1], phase uniform on [0, 2pi)."""
-    theta = np.arccos(rng.uniform(-1.0, 1.0))
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(np.cos(theta / 2.0)), complex(np.exp(1j * phi) * np.sin(theta / 2.0))

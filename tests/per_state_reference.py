@@ -41,13 +41,12 @@ from telecost.statevector import (
     _Z,
     BranchOutcome,
     StateVector,
-    _check_qubit,
-    _cnot_axes,
     _unitary1_axes,
     bell_pair,
     fidelity_pure,
     tensor,
 )
+from telecost.statevector import apply_cnot as _cnot_kernel  # the stacked kernel
 
 # ---------------------------------------------------------------------------
 # per-state gates, measurement and collapse
@@ -61,6 +60,11 @@ class CollapsedBranch(BranchOutcome):
     out."""
 
     post_state: StateVector
+
+
+def _check_qubit(s: StateVector, q: int) -> None:
+    if not 0 <= q < s.n_qubits:
+        raise ValueError(f"qubit index {q} out of range for {s.n_qubits}-qubit register")
 
 
 def _apply_fixed1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
@@ -87,7 +91,7 @@ def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
     _check_qubit(s, target)
     if control == target:
         raise ValueError("control and target must differ")
-    t = _cnot_axes(s.amps.reshape([2] * s.n_qubits), control, target)
+    t = _cnot_kernel(s.amps.reshape([2] * s.n_qubits), control, target)
     return StateVector._trusted(s.n_qubits, t.reshape(-1))
 
 
@@ -271,4 +275,4 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
             fids[key] = fidelity_pure(bob, joint)
         prescribed = fids[bits[: schedule.announced]]
         branches.append(EntangledBranch(bits, branch.probability, prescribed, max(fids.values())))
-    return EntangledInputReport(joint.dim, tuple(branches))
+    return EntangledInputReport(tuple(branches))

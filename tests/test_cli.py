@@ -507,6 +507,25 @@ def test_compare_output_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# verify's inputs come from a NumPy Generator; JSON prints max_abs_err at full precision
+PINNED_VERIFY_SHA256 = [
+    (["verify", "--seed", "0", "--format", "json"],
+     "bbbdb75f8651c3114cb9196a671874a999c944029d4df8919dc872826621ff05"),
+    (["verify", "--seed", "7", "--format", "json"],
+     "88de225eed1e1388967b502e9cee67beaed9fc010daee74701add5ebf6bfbb50"),
+    (["verify", "--runs", "300", "--seed", str(2**70 + 1), "--format", "json"],
+     "9d2ba889bec792364dd647191584115075a29d15185233a3cd13da0b482a05d3"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_VERIFY_SHA256,
+                         ids=["seed-0", "seed-7", "300-runs-seed-2**70"])
+def test_verify_json_output_is_pinned(argv, digest, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):
     # run_batch seeds its streams itself; NumPy's constructors are only the tests' oracle
     argv = ["compare", "--runs", "300", "--seed", "4", "--format", "json"]

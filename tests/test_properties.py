@@ -5,7 +5,8 @@ sweep against the two recurrence walks they replaced, and their two LOCC
 bills against each other; the stacked interpreter against the per-state
 path it replaced, bit for bit, and every stack against its stacks of one;
 the locality of every sampled run's trace; the seeded batch's streams
-against NumPy's SeedSequence and PCG64, bit for bit; and the states that
+against NumPy's SeedSequence and PCG64, and the Haar draw against the
+rng.uniform formula it replaced, bit for bit; and the states that
 kernels build unchecked, which must still pass the public constructor's
 checks."""
 
@@ -347,5 +348,27 @@ def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i):
         for run, ours in zip(runs, row, strict=True):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, s)))
             assert [ours.random() for _ in range(64)] == [rng.random() for _ in range(64)]
-            for low, high in ((-1.0, 1.0), (0.0, 2.0 * np.pi)):
-                assert ours.uniform(low, high) == rng.uniform(low, high)
+            assert UnknownQubit.haar(ours) == UnknownQubit.haar(rng)
+
+
+def retired_haar(rng) -> tuple[complex, complex]:
+    """The Haar draw as it was before streams served only random(): both
+    angles from rng.uniform."""
+    theta = np.arccos(rng.uniform(-1.0, 1.0))
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(np.cos(theta / 2.0)), complex(np.exp(1j * phi) * np.sin(theta / 2.0))
+
+
+@PROPERTY
+@given(stream_seeds, run_indices)
+def test_haar_draw_is_the_retired_uniform_formula_bit_for_bit(seed, i):
+    # on a NumPy generator, and on run_batch's input stream of run i against
+    # the NumPy generator it reproduces, which still has uniform()
+    stream = _streams(seed, range(i, i + 1), 1)[0][0]
+    twin = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, 0)))
+    pairs = [(np.random.default_rng(seed), np.random.default_rng(seed)), (stream, twin)]
+    for _ in range(16):
+        for rng, reference in pairs:
+            psi = UnknownQubit.haar(rng)
+            assert (np.array([psi.alpha, psi.beta]).tobytes()
+                    == np.array(retired_haar(reference)).tobytes())

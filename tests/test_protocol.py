@@ -11,7 +11,7 @@ import pytest
 import oracle_dense
 import per_state_reference
 from per_state_reference import collapse_residual
-from telecost.cost import CostLedger
+from telecost.cost import CostLedger, LedgerEntry
 from telecost.expansions import ALL_EXPANSIONS
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import distill_to_threshold, run_noisy_stack, run_noisy_teleport
@@ -26,9 +26,12 @@ from telecost.protocol import (
     QubitTransferred,
     Schedule,
     UnknownQubit,
+    checkpoints_stack,
     enumerate_protocol,
+    enumerate_protocol_stack,
     kak_checkpoints,
     kak_entangled_input_demo,
+    pair_response,
     run_batch,
     run_protocol,
     run_protocol_stack,
@@ -412,3 +415,30 @@ def test_schedules_cover_every_expansion_and_noisy_bit_count():
         report = run_noisy_teleport(kind, psi, 0.8, np.random.default_rng(14), distill_target=0.9)
         assert report.attempts > 0
         assert report.ledger.total(Purpose.TELEPORT) == SCHEDULES[kind].announced
+
+
+def test_schedule_owns_its_teleport_message_and_copy_rule():
+    # KAK gates q2 before handing it over, so a noisy channel meets the payload
+    assert SCHEDULES[ProtocolKind.KAK].burns_copies
+    assert not SCHEDULES[ProtocolKind.SQTP].burns_copies
+    psi = haar(15)
+    for kind in ProtocolKind:
+        schedule = SCHEDULES[kind]
+        assert schedule.teleport == (ALICE, BOB, schedule.announced, Purpose.TELEPORT)
+        want = LedgerEntry(*schedule.teleport)
+        assert run_protocol(kind, psi, np.random.default_rng(15)).ledger.entries == (want,)
+        noisy = run_noisy_teleport(kind, psi, 0.8, np.random.default_rng(15), distill_target=0.9)
+        assert noisy.attempts > 0 and noisy.ledger.entries[-1] == want
+        assert noisy.copies_consumed == (noisy.attempts if schedule.burns_copies else 0)
+
+
+def test_every_stack_of_no_inputs_is_empty():
+    for kind in ProtocolKind:
+        assert run_protocol_stack(kind, [], []) == []
+        assert enumerate_protocol_stack(kind, []) == []
+        assert pair_response(kind, []) == []
+        assert run_noisy_stack(kind, [], 0.8, [], distill_target=0.9) == []
+        one = checkpoints_stack(kind, [haar(16)])
+        empty = checkpoints_stack(kind, [])
+        assert {name: rows.shape for name, rows in empty.items()} == {
+            name: (0, rows.shape[1]) for name, rows in one.items()}

@@ -16,14 +16,13 @@ from per_state_reference import (
     enumerate_branches,
     measure_sample,
 )
+from telecost.protocol import UnknownQubit
 from telecost.statevector import (
     BranchOutcome,
     StateVector,
-    apply_unitary1,
     basis_state,
     bell_pair,
     fidelity_pure,
-    haar_amplitudes,
     tensor,
 )
 
@@ -73,23 +72,6 @@ def test_statevector_validation():
         StateVector(0, np.array([1.0], dtype=complex))
     with pytest.raises(ValueError):
         StateVector(9, np.zeros(512, dtype=complex))
-
-
-def test_apply_unitary1_validates_its_output():
-    # the caller's matrix is checked for unitarity before the result's norm is
-    with pytest.raises(ValueError):
-        apply_unitary1(basis_state(1, "0"), 0, 2 * np.eye(2))
-
-
-def test_apply_unitary1_rejects_non_unitary_matrices():
-    # both keep the norm of this particular input, so only the matrix check catches them
-    with pytest.raises(ValueError, match="unitary"):
-        apply_unitary1(basis_state(2, "00"), 0, np.array([[1, 0], [5, 0]]) / np.sqrt(26))
-    with pytest.raises(ValueError, match="unitary"):
-        apply_unitary1(basis_state(1, "0"), 0, np.diag([1, 2]))
-    s = random_state(np.random.default_rng(4), 3)
-    phased_h = np.exp(0.3j) * np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert np.isclose(fidelity_pure(apply_unitary1(s, 1, phased_h), apply_h(s, 1)), 1.0, atol=ATOL)
 
 
 def test_amps_are_read_only():
@@ -257,5 +239,5 @@ def test_fidelity_orthogonal_states():
 def test_haar_amplitudes_normalized():
     rng = np.random.default_rng(21)
     for _ in range(100):
-        a, b = haar_amplitudes(rng)
-        assert np.isclose(abs(a) ** 2 + abs(b) ** 2, 1.0, atol=ATOL)
+        psi = UnknownQubit.haar(rng)
+        assert np.isclose(abs(psi.alpha) ** 2 + abs(psi.beta) ** 2, 1.0, atol=ATOL)
