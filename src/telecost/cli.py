@@ -27,12 +27,11 @@ from .noise import run_noisy_stack, sweep_rows, SWEEP_COLUMNS
 from .protocol import (
     BATCH_CHUNK,
     MAX_RUNS,
-    Measured,
     UnknownQubit,
     checkpoints_stack,
     enumerate_protocol_stack,
     run_batch,
-    run_protocol_stack,
+    sample_stack,
 )
 
 GOLDEN_ATOL = 1e-12
@@ -100,8 +99,24 @@ def _emit(text: str, out: str | None) -> None:
             raise RuntimeError(f"cannot write report to {out}: {exc}") from exc
 
 
+# one flat row of a top-level list, with the separators indent=2 gives it there
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline, byte for
+    byte. With indent set, json encodes in pure Python, so the rows of a
+    `per_run` list, each a non-empty dict of scalars, are encoded by the C
+    encoder and spliced in where the document holds "per_run": null. Only
+    a top-level key starts a line with two spaces and a quote, and no JSON
+    string holds a newline, so that text occurs once."""
+    rows = payload.get("per_run")
+    if not rows:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps({**payload, "per_run": None}, indent=2, sort_keys=True)
+    encoded = ",\n    ".join(["{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
+                              for row in rows])
+    return text.replace('\n  "per_run": null', f'\n  "per_run": [\n    {encoded}\n  ]', 1) + "\n"
 
 
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
@@ -181,24 +196,23 @@ def _compare_data(cfg: RunConfig) -> dict:
         return run_noisy_stack(kind, psis, cfg.noise_f, rngs, distill_target=cfg.distill_target,
                                max_rounds=cfg.max_rounds)
 
-    run_chunk = run_protocol_stack if cfg.noise_f is None else run_noisy_chunk
+    run_chunk = sample_stack if cfg.noise_f is None else run_noisy_chunk
     per_run: list[dict] = []
     for i, kind, result in run_batch(kinds, cfg.n_runs, cfg.seed, run_chunk):
         if cfg.noise_f is None:
-            outcome = next(s.bits for s in result.steps if isinstance(s, Measured))
-            fidelity, channel_f = result.fidelity_achieved, None
+            outcome, channel_f = result.outcome_bits, None
         else:
-            outcome, fidelity, channel_f = None, result.fidelity, round(result.f_final, 12)
+            outcome, channel_f = None, round(result.f_final, 12)
         per_run.append({"run": i, "protocol": kind.value, "outcome_bits": outcome,
-                        "fidelity": round(fidelity, 12), "channel_f": channel_f,
+                        "fidelity": round(result.fidelity, 12), "channel_f": channel_f,
                         "teleport_bits": result.ledger.total(Purpose.TELEPORT),
                         "locc_bits": result.ledger.total(Purpose.LOCC)})
     summary: dict[str, dict] = {}
-    for kind in kinds:
-        rows = [r for r in per_run if r["protocol"] == kind.value]
+    for name in [kind.value for kind in kinds]:
+        rows = [r for r in per_run if r["protocol"] == name]
         t_bits = rows[0]["teleport_bits"]  # run_batch checked that it never varies
         locc_mean = float(np.mean([r["locc_bits"] for r in rows]))
-        summary[kind.value] = {
+        summary[name] = {
             "mean_fidelity": round(float(np.mean([r["fidelity"] for r in rows])), 12),
             "min_fidelity": round(min(r["fidelity"] for r in rows), 12),
             "teleport_bits": t_bits,

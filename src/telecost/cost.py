@@ -30,16 +30,20 @@ class LedgerEntry:
 
 
 class CostLedger:
-    """Append-only list of classical messages, in order, with purpose totals."""
+    """Append-only list of classical messages, in order, with purpose
+    totals kept as the messages are added."""
 
     def __init__(self, messages: Iterable[tuple[str, str, int, Purpose]] = ()) -> None:
         self._entries: list[LedgerEntry] = []
+        self._totals: dict[Purpose | None, int] = {None: 0}
         for message in messages:
             self.add(*message)
 
     def add(self, sender: str, receiver: str, bits: int, purpose: Purpose) -> LedgerEntry:
         entry = LedgerEntry(sender, receiver, bits, purpose)
         self._entries.append(entry)
+        self._totals[None] += bits
+        self._totals[purpose] = self._totals.get(purpose, 0) + bits
         return entry
 
     @property
@@ -47,7 +51,7 @@ class CostLedger:
         return tuple(self._entries)
 
     def total(self, purpose: Purpose | None = None) -> int:
-        return sum(e.bits for e in self._entries if purpose is None or e.purpose is purpose)
+        return self._totals.get(purpose, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CostLedger):

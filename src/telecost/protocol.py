@@ -22,10 +22,12 @@ A non-local schedule cannot be built, and no run checks it again.
 One interpreter runs a table once over a stack of registers, shape
 (runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
 apply_cnot), and applies Bob's corrections for all four outcomes to the
-whole stack; one measure_sample draws every run's outcome, and only
-each run's state, fidelity and ledger are built per run. Sampled runs,
-checkpoints and the branch walk each take a stack (`run_protocol_stack`,
-`checkpoints_stack`, `enumerate_protocol_stack`); their one-input forms
+whole stack; one measure_sample draws every run's outcome, and Bob's
+normalised qubits and their fidelities are computed as stacks too.
+`sample_stack` returns a stack's sampled runs as columns with one ledger,
+which `compare` reads; `run_protocol_stack` builds each run's trace from
+them. Checkpoints and the branch walk also take a stack
+(`checkpoints_stack`, `enumerate_protocol_stack`); their one-input forms
 are stacks of one. The schedule is linear, so the entangled-input probe
 stacks the held-back qubit's two values, and `pair_response`, all
 `noise` needs for a mixed channel, the resource pair's four basis states
@@ -41,6 +43,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -290,7 +293,7 @@ def _residuals(t: np.ndarray, probs: np.ndarray, corrections: list[tuple[str, ..
     """Bob's qubit of every run for every outcome k, shape (runs, 4, 2):
     the stack where Alice reads outcome k, divided by sqrt(probs[:, k]),
     with Bob's gates corrections[k] applied. Each vector still needs
-    _normalised."""
+    normalising."""
     out = []
     for k, gates in enumerate(corrections):
         res = t[(slice(None), *divmod(k, 2))] / np.sqrt(probs[:, k]).reshape(-1, 1)
@@ -301,36 +304,96 @@ def _residuals(t: np.ndarray, probs: np.ndarray, corrections: list[tuple[str, ..
 
 
 def _normalised(v: np.ndarray) -> np.ndarray:
-    """v over its norm, one vector at a time: a norm along an axis of the
-    stack sums in another order and can move the last bit, which the
-    per-state reference in the tests would catch."""
+    """v over its norm, one vector at a time, for the entangled-input
+    probe: _bob_rows is bit for bit only on 1-qubit rows, because np.vdot
+    sums a 2-qubit overlap in another order."""
     return v / np.linalg.norm(v)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] for every pair of real 2-vectors, as (n,1,2) @ (n,2,1)
+    matmuls, which sum in the order of the dots inside np.linalg.norm
+    and np.vdot for one qubit, bit for bit."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
+
+
+def _bob_rows(bobs: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Bob's qubits, one per row, normalised, and the fidelity of each with
+    its source, with the arithmetic of _normalised and fidelity_pure row
+    by row, bit for bit: the norm is sqrt(re.re + im.im), the overlap
+    <bob|source> is (br.sr + bi.si) + i(br.si - bi.sr), its modulus
+    np.hypot, and its square the float ** 2 that fidelity_pure takes (an
+    array ** 2 can move the last bit). The rows come back read-only."""
+    re, im = bobs.real, bobs.imag
+    bobs = bobs / np.sqrt(_dots(re, re) + _dots(im, im)).reshape(-1, 1)
+    bobs.flags.writeable = False
+    br, bi, sr, si = bobs.real, bobs.imag, sources.real, sources.imag
+    moduli = np.hypot(_dots(br, sr) + _dots(bi, si), _dots(br, si) - _dots(bi, sr))
+    return bobs, [m ** 2 for m in moduli.tolist()]
+
+
+class SampledRun(NamedTuple):
+    """One run of a SampledStack: its outcome's bits, its fidelity and the
+    stack's ledger."""
+
+    outcome_bits: str
+    fidelity: float
+    ledger: CostLedger
+
+
+@dataclass(frozen=True)
+class SampledStack:
+    """The sampled runs of one stack as columns: run i's outcome index k
+    into _OUTCOMES, its fidelity, and Bob's corrected qubit as row i of
+    `bobs`, shape (runs, 2), read-only. Every run sends the same TELEPORT
+    message, so the stack holds one `ledger` for all its runs. Indexing
+    gives run i as a SampledRun that shares that ledger."""
+
+    outcomes: list[int]
+    fidelities: list[float]
+    bobs: np.ndarray
+    ledger: CostLedger
+
+    def __len__(self) -> int:
+        return len(self.outcomes)
+
+    def __getitem__(self, i: int) -> SampledRun:
+        return SampledRun(_OUTCOMES[self.outcomes[i]], self.fidelities[i], self.ledger)
+
+
+def sample_stack(
+    kind: ProtocolKind, psis: list[UnknownQubit], rngs: list[np.random.Generator]
+) -> SampledStack:
+    """One sampled run per input, as columns: the schedule and Bob's
+    corrections for every outcome run once over the whole stack, and one
+    measure_sample draws every run's outcome, run i from one random() of
+    rngs[i], the only draw it needs. Bob's qubits and their fidelities are
+    computed as one stack too. An empty stack has no runs."""
+    schedule = SCHEDULES[kind]
+    sources = _sources(psis)
+    t, _ = _evolve(kind, sources)
+    probs = _born_rows(t)
+    outcomes = measure_sample(probs, rngs)
+    bobs = _residuals(t, probs, schedule.bob_gates)[np.arange(len(outcomes)), outcomes]
+    bobs, fidelities = _bob_rows(bobs, sources)
+    return SampledStack(outcomes.tolist(), fidelities, bobs, CostLedger([schedule.teleport]))
 
 
 def run_protocol_stack(
     kind: ProtocolKind, psis: list[UnknownQubit], rngs: list[np.random.Generator]
 ) -> list[ProtocolTrace]:
-    """One sampled run per input: the schedule and Bob's corrections for
-    every outcome run once over the whole stack, and one measure_sample
-    draws every run's outcome, run i from one random() of rngs[i], the only
-    draw it needs. Each run keeps its outcome's state; the runs of one
-    outcome share its frozen trace tail. An empty stack returns []."""
+    """One sampled run per input with its full trace, built from
+    sample_stack's columns: the runs of one outcome share its frozen trace
+    tail, and each run has a ledger of its own. An empty stack returns []."""
     schedule = SCHEDULES[kind]
-    sources = _sources(psis)
-    t, _ = _evolve(kind, sources)
-    probs = _born_rows(t)
-    bobs = _residuals(t, probs, schedule.bob_gates)
+    stack = sample_stack(kind, psis, rngs)
     tails = [(Measured(ALICE, (0, 1), bits),
               MessageSent(ALICE, BOB, bits[: schedule.announced], Purpose.TELEPORT),
               CorrectionApplied(BOB, 2, gates))
              for bits, gates in zip(_OUTCOMES, schedule.bob_gates)]
-    traces = []
-    for source, k, bob_rows in zip(sources, measure_sample(probs, rngs), bobs, strict=True):
-        bob = StateVector._trusted(1, _normalised(bob_rows[k]))
-        ledger = CostLedger([schedule.teleport])
-        fidelity = fidelity_pure(bob, StateVector._trusted(1, source))
-        traces.append(ProtocolTrace(kind, [*schedule.steps, *tails[k]], bob, fidelity, ledger))
-    return traces
+    return [ProtocolTrace(kind, [*schedule.steps, *tails[k]], StateVector._trusted(1, bob),
+                          fidelity, CostLedger([schedule.teleport]))
+            for k, bob, fidelity in zip(stack.outcomes, stack.bobs, stack.fidelities)]
 
 
 def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
@@ -401,13 +464,12 @@ def enumerate_protocol_stack(
     sources = _sources(psis)
     t, _ = _evolve(kind, sources)
     probs = _born_rows(t)
-    out = []
-    for source, p, bob_rows in zip(sources, probs, _residuals(t, probs, SCHEDULES[kind].bob_gates)):
-        target = StateVector._trusted(1, source)
-        bobs = [StateVector._trusted(1, _normalised(v)) for v in bob_rows]
-        out.append([ProtocolBranch(BranchOutcome(bits, float(pk)), bob, fidelity_pure(bob, target))
-                    for bits, pk, bob in zip(_OUTCOMES, p, bobs)])
-    return out
+    bobs = _residuals(t, probs, SCHEDULES[kind].bob_gates).reshape(-1, 2)
+    bobs, fidelities = _bob_rows(bobs, np.repeat(sources, 4, axis=0))
+    branches = [ProtocolBranch(BranchOutcome(bits, pk), StateVector._trusted(1, bob), fidelity)
+                for bits, pk, bob, fidelity in zip(itertools.cycle(_OUTCOMES), probs.ravel().tolist(),
+                                                   bobs, fidelities)]
+    return [branches[i: i + 4] for i in range(0, len(branches), 4)]
 
 
 def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBranch]:

@@ -495,12 +495,18 @@ PINNED_SHA256 = [
     (["compare", "--runs", "33", "--seed", str(2**100 + 7), "--noise-f", "0.8",
       "--distill-target", "0.95", "--protocol", "kak", "--format", "csv"],
      "1cfff2fb31b2efdae2a837504d0d1fbf277ecb70de290d850c759e91a407e881"),
+    # computed before the columnar stack core and the spliced JSON rows
+    (["compare", "--runs", "257", "--seed", "5", "--format", "json"],
+     "c207f1c6860781f79e1ef2bb05c8403e7eb9283328706f851b206e58b6903190"),
+    (["compare", "--runs", "1", "--seed", "3", "--format", "json"],
+     "6c249793fc7bbd4c73ca8b1ac7f9e64443c3d5e5c5721738f1b830a8ad8e0a7b"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_SHA256, ids=["ideal-257-text", "noisy-257-json",
                                                             "csv", "kak-json", "seed-2**200",
-                                                            "noisy-kak-seed-2**100-csv"])
+                                                            "noisy-kak-seed-2**100-csv",
+                                                            "ideal-257-json", "ideal-1-json"])
 def test_compare_output_is_pinned(argv, digest, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
@@ -554,7 +560,7 @@ def test_benchmark_tracer_installs_and_changes_no_output(capsys):
         tracer.uninstall()
     assert traced == plain
     spans = [span[3] for span in tracer.spans]
-    assert {"protocol.run_protocol_stack", "protocol.enumerate_protocol_stack",
+    assert {"protocol.sample_stack", "protocol.enumerate_protocol_stack",
             "statevector.apply_h", "statevector.apply_cnot"} <= set(spans)
     # one stacked outcome draw per kind's chunk: the 3 runs are one chunk of sqtp and one of kak
     assert spans.count("statevector.measure_sample") == 2

@@ -35,6 +35,7 @@ from telecost.protocol import (
     run_batch,
     run_protocol,
     run_protocol_stack,
+    sample_stack,
     sqtp_checkpoints,
     step_to_json,
 )
@@ -442,3 +443,21 @@ def test_every_stack_of_no_inputs_is_empty():
         empty = checkpoints_stack(kind, [])
         assert {name: rows.shape for name, rows in empty.items()} == {
             name: (0, rows.shape[1]) for name, rows in one.items()}
+
+
+def test_sample_stack_holds_the_columns_of_its_traces():
+    # the same streams twice: compare reads the columns, run_protocol_stack builds traces from them
+    psis = [haar(seed) for seed in range(40)]
+    for kind in ProtocolKind:
+        stack = sample_stack(kind, psis, [np.random.default_rng(s) for s in range(40)])
+        traces = run_protocol_stack(kind, psis, [np.random.default_rng(s) for s in range(40)])
+        assert len(stack) == len(traces) == 40
+        assert stack.ledger == CostLedger([SCHEDULES[kind].teleport])
+        assert stack.bobs.shape == (40, 2) and not stack.bobs.flags.writeable
+        for i, trace in enumerate(traces):
+            bits = next(step.bits for step in trace.steps if isinstance(step, Measured))
+            assert stack[i] == (bits, trace.fidelity_achieved, stack.ledger)
+            assert stack.bobs[i].tobytes() == trace.final_bob_state.amps.tobytes()
+            assert trace.ledger == stack.ledger and trace.ledger is not stack.ledger
+        empty = sample_stack(kind, [], [])
+        assert len(empty) == 0 and empty.bobs.shape == (0, 2)
