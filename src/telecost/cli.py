@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -27,9 +28,9 @@ from .noise import run_noisy_stack, sweep_rows, SWEEP_COLUMNS
 from .protocol import (
     BATCH_CHUNK,
     MAX_RUNS,
-    UnknownQubit,
     checkpoints_stack,
     enumerate_protocol_stack,
+    haar_sources,
     run_batch,
     sample_stack,
 )
@@ -106,17 +107,19 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 def _json_text(payload: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True) and a newline, byte for
     byte. With indent set, json encodes in pure Python, so the rows of a
-    `per_run` list, each a non-empty dict of scalars, are encoded by the C
-    encoder and spliced in where the document holds "per_run": null. Only
-    a top-level key starts a line with two spaces and a quote, and no JSON
-    string holds a newline, so that text occurs once."""
+    `per_run` list, each a non-empty dict of scalars, are encoded by one C
+    encoder call, split at the text between two rows, and spliced in
+    where the document holds "per_run": null. No JSON string holds a raw
+    newline, so "},\n      {" occurs only between rows; only a top-level
+    key starts a line with two spaces and a quote, so the splice point
+    occurs once."""
     rows = payload.get("per_run")
     if not rows:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     text = json.dumps({**payload, "per_run": None}, indent=2, sort_keys=True)
-    encoded = ",\n    ".join(["{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
-                              for row in rows])
-    return text.replace('\n  "per_run": null', f'\n  "per_run": [\n    {encoded}\n  ]', 1) + "\n"
+    encoded = _ROW_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return text.replace('\n  "per_run": null',
+                        f'\n  "per_run": [\n    {{\n      {encoded}\n    }}\n  ]', 1) + "\n"
 
 
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
@@ -136,23 +139,24 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Instantiate every golden expansion with random amplitudes and
     compare the engine's registers componentwise; also require every
     corrected branch of both protocols to recover the input. The inputs
-    run in stacks of BATCH_CHUNK; the errors are maxima, so the stacking
-    changes none of them."""
+    run in stacks of BATCH_CHUNK, each drawn as one block of rng.random(),
+    which gives the draws of one random() call after another; the errors
+    are maxima, so the stacking changes none of them."""
     table = load_expansions(cfg.golden)
     rng = np.random.default_rng(cfg.seed)
     max_err = {name: 0.0 for name in ALL_EXPANSIONS}
     branch_err = dict.fromkeys(ProtocolKind, 0.0)
     for start in range(0, cfg.n_runs, BATCH_CHUNK):
-        psis = [UnknownQubit.haar(rng) for _ in range(min(BATCH_CHUNK, cfg.n_runs - start))]
-        alphas, betas = np.array([(psi.alpha, psi.beta) for psi in psis]).T
-        states = {**checkpoints_stack(ProtocolKind.SQTP, psis),
-                  **checkpoints_stack(ProtocolKind.KAK, psis)}
+        sources = haar_sources(rng.random((min(BATCH_CHUNK, cfg.n_runs - start), 2)))
+        alphas, betas = sources.T
+        states = {**checkpoints_stack(ProtocolKind.SQTP, sources),
+                  **checkpoints_stack(ProtocolKind.KAK, sources)}
         for name in ALL_EXPANSIONS:
             ref = table[name].instantiate(alphas, betas)
             err = float(np.max(np.abs(states[name] - ref)))
             max_err[name] = max(max_err[name], err)
         for kind in ProtocolKind:
-            worst = max(1.0 - b.fidelity for branches in enumerate_protocol_stack(kind, psis)
+            worst = max(1.0 - b.fidelity for branches in enumerate_protocol_stack(kind, sources)
                         for b in branches)
             branch_err[kind] = max(branch_err[kind], worst)
 
@@ -190,26 +194,41 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _compare_data(cfg: RunConfig) -> dict:
+    """Each run's row per kind, in run order, from each chunk's columns."""
     kinds = cfg.kinds()
 
-    def run_noisy_chunk(kind, psis, rngs):
-        return run_noisy_stack(kind, psis, cfg.noise_f, rngs, distill_target=cfg.distill_target,
-                               max_rounds=cfg.max_rounds)
-
-    run_chunk = sample_stack if cfg.noise_f is None else run_noisy_chunk
-    per_run: list[dict] = []
-    for i, kind, result in run_batch(kinds, cfg.n_runs, cfg.seed, run_chunk):
+    def run_chunk(kind, sources, streams):
         if cfg.noise_f is None:
-            outcome, channel_f = result.outcome_bits, None
-        else:
-            outcome, channel_f = None, round(result.f_final, 12)
-        per_run.append({"run": i, "protocol": kind.value, "outcome_bits": outcome,
-                        "fidelity": round(result.fidelity, 12), "channel_f": channel_f,
-                        "teleport_bits": result.ledger.total(Purpose.TELEPORT),
-                        "locc_bits": result.ledger.total(Purpose.LOCC)})
+            return sample_stack(kind, sources, streams.random())
+        return run_noisy_stack(kind, sources, cfg.noise_f, streams.scalar(),
+                               distill_target=cfg.distill_target, max_rounds=cfg.max_rounds)
+
+    per_run: list[dict] = []
+    for runs, results in run_batch(kinds, cfg.n_runs, cfg.seed, run_chunk):
+        rows = []
+        for kind, result in zip(kinds, results):
+            n = len(result)
+            if cfg.noise_f is None:  # one ledger for the stack's runs
+                outcomes, fidelities = result.outcome_bits(), result.fidelities
+                channel_fs = [None] * n
+                teleports = [result.ledger.total(Purpose.TELEPORT)] * n
+                loccs = [result.ledger.total(Purpose.LOCC)] * n
+            else:
+                outcomes = [None] * n
+                fidelities = [report.fidelity for report in result]
+                channel_fs = [round(report.f_final, 12) for report in result]
+                teleports = [report.ledger.total(Purpose.TELEPORT) for report in result]
+                loccs = [report.ledger.total(Purpose.LOCC) for report in result]
+            name = kind.value
+            rows.append([{"run": i, "protocol": name, "outcome_bits": outcome,
+                          "fidelity": round(fidelity, 12), "channel_f": channel_f,
+                          "teleport_bits": t_bits, "locc_bits": l_bits}
+                         for i, outcome, fidelity, channel_f, t_bits, l_bits
+                         in zip(runs, outcomes, fidelities, channel_fs, teleports, loccs)])
+        per_run += itertools.chain.from_iterable(zip(*rows))
     summary: dict[str, dict] = {}
-    for name in [kind.value for kind in kinds]:
-        rows = [r for r in per_run if r["protocol"] == name]
+    for k, name in enumerate(kind.value for kind in kinds):
+        rows = per_run[k::len(kinds)]  # the rows interleave the kinds run by run
         t_bits = rows[0]["teleport_bits"]  # run_batch checked that it never varies
         locc_mean = float(np.mean([r["locc_bits"] for r in rows]))
         summary[name] = {

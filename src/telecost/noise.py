@@ -229,8 +229,9 @@ class NoisyTeleportReport:
     ledger: CostLedger
 
 
-def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit], channel_f: float,
-                    rngs: list[np.random.Generator], distill_target: float | None = None,
+def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
+                    channel_f: float, rngs: list[np.random.Generator],
+                    distill_target: float | None = None,
                     max_rounds: int = 32) -> list[NoisyTeleportReport]:
     """One noisy run per input: run i distills with rngs[i] alone, drawing
     only random(), then all inputs go through pair_response as one stack,

@@ -22,20 +22,22 @@ A non-local schedule cannot be built, and no run checks it again.
 One interpreter runs a table once over a stack of registers, shape
 (runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
 apply_cnot), and applies Bob's corrections for all four outcomes to the
-whole stack; one measure_sample draws every run's outcome, and Bob's
-normalised qubits and their fidelities are computed as stacks too.
-`sample_stack` returns a stack's sampled runs as columns with one ledger,
-which `compare` reads; `run_protocol_stack` builds each run's trace from
-them. Checkpoints and the branch walk also take a stack
-(`checkpoints_stack`, `enumerate_protocol_stack`); their one-input forms
-are stacks of one. The schedule is linear, so the entangled-input probe
-stacks the held-back qubit's two values, and `pair_response`, all
-`noise` needs for a mixed channel, the resource pair's four basis states
-under every input. `run_batch` is the one seeded batch runner; it
-evaluates its runs in chunks of BATCH_CHUNK and seeds a chunk's streams
-in one pass, NumPy's SeedSequence->PCG64 bit for bit, each serving only
-random(), from which UnknownQubit.haar draws the inputs. The per-state path
-this replaced is the bit-for-bit reference in tests/per_state_reference.py.
+whole stack; one measure_sample draws every run's outcome from a column
+of uniforms, and Bob's normalised qubits and their fidelities are
+computed as stacks too. `sample_stack` returns a stack's sampled runs as
+columns with one ledger, which `compare` reads; `run_protocol_stack`
+builds each run's trace from them. Checkpoints and the branch walk also
+take a stack (`checkpoints_stack`, `enumerate_protocol_stack`) of
+UnknownQubits or of checked amplitude rows such as `haar_sources` draws;
+their one-input forms are stacks of one. The schedule is linear, so the
+entangled-input probe stacks the held-back qubit's two values, and
+`pair_response`, all `noise` needs for a mixed channel, the resource
+pair's four basis states under every input.
+`run_batch` is the one seeded batch runner: per chunk of BATCH_CHUNK runs
+it steps every stream as uint64 limb arrays, NumPy's SeedSequence->PCG64
+bit for bit, and hands on columns of random() draws, or the streams one
+by one for distillation. The per-state path this replaced is the
+bit-for-bit reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -189,12 +190,9 @@ class UnknownQubit:
 
     @classmethod
     def haar(cls, rng: np.random.Generator) -> UnknownQubit:
-        """Haar-uniform input from two angles, cos(theta) uniform on [-1, 1]
-        and phase uniform on [0, 2pi), each one rng.random() with
-        Generator.uniform's arithmetic; random() is the only draw it needs."""
-        theta = np.arccos(-1.0 + 2.0 * rng.random())
-        phi = 2.0 * np.pi * rng.random()
-        return cls(complex(np.cos(theta / 2.0)), complex(np.exp(1j * phi) * np.sin(theta / 2.0)))
+        """Haar-uniform input from two rng.random() draws, theta's first, as
+        a stack of one of haar_sources; random() is the only draw it needs."""
+        return cls(*haar_sources(np.array([[rng.random(), rng.random()]]))[0].tolist())
 
     def to_statevector(self) -> StateVector:
         return StateVector(1, np.array([self.alpha, self.beta], dtype=complex))
@@ -255,21 +253,45 @@ class ProtocolTrace:
 _GATES = {"H": apply_h, "X": apply_x, "Z": apply_z, "CNOT": apply_cnot}
 
 
-def _sources(psis: list[UnknownQubit]) -> np.ndarray:
-    """The inputs' amplitudes, one row each; UnknownQubit checked their norm."""
+def haar_sources(u: np.ndarray) -> np.ndarray:
+    """Haar-uniform inputs as read-only (n, 2) amplitude rows, row i from
+    two random() draws u[i]: cos(theta) uniform on [-1, 1] and phase on
+    [0, 2pi), with Generator.uniform's arithmetic."""
+    theta = np.arccos(-1.0 + 2.0 * u[:, 0])
+    phi = 2.0 * np.pi * u[:, 1]
+    rows = np.stack([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1)
+    rows.flags.writeable = False
+    return _unit_rows(rows)
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """rows, once every one is a 2-vector within UnknownQubit's norm bound,
+    checked as one array."""
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"input rows must have shape (n, 2), got {rows.shape}")
+    norms = np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2
+    if not np.all(np.abs(norms - 1.0) <= 1e-12):  # also rejects NaN and infinite amplitudes
+        raise ValueError("|alpha|^2 + |beta|^2 must be 1 in every input row")
+    return rows
+
+
+def _sources(psis: list[UnknownQubit] | np.ndarray) -> np.ndarray:
+    """The inputs' amplitudes, one row each: UnknownQubits, which checked
+    their norm, or rows such as haar_sources', checked here."""
+    if isinstance(psis, np.ndarray):
+        return _unit_rows(psis)
     return np.array([(psi.alpha, psi.beta) for psi in psis], dtype=complex).reshape(-1, 2)
 
 
 def _evolve(
-    kind: ProtocolKind, sources: np.ndarray, pairs: np.ndarray | None = None
+    schedule: Schedule, sources: np.ndarray, pairs: np.ndarray | None = None
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Run SCHEDULES[kind] once over a stack of registers, row i of
+    """Run `schedule` once over a stack of registers, row i of
     `sources` (x) a resource pair, up to, not including, Alice's
     measurement. `pairs` holds the pair's four amplitudes, one vector for
     every row or one row per source, and defaults to the Bell pair. Axis 0
     of the stack indexes the runs and axis q + 1 holds qubit q. Returns
     the stack before the measurement and the named stacks along the way."""
-    schedule = SCHEDULES[kind]
     if pairs is None:
         pairs = bell_pair().amps
     t = (sources[:, :, None] * pairs[..., None, :]).reshape(len(sources), 2, 2, 2)
@@ -332,22 +354,12 @@ def _bob_rows(bobs: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, list[f
     return bobs, [m ** 2 for m in moduli.tolist()]
 
 
-class SampledRun(NamedTuple):
-    """One run of a SampledStack: its outcome's bits, its fidelity and the
-    stack's ledger."""
-
-    outcome_bits: str
-    fidelity: float
-    ledger: CostLedger
-
-
 @dataclass(frozen=True)
 class SampledStack:
     """The sampled runs of one stack as columns: run i's outcome index k
     into _OUTCOMES, its fidelity, and Bob's corrected qubit as row i of
     `bobs`, shape (runs, 2), read-only. Every run sends the same TELEPORT
-    message, so the stack holds one `ledger` for all its runs. Indexing
-    gives run i as a SampledRun that shares that ledger."""
+    message, so the stack holds one `ledger` for all its runs."""
 
     outcomes: list[int]
     fidelities: list[float]
@@ -357,23 +369,22 @@ class SampledStack:
     def __len__(self) -> int:
         return len(self.outcomes)
 
-    def __getitem__(self, i: int) -> SampledRun:
-        return SampledRun(_OUTCOMES[self.outcomes[i]], self.fidelities[i], self.ledger)
+    def outcome_bits(self) -> list[str]:
+        """Every run's outcome as Alice's two bits, in run order."""
+        return [_OUTCOMES[k] for k in self.outcomes]
 
 
-def sample_stack(
-    kind: ProtocolKind, psis: list[UnknownQubit], rngs: list[np.random.Generator]
-) -> SampledStack:
+def sample_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
+                 u: np.ndarray) -> SampledStack:
     """One sampled run per input, as columns: the schedule and Bob's
     corrections for every outcome run once over the whole stack, and one
-    measure_sample draws every run's outcome, run i from one random() of
-    rngs[i], the only draw it needs. Bob's qubits and their fidelities are
-    computed as one stack too. An empty stack has no runs."""
-    schedule = SCHEDULES[kind]
-    sources = _sources(psis)
-    t, _ = _evolve(kind, sources)
+    measure_sample draws every run's outcome, run i's from u[i], one
+    random() of its stream. Bob's qubits and their fidelities are computed
+    as one stack too. An empty stack has no runs."""
+    schedule, sources = SCHEDULES[kind], _sources(psis)
+    t, _ = _evolve(schedule, sources)
     probs = _born_rows(t)
-    outcomes = measure_sample(probs, rngs)
+    outcomes = measure_sample(probs, u)
     bobs = _residuals(t, probs, schedule.bob_gates)[np.arange(len(outcomes)), outcomes]
     bobs, fidelities = _bob_rows(bobs, sources)
     return SampledStack(outcomes.tolist(), fidelities, bobs, CostLedger([schedule.teleport]))
@@ -382,11 +393,12 @@ def sample_stack(
 def run_protocol_stack(
     kind: ProtocolKind, psis: list[UnknownQubit], rngs: list[np.random.Generator]
 ) -> list[ProtocolTrace]:
-    """One sampled run per input with its full trace, built from
-    sample_stack's columns: the runs of one outcome share its frozen trace
-    tail, and each run has a ledger of its own. An empty stack returns []."""
+    """One sampled run per input with its full trace, run i's outcome from
+    one random() of rngs[i], built from sample_stack's columns: the runs
+    of one outcome share its frozen trace tail, and each run has a ledger
+    of its own. An empty stack returns []."""
     schedule = SCHEDULES[kind]
-    stack = sample_stack(kind, psis, rngs)
+    stack = sample_stack(kind, psis, np.array([rng.random() for rng in rngs], dtype=float))
     tails = [(Measured(ALICE, (0, 1), bits),
               MessageSent(ALICE, BOB, bits[: schedule.announced], Purpose.TELEPORT),
               CorrectionApplied(BOB, 2, gates))
@@ -402,11 +414,12 @@ def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator
     return run_protocol_stack(kind, [psi], [rng])[0]
 
 
-def checkpoints_stack(kind: ProtocolKind, psis: list[UnknownQubit]) -> dict[str, np.ndarray]:
+def checkpoints_stack(kind: ProtocolKind,
+                      psis: list[UnknownQubit] | np.ndarray) -> dict[str, np.ndarray]:
     """The named registers of every input, one array per name with one
     amplitude row per input; SQTP's also holds the resource pair on its
     own as "epr_pair"."""
-    _, stacks = _evolve(kind, _sources(psis))
+    _, stacks = _evolve(SCHEDULES[kind], _sources(psis))
     named = {name: t.reshape(len(psis), 2 ** (t.ndim - 1)) for name, t in stacks.items()}
     if kind is ProtocolKind.SQTP:
         named = {"epr_pair": np.broadcast_to(bell_pair().amps, (len(psis), 4)), **named}
@@ -430,7 +443,7 @@ def kak_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
     return _checkpoints(ProtocolKind.KAK, psi)
 
 
-def pair_response(kind: ProtocolKind, psis: list[UnknownQubit]) -> list[np.ndarray]:
+def pair_response(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray) -> list[np.ndarray]:
     """One a per input, a[k, j] = <psi| Bob's corrected qubit for outcome
     k>, unnormalised, when the resource pair is the basis pair |j>: each
     input's four pairs are rows of one stack of 4 x len(psis), and
@@ -438,10 +451,10 @@ def pair_response(kind: ProtocolKind, psis: list[UnknownQubit]) -> list[np.ndarr
     linear, so through a 2-qubit channel rho Bob holds
     sum_jl rho[j, l] b[k, j] b[k, l]^dagger for outcome k, and the
     teleport fidelity is sum_k a[k]^T rho conj(a[k])."""
-    sources = _sources(psis)
-    pairs = np.tile(np.eye(4, dtype=complex), (len(psis), 1))
-    t, _ = _evolve(kind, np.repeat(sources, 4, axis=0), pairs)
-    bobs = _residuals(t, np.ones((len(pairs), 4)), SCHEDULES[kind].bob_gates)
+    schedule, sources = SCHEDULES[kind], _sources(psis)
+    pairs = np.tile(np.eye(4, dtype=complex), (len(sources), 1))
+    t, _ = _evolve(schedule, np.repeat(sources, 4, axis=0), pairs)
+    bobs = _residuals(t, np.ones((len(pairs), 4)), schedule.bob_gates)
     return [(bobs[4 * i: 4 * i + 4] @ source.conj()).T for i, source in enumerate(sources)]
 
 
@@ -455,16 +468,16 @@ class ProtocolBranch:
 
 
 def enumerate_protocol_stack(
-    kind: ProtocolKind, psis: list[UnknownQubit]
+    kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray
 ) -> list[list[ProtocolBranch]]:
     """All four measurement branches of every input with corrections
     applied. For SQTP the four corrected residuals all recover psi (branch
     11 up to a global -1). For KAK the uncorrected residuals come in
     exactly two classes keyed on the q0 bit."""
-    sources = _sources(psis)
-    t, _ = _evolve(kind, sources)
+    schedule, sources = SCHEDULES[kind], _sources(psis)
+    t, _ = _evolve(schedule, sources)
     probs = _born_rows(t)
-    bobs = _residuals(t, probs, SCHEDULES[kind].bob_gates).reshape(-1, 2)
+    bobs = _residuals(t, probs, schedule.bob_gates).reshape(-1, 2)
     bobs, fidelities = _bob_rows(bobs, np.repeat(sources, 4, axis=0))
     branches = [ProtocolBranch(BranchOutcome(bits, pk), StateVector._trusted(1, bob), fidelity)
                 for bits, pk, bob, fidelity in zip(itertools.cycle(_OUTCOMES), probs.ravel().tolist(),
@@ -519,7 +532,7 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
     if joint.n_qubits != 2:
         raise ValueError(f"joint input must be 2 qubits, got {joint.n_qubits}")
     schedule = SCHEDULES[ProtocolKind.KAK]
-    t, _ = _evolve(ProtocolKind.KAK, joint.amps.reshape(2, 2))
+    t, _ = _evolve(schedule, joint.amps.reshape(2, 2))
     probs = _born_rows(t).sum(axis=0)
     rows = np.broadcast_to(probs, (2, 4))
     fids = {key: [fidelity_pure(StateVector._trusted(2, _normalised(v)), joint)
@@ -545,22 +558,62 @@ MAX_RUNS = 2**32 - 1  # a run index is one uint32 word of its streams' spawn key
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT, _M64, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1, 2**128 - 1
+# the multiplier's 64-bit limbs, and the low limb's 32-bit halves, as uint64
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _M64)
+_M32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_MULT_LO0, _MULT_LO1 = _MULT_LO & _M32, _MULT_LO >> _U32
 
 
+@dataclass(slots=True)
 class _Stream:
-    """NumPy's PCG64 on Python ints, seeded from (initstate, initseq), with
+    """NumPy's PCG64 on Python ints at 128-bit state and increment, with
     random(), the only Generator draw the package makes."""
 
-    __slots__ = ("state", "inc")
-
-    def __init__(self, initstate: int, initseq: int) -> None:
-        self.inc = (initseq << 1 | 1) & _M128
-        self.state = ((self.inc + initstate) * _PCG_MULT + self.inc) & _M128
+    state: int
+    inc: int
 
     def random(self) -> float:
         state = self.state = (self.state * _PCG_MULT + self.inc) & _M128
         x, rot = ((state >> 64) ^ state) & _M64, state >> 122  # XSL-RR output
         return (((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """state * _PCG_MULT + inc mod 2**128 on uint64 hi/lo limb arrays, which
+    wrap silently: the high limb of lo * _MULT_LO from 32-bit partial
+    products, then the carry of the low limb's sum."""
+    a0, a1 = lo & _M32, lo >> _U32
+    p00, p01, p10 = a0 * _MULT_LO0, a0 * _MULT_LO1, a1 * _MULT_LO0
+    mid = (p00 >> _U32) + (p01 & _M32) + (p10 & _M32)
+    hi = (a1 * _MULT_LO1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+          + hi * _MULT_LO + lo * _MULT_HI)
+    lo_product = lo * _MULT_LO
+    lo = lo_product + inc_lo
+    return hi + inc_hi + (lo < lo_product), lo
+
+
+@dataclass
+class _Streams:
+    """One stream of every run of a chunk, NumPy's PCG64 on uint64 hi/lo
+    limb arrays of its state and increment."""
+
+    hi: np.ndarray
+    lo: np.ndarray
+    inc_hi: np.ndarray
+    inc_lo: np.ndarray
+
+    def random(self) -> np.ndarray:
+        """Step every stream once: one random() of each, as float64."""
+        self.hi, self.lo = _pcg_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
+        x, rot = self.hi ^ self.lo, self.hi >> np.uint64(58)  # XSL-RR output
+        return ((x >> rot | x << (np.uint64(64) - rot & np.uint64(63))) >> np.uint64(11)) * 2.0**-53
+
+    def scalar(self) -> list[_Stream]:
+        """Each stream handed on at its state, for a caller that draws a
+        varying number of times per run."""
+        return [_Stream(hi << 64 | lo, inc_hi << 64 | inc_lo) for hi, lo, inc_hi, inc_lo
+                in zip(*(limb.tolist() for limb in (self.hi, self.lo, self.inc_hi, self.inc_lo)))]
 
 
 def _hashmix(v: np.ndarray, hc: list[int]) -> np.ndarray:
@@ -572,11 +625,12 @@ def _hashmix(v: np.ndarray, hc: list[int]) -> np.ndarray:
     return x ^ x >> 16
 
 
-def _streams(seed: int, runs: range, n_streams: int) -> list[list[_Stream]]:
-    """Stream s < n_streams of each run i in runs: the PCG64 of SeedSequence(
-    seed, spawn_key=(i, s)), bit for bit. Its hash constants do not depend
-    on the data, so the entropy mixing and generate_state(4, uint64) run
-    once, on uint32 arrays over every (s, i)."""
+def _streams(seed: int, runs: range, n_streams: int) -> list[_Streams]:
+    """Stream s < n_streams of every run i in runs: the PCG64 of
+    SeedSequence(seed, spawn_key=(i, s)), bit for bit. Its hash constants
+    do not depend on the data, so the entropy mixing and
+    generate_state(4, uint64) run once, on uint32 arrays over every (s, i),
+    and PCG64 seeds from the state words (initstate, initseq) as limbs."""
     words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.broadcast_arrays(*map(np.uint32, words + [0] * (4 - len(words))),
                                   np.arange(runs.start, runs.stop, dtype=np.uint32),
@@ -595,21 +649,26 @@ def _streams(seed: int, runs: range, n_streams: int) -> list[list[_Stream]]:
             pool[dst] = mix(pool[dst], _hashmix(w, hc))
     hc = [_INIT_B, _MULT_B]
     out = [_hashmix(pool[k % 4], hc).astype(np.uint64) for k in range(8)]
-    v = [(out[2 * j + 1] << np.uint64(32) | out[2 * j]).tolist() for j in range(4)]
-    return [[_Stream(a << 64 | b, c << 64 | d) for a, b, c, d in zip(*row)] for row in zip(*v)]
+    a, b, c, d = (out[2 * j + 1] << _U32 | out[2 * j] for j in range(4))
+    # inc = initseq << 1 | 1, then state = (inc + initstate) * _PCG_MULT + inc
+    inc_hi, inc_lo = c << np.uint64(1) | d >> np.uint64(63), d << np.uint64(1) | np.uint64(1)
+    lo = inc_lo + b
+    hi, lo = _pcg_step(inc_hi + a + (lo < b), lo, inc_hi, inc_lo)
+    return [_Streams(*limbs) for limbs in zip(hi, lo, inc_hi, inc_lo)]
 
 
 def run_batch(
     kinds: list[ProtocolKind], n_runs: int, seed: int, run_chunk: Callable
-) -> Iterator[tuple[int, ProtocolKind, object]]:
-    """Seeded batch over Haar-random inputs, yielding (run, kind, result)
-    in run order. Stream s of run i is NumPy's PCG64 of SeedSequence(seed,
-    spawn_key=(i, s)), child s of child i of SeedSequence(seed), built a
-    chunk at a time by `_streams`: psi draws from stream 0 and kind k from
-    stream 1 + k, so run i depends neither on n_runs nor on the chunks of
-    BATCH_CHUNK runs. run_chunk(kind, psis, rngs) returns one result per
-    input of a chunk, each with a cost ledger whose TELEPORT bits must not
-    vary across the runs of one kind; it draws only random()."""
+) -> Iterator[tuple[range, list]]:
+    """Seeded batch over Haar-random inputs, yielding each chunk of at most
+    BATCH_CHUNK runs as (runs, results), results[k] = run_chunk(kinds[k],
+    sources, streams). Stream s of run i is NumPy's PCG64 of
+    SeedSequence(seed, spawn_key=(i, s)): `sources` are haar_sources of two
+    random() of stream 0 per run, and `streams` are stream 1 + k of the
+    chunk's runs, a column of draws per random() or scalar() one by one, so
+    run i depends neither on n_runs nor on the chunks. A chunk's result is
+    a SampledStack, whose ledger is checked once, or one result with a
+    ledger per run; a kind's TELEPORT bits must not vary across its runs."""
     if not 1 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must be in 1..{MAX_RUNS}, got {n_runs}")
     if seed < 0:
@@ -617,14 +676,16 @@ def run_batch(
     teleport_bits: dict[ProtocolKind, int] = {}
     for start in range(0, n_runs, BATCH_CHUNK):
         runs = range(start, min(start + BATCH_CHUNK, n_runs))
-        streams = _streams(seed, runs, 1 + len(kinds))
-        psis = [UnknownQubit.haar(rng) for rng in streams[0]]
-        results = [run_chunk(kind, psis, streams[1 + k]) for k, kind in enumerate(kinds)]
-        for j in range(len(psis)):
-            for kind, chunk in zip(kinds, results):
-                bits = chunk[j].ledger.total(Purpose.TELEPORT)
+        inputs, *streams = _streams(seed, runs, 1 + len(kinds))
+        sources = haar_sources(np.stack([inputs.random(), inputs.random()], axis=1))
+        results = [run_chunk(kind, sources, rngs) for kind, rngs in zip(kinds, streams)]
+        for kind, result in zip(kinds, results):
+            ledgers = ([result.ledger] if isinstance(result, SampledStack)
+                       else [r.ledger for r in result])
+            for ledger in ledgers:
+                bits = ledger.total(Purpose.TELEPORT)
                 if teleport_bits.setdefault(kind, bits) != bits:
                     raise AssertionError(
                         f"teleport bits varied for {kind.value}: {teleport_bits[kind]} then {bits}"
                     )
-                yield start + j, kind, chunk[j]
+        yield runs, results

@@ -15,7 +15,7 @@ Conventions, fixed across the whole package:
     registers, one size-2 axis per qubit, and take any leading axes along,
     so `protocol` runs one gate over all its runs; apply_h/x/z share the
     private kernel _unitary1_axes. measure_sample draws every run's outcome
-    at once, one row of Born probabilities and one stream per run. The
+    at once, one row of Born probabilities and one uniform per run. The
     per-state gates, sampling and collapse helpers the stacked path
     replaced are the test reference in tests/per_state_reference.py.
 """
@@ -126,17 +126,16 @@ def apply_cnot(t: np.ndarray, control: int, target: int) -> np.ndarray:
     return out
 
 
-def measure_sample(probs: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
-    """One outcome index per row of Born probabilities, row i drawn by one
-    random() of rngs[i], the only draw it needs, with rng.choice(len(row),
+def measure_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One outcome index per row of Born probabilities, row i drawn by u[i],
+    one random() of its run's stream, with rng.choice(len(row),
     p=row / row.sum())'s arithmetic, bit for bit; a negative, non-finite or
-    all-0 row raises first."""
+    all-0 row raises."""
     cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
     if not (np.all(probs >= 0) and np.all(cdf[:, -1] > 0)):  # NaN compares False
         raise ValueError("Born probabilities must be finite, non-negative and not all 0")
     cdf = cdf / cdf[:, -1:]
-    u = np.array([rng.random() for rng in rngs]).reshape(len(probs), 1)
-    return np.count_nonzero(cdf <= u, axis=1)
+    return np.count_nonzero(cdf <= u.reshape(len(probs), 1), axis=1)
 
 
 @dataclass(frozen=True)

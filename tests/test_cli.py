@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import telecost.protocol
 from telecost.cli import GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, main
 from telecost.kinds import ProtocolKind, Purpose
-from telecost.noise import run_noisy_teleport
-from telecost.protocol import MAX_RUNS, run_batch
+from telecost.noise import run_noisy_stack
+from telecost.protocol import MAX_RUNS, UnknownQubit, run_batch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -344,8 +345,9 @@ def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
     assert code == 0
     assert json.loads(out)["per_run"][0]["locc_bits"] == 182
     # the same run through the API: the printed channel_f 1.0 is a rounding
-    [(_, _, report)] = run_batch([ProtocolKind.KAK], 1, 0, lambda kind, psis, rngs: [
-        run_noisy_teleport(kind, psis[0], 0.75, rngs[0], distill_target=1.0, max_rounds=1024)])
+    [(_, [[report]])] = run_batch([ProtocolKind.KAK], 1, 0, lambda kind, sources, streams:
+                                  run_noisy_stack(kind, sources, 0.75, streams.scalar(),
+                                                  distill_target=1.0, max_rounds=1024))
     assert report.f_final < 1.0 and report.target_met is False
     assert report.ledger.total(Purpose.LOCC) == 182
 
@@ -436,7 +438,7 @@ def test_runs_past_one_spawn_key_word_rejected_before_any_work(command, monkeypa
         raise AssertionError("no run may start")
 
     monkeypatch.setattr("telecost.cli.run_batch", no_work)
-    monkeypatch.setattr("telecost.cli.UnknownQubit.haar", no_work)
+    monkeypatch.setattr("telecost.cli.haar_sources", no_work)
     code, out, err = run_cli([command, "--runs", str(MAX_RUNS + 1)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--runs" in err and str(MAX_RUNS) in err
@@ -544,6 +546,24 @@ def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     assert run_cli(argv, capsys) == plain
     assert plain[0] == 0 and len(json.loads(plain[1])["per_run"]) == 600
+
+
+def test_ideal_compare_builds_no_scalar_stream_and_no_input_object(monkeypatch, capsys):
+    # every stream is drawn as a column of its chunk and every input as a row
+    # of haar_sources; only distillation, which draws once per attempt, takes
+    # the streams one by one
+    argv = ["compare", "--runs", "300", "--seed", "4", "--format", "json"]
+    plain = run_cli(argv, capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar stream or an UnknownQubit was built")
+
+    monkeypatch.setattr(telecost.protocol, "_Stream", refuse)
+    monkeypatch.setattr(UnknownQubit, "__init__", refuse)
+    assert run_cli(argv, capsys) == plain
+    assert plain[0] == 0 and len(json.loads(plain[1])["per_run"]) == 600
+    with pytest.raises(AssertionError, match="scalar stream"):
+        run_cli([*argv, "--noise-f", "0.8", "--distill-target", "0.9"], capsys)
 
 
 def test_benchmark_tracer_installs_and_changes_no_output(capsys):

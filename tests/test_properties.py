@@ -4,9 +4,11 @@ against an independent reference; the sampled distillation run and the
 sweep against the two recurrence walks they replaced, and their two LOCC
 bills against each other; the stacked interpreter against the per-state
 path it replaced, bit for bit, and every stack against its stacks of one;
-the locality of every sampled run's trace; the seeded batch's streams
-against NumPy's SeedSequence and PCG64, and the Haar draw against the
-rng.uniform formula it replaced, bit for bit; the states that
+the locality of every sampled run's trace; SQTP and KAK as one channel
+on any resource pair; the seeded batch's vector streams and their scalar
+handoff against NumPy's SeedSequence and PCG64, and the Haar draw, one
+at a time and stacked, against the rng.uniform formula it replaced, bit
+for bit; the states that
 kernels build unchecked, which must still pass the public constructor's
 checks; the stacked normalisation and fidelity of Bob's qubits against
 the per-vector arithmetic, bit for bit; the ledger's running totals
@@ -49,9 +51,11 @@ from telecost.protocol import (
     enumerate_protocol_stack,
     kak_checkpoints,
     kak_entangled_input_demo,
+    pair_response,
     run_protocol,
     _bob_rows,
     _streams,
+    haar_sources,
     sqtp_checkpoints,
 )
 from telecost.statevector import StateVector, fidelity_pure, measure_sample
@@ -178,6 +182,23 @@ def test_teleport_fidelity_through_any_channel_equals_dense_oracle(seed):
         assert abs(teleport_fidelity_noisy(kind, psi, DensityMatrix(rho)) - want) < TOL
 
 
+@PROPERTY
+@given(seeds)
+def test_sqtp_and_kak_are_the_same_channel_up_to_the_sign_of_outcome_11(seed):
+    # SQTP corrects outcome 11 with Z then X, a global -1 that KAK's one-bit Z
+    # leaves out; the fidelity's quadratic form does not see the sign, so no
+    # channel on the resource pair tells the two protocols apart
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    channel = DensityMatrix(rho / np.real(np.trace(rho)))
+    psi = UnknownQubit.haar(rng)
+    [sqtp], [kak] = (pair_response(kind, [psi]) for kind in (ProtocolKind.SQTP, ProtocolKind.KAK))
+    assert np.array_equal(kak, sqtp * np.array([[1], [1], [1], [-1]]))
+    assert (teleport_fidelity_noisy(ProtocolKind.KAK, psi, channel)
+            == teleport_fidelity_noisy(ProtocolKind.SQTP, psi, channel))
+
+
 # Haar-uniform input from its two angles: cos(theta) uniform on [-1, 1],
 # phase uniform on [0, 2pi)
 haar_angles = st.tuples(
@@ -283,7 +304,7 @@ def test_stacked_draw_matches_the_per_state_draw(rows):
     rngs = [np.random.default_rng(seed) for _, seed in rows]
     want = [int(per_state_reference.measure_sample(s, [0, 1], rng)[0], 2)
             for s, rng in zip(states, ref_rngs)]
-    assert measure_sample(probs, rngs).tolist() == want
+    assert measure_sample(probs, np.array([rng.random() for rng in rngs])).tolist() == want
     assert [rng.random() for rng in rngs] == [rng.random() for rng in ref_rngs]
 
 
@@ -349,11 +370,15 @@ run_indices = st.integers(min_value=0, max_value=2**32 - 1)
 @example(2**300 + 1, 0)
 @example(2**96, 1)
 def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i):
-    # a short stack ending at run i, three streams per run, as run_batch keys them
+    # a short stack ending at run i, three streams per run, as run_batch keys
+    # them: two vector steps, then every stream handed on as distillation
+    # draws it, one scalar stream per run
     runs = range(max(i - 2, 0), i + 1)
-    for s, row in enumerate(_streams(seed, runs, 3)):
-        for run, ours in zip(runs, row, strict=True):
+    for s, streams in enumerate(_streams(seed, runs, 3)):
+        columns = [streams.random().tolist() for _ in range(2)]
+        for j, (run, ours) in enumerate(zip(runs, streams.scalar(), strict=True)):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, s)))
+            assert [column[j] for column in columns] == [rng.random() for _ in range(2)]
             assert [ours.random() for _ in range(64)] == [rng.random() for _ in range(64)]
             assert UnknownQubit.haar(ours) == UnknownQubit.haar(rng)
 
@@ -371,7 +396,7 @@ def retired_haar(rng) -> tuple[complex, complex]:
 def test_haar_draw_is_the_retired_uniform_formula_bit_for_bit(seed, i):
     # on a NumPy generator, and on run_batch's input stream of run i against
     # the NumPy generator it reproduces, which still has uniform()
-    stream = _streams(seed, range(i, i + 1), 1)[0][0]
+    stream = _streams(seed, range(i, i + 1), 1)[0].scalar()[0]
     twin = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, 0)))
     pairs = [(np.random.default_rng(seed), np.random.default_rng(seed)), (stream, twin)]
     for _ in range(16):
@@ -379,6 +404,10 @@ def test_haar_draw_is_the_retired_uniform_formula_bit_for_bit(seed, i):
             psi = UnknownQubit.haar(rng)
             assert (np.array([psi.alpha, psi.beta]).tobytes()
                     == np.array(retired_haar(reference)).tobytes())
+    # as a stack: verify's block of rng.random((n, 2)) through haar_sources
+    rows = haar_sources(np.random.default_rng(seed).random((16, 2)))
+    reference = np.random.default_rng(seed)
+    assert rows.tobytes() == np.array([retired_haar(reference) for _ in range(16)]).tobytes()
 
 
 def test_stacked_bob_rows_match_the_per_vector_arithmetic_bit_for_bit():

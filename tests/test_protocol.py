@@ -29,6 +29,7 @@ from telecost.protocol import (
     checkpoints_stack,
     enumerate_protocol,
     enumerate_protocol_stack,
+    haar_sources,
     kak_checkpoints,
     kak_entangled_input_demo,
     pair_response,
@@ -302,16 +303,28 @@ def test_entangled_demo_rejects_wrong_size():
         kak_entangled_input_demo(basis_state(3, "000"))
 
 
+def traced_chunk(kind, sources, streams):
+    """A run_batch chunk as full traces, each run drawing from its stream."""
+    return run_protocol_stack(kind, sources, streams.scalar())
+
+
+def per_run(kinds, batch):
+    """run_batch's chunks as (run, kind, result), run by run and within a
+    run kind by kind."""
+    return [(i, kind, result[j]) for runs, results in batch
+            for j, i in enumerate(runs) for kind, result in zip(kinds, results)]
+
+
 def test_run_batch_run_i_does_not_depend_on_n_runs():
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
 
-    def digest(batch):
+    def digest(n_runs):
         return [(i, kind, trace.steps, trace.fidelity_achieved, tuple(trace.final_bob_state.amps))
-                for i, kind, trace in batch]
+                for i, kind, trace in per_run(kinds, run_batch(kinds, n_runs, 5, traced_chunk))]
 
-    first = digest(run_batch(kinds, 12, 5, run_protocol_stack))
+    first = digest(12)
     assert len(first) == 24
-    assert digest(run_batch(kinds, 5, 5, run_protocol_stack)) == first[:10]
+    assert digest(5) == first[:10]
 
 
 def _trace_bits(trace):
@@ -328,7 +341,7 @@ def test_run_batch_matches_the_per_state_path_bit_for_bit(seed):
             for i, kind, trace in per_state_reference.run_batch(kinds, BATCH_CHUNK + 1, seed)]
     for n_runs in (BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1):
         got = [(i, kind, _trace_bits(trace))
-               for i, kind, trace in run_batch(kinds, n_runs, seed, run_protocol_stack)]
+               for i, kind, trace in per_run(kinds, run_batch(kinds, n_runs, seed, traced_chunk))]
         assert got == want[: 2 * n_runs]
 
 
@@ -339,12 +352,12 @@ def test_run_batch_streams_are_the_spawn_chain_of_each_run():
     def recorded(n_runs, seed):
         psis, draws = [], {kind: [] for kind in kinds}
 
-        def run_chunk(kind, chunk_psis, rngs):
+        def run_chunk(kind, sources, streams):
             if kind is kinds[0]:
-                psis.extend(chunk_psis)
-            draws[kind].extend(rng.random() for rng in rngs)
+                psis.extend(UnknownQubit(*row) for row in sources.tolist())
+            draws[kind].extend(streams.random().tolist())
             return [SimpleNamespace(ledger=CostLedger([(ALICE, BOB, 1, Purpose.TELEPORT)]))
-                    for _ in chunk_psis]
+                    for _ in sources]
 
         list(run_batch(kinds, n_runs, seed, run_chunk))
         return psis, draws
@@ -366,10 +379,11 @@ def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk():
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
     n_runs, seed = BATCH_CHUNK + 1, 9
 
-    def run_chunk(kind, psis, rngs):
-        return run_noisy_stack(kind, psis, 0.75, rngs, distill_target=0.9)
+    def run_chunk(kind, sources, streams):
+        return run_noisy_stack(kind, sources, 0.75, streams.scalar(), distill_target=0.9)
 
-    got = [(i, kind, report.attempts) for i, kind, report in run_batch(kinds, n_runs, seed, run_chunk)]
+    got = [(i, kind, report.attempts)
+           for i, kind, report in per_run(kinds, run_batch(kinds, n_runs, seed, run_chunk))]
     want = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
         subs = child.spawn(1 + len(kinds))
@@ -396,7 +410,7 @@ def test_run_batch_rejects_varying_teleport_bits():
 
 def test_run_batch_rejects_zero_runs():
     with pytest.raises(ValueError):
-        list(run_batch([ProtocolKind.SQTP], 0, 1, run_protocol_stack))
+        list(run_batch([ProtocolKind.SQTP], 0, 1, traced_chunk))
 
 
 @pytest.mark.parametrize("n_runs, seed", [(MAX_RUNS + 1, 1), (2**64, 1), (1, -1)])
@@ -449,15 +463,33 @@ def test_sample_stack_holds_the_columns_of_its_traces():
     # the same streams twice: compare reads the columns, run_protocol_stack builds traces from them
     psis = [haar(seed) for seed in range(40)]
     for kind in ProtocolKind:
-        stack = sample_stack(kind, psis, [np.random.default_rng(s) for s in range(40)])
+        stack = sample_stack(kind, psis, np.array([np.random.default_rng(s).random() for s in range(40)]))
         traces = run_protocol_stack(kind, psis, [np.random.default_rng(s) for s in range(40)])
         assert len(stack) == len(traces) == 40
         assert stack.ledger == CostLedger([SCHEDULES[kind].teleport])
         assert stack.bobs.shape == (40, 2) and not stack.bobs.flags.writeable
         for i, trace in enumerate(traces):
             bits = next(step.bits for step in trace.steps if isinstance(step, Measured))
-            assert stack[i] == (bits, trace.fidelity_achieved, stack.ledger)
+            assert (stack.outcome_bits()[i], stack.fidelities[i]) == (bits, trace.fidelity_achieved)
             assert stack.bobs[i].tobytes() == trace.final_bob_state.amps.tobytes()
             assert trace.ledger == stack.ledger and trace.ledger is not stack.ledger
-        empty = sample_stack(kind, [], [])
+        empty = sample_stack(kind, [], np.array([]))
         assert len(empty) == 0 and empty.bobs.shape == (0, 2)
+
+
+@pytest.mark.parametrize("u", [[np.nan, 0.5], [0.5, np.nan]])
+def test_haar_sources_rejects_a_row_off_the_unit_sphere(u):
+    with pytest.raises(ValueError, match="must be 1"):
+        haar_sources(np.array([[0.25, 0.5], u]))
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 1.0]], [[np.nan, 0.0]], [[1.0, 0.0, 0.0]], [1.0, 0.0]])
+def test_stack_functions_check_the_input_rows_they_are_given(rows):
+    # rows stand for UnknownQubits, so they meet UnknownQubit's checks
+    rows = np.array(rows, dtype=complex)
+    for kind in ProtocolKind:
+        for call in (lambda: sample_stack(kind, rows, np.zeros(len(rows))),
+                     lambda: checkpoints_stack(kind, rows), lambda: pair_response(kind, rows),
+                     lambda: enumerate_protocol_stack(kind, rows)):
+            with pytest.raises(ValueError, match="input row"):
+                call()

@@ -206,11 +206,12 @@ def test_measure_sample_collapses():
 def test_stacked_measure_sample_rejects_bad_rows_before_any_draw(bad):
     # the rows Generator.choice rejected raise instead of falling to index 0;
     # so does an all-negative row, which choice took once normalised
+    # measure_sample draws nothing itself: it reads the caller's column, and leaves it as it was
     rows = np.array([[0.25] * 4, bad])
-    rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+    u = np.array([np.random.default_rng(s).random() for s in (0, 1)])
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-negative"):
-        sv.measure_sample(rows, rngs)
-    assert [rng.random() for rng in rngs] == [np.random.default_rng(s).random() for s in (0, 1)]
+        sv.measure_sample(rows, u)
+    assert u.tolist() == [np.random.default_rng(s).random() for s in (0, 1)]
 
 
 def test_collapse_residual():
