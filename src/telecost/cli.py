@@ -24,7 +24,7 @@ import numpy as np
 
 from .expansions import ALL_EXPANSIONS, load_expansions
 from .kinds import ProtocolKind, Purpose
-from .noise import run_noisy_stack, sweep_rows, SWEEP_COLUMNS
+from .noise import LOCC_ROUND_BITS, run_noisy_stack, sweep_rows, SWEEP_COLUMNS
 from .protocol import (
     BATCH_CHUNK,
     MAX_RUNS,
@@ -200,31 +200,25 @@ def _compare_data(cfg: RunConfig) -> dict:
     def run_chunk(kind, sources, streams):
         if cfg.noise_f is None:
             return sample_stack(kind, sources, streams.random())
-        return run_noisy_stack(kind, sources, cfg.noise_f, streams.scalar(),
+        return run_noisy_stack(kind, sources, cfg.noise_f, streams.random,
                                distill_target=cfg.distill_target, max_rounds=cfg.max_rounds)
 
     per_run: list[dict] = []
     for runs, results in run_batch(kinds, cfg.n_runs, cfg.seed, run_chunk):
         rows = []
         for kind, result in zip(kinds, results):
-            n = len(result)
-            if cfg.noise_f is None:  # one ledger for the stack's runs
-                outcomes, fidelities = result.outcome_bits(), result.fidelities
-                channel_fs = [None] * n
-                teleports = [result.ledger.total(Purpose.TELEPORT)] * n
-                loccs = [result.ledger.total(Purpose.LOCC)] * n
-            else:
-                outcomes = [None] * n
-                fidelities = [report.fidelity for report in result]
-                channel_fs = [round(report.f_final, 12) for report in result]
-                teleports = [report.ledger.total(Purpose.TELEPORT) for report in result]
-                loccs = [report.ledger.total(Purpose.LOCC) for report in result]
+            n, t_bits = len(result), result.ledger.total(Purpose.TELEPORT)  # one ledger per stack
+            if cfg.noise_f is None:
+                outcomes, channel_f, loccs = result.outcome_bits(), None, [0] * n
+            else:  # every run of a noisy stack ends on the same channel
+                outcomes, channel_f = [None] * n, round(result.f_final, 12)
+                loccs = [LOCC_ROUND_BITS * attempts for attempts in result.attempts]
             name = kind.value
             rows.append([{"run": i, "protocol": name, "outcome_bits": outcome,
                           "fidelity": round(fidelity, 12), "channel_f": channel_f,
                           "teleport_bits": t_bits, "locc_bits": l_bits}
-                         for i, outcome, fidelity, channel_f, t_bits, l_bits
-                         in zip(runs, outcomes, fidelities, channel_fs, teleports, loccs)])
+                         for i, outcome, fidelity, l_bits
+                         in zip(runs, outcomes, result.fidelities, loccs)])
         per_run += itertools.chain.from_iterable(zip(*rows))
     summary: dict[str, dict] = {}
     for k, name in enumerate(kind.value for kind in kinds):

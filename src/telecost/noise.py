@@ -19,12 +19,15 @@ Every DensityMatrix is a 2-qubit channel state, checked when built: shape
 4x4, Hermiticity, trace and positivity. No density matrix is evolved: the
 protocol is linear in the resource pair, so the fidelity through any
 2-qubit channel is a quadratic form, in the channel's matrix, of
-`protocol.pair_response`. A chunk of noisy runs is one stack with one
-Werner channel per distinct F; `run_noisy_teleport` is a stack of one.
+`protocol.pair_response`. A chunk of noisy runs is one stack: every run
+climbs the same ladder to the same F, so the stack walks it once, steps
+all runs' attempts together and builds one Werner channel;
+`run_noisy_teleport` and `distill_to_threshold` are stacks of one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +115,7 @@ def distill_step_map(f: float) -> tuple[float, float]:
 
 # one recurrence attempt's traffic: each party announces its target-pair outcome
 LOCC_ROUND = ((ALICE, BOB, 1, Purpose.LOCC), (BOB, ALICE, 1, Purpose.LOCC))
+LOCC_ROUND_BITS = sum(bits for _, _, bits, _ in LOCC_ROUND)
 
 
 def _ladder(f_in: float, f_target: float, max_rounds: int) -> tuple[list[tuple[float, float]], str]:
@@ -136,6 +140,27 @@ class DistillRun:
     target_met: bool
 
 
+def _climb(f_in: float, f_target: float, max_rounds: int, draw: Callable,
+           n: int) -> tuple[int, np.ndarray, float, bool]:
+    """(rounds, every run's attempts, final F, target met) of n runs climbing
+    the ladder together, one draw() column per step: a climbing run's attempt
+    succeeds when its draw is below its level's exact probability, else it
+    retries the level, so run i reads the first attempts[i] draws of its stream."""
+    if not 0.5 < f_in <= 1.0:
+        raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
+    if not 0.0 < f_target <= 1.0:
+        raise ValueError(f"f_target must be in (0, 1], got {f_target}")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    levels, stop = _ladder(f_in, f_target, max_rounds)
+    p_succ = np.array([p for p, _ in levels] + [0.0])  # past the top level no draw succeeds
+    level, attempts = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    while (climbing := level < len(levels)).any():
+        attempts += climbing
+        level += draw() < p_succ[level]
+    return len(levels), attempts, levels[-1][1] if levels else f_in, stop == "target"
+
+
 def distill_to_threshold(
     f_in: float, f_target: float, max_rounds: int, rng: np.random.Generator
 ) -> DistillRun:
@@ -149,20 +174,9 @@ def distill_to_threshold(
     attempt retries the current level on fresh pairs. Each attempt sends
     one LOCC_ROUND. f_in at or below 1/2 raises, as the recurrence cannot
     improve it; any other f_in at or above the target returns with no
-    attempts."""
-    if not 0.5 < f_in <= 1.0:
-        raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
-    if not 0.0 < f_target <= 1.0:
-        raise ValueError(f"f_target must be in (0, 1], got {f_target}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    levels, stop = _ladder(f_in, f_target, max_rounds)
-    attempts = 0
-    for p_succ, _ in levels:
-        attempts += 1
-        while not rng.random() < p_succ:
-            attempts += 1
-    return DistillRun(len(levels), attempts, levels[-1][1] if levels else f_in, stop == "target")
+    attempts. A stack of one."""
+    rounds, attempts, final_f, target_met = _climb(f_in, f_target, max_rounds, rng.random, 1)
+    return DistillRun(rounds, int(attempts[0]), final_f, target_met)
 
 
 SWEEP_COLUMNS = [
@@ -181,13 +195,12 @@ def sweep_rows(f_grid: list[float], distill_target: float, max_rounds: int = 64)
     success probability and output fidelity, the ladder's length to the
     target (-1 if short), and per-qubit totals for both protocol families."""
     sqtp_bits, kak_bits = SCHEDULES[ProtocolKind.SQTP].announced, SCHEDULES[ProtocolKind.KAK].announced
-    round_bits = sum(bits for _, _, bits, _ in LOCC_ROUND)
     rows = []
     for f in f_grid:
         levels, stop = _ladder(f, distill_target, max_rounds)
         p_succ, f_out = levels[0] if levels else distill_step_map(f)
         rounds = len(levels) if stop == "target" else -1
-        locc = round_bits * rounds if rounds >= 0 else -1
+        locc = LOCC_ROUND_BITS * rounds if rounds >= 0 else -1
         rows.append(
             {
                 "F_in": round(f, 12),
@@ -229,31 +242,47 @@ class NoisyTeleportReport:
     ledger: CostLedger
 
 
+@dataclass(frozen=True)
+class NoisyStack:
+    """The noisy runs of one stack as columns. Every run distills to the same
+    f_final in the same rounds, held once with target_met and the one TELEPORT
+    `ledger`; run i's attempts and fidelity are entry i of their columns, and
+    its LOCC bits attempts[i] * LOCC_ROUND_BITS."""
+
+    rounds: int
+    f_final: float
+    target_met: bool
+    attempts: list[int]
+    fidelities: list[float]
+    ledger: CostLedger
+
+    def __len__(self) -> int:
+        return len(self.attempts)
+
+
 def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
-                    channel_f: float, rngs: list[np.random.Generator],
-                    distill_target: float | None = None,
-                    max_rounds: int = 32) -> list[NoisyTeleportReport]:
-    """One noisy run per input: run i distills with rngs[i] alone, drawing
-    only random(), then all inputs go through pair_response as one stack,
-    and each distinct final fidelity builds one Werner channel, shared by
-    the runs that reach it."""
-    runs = [distill_to_threshold(channel_f, distill_target, max_rounds, rng)
-            if distill_target is not None and channel_f < distill_target
-            else DistillRun(0, 0, channel_f, True) for rng in rngs]
-    channels = {f: werner_state(f) for f in dict.fromkeys(run.final_f for run in runs)}
-    schedule = SCHEDULES[kind]
-    reports = []
-    for a, run in zip(pair_response(kind, psis), runs, strict=True):
-        ledger = CostLedger([*LOCC_ROUND * run.attempts, schedule.teleport])
-        reports.append(NoisyTeleportReport(
-            kind, channel_f, run.final_f, run.target_met, run.rounds, run.attempts,
-            run.attempts if schedule.burns_copies else 0,
-            _channel_fidelity(a, channels[run.final_f]), ledger))
-    return reports
+                    channel_f: float, draw: Callable, distill_target: float | None = None,
+                    max_rounds: int = 32) -> NoisyStack:
+    """One noisy run per input: the runs distill together, one draw() column
+    per step (a single run may pass rng.random), then all inputs go through
+    pair_response as one stack and one Werner channel."""
+    if distill_target is not None and channel_f < distill_target:
+        rounds, attempts, f_final, met = _climb(channel_f, distill_target, max_rounds, draw, len(psis))
+    else:
+        rounds, attempts, f_final, met = 0, np.zeros(len(psis), dtype=int), channel_f, True
+    channel = werner_state(f_final)
+    return NoisyStack(rounds, f_final, met, attempts.tolist(),
+                      [_channel_fidelity(a, channel) for a in pair_response(kind, psis)],
+                      CostLedger([SCHEDULES[kind].teleport]))
 
 
 def run_noisy_teleport(kind: ProtocolKind, psi: UnknownQubit, channel_f: float,
                        rng: np.random.Generator, distill_target: float | None = None,
                        max_rounds: int = 32) -> NoisyTeleportReport:
-    """One noisy run, as a stack of one."""
-    return run_noisy_stack(kind, [psi], channel_f, [rng], distill_target, max_rounds)[0]
+    """One noisy run, as a stack of one, with a ledger of its own that
+    bills one LOCC_ROUND per attempt before the teleport."""
+    stack = run_noisy_stack(kind, [psi], channel_f, rng.random, distill_target, max_rounds)
+    [attempts], [fidelity], schedule = stack.attempts, stack.fidelities, SCHEDULES[kind]
+    return NoisyTeleportReport(kind, channel_f, stack.f_final, stack.target_met, stack.rounds,
+                               attempts, attempts if schedule.burns_copies else 0, fidelity,
+                               CostLedger([*LOCC_ROUND * attempts, schedule.teleport]))

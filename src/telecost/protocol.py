@@ -35,9 +35,9 @@ entangled-input probe stacks the held-back qubit's two values, and
 pair's four basis states under every input.
 `run_batch` is the one seeded batch runner: per chunk of BATCH_CHUNK runs
 it steps every stream as uint64 limb arrays, NumPy's SeedSequence->PCG64
-bit for bit, and hands on columns of random() draws, or the streams one
-by one for distillation. The per-state path this replaced is the
-bit-for-bit reference in tests/per_state_reference.py.
+bit for bit, and hands on columns of random() draws, one per step, which
+every stack takes, noisy ones included. The per-state path this replaced
+is the bit-for-bit reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -391,14 +391,14 @@ def sample_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
 
 
 def run_protocol_stack(
-    kind: ProtocolKind, psis: list[UnknownQubit], rngs: list[np.random.Generator]
+    kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray, u: np.ndarray
 ) -> list[ProtocolTrace]:
     """One sampled run per input with its full trace, run i's outcome from
-    one random() of rngs[i], built from sample_stack's columns: the runs
-    of one outcome share its frozen trace tail, and each run has a ledger
-    of its own. An empty stack returns []."""
+    u[i], built from sample_stack's columns: the runs of one outcome share
+    its frozen trace tail, and each run has a ledger of its own. An empty
+    stack returns []."""
     schedule = SCHEDULES[kind]
-    stack = sample_stack(kind, psis, np.array([rng.random() for rng in rngs], dtype=float))
+    stack = sample_stack(kind, psis, u)
     tails = [(Measured(ALICE, (0, 1), bits),
               MessageSent(ALICE, BOB, bits[: schedule.announced], Purpose.TELEPORT),
               CorrectionApplied(BOB, 2, gates))
@@ -411,7 +411,7 @@ def run_protocol_stack(
 def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
     """One sampled run: the schedule, Alice's measurement, her announcement
     and Bob's correction, as a stack of one."""
-    return run_protocol_stack(kind, [psi], [rng])[0]
+    return run_protocol_stack(kind, [psi], np.array([rng.random()]))[0]
 
 
 def checkpoints_stack(kind: ProtocolKind,
@@ -557,25 +557,11 @@ MAX_RUNS = 2**32 - 1  # a run index is one uint32 word of its streams' spawn key
 # NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT, _M64, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # the multiplier's 64-bit limbs, and the low limb's 32-bit halves, as uint64
-_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _M64)
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
 _M32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _MULT_LO0, _MULT_LO1 = _MULT_LO & _M32, _MULT_LO >> _U32
-
-
-@dataclass(slots=True)
-class _Stream:
-    """NumPy's PCG64 on Python ints at 128-bit state and increment, with
-    random(), the only Generator draw the package makes."""
-
-    state: int
-    inc: int
-
-    def random(self) -> float:
-        state = self.state = (self.state * _PCG_MULT + self.inc) & _M128
-        x, rot = ((state >> 64) ^ state) & _M64, state >> 122  # XSL-RR output
-        return (((x >> rot | x << 64 - rot) & _M64) >> 11) * 2.0**-53
 
 
 def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
@@ -608,12 +594,6 @@ class _Streams:
         self.hi, self.lo = _pcg_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
         x, rot = self.hi ^ self.lo, self.hi >> np.uint64(58)  # XSL-RR output
         return ((x >> rot | x << (np.uint64(64) - rot & np.uint64(63))) >> np.uint64(11)) * 2.0**-53
-
-    def scalar(self) -> list[_Stream]:
-        """Each stream handed on at its state, for a caller that draws a
-        varying number of times per run."""
-        return [_Stream(hi << 64 | lo, inc_hi << 64 | inc_lo) for hi, lo, inc_hi, inc_lo
-                in zip(*(limb.tolist() for limb in (self.hi, self.lo, self.inc_hi, self.inc_lo)))]
 
 
 def _hashmix(v: np.ndarray, hc: list[int]) -> np.ndarray:
@@ -665,10 +645,9 @@ def run_batch(
     sources, streams). Stream s of run i is NumPy's PCG64 of
     SeedSequence(seed, spawn_key=(i, s)): `sources` are haar_sources of two
     random() of stream 0 per run, and `streams` are stream 1 + k of the
-    chunk's runs, a column of draws per random() or scalar() one by one, so
-    run i depends neither on n_runs nor on the chunks. A chunk's result is
-    a SampledStack, whose ledger is checked once, or one result with a
-    ledger per run; a kind's TELEPORT bits must not vary across its runs."""
+    chunk's runs, a column of draws per random(), so run i depends neither
+    on n_runs nor on the chunks. A chunk's result holds one ledger for its
+    runs; a kind's TELEPORT bits must not vary across its chunks."""
     if not 1 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must be in 1..{MAX_RUNS}, got {n_runs}")
     if seed < 0:
@@ -680,12 +659,9 @@ def run_batch(
         sources = haar_sources(np.stack([inputs.random(), inputs.random()], axis=1))
         results = [run_chunk(kind, sources, rngs) for kind, rngs in zip(kinds, streams)]
         for kind, result in zip(kinds, results):
-            ledgers = ([result.ledger] if isinstance(result, SampledStack)
-                       else [r.ledger for r in result])
-            for ledger in ledgers:
-                bits = ledger.total(Purpose.TELEPORT)
-                if teleport_bits.setdefault(kind, bits) != bits:
-                    raise AssertionError(
-                        f"teleport bits varied for {kind.value}: {teleport_bits[kind]} then {bits}"
-                    )
+            bits = result.ledger.total(Purpose.TELEPORT)
+            if teleport_bits.setdefault(kind, bits) != bits:
+                raise AssertionError(
+                    f"teleport bits varied for {kind.value}: {teleport_bits[kind]} then {bits}"
+                )
         yield runs, results

@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import telecost.protocol
 from telecost.cli import GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, main
-from telecost.kinds import ProtocolKind, Purpose
-from telecost.noise import run_noisy_stack
+from telecost.kinds import ProtocolKind
+from telecost.noise import LOCC_ROUND_BITS, run_noisy_stack
 from telecost.protocol import MAX_RUNS, UnknownQubit, run_batch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -345,11 +344,11 @@ def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
     assert code == 0
     assert json.loads(out)["per_run"][0]["locc_bits"] == 182
     # the same run through the API: the printed channel_f 1.0 is a rounding
-    [(_, [[report]])] = run_batch([ProtocolKind.KAK], 1, 0, lambda kind, sources, streams:
-                                  run_noisy_stack(kind, sources, 0.75, streams.scalar(),
-                                                  distill_target=1.0, max_rounds=1024))
-    assert report.f_final < 1.0 and report.target_met is False
-    assert report.ledger.total(Purpose.LOCC) == 182
+    [(_, [stack])] = run_batch([ProtocolKind.KAK], 1, 0, lambda kind, sources, streams:
+                               run_noisy_stack(kind, sources, 0.75, streams.random,
+                                               distill_target=1.0, max_rounds=1024))
+    assert stack.f_final < 1.0 and stack.target_met is False
+    assert LOCC_ROUND_BITS * stack.attempts[0] == 182
 
 
 def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch, capsys):
@@ -374,6 +373,28 @@ def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch,
         assert code == 0
         per_run = json.loads(out)["per_run"]
         assert len(builds) == len({(r["protocol"], r["channel_f"]) for r in per_run}) == 2
+
+
+def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
+    # every run of a stack climbs the same ladder to the same F: 0.75 -> 0.9
+    # takes 5 levels, so 20 runs of both kinds evaluate the map 5 times per
+    # kind and validate one Werner channel per kind
+    from telecost import noise
+
+    steps, builds = [], []
+    step_map, post_init = noise.distill_step_map, noise.DensityMatrix.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(noise, "distill_step_map", lambda f: steps.append(f) or step_map(f))
+    monkeypatch.setattr(noise.DensityMatrix, "__post_init__", counting)
+    code, out, _ = run_cli(["compare", "--runs", "20", "--seed", "3", "--noise-f", "0.75",
+                            "--distill-target", "0.9", "--format", "json"], capsys)
+    assert code == 0 and len(json.loads(out)["per_run"]) == 40
+    assert len(steps) == 10 and len(set(steps)) == 5
+    assert len(builds) == 2
 
 
 def test_compare_undistillable_channel_rejected(capsys):
@@ -502,13 +523,29 @@ PINNED_SHA256 = [
      "c207f1c6860781f79e1ef2bb05c8403e7eb9283328706f851b206e58b6903190"),
     (["compare", "--runs", "1", "--seed", "3", "--format", "json"],
      "6c249793fc7bbd4c73ca8b1ac7f9e64443c3d5e5c5721738f1b830a8ad8e0a7b"),
+    # computed before the noisy runs of a chunk were distilled as one stack
+    (["compare", "--runs", "300", "--seed", "11", "--noise-f", "0.55", "--distill-target", "0.95",
+      "--format", "json"],  # 16 levels across two chunks
+     "9398086d7b8964a7b3e60ecb3f09f0c2895d3cbdc4cb7427b2e361e102d99df3"),
+    (["compare", "--runs", "257", "--seed", "3", "--noise-f", "0.75", "--distill-target", "1.0",
+      "--max-rounds", "1024", "--protocol", "kak", "--format", "json"],  # the stalled ladder
+     "bb1ed61c41f4c0e2452163d0fb438c0f4d2ffdf3900ebe64153b958cfb374b83"),
+    (["compare", "--runs", "40", "--seed", "2", "--noise-f", "0.8", "--format", "json"],  # no draws
+     "c499398fcb690e0f94522ab506cc021f1ae900bfc424ddfaf4a54500936e1c80"),
+    (["compare", "--runs", "20", "--seed", "8", "--noise-f", "0.75", "--distill-target", "0.99",
+      "--max-rounds", "3", "--format", "json"],  # the round cap
+     "a8142d87561107ed3a79c3e42f864028d89d92815e21dc9583c29abaeb2f5052"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", PINNED_SHA256, ids=["ideal-257-text", "noisy-257-json",
                                                             "csv", "kak-json", "seed-2**200",
                                                             "noisy-kak-seed-2**100-csv",
-                                                            "ideal-257-json", "ideal-1-json"])
+                                                            "ideal-257-json", "ideal-1-json",
+                                                            "noisy-16-levels-300-json",
+                                                            "noisy-stalled-kak-257-json",
+                                                            "noisy-no-target-40-json",
+                                                            "noisy-round-cap-20-json"])
 def test_compare_output_is_pinned(argv, digest, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
@@ -549,21 +586,20 @@ def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):
 
 
 def test_ideal_compare_builds_no_scalar_stream_and_no_input_object(monkeypatch, capsys):
-    # every stream is drawn as a column of its chunk and every input as a row
-    # of haar_sources; only distillation, which draws once per attempt, takes
-    # the streams one by one
+    # every stream is drawn as a column of its chunk, distillation's too,
+    # and every input as a row of haar_sources
     argv = ["compare", "--runs", "300", "--seed", "4", "--format", "json"]
-    plain = run_cli(argv, capsys)
+    noisy_argv = [*argv, "--noise-f", "0.8", "--distill-target", "0.9"]
+    plain, noisy = run_cli(argv, capsys), run_cli(noisy_argv, capsys)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a scalar stream or an UnknownQubit was built")
+        raise AssertionError("an UnknownQubit was built")
 
-    monkeypatch.setattr(telecost.protocol, "_Stream", refuse)
     monkeypatch.setattr(UnknownQubit, "__init__", refuse)
     assert run_cli(argv, capsys) == plain
     assert plain[0] == 0 and len(json.loads(plain[1])["per_run"]) == 600
-    with pytest.raises(AssertionError, match="scalar stream"):
-        run_cli([*argv, "--noise-f", "0.8", "--distill-target", "0.9"], capsys)
+    assert run_cli(noisy_argv, capsys) == noisy
+    assert noisy[0] == 0 and len(json.loads(noisy[1])["per_run"]) == 600
 
 
 def test_benchmark_tracer_installs_and_changes_no_output(capsys):

@@ -1,6 +1,8 @@
 """Werner channels, noisy teleport fidelity, and recurrence
 distillation, checked against the dense oracle and frozen goldens."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,15 @@ def test_distill_step_success_frequency():
     attempts = [distill_to_threshold(0.75, 0.76, 1, rng).attempts for _ in range(n)]
     sigma = np.sqrt((1.0 - p) / (n * p**2))
     assert abs(np.mean(attempts) - 1.0 / p) < 3.0 * sigma
+
+
+def test_a_draw_at_the_success_probability_fails_its_attempt():
+    # an attempt succeeds when its draw is below p, as rng.random() < p does
+    # with probability p; a draw of exactly p retries the level
+    p, _ = distill_step_map(0.75)
+    draws = iter([p, 0.0])
+    run = distill_to_threshold(0.75, 0.76, 1, SimpleNamespace(random=lambda: next(draws)))
+    assert (run.rounds, run.attempts) == (1, 2)
 
 
 def assert_locc_bill_matches(run, f_in, f_target, max_rounds, seed):

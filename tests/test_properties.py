@@ -5,10 +5,11 @@ sweep against the two recurrence walks they replaced, and their two LOCC
 bills against each other; the stacked interpreter against the per-state
 path it replaced, bit for bit, and every stack against its stacks of one;
 the locality of every sampled run's trace; SQTP and KAK as one channel
-on any resource pair; the seeded batch's vector streams and their scalar
-handoff against NumPy's SeedSequence and PCG64, and the Haar draw, one
-at a time and stacked, against the rng.uniform formula it replaced, bit
-for bit; the states that
+on any resource pair; the seeded batch's vector streams, 64 columns
+deep, against NumPy's SeedSequence and PCG64, and the Haar draw, one at
+a time and stacked, against the rng.uniform formula it replaced, bit for
+bit; the noisy stack's attempt columns against the per-attempt walk; the
+states that
 kernels build unchecked, which must still pass the public constructor's
 checks; the stacked normalisation and fidelity of Bob's qubits against
 the per-vector arithmetic, bit for bit; the ledger's running totals
@@ -28,6 +29,7 @@ from telecost.cost import CostLedger, CostModel, ideal_bits
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import (
     LOCC_ROUND,
+    LOCC_ROUND_BITS,
     DensityMatrix,
     distill_step_map,
     distill_to_threshold,
@@ -149,14 +151,21 @@ def test_noisy_ledger_without_failures_bills_what_sweep_bills(f_in, f_target, ma
     assume(row["rounds_to_target"] >= 0)
     psis = [UnknownQubit.haar(np.random.default_rng(seed + i)) for i in range(2)]
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
-        for report in run_noisy_stack(kind, psis, f_in, [AlwaysSucceeds(), AlwaysSucceeds()],
-                                      f_target, max_rounds):
-            assert report.attempts == report.rounds == row["rounds_to_target"]
-            entries = [(e.sender, e.receiver, e.bits, e.purpose) for e in report.ledger.entries]
-            assert entries == [*LOCC_ROUND * report.attempts,
-                               (ALICE, BOB, SCHEDULES[kind].announced, Purpose.TELEPORT)]
-            assert report.ledger.total(Purpose.LOCC) == row["locc_bits"]
-            assert report.ledger.total() == row[f"total_bits_{kind.value}"]
+        teleport = (ALICE, BOB, SCHEDULES[kind].announced, Purpose.TELEPORT)
+        # the stack: a column of zeros makes every attempt succeed
+        stack = run_noisy_stack(kind, psis, f_in, lambda: np.zeros(2), f_target, max_rounds)
+        assert stack.attempts == [stack.rounds] * 2 == [row["rounds_to_target"]] * 2
+        assert [(e.sender, e.receiver, e.bits, e.purpose) for e in stack.ledger.entries] == [teleport]
+        for attempts in stack.attempts:
+            assert LOCC_ROUND_BITS * attempts == row["locc_bits"]
+            assert stack.ledger.total() + LOCC_ROUND_BITS * attempts == row[f"total_bits_{kind.value}"]
+        # a run of its own bills each attempt's LOCC_ROUND in its ledger
+        report = run_noisy_teleport(kind, psis[0], f_in, AlwaysSucceeds(), f_target, max_rounds)
+        assert report.attempts == report.rounds == row["rounds_to_target"]
+        entries = [(e.sender, e.receiver, e.bits, e.purpose) for e in report.ledger.entries]
+        assert entries == [*LOCC_ROUND * report.attempts, teleport]
+        assert report.ledger.total(Purpose.LOCC) == row["locc_bits"]
+        assert report.ledger.total() == row[f"total_bits_{kind.value}"]
 
 
 @PROPERTY
@@ -271,16 +280,30 @@ def test_stacks_match_their_stacks_of_one_bit_for_bit(size, seed):
        st.one_of(st.none(), st.floats(min_value=0.5, max_value=1.0)),
        st.integers(min_value=1, max_value=64))
 @example(2, 0, 0.75, 1.0, 1024)  # the float recurrence stalls below the target
+@example(BATCH_CHUNK + 1, 0, 0.75, 0.9, 32)  # runs clear the top level at different steps
 def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, target, max_rounds):
+    # the stack draws a column of one random() per run's Generator per step
     psis = [UnknownQubit.haar(np.random.default_rng([seed, i])) for i in range(size)]
+
+    def rng(i):
+        return np.random.default_rng([seed, i, 1])
+
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
-        stacked = run_noisy_stack(kind, psis, channel_f,
-                                  [np.random.default_rng([seed, i, 1]) for i in range(size)],
-                                  distill_target=target, max_rounds=max_rounds)
-        for i, (psi, report) in enumerate(zip(psis, stacked, strict=True)):
-            assert report == run_noisy_teleport(kind, psi, channel_f,
-                                                np.random.default_rng([seed, i, 1]),
-                                                distill_target=target, max_rounds=max_rounds)
+        rngs = [rng(i) for i in range(size)]
+        stack = run_noisy_stack(kind, psis, channel_f, lambda: np.array([r.random() for r in rngs]),
+                                distill_target=target, max_rounds=max_rounds)
+        assert len(stack) == size
+        for i, psi in enumerate(psis):
+            report = run_noisy_teleport(kind, psi, channel_f, rng(i),
+                                        distill_target=target, max_rounds=max_rounds)
+            assert (report.rounds, report.attempts, report.f_final, report.target_met,
+                    report.fidelity) == (stack.rounds, stack.attempts[i], stack.f_final,
+                                         stack.target_met, stack.fidelities[i])
+            assert report.ledger.entries[-1:] == stack.ledger.entries
+            assert report.ledger.total(Purpose.LOCC) == LOCC_ROUND_BITS * stack.attempts[i]
+            walked = walked_distill_run(channel_f, channel_f if target is None else target,
+                                        max_rounds, rng(i))
+            assert (stack.rounds, stack.attempts[i], stack.f_final) == walked
 
 
 # amplitudes whose Born probabilities hold zeros, a lone 1 and tiny entries
@@ -371,16 +394,17 @@ run_indices = st.integers(min_value=0, max_value=2**32 - 1)
 @example(2**96, 1)
 def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i):
     # a short stack ending at run i, three streams per run, as run_batch keys
-    # them: two vector steps, then every stream handed on as distillation
-    # draws it, one scalar stream per run
+    # them: 64 vector steps, as deep as distillation draws them, then a
+    # Haar draw of two more columns
     runs = range(max(i - 2, 0), i + 1)
     for s, streams in enumerate(_streams(seed, runs, 3)):
-        columns = [streams.random().tolist() for _ in range(2)]
-        for j, (run, ours) in enumerate(zip(runs, streams.scalar(), strict=True)):
+        columns = [streams.random().tolist() for _ in range(64)]
+        rows = haar_sources(np.stack([streams.random(), streams.random()], axis=1))
+        for j, run in enumerate(runs):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, s)))
-            assert [column[j] for column in columns] == [rng.random() for _ in range(2)]
-            assert [ours.random() for _ in range(64)] == [rng.random() for _ in range(64)]
-            assert UnknownQubit.haar(ours) == UnknownQubit.haar(rng)
+            assert [column[j] for column in columns] == [rng.random() for _ in range(64)]
+            psi = UnknownQubit.haar(rng)
+            assert rows[j].tobytes() == np.array([psi.alpha, psi.beta]).tobytes()
 
 
 def retired_haar(rng) -> tuple[complex, complex]:
@@ -394,16 +418,18 @@ def retired_haar(rng) -> tuple[complex, complex]:
 @PROPERTY
 @given(stream_seeds, run_indices)
 def test_haar_draw_is_the_retired_uniform_formula_bit_for_bit(seed, i):
-    # on a NumPy generator, and on run_batch's input stream of run i against
-    # the NumPy generator it reproduces, which still has uniform()
-    stream = _streams(seed, range(i, i + 1), 1)[0].scalar()[0]
+    # on a NumPy generator, and on run_batch's input stream of run i, drawn
+    # as run_batch draws it, against the NumPy generator it reproduces,
+    # which still has uniform()
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    stream = _streams(seed, range(i, i + 1), 1)[0]
     twin = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, 0)))
-    pairs = [(np.random.default_rng(seed), np.random.default_rng(seed)), (stream, twin)]
     for _ in range(16):
-        for rng, reference in pairs:
-            psi = UnknownQubit.haar(rng)
-            assert (np.array([psi.alpha, psi.beta]).tobytes()
-                    == np.array(retired_haar(reference)).tobytes())
+        psi = UnknownQubit.haar(rng)
+        assert (np.array([psi.alpha, psi.beta]).tobytes()
+                == np.array(retired_haar(reference)).tobytes())
+        row = haar_sources(np.stack([stream.random(), stream.random()], axis=1))[0]
+        assert row.tobytes() == np.array(retired_haar(twin)).tobytes()
     # as a stack: verify's block of rng.random((n, 2)) through haar_sources
     rows = haar_sources(np.random.default_rng(seed).random((16, 2)))
     reference = np.random.default_rng(seed)

@@ -304,14 +304,16 @@ def test_entangled_demo_rejects_wrong_size():
 
 
 def traced_chunk(kind, sources, streams):
-    """A run_batch chunk as full traces, each run drawing from its stream."""
-    return run_protocol_stack(kind, sources, streams.scalar())
+    """A run_batch chunk as full traces, run i's outcome from its stream's
+    draw, with the one ledger of the chunk that run_batch checks."""
+    return SimpleNamespace(traces=run_protocol_stack(kind, sources, streams.random()),
+                           ledger=CostLedger([SCHEDULES[kind].teleport]))
 
 
-def per_run(kinds, batch):
-    """run_batch's chunks as (run, kind, result), run by run and within a
-    run kind by kind."""
-    return [(i, kind, result[j]) for runs, results in batch
+def per_run(kinds, batch, column="traces"):
+    """One column of run_batch's chunks as (run, kind, entry), run by run
+    and within a run kind by kind."""
+    return [(i, kind, getattr(result, column)[j]) for runs, results in batch
             for j, i in enumerate(runs) for kind, result in zip(kinds, results)]
 
 
@@ -356,8 +358,7 @@ def test_run_batch_streams_are_the_spawn_chain_of_each_run():
             if kind is kinds[0]:
                 psis.extend(UnknownQubit(*row) for row in sources.tolist())
             draws[kind].extend(streams.random().tolist())
-            return [SimpleNamespace(ledger=CostLedger([(ALICE, BOB, 1, Purpose.TELEPORT)]))
-                    for _ in sources]
+            return SimpleNamespace(ledger=CostLedger([(ALICE, BOB, 1, Purpose.TELEPORT)]))
 
         list(run_batch(kinds, n_runs, seed, run_chunk))
         return psis, draws
@@ -380,10 +381,9 @@ def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk():
     n_runs, seed = BATCH_CHUNK + 1, 9
 
     def run_chunk(kind, sources, streams):
-        return run_noisy_stack(kind, sources, 0.75, streams.scalar(), distill_target=0.9)
+        return run_noisy_stack(kind, sources, 0.75, streams.random, distill_target=0.9)
 
-    got = [(i, kind, report.attempts)
-           for i, kind, report in per_run(kinds, run_batch(kinds, n_runs, seed, run_chunk))]
+    got = per_run(kinds, run_batch(kinds, n_runs, seed, run_chunk), "attempts")
     want = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
         subs = child.spawn(1 + len(kinds))
@@ -397,15 +397,12 @@ def test_run_batch_rejects_varying_teleport_bits():
     calls = itertools.count(1)
 
     def run_chunk(kind, psis, rngs):
-        results = []
-        for _ in psis:
-            ledger = CostLedger()
-            ledger.add(ALICE, BOB, min(next(calls), 2), Purpose.TELEPORT)  # 1 bit, then 2
-            results.append(SimpleNamespace(ledger=ledger))
-        return results
+        return SimpleNamespace(ledger=CostLedger([(ALICE, BOB, next(calls), Purpose.TELEPORT)]))
 
-    with pytest.raises(AssertionError):
-        list(run_batch([ProtocolKind.KAK], 3, 0, run_chunk))
+    batch = run_batch([ProtocolKind.KAK], BATCH_CHUNK + 1, 0, run_chunk)
+    next(batch)  # the first chunk's 1 bit
+    with pytest.raises(AssertionError, match="varied"):
+        next(batch)  # the second chunk's 2 bits
 
 
 def test_run_batch_rejects_zero_runs():
@@ -449,10 +446,11 @@ def test_schedule_owns_its_teleport_message_and_copy_rule():
 
 def test_every_stack_of_no_inputs_is_empty():
     for kind in ProtocolKind:
-        assert run_protocol_stack(kind, [], []) == []
+        assert run_protocol_stack(kind, [], np.array([])) == []
         assert enumerate_protocol_stack(kind, []) == []
         assert pair_response(kind, []) == []
-        assert run_noisy_stack(kind, [], 0.8, [], distill_target=0.9) == []
+        noisy = run_noisy_stack(kind, [], 0.8, np.random.default_rng(0).random, distill_target=0.9)
+        assert len(noisy) == 0 and noisy.attempts == noisy.fidelities == []
         one = checkpoints_stack(kind, [haar(16)])
         empty = checkpoints_stack(kind, [])
         assert {name: rows.shape for name, rows in empty.items()} == {
@@ -460,11 +458,12 @@ def test_every_stack_of_no_inputs_is_empty():
 
 
 def test_sample_stack_holds_the_columns_of_its_traces():
-    # the same streams twice: compare reads the columns, run_protocol_stack builds traces from them
+    # the same column twice: compare reads the columns, run_protocol_stack builds traces from them
     psis = [haar(seed) for seed in range(40)]
     for kind in ProtocolKind:
-        stack = sample_stack(kind, psis, np.array([np.random.default_rng(s).random() for s in range(40)]))
-        traces = run_protocol_stack(kind, psis, [np.random.default_rng(s) for s in range(40)])
+        u = np.array([np.random.default_rng(s).random() for s in range(40)])
+        stack = sample_stack(kind, psis, u)
+        traces = run_protocol_stack(kind, psis, u)
         assert len(stack) == len(traces) == 40
         assert stack.ledger == CostLedger([SCHEDULES[kind].teleport])
         assert stack.bobs.shape == (40, 2) and not stack.bobs.flags.writeable
