@@ -29,7 +29,6 @@ from .protocol import (
     kak_checkpoints,
     kak_entangled_input_demo,
     run_protocol,
-    run_protocol_stack,
     sqtp_checkpoints,
 )
 from .statevector import (

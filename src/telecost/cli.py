@@ -156,9 +156,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             err = float(np.max(np.abs(states[name] - ref)))
             max_err[name] = max(max_err[name], err)
         for kind in ProtocolKind:
-            worst = max(1.0 - b.fidelity for branches in enumerate_protocol_stack(kind, sources)
-                        for b in branches)
-            branch_err[kind] = max(branch_err[kind], worst)
+            _, _, fidelities = enumerate_protocol_stack(kind, sources)
+            branch_err[kind] = max(branch_err[kind], max(1.0 - f for f in fidelities))
 
     checks = [
         {"name": name, "max_abs_err": max_err[name], "pass": max_err[name] <= GOLDEN_ATOL}

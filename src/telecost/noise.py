@@ -19,10 +19,12 @@ Every DensityMatrix is a 2-qubit channel state, checked when built: shape
 4x4, Hermiticity, trace and positivity. No density matrix is evolved: the
 protocol is linear in the resource pair, so the fidelity through any
 2-qubit channel is a quadratic form, in the channel's matrix, of
-`protocol.pair_response`. A chunk of noisy runs is one stack: every run
-climbs the same ladder to the same F, so the stack walks it once, steps
-all runs' attempts together and builds one Werner channel;
-`run_noisy_teleport` and `distill_to_threshold` are stacks of one.
+`protocol.pair_response`, evaluated for a whole stack of inputs in one
+array expression. A chunk of noisy runs is one stack: every run climbs
+the same ladder to the same F, so the stack walks it once, steps all
+runs' attempts together and builds one Werner channel;
+`run_noisy_teleport`, `distill_to_threshold` and `teleport_fidelity_noisy`
+are stacks of one.
 """
 
 from __future__ import annotations
@@ -82,18 +84,20 @@ def werner_state(f: float) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def _channel_fidelity(a: np.ndarray, channel: DensityMatrix) -> float:
-    """The sum over outcomes k of a[k]^T channel conj(a[k])."""
-    return float(np.real(np.sum((a @ channel.mat) * a.conj())))
+def _channel_fidelities(a: np.ndarray, channel: DensityMatrix) -> list[float]:
+    """For every input i of a pair_response stack a, the sum over outcomes k
+    of a[i, k]^T channel conj(a[i, k])."""
+    return np.real(((a @ channel.mat) * a.conj()).reshape(len(a), 16).sum(axis=1)).tolist()
 
 
 def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: DensityMatrix) -> float:
     """Fidelity <psi| rho_Bob |psi> of the protocol run through an
     arbitrary 2-qubit channel state, averaging Bob's corrected output
     over the four measurement outcomes with their Born weights: with
-    a = pair_response(kind, [psi])[0], the sum over outcomes k of
-    a[k]^T channel conj(a[k])."""
-    return _channel_fidelity(pair_response(kind, [psi])[0], channel)
+    a = pair_response(kind, [psi]), the sum over outcomes k of
+    a[0, k]^T channel conj(a[0, k]), run_noisy_stack's expression on a
+    stack of one."""
+    return _channel_fidelities(pair_response(kind, [psi]), channel)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +276,7 @@ def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
         rounds, attempts, f_final, met = 0, np.zeros(len(psis), dtype=int), channel_f, True
     channel = werner_state(f_final)
     return NoisyStack(rounds, f_final, met, attempts.tolist(),
-                      [_channel_fidelity(a, channel) for a in pair_response(kind, psis)],
+                      _channel_fidelities(pair_response(kind, psis), channel),
                       CostLedger([SCHEDULES[kind].teleport]))
 
 

@@ -24,15 +24,18 @@ One interpreter runs a table once over a stack of registers, shape
 apply_cnot), and applies Bob's corrections for all four outcomes to the
 whole stack; one measure_sample draws every run's outcome from a column
 of uniforms, and Bob's normalised qubits and their fidelities are
-computed as stacks too. `sample_stack` returns a stack's sampled runs as
-columns with one ledger, which `compare` reads; `run_protocol_stack`
-builds each run's trace from them. Checkpoints and the branch walk also
-take a stack (`checkpoints_stack`, `enumerate_protocol_stack`) of
-UnknownQubits or of checked amplitude rows such as `haar_sources` draws;
-their one-input forms are stacks of one. The schedule is linear, so the
-entangled-input probe stacks the held-back qubit's two values, and
-`pair_response`, all `noise` needs for a mixed channel, the resource
-pair's four basis states under every input.
+computed as stacks too. Every stack function returns columns:
+`sample_stack` a stack's sampled runs with one ledger, which `compare`
+reads; `checkpoints_stack` one array per named register and
+`enumerate_protocol_stack` the branches' probabilities, Bob's qubits
+and fidelities, which `verify` reads. Each takes UnknownQubits or
+checked amplitude rows such as `haar_sources` draws. Only the stacks of
+one build objects per run: `run_protocol` a trace from `sample_stack` of
+one, the checkpoints StateVectors and `enumerate_protocol` branches. The
+schedule is linear, so the entangled-input probe stacks the held-back
+qubit's two values, and `pair_response`, all `noise` needs for a mixed
+channel, the resource pair's four basis states under every input, as
+one (inputs, 4, 4) array.
 `run_batch` is the one seeded batch runner: per chunk of BATCH_CHUNK runs
 it steps every stream as uint64 limb arrays, NumPy's SeedSequence->PCG64
 bit for bit, and hands on columns of random() draws, one per step, which
@@ -390,28 +393,16 @@ def sample_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
     return SampledStack(outcomes.tolist(), fidelities, bobs, CostLedger([schedule.teleport]))
 
 
-def run_protocol_stack(
-    kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray, u: np.ndarray
-) -> list[ProtocolTrace]:
-    """One sampled run per input with its full trace, run i's outcome from
-    u[i], built from sample_stack's columns: the runs of one outcome share
-    its frozen trace tail, and each run has a ledger of its own. An empty
-    stack returns []."""
-    schedule = SCHEDULES[kind]
-    stack = sample_stack(kind, psis, u)
-    tails = [(Measured(ALICE, (0, 1), bits),
-              MessageSent(ALICE, BOB, bits[: schedule.announced], Purpose.TELEPORT),
-              CorrectionApplied(BOB, 2, gates))
-             for bits, gates in zip(_OUTCOMES, schedule.bob_gates)]
-    return [ProtocolTrace(kind, [*schedule.steps, *tails[k]], StateVector._trusted(1, bob),
-                          fidelity, CostLedger([schedule.teleport]))
-            for k, bob, fidelity in zip(stack.outcomes, stack.bobs, stack.fidelities)]
-
-
 def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
-    """One sampled run: the schedule, Alice's measurement, her announcement
-    and Bob's correction, as a stack of one."""
-    return run_protocol_stack(kind, [psi], np.array([rng.random()]))[0]
+    """One sampled run with its full trace, as sample_stack of one: the
+    schedule's steps, then Alice's measurement of outcome k, her
+    announcement and Bob's correction."""
+    schedule, stack = SCHEDULES[kind], sample_stack(kind, [psi], np.array([rng.random()]))
+    [k], [fidelity] = stack.outcomes, stack.fidelities
+    steps = [*schedule.steps, Measured(ALICE, (0, 1), _OUTCOMES[k]),
+             MessageSent(ALICE, BOB, _OUTCOMES[k][: schedule.announced], Purpose.TELEPORT),
+             CorrectionApplied(BOB, 2, schedule.bob_gates[k])]
+    return ProtocolTrace(kind, steps, StateVector._trusted(1, stack.bobs[0]), fidelity, stack.ledger)
 
 
 def checkpoints_stack(kind: ProtocolKind,
@@ -443,19 +434,20 @@ def kak_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
     return _checkpoints(ProtocolKind.KAK, psi)
 
 
-def pair_response(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray) -> list[np.ndarray]:
-    """One a per input, a[k, j] = <psi| Bob's corrected qubit for outcome
-    k>, unnormalised, when the resource pair is the basis pair |j>: each
-    input's four pairs are rows of one stack of 4 x len(psis), and
+def pair_response(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray) -> np.ndarray:
+    """One (n, 4, 4) array, a[i, k, j] = <psi_i| Bob's corrected qubit for
+    outcome k>, unnormalised, when the resource pair is the basis pair |j>:
+    each input's four pairs are rows of one stack of 4 x len(psis), and
     probabilities of 1 leave the residuals as they are. The schedule is
     linear, so through a 2-qubit channel rho Bob holds
-    sum_jl rho[j, l] b[k, j] b[k, l]^dagger for outcome k, and the
-    teleport fidelity is sum_k a[k]^T rho conj(a[k])."""
+    sum_jl rho[j, l] b[k, j] b[k, l]^dagger for outcome k, and input i's
+    teleport fidelity is sum_k a[i, k]^T rho conj(a[i, k])."""
     schedule, sources = SCHEDULES[kind], _sources(psis)
-    pairs = np.tile(np.eye(4, dtype=complex), (len(sources), 1))
+    n = len(sources)
+    pairs = np.tile(np.eye(4, dtype=complex), (n, 1))
     t, _ = _evolve(schedule, np.repeat(sources, 4, axis=0), pairs)
     bobs = _residuals(t, np.ones((len(pairs), 4)), schedule.bob_gates)
-    return [(bobs[4 * i: 4 * i + 4] @ source.conj()).T for i, source in enumerate(sources)]
+    return (bobs.reshape(n, 4, 4, 2) @ sources.conj()[:, None, :, None])[..., 0].transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -469,25 +461,26 @@ class ProtocolBranch:
 
 def enumerate_protocol_stack(
     kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray
-) -> list[list[ProtocolBranch]]:
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """All four measurement branches of every input with corrections
-    applied. For SQTP the four corrected residuals all recover psi (branch
-    11 up to a global -1). For KAK the uncorrected residuals come in
-    exactly two classes keyed on the q0 bit."""
+    applied, as columns: the Born probabilities, one (n, 4) row per input
+    indexed like _OUTCOMES, and Bob's corrected qubits, read-only rows
+    4i + k of a (4n, 2) array, with their fidelities in the same order. For
+    SQTP the four corrected residuals all recover psi (branch 11 up to a
+    global -1). For KAK the uncorrected residuals come in exactly two
+    classes keyed on the q0 bit."""
     schedule, sources = SCHEDULES[kind], _sources(psis)
     t, _ = _evolve(schedule, sources)
     probs = _born_rows(t)
     bobs = _residuals(t, probs, schedule.bob_gates).reshape(-1, 2)
-    bobs, fidelities = _bob_rows(bobs, np.repeat(sources, 4, axis=0))
-    branches = [ProtocolBranch(BranchOutcome(bits, pk), StateVector._trusted(1, bob), fidelity)
-                for bits, pk, bob, fidelity in zip(itertools.cycle(_OUTCOMES), probs.ravel().tolist(),
-                                                   bobs, fidelities)]
-    return [branches[i: i + 4] for i in range(0, len(branches), 4)]
+    return (probs, *_bob_rows(bobs, np.repeat(sources, 4, axis=0)))
 
 
 def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBranch]:
     """All four measurement branches of one input, as a stack of one."""
-    return enumerate_protocol_stack(kind, [psi])[0]
+    probs, bobs, fidelities = enumerate_protocol_stack(kind, [psi])
+    return [ProtocolBranch(BranchOutcome(bits, pk), StateVector._trusted(1, bob), fidelity)
+            for bits, pk, bob, fidelity in zip(_OUTCOMES, probs[0].tolist(), bobs, fidelities)]
 
 
 # ---------------------------------------------------------------------------

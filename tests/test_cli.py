@@ -602,6 +602,23 @@ def test_ideal_compare_builds_no_scalar_stream_and_no_input_object(monkeypatch, 
     assert noisy[0] == 0 and len(json.loads(noisy[1])["per_run"]) == 600
 
 
+def test_verify_builds_no_branch_object(monkeypatch, capsys):
+    # verify reads the branch walk's fidelity column; ProtocolBranch and its
+    # StateVector are built only by enumerate_protocol, a stack of one
+    from telecost.protocol import ProtocolBranch
+    from telecost.statevector import StateVector
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a branch object was built")
+
+    monkeypatch.setattr(ProtocolBranch, "__init__", refuse)
+    monkeypatch.setattr(StateVector, "_trusted", refuse)
+    argv, digest = PINNED_VERIFY_SHA256[2]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_benchmark_tracer_installs_and_changes_no_output(capsys):
     # the tracer refuses a layer function held where it cannot rebind it
     # (a tuple, a default argument, a closure), raising TracingError

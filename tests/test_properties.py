@@ -2,8 +2,10 @@
 through Werner and arbitrary full-rank channels, and branch recovery, each
 against an independent reference; the sampled distillation run and the
 sweep against the two recurrence walks they replaced, and their two LOCC
-bills against each other; the stacked interpreter against the per-state
-path it replaced, bit for bit, and every stack against its stacks of one;
+bills against each other; the stacked interpreter and run_protocol's
+traces against the per-state path it replaced, bit for bit, and every
+stack against its stacks of one; the stacked pair responses and noisy
+fidelities against the retired per-input formulas, bit for bit;
 the locality of every sampled run's trace; SQTP and KAK as one channel
 on any resource pair; the seeded batch's vector streams, 64 columns
 deep, against NumPy's SeedSequence and PCG64, and the Haar draw, one at
@@ -56,11 +58,13 @@ from telecost.protocol import (
     pair_response,
     run_protocol,
     _bob_rows,
+    _evolve,
+    _residuals,
     _streams,
     haar_sources,
     sqtp_checkpoints,
 )
-from telecost.statevector import StateVector, fidelity_pure, measure_sample
+from telecost.statevector import BranchOutcome, StateVector, fidelity_pure, measure_sample
 
 TOL = 1e-12
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -251,6 +255,19 @@ def test_stacks_of_one_match_the_per_state_path_bit_for_bit(angles):
             assert b.bob_state.amps.tobytes() == a.bob_state.amps.tobytes()
 
 
+@PROPERTY
+@given(haar_angles, seeds)
+def test_run_protocol_matches_the_per_state_path_bit_for_bit(angles, seed):
+    # a sampled stack of one, trace for trace: the steps, the fidelity, Bob's amplitudes and the ledger
+    psi = qubit_from_angles(angles)
+    for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
+        want = per_state_reference.run_protocol(kind, psi, np.random.default_rng(seed))
+        got = run_protocol(kind, psi, np.random.default_rng(seed))
+        assert (got.kind, got.steps, got.fidelity_achieved, got.ledger) == (
+            want.kind, want.steps, want.fidelity_achieved, want.ledger)
+        assert got.final_bob_state.amps.tobytes() == want.final_bob_state.amps.tobytes()
+
+
 # stack sizes around the chunking: one, a pair, and more than a chunk
 stack_sizes = st.sampled_from([1, 2, BATCH_CHUNK + 1])
 STACKS = settings(PROPERTY, max_examples=30)
@@ -264,15 +281,20 @@ def test_stacks_match_their_stacks_of_one_bit_for_bit(size, seed):
     for kind, checkpoints in ((ProtocolKind.SQTP, sqtp_checkpoints),
                               (ProtocolKind.KAK, kak_checkpoints)):
         stacked = checkpoints_stack(kind, psis)
-        for i, (psi, branches) in enumerate(zip(psis, enumerate_protocol_stack(kind, psis),
-                                                strict=True)):
+        # branch k of input i is row i, k of probs and row 4i + k of bobs and fidelities
+        probs, bobs, fidelities = enumerate_protocol_stack(kind, psis)
+        assert (probs.shape, bobs.shape, len(fidelities)) == ((size, 4), (4 * size, 2), 4 * size)
+        assert not bobs.flags.writeable
+        for i, psi in enumerate(psis):
             single = checkpoints(psi)
             assert list(stacked) == list(single)
             for name, state in single.items():
                 assert stacked[name][i].tobytes() == state.amps.tobytes()
-            for a, b in zip(enumerate_protocol(kind, psi), branches, strict=True):
-                assert b.outcome == a.outcome and b.fidelity == a.fidelity
-                assert b.bob_state.amps.tobytes() == a.bob_state.amps.tobytes()
+            for k, (bits, a) in enumerate(zip(("00", "01", "10", "11"),
+                                              enumerate_protocol(kind, psi), strict=True)):
+                assert a.outcome == BranchOutcome(bits, probs[i, k])
+                assert a.fidelity == fidelities[4 * i + k]
+                assert a.bob_state.amps.tobytes() == bobs[4 * i + k].tobytes()
 
 
 @STACKS
@@ -304,6 +326,40 @@ def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, tar
             walked = walked_distill_run(channel_f, channel_f if target is None else target,
                                         max_rounds, rng(i))
             assert (stack.rounds, stack.attempts[i], stack.f_final) == walked
+
+
+def retired_pair_response(kind, psi):
+    """One input's pair response as it was computed before the stack became
+    one array: that input's block of the residual stack, times conj(psi)."""
+    schedule, source = SCHEDULES[kind], np.array([psi.alpha, psi.beta])
+    t, _ = _evolve(schedule, np.repeat(source[None], 4, axis=0), np.eye(4, dtype=complex))
+    return (_residuals(t, np.ones((4, 4)), schedule.bob_gates) @ source.conj()).T
+
+
+def retired_channel_fidelity(a, rho):
+    """The per-input quadratic form the stacked fidelity replaced."""
+    return float(np.real(np.sum((a @ rho) * a.conj())))
+
+
+@STACKS
+@given(stack_sizes, seeds, st.floats(min_value=0.51, max_value=1.0))
+def test_noisy_fidelities_are_the_retired_per_input_formula_bit_for_bit(size, seed, channel_f):
+    rng = np.random.default_rng(seed)
+    psis = [UnknownQubit.haar(rng) for _ in range(size)]
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    channel = DensityMatrix(rho / np.real(np.trace(rho)))  # full rank, far from Werner form
+    for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
+        stacked = pair_response(kind, psis)
+        assert stacked.shape == (size, 4, 4)
+        stack = run_noisy_stack(kind, psis, channel_f, lambda: rng.random(size), distill_target=0.9)
+        werner = werner_state(stack.f_final).mat
+        for i, psi in enumerate(psis):
+            single = retired_pair_response(kind, psi)
+            assert stacked[i].tobytes() == pair_response(kind, [psi])[0].tobytes() == single.tobytes()
+            assert stack.fidelities[i] == retired_channel_fidelity(single, werner)
+            assert (teleport_fidelity_noisy(kind, psi, channel)
+                    == retired_channel_fidelity(single, channel.mat))
 
 
 # amplitudes whose Born probabilities hold zeros, a lone 1 and tiny entries

@@ -35,7 +35,6 @@ from telecost.protocol import (
     pair_response,
     run_batch,
     run_protocol,
-    run_protocol_stack,
     sample_stack,
     sqtp_checkpoints,
     step_to_json,
@@ -304,35 +303,39 @@ def test_entangled_demo_rejects_wrong_size():
 
 
 def traced_chunk(kind, sources, streams):
-    """A run_batch chunk as full traces, run i's outcome from its stream's
-    draw, with the one ledger of the chunk that run_batch checks."""
-    return SimpleNamespace(traces=run_protocol_stack(kind, sources, streams.random()),
-                           ledger=CostLedger([SCHEDULES[kind].teleport]))
+    """A run_batch chunk as sample_stack's columns, run i's outcome from its
+    stream's draw, with the one ledger of the chunk that run_batch checks."""
+    return sample_stack(kind, sources, streams.random())
 
 
-def per_run(kinds, batch, column="traces"):
+def per_run(kinds, batch, column):
     """One column of run_batch's chunks as (run, kind, entry), run by run
     and within a run kind by kind."""
     return [(i, kind, getattr(result, column)[j]) for runs, results in batch
             for j, i in enumerate(runs) for kind, result in zip(kinds, results)]
 
 
+def sampled_runs(kinds, batch):
+    """Each run of run_batch's sampled chunks as (run, kind, (outcome bits,
+    fidelity, Bob's amplitudes as raw bytes, the chunk's ledger))."""
+    return [(i, kind, (format(stack.outcomes[j], "02b"), stack.fidelities[j],
+                       stack.bobs[j].tobytes(), stack.ledger))
+            for runs, stacks in batch for j, i in enumerate(runs)
+            for kind, stack in zip(kinds, stacks)]
+
+
 def test_run_batch_run_i_does_not_depend_on_n_runs():
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
-
-    def digest(n_runs):
-        return [(i, kind, trace.steps, trace.fidelity_achieved, tuple(trace.final_bob_state.amps))
-                for i, kind, trace in per_run(kinds, run_batch(kinds, n_runs, 5, traced_chunk))]
-
-    first = digest(12)
+    first = sampled_runs(kinds, run_batch(kinds, 12, 5, traced_chunk))
     assert len(first) == 24
-    assert digest(5) == first[:10]
+    assert sampled_runs(kinds, run_batch(kinds, 5, 5, traced_chunk)) == first[:10]
 
 
 def _trace_bits(trace):
-    """Everything a run reports, its amplitudes as raw bytes."""
-    return (trace.kind, trace.steps, trace.fidelity_achieved,
-            trace.final_bob_state.amps.tobytes(), trace.ledger)
+    """What a run reports, as sampled_runs holds it: its outcome bits,
+    fidelity, amplitudes as raw bytes and ledger."""
+    bits = next(step.bits for step in trace.steps if isinstance(step, Measured))
+    return bits, trace.fidelity_achieved, trace.final_bob_state.amps.tobytes(), trace.ledger
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -342,8 +345,7 @@ def test_run_batch_matches_the_per_state_path_bit_for_bit(seed):
     want = [(i, kind, _trace_bits(trace))
             for i, kind, trace in per_state_reference.run_batch(kinds, BATCH_CHUNK + 1, seed)]
     for n_runs in (BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1):
-        got = [(i, kind, _trace_bits(trace))
-               for i, kind, trace in per_run(kinds, run_batch(kinds, n_runs, seed, traced_chunk))]
+        got = sampled_runs(kinds, run_batch(kinds, n_runs, seed, traced_chunk))
         assert got == want[: 2 * n_runs]
 
 
@@ -446,9 +448,9 @@ def test_schedule_owns_its_teleport_message_and_copy_rule():
 
 def test_every_stack_of_no_inputs_is_empty():
     for kind in ProtocolKind:
-        assert run_protocol_stack(kind, [], np.array([])) == []
-        assert enumerate_protocol_stack(kind, []) == []
-        assert pair_response(kind, []) == []
+        probs, bobs, fidelities = enumerate_protocol_stack(kind, [])
+        assert (probs.shape, bobs.shape, fidelities) == ((0, 4), (0, 2), [])
+        assert pair_response(kind, []).shape == (0, 4, 4)
         noisy = run_noisy_stack(kind, [], 0.8, np.random.default_rng(0).random, distill_target=0.9)
         assert len(noisy) == 0 and noisy.attempts == noisy.fidelities == []
         one = checkpoints_stack(kind, [haar(16)])
@@ -458,12 +460,13 @@ def test_every_stack_of_no_inputs_is_empty():
 
 
 def test_sample_stack_holds_the_columns_of_its_traces():
-    # the same column twice: compare reads the columns, run_protocol_stack builds traces from them
+    # the same draws twice: compare reads the columns, run_protocol builds a
+    # trace from a stack of one
     psis = [haar(seed) for seed in range(40)]
     for kind in ProtocolKind:
         u = np.array([np.random.default_rng(s).random() for s in range(40)])
         stack = sample_stack(kind, psis, u)
-        traces = run_protocol_stack(kind, psis, u)
+        traces = [run_protocol(kind, psi, np.random.default_rng(s)) for s, psi in enumerate(psis)]
         assert len(stack) == len(traces) == 40
         assert stack.ledger == CostLedger([SCHEDULES[kind].teleport])
         assert stack.bobs.shape == (40, 2) and not stack.bobs.flags.writeable
