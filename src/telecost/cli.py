@@ -23,11 +23,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .expansions import ALL_EXPANSIONS, load_expansions
-from .kinds import ProtocolKind, Purpose
+from .kinds import ProtocolKind
 from .noise import LOCC_ROUND_BITS, run_noisy_stack, sweep_rows, SWEEP_COLUMNS
 from .protocol import (
     BATCH_CHUNK,
     MAX_RUNS,
+    SCHEDULES,
     checkpoints_stack,
     enumerate_protocol_stack,
     haar_sources,
@@ -59,7 +60,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.protocol not in ("sqtp", "kak", "both"):
             raise ValueError(f"protocol must be sqtp, kak or both, got {self.protocol!r}")
-        if not 1 <= self.n_runs <= MAX_RUNS:  # more runs would never finish
+        # the bound: a run index must fit one uint32 word of its streams' spawn key
+        if not 1 <= self.n_runs <= MAX_RUNS:
             raise ValueError(f"--runs must be in 1..{MAX_RUNS}, got {self.n_runs}")
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
@@ -193,38 +195,35 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _compare_data(cfg: RunConfig) -> dict:
-    """Each run's row per kind, in run order, from each chunk's columns."""
+    """Each run's row per kind, in run order, from each chunk's columns;
+    kind k draws from the chunk's streams[k]."""
     kinds = cfg.kinds()
-
-    def run_chunk(kind, sources, streams):
-        if cfg.noise_f is None:
-            return sample_stack(kind, sources, streams.random())
-        return run_noisy_stack(kind, sources, cfg.noise_f, streams.random,
-                               distill_target=cfg.distill_target, max_rounds=cfg.max_rounds)
-
     per_run: list[dict] = []
-    for runs, results in run_batch(kinds, cfg.n_runs, cfg.seed, run_chunk):
+    for runs, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
         rows = []
-        for kind, result in zip(kinds, results):
-            n, t_bits = len(result), result.ledger.total(Purpose.TELEPORT)  # one ledger per stack
+        for kind, rngs in zip(kinds, streams):
             if cfg.noise_f is None:
-                outcomes, channel_f, loccs = result.outcome_bits(), None, [0] * n
+                stack = sample_stack(kind, sources, rngs.random())
+                outcomes, channel_f, loccs = stack.outcome_bits(), None, [0] * len(runs)
             else:  # every run of a noisy stack ends on the same channel
-                outcomes, channel_f = [None] * n, round(result.f_final, 12)
-                loccs = [LOCC_ROUND_BITS * attempts for attempts in result.attempts]
-            name = kind.value
+                stack = run_noisy_stack(kind, sources, cfg.noise_f, rngs.random,
+                                        distill_target=cfg.distill_target,
+                                        max_rounds=cfg.max_rounds)
+                outcomes, channel_f = [None] * len(runs), round(stack.f_final, 12)
+                loccs = [LOCC_ROUND_BITS * attempts for attempts in stack.attempts]
+            name, t_bits = kind.value, SCHEDULES[kind].announced
             rows.append([{"run": i, "protocol": name, "outcome_bits": outcome,
                           "fidelity": round(fidelity, 12), "channel_f": channel_f,
                           "teleport_bits": t_bits, "locc_bits": l_bits}
                          for i, outcome, fidelity, l_bits
-                         in zip(runs, outcomes, result.fidelities, loccs)])
+                         in zip(runs, outcomes, stack.fidelities, loccs)])
         per_run += itertools.chain.from_iterable(zip(*rows))
     summary: dict[str, dict] = {}
-    for k, name in enumerate(kind.value for kind in kinds):
+    for k, kind in enumerate(kinds):
         rows = per_run[k::len(kinds)]  # the rows interleave the kinds run by run
-        t_bits = rows[0]["teleport_bits"]  # run_batch checked that it never varies
+        t_bits = SCHEDULES[kind].announced
         locc_mean = float(np.mean([r["locc_bits"] for r in rows]))
-        summary[name] = {
+        summary[kind.value] = {
             "mean_fidelity": round(float(np.mean([r["fidelity"] for r in rows])), 12),
             "min_fidelity": round(min(r["fidelity"] for r in rows), 12),
             "teleport_bits": t_bits,

@@ -249,19 +249,16 @@ class NoisyTeleportReport:
 @dataclass(frozen=True)
 class NoisyStack:
     """The noisy runs of one stack as columns. Every run distills to the same
-    f_final in the same rounds, held once with target_met and the one TELEPORT
-    `ledger`; run i's attempts and fidelity are entry i of their columns, and
-    its LOCC bits attempts[i] * LOCC_ROUND_BITS."""
+    f_final in the same rounds, held once with target_met; run i's attempts
+    and fidelity are entry i of their columns, and its LOCC bits
+    attempts[i] * LOCC_ROUND_BITS. Every run then sends its schedule's
+    TELEPORT message, which the stack does not copy."""
 
     rounds: int
     f_final: float
     target_met: bool
     attempts: list[int]
     fidelities: list[float]
-    ledger: CostLedger
-
-    def __len__(self) -> int:
-        return len(self.attempts)
 
 
 def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
@@ -276,8 +273,7 @@ def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
         rounds, attempts, f_final, met = 0, np.zeros(len(psis), dtype=int), channel_f, True
     channel = werner_state(f_final)
     return NoisyStack(rounds, f_final, met, attempts.tolist(),
-                      _channel_fidelities(pair_response(kind, psis), channel),
-                      CostLedger([SCHEDULES[kind].teleport]))
+                      _channel_fidelities(pair_response(kind, psis), channel))
 
 
 def run_noisy_teleport(kind: ProtocolKind, psi: UnknownQubit, channel_f: float,

@@ -25,8 +25,8 @@ apply_cnot), and applies Bob's corrections for all four outcomes to the
 whole stack; one measure_sample draws every run's outcome from a column
 of uniforms, and Bob's normalised qubits and their fidelities are
 computed as stacks too. Every stack function returns columns:
-`sample_stack` a stack's sampled runs with one ledger, which `compare`
-reads; `checkpoints_stack` one array per named register and
+`sample_stack` a stack's sampled runs, which `compare` reads;
+`checkpoints_stack` one array per named register and
 `enumerate_protocol_stack` the branches' probabilities, Bob's qubits
 and fidelities, which `verify` reads. Each takes UnknownQubits or
 checked amplitude rows such as `haar_sources` draws. Only the stacks of
@@ -36,17 +36,19 @@ schedule is linear, so the entangled-input probe stacks the held-back
 qubit's two values, and `pair_response`, all `noise` needs for a mixed
 channel, the resource pair's four basis states under every input, as
 one (inputs, 4, 4) array.
-`run_batch` is the one seeded batch runner: per chunk of BATCH_CHUNK runs
-it steps every stream as uint64 limb arrays, NumPy's SeedSequence->PCG64
-bit for bit, and hands on columns of random() draws, one per step, which
-every stack takes, noisy ones included. The per-state path this replaced
+`run_batch` is the one seeded batch runner: it yields chunks of at most
+BATCH_CHUNK runs, each the chunk's input rows and its streams, stepped as
+uint64 limb arrays, NumPy's SeedSequence->PCG64 bit for bit, which hand
+out columns of random() draws, one per step, that every stack takes,
+noisy ones included. The TELEPORT message is the Schedule's alone: no
+stack holds a copy of it. The per-state path this replaced
 is the bit-for-bit reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -361,16 +363,12 @@ def _bob_rows(bobs: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, list[f
 class SampledStack:
     """The sampled runs of one stack as columns: run i's outcome index k
     into _OUTCOMES, its fidelity, and Bob's corrected qubit as row i of
-    `bobs`, shape (runs, 2), read-only. Every run sends the same TELEPORT
-    message, so the stack holds one `ledger` for all its runs."""
+    `bobs`, shape (runs, 2), read-only. Every run sends its schedule's
+    TELEPORT message, which the stack does not copy."""
 
     outcomes: list[int]
     fidelities: list[float]
     bobs: np.ndarray
-    ledger: CostLedger
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
 
     def outcome_bits(self) -> list[str]:
         """Every run's outcome as Alice's two bits, in run order."""
@@ -390,7 +388,7 @@ def sample_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
     outcomes = measure_sample(probs, u)
     bobs = _residuals(t, probs, schedule.bob_gates)[np.arange(len(outcomes)), outcomes]
     bobs, fidelities = _bob_rows(bobs, sources)
-    return SampledStack(outcomes.tolist(), fidelities, bobs, CostLedger([schedule.teleport]))
+    return SampledStack(outcomes.tolist(), fidelities, bobs)
 
 
 def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
@@ -402,7 +400,8 @@ def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator
     steps = [*schedule.steps, Measured(ALICE, (0, 1), _OUTCOMES[k]),
              MessageSent(ALICE, BOB, _OUTCOMES[k][: schedule.announced], Purpose.TELEPORT),
              CorrectionApplied(BOB, 2, schedule.bob_gates[k])]
-    return ProtocolTrace(kind, steps, StateVector._trusted(1, stack.bobs[0]), fidelity, stack.ledger)
+    return ProtocolTrace(kind, steps, StateVector._trusted(1, stack.bobs[0]), fidelity,
+                         CostLedger([schedule.teleport]))
 
 
 def checkpoints_stack(kind: ProtocolKind,
@@ -630,31 +629,19 @@ def _streams(seed: int, runs: range, n_streams: int) -> list[_Streams]:
     return [_Streams(*limbs) for limbs in zip(hi, lo, inc_hi, inc_lo)]
 
 
-def run_batch(
-    kinds: list[ProtocolKind], n_runs: int, seed: int, run_chunk: Callable
-) -> Iterator[tuple[range, list]]:
+def run_batch(n_runs: int, seed: int,
+              n_streams: int) -> Iterator[tuple[range, np.ndarray, list[_Streams]]]:
     """Seeded batch over Haar-random inputs, yielding each chunk of at most
-    BATCH_CHUNK runs as (runs, results), results[k] = run_chunk(kinds[k],
-    sources, streams). Stream s of run i is NumPy's PCG64 of
-    SeedSequence(seed, spawn_key=(i, s)): `sources` are haar_sources of two
-    random() of stream 0 per run, and `streams` are stream 1 + k of the
-    chunk's runs, a column of draws per random(), so run i depends neither
-    on n_runs nor on the chunks. A chunk's result holds one ledger for its
-    runs; a kind's TELEPORT bits must not vary across its chunks."""
+    BATCH_CHUNK runs as (runs, sources, streams). Stream s of run i is
+    NumPy's PCG64 of SeedSequence(seed, spawn_key=(i, s)): `sources` are
+    haar_sources of two random() of stream 0 per run, and streams[k], for
+    k < n_streams, is stream 1 + k of the chunk's runs, a column of draws
+    per random(), so run i depends neither on n_runs nor on the chunks."""
     if not 1 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must be in 1..{MAX_RUNS}, got {n_runs}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    teleport_bits: dict[ProtocolKind, int] = {}
     for start in range(0, n_runs, BATCH_CHUNK):
         runs = range(start, min(start + BATCH_CHUNK, n_runs))
-        inputs, *streams = _streams(seed, runs, 1 + len(kinds))
-        sources = haar_sources(np.stack([inputs.random(), inputs.random()], axis=1))
-        results = [run_chunk(kind, sources, rngs) for kind, rngs in zip(kinds, streams)]
-        for kind, result in zip(kinds, results):
-            bits = result.ledger.total(Purpose.TELEPORT)
-            if teleport_bits.setdefault(kind, bits) != bits:
-                raise AssertionError(
-                    f"teleport bits varied for {kind.value}: {teleport_bits[kind]} then {bits}"
-                )
-        yield runs, results
+        inputs, *streams = _streams(seed, runs, 1 + n_streams)
+        yield runs, haar_sources(np.stack([inputs.random(), inputs.random()], axis=1)), streams

@@ -344,9 +344,9 @@ def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
     assert code == 0
     assert json.loads(out)["per_run"][0]["locc_bits"] == 182
     # the same run through the API: the printed channel_f 1.0 is a rounding
-    [(_, [stack])] = run_batch([ProtocolKind.KAK], 1, 0, lambda kind, sources, streams:
-                               run_noisy_stack(kind, sources, 0.75, streams.random,
-                                               distill_target=1.0, max_rounds=1024))
+    [(_, sources, [streams])] = run_batch(1, 0, 1)
+    stack = run_noisy_stack(ProtocolKind.KAK, sources, 0.75, streams.random,
+                            distill_target=1.0, max_rounds=1024)
     assert stack.f_final < 1.0 and stack.target_met is False
     assert LOCC_ROUND_BITS * stack.attempts[0] == 182
 
@@ -569,6 +569,23 @@ def test_verify_json_output_is_pinned(argv, digest, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--runs", "20"],
+    ["compare", "--runs", "20", "--noise-f", "0.75", "--distill-target", "0.9"],
+    ["verify", "--runs", "20"],
+], ids=["ideal", "noisy", "verify"])
+def test_the_chunk_size_changes_no_output(argv, monkeypatch, capsys):
+    # the streams continue across chunks, so chunks of 1 or 7 runs print what one chunk of 256 prints
+    argv = [*argv, "--seed", "4", "--format", "json"]
+    outputs = []
+    for chunk in (256, 1, 7):
+        monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", chunk)
+        monkeypatch.setattr("telecost.cli.BATCH_CHUNK", chunk)
+        outputs.append(run_cli(argv, capsys))
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+    assert outputs[1:] == [outputs[0]] * 2
 
 
 def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):

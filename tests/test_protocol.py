@@ -1,9 +1,7 @@
 """Protocol-level behavior: traces, schedule locality, corrections, branch
 structure, the entangled-input probe and seeded batches."""
 
-import itertools
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,51 +300,52 @@ def test_entangled_demo_rejects_wrong_size():
         kak_entangled_input_demo(basis_state(3, "000"))
 
 
-def traced_chunk(kind, sources, streams):
-    """A run_batch chunk as sample_stack's columns, run i's outcome from its
-    stream's draw, with the one ledger of the chunk that run_batch checks."""
-    return sample_stack(kind, sources, streams.random())
+def sampled_chunks(kinds, n_runs, seed):
+    """run_batch's chunks as (runs, one sample_stack per kind), kind k's
+    outcomes from the draw of its stream, streams[k]."""
+    return [(runs, [sample_stack(kind, sources, rngs.random()) for kind, rngs in zip(kinds, streams)])
+            for runs, sources, streams in run_batch(n_runs, seed, len(kinds))]
 
 
-def per_run(kinds, batch, column):
-    """One column of run_batch's chunks as (run, kind, entry), run by run
-    and within a run kind by kind."""
-    return [(i, kind, getattr(result, column)[j]) for runs, results in batch
-            for j, i in enumerate(runs) for kind, result in zip(kinds, results)]
+def per_run(kinds, chunks, column):
+    """One column of each chunk's stacks, one stack per kind, as (run, kind,
+    entry), run by run and within a run kind by kind."""
+    return [(i, kind, getattr(stack, column)[j]) for runs, stacks in chunks
+            for j, i in enumerate(runs) for kind, stack in zip(kinds, stacks)]
 
 
-def sampled_runs(kinds, batch):
+def sampled_runs(kinds, n_runs, seed):
     """Each run of run_batch's sampled chunks as (run, kind, (outcome bits,
-    fidelity, Bob's amplitudes as raw bytes, the chunk's ledger))."""
-    return [(i, kind, (format(stack.outcomes[j], "02b"), stack.fidelities[j],
-                       stack.bobs[j].tobytes(), stack.ledger))
-            for runs, stacks in batch for j, i in enumerate(runs)
+    fidelity, Bob's amplitudes as raw bytes))."""
+    return [(i, kind, (format(stack.outcomes[j], "02b"), stack.fidelities[j], stack.bobs[j].tobytes()))
+            for runs, stacks in sampled_chunks(kinds, n_runs, seed) for j, i in enumerate(runs)
             for kind, stack in zip(kinds, stacks)]
 
 
 def test_run_batch_run_i_does_not_depend_on_n_runs():
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
-    first = sampled_runs(kinds, run_batch(kinds, 12, 5, traced_chunk))
+    first = sampled_runs(kinds, 12, 5)
     assert len(first) == 24
-    assert sampled_runs(kinds, run_batch(kinds, 5, 5, traced_chunk)) == first[:10]
+    assert sampled_runs(kinds, 5, 5) == first[:10]
 
 
 def _trace_bits(trace):
     """What a run reports, as sampled_runs holds it: its outcome bits,
-    fidelity, amplitudes as raw bytes and ledger."""
+    fidelity and amplitudes as raw bytes."""
     bits = next(step.bits for step in trace.steps if isinstance(step, Measured))
-    return bits, trace.fidelity_achieved, trace.final_bob_state.amps.tobytes(), trace.ledger
+    return bits, trace.fidelity_achieved, trace.final_bob_state.amps.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_run_batch_matches_the_per_state_path_bit_for_bit(seed):
     # run counts on both sides of a chunk boundary: every chunk continues the seed's streams
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
-    want = [(i, kind, _trace_bits(trace))
-            for i, kind, trace in per_state_reference.run_batch(kinds, BATCH_CHUNK + 1, seed)]
+    traces = list(per_state_reference.run_batch(kinds, BATCH_CHUNK + 1, seed))
+    # every reference run bills its schedule's one TELEPORT message, which compare reads
+    assert all(trace.ledger == CostLedger([SCHEDULES[kind].teleport]) for _, kind, trace in traces)
+    want = [(i, kind, _trace_bits(trace)) for i, kind, trace in traces]
     for n_runs in (BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1):
-        got = sampled_runs(kinds, run_batch(kinds, n_runs, seed, traced_chunk))
-        assert got == want[: 2 * n_runs]
+        assert sampled_runs(kinds, n_runs, seed) == want[: 2 * n_runs]
 
 
 def test_run_batch_streams_are_the_spawn_chain_of_each_run():
@@ -355,14 +354,11 @@ def test_run_batch_streams_are_the_spawn_chain_of_each_run():
 
     def recorded(n_runs, seed):
         psis, draws = [], {kind: [] for kind in kinds}
-
-        def run_chunk(kind, sources, streams):
-            if kind is kinds[0]:
-                psis.extend(UnknownQubit(*row) for row in sources.tolist())
-            draws[kind].extend(streams.random().tolist())
-            return SimpleNamespace(ledger=CostLedger([(ALICE, BOB, 1, Purpose.TELEPORT)]))
-
-        list(run_batch(kinds, n_runs, seed, run_chunk))
+        for _, sources, streams in run_batch(n_runs, seed, len(kinds)):
+            assert len(streams) == len(kinds)
+            psis.extend(UnknownQubit(*row) for row in sources.tolist())
+            for kind, rngs in zip(kinds, streams):
+                draws[kind].extend(rngs.random().tolist())
         return psis, draws
 
     n_runs = 2 * BATCH_CHUNK + 1
@@ -381,11 +377,10 @@ def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk():
     # a noisy run draws once per distillation attempt, so every draw of its stream must follow NumPy's
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
     n_runs, seed = BATCH_CHUNK + 1, 9
-
-    def run_chunk(kind, sources, streams):
-        return run_noisy_stack(kind, sources, 0.75, streams.random, distill_target=0.9)
-
-    got = per_run(kinds, run_batch(kinds, n_runs, seed, run_chunk), "attempts")
+    chunks = [(runs, [run_noisy_stack(kind, sources, 0.75, rngs.random, distill_target=0.9)
+                      for kind, rngs in zip(kinds, streams)])
+              for runs, sources, streams in run_batch(n_runs, seed, len(kinds))]
+    got = per_run(kinds, chunks, "attempts")
     want = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
         subs = child.spawn(1 + len(kinds))
@@ -395,31 +390,17 @@ def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk():
     assert len({attempts for _, _, attempts in want}) > 1  # the runs retry different numbers of times
 
 
-def test_run_batch_rejects_varying_teleport_bits():
-    calls = itertools.count(1)
-
-    def run_chunk(kind, psis, rngs):
-        return SimpleNamespace(ledger=CostLedger([(ALICE, BOB, next(calls), Purpose.TELEPORT)]))
-
-    batch = run_batch([ProtocolKind.KAK], BATCH_CHUNK + 1, 0, run_chunk)
-    next(batch)  # the first chunk's 1 bit
-    with pytest.raises(AssertionError, match="varied"):
-        next(batch)  # the second chunk's 2 bits
-
-
 def test_run_batch_rejects_zero_runs():
     with pytest.raises(ValueError):
-        list(run_batch([ProtocolKind.SQTP], 0, 1, traced_chunk))
+        list(run_batch(0, 1, 1))
 
 
 @pytest.mark.parametrize("n_runs, seed", [(MAX_RUNS + 1, 1), (2**64, 1), (1, -1)])
 def test_run_batch_rejects_a_run_count_or_seed_it_cannot_key(n_runs, seed):
-    # a run index past one uint32 word, or a negative seed, has no NumPy spawn-chain stream
-    def run_chunk(kind, psis, rngs):
-        raise AssertionError("no chunk may run")
-
+    # a run index past one uint32 word, or a negative seed, has no NumPy spawn-chain stream;
+    # the first chunk refuses it before any stream is drawn
     with pytest.raises(ValueError):
-        next(run_batch([ProtocolKind.SQTP], n_runs, seed, run_chunk))
+        next(run_batch(n_runs, seed, 1))
 
 
 def test_schedules_cover_every_expansion_and_noisy_bit_count():
@@ -452,7 +433,7 @@ def test_every_stack_of_no_inputs_is_empty():
         assert (probs.shape, bobs.shape, fidelities) == ((0, 4), (0, 2), [])
         assert pair_response(kind, []).shape == (0, 4, 4)
         noisy = run_noisy_stack(kind, [], 0.8, np.random.default_rng(0).random, distill_target=0.9)
-        assert len(noisy) == 0 and noisy.attempts == noisy.fidelities == []
+        assert noisy.attempts == noisy.fidelities == []
         one = checkpoints_stack(kind, [haar(16)])
         empty = checkpoints_stack(kind, [])
         assert {name: rows.shape for name, rows in empty.items()} == {
@@ -467,16 +448,16 @@ def test_sample_stack_holds_the_columns_of_its_traces():
         u = np.array([np.random.default_rng(s).random() for s in range(40)])
         stack = sample_stack(kind, psis, u)
         traces = [run_protocol(kind, psi, np.random.default_rng(s)) for s, psi in enumerate(psis)]
-        assert len(stack) == len(traces) == 40
-        assert stack.ledger == CostLedger([SCHEDULES[kind].teleport])
+        assert len(stack.outcomes) == len(stack.fidelities) == len(traces) == 40
         assert stack.bobs.shape == (40, 2) and not stack.bobs.flags.writeable
         for i, trace in enumerate(traces):
             bits = next(step.bits for step in trace.steps if isinstance(step, Measured))
             assert (stack.outcome_bits()[i], stack.fidelities[i]) == (bits, trace.fidelity_achieved)
             assert stack.bobs[i].tobytes() == trace.final_bob_state.amps.tobytes()
-            assert trace.ledger == stack.ledger and trace.ledger is not stack.ledger
+            assert trace.ledger == CostLedger([SCHEDULES[kind].teleport])
+        assert len({id(trace.ledger) for trace in traces}) == 40  # no two traces share a ledger
         empty = sample_stack(kind, [], np.array([]))
-        assert len(empty) == 0 and empty.bobs.shape == (0, 2)
+        assert empty.outcomes == empty.fidelities == [] and empty.bobs.shape == (0, 2)
 
 
 @pytest.mark.parametrize("u", [[np.nan, 0.5], [0.5, np.nan]])

@@ -1,16 +1,21 @@
 """The test run itself: the warning filters of pyproject.toml turn warnings
 into errors, yet a failing hypothesis test must not abort the session, and
-its strict keys make a misspelled configuration key or marker fail the run."""
+its strict keys make a misspelled configuration key or marker fail the run.
+README's Library example runs as written and prints what its comments say."""
 
 import json
+import re
 import tomllib
 from pathlib import Path
 
 import pytest
 
+from telecost import ProtocolKind, Purpose, teleport_fidelity_noisy, werner_state
+
 pytest_plugins = ["pytester"]
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 INI_OPTIONS = tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"]
 
 
@@ -56,3 +61,17 @@ import pytest
     result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
     assert result.ret == exit_code
     (result.stdout if decorator else result.stderr).fnmatch_lines([message])
+
+
+def test_the_readme_library_example_holds_what_its_comments_state(capsys):
+    # README's one python block, as written; an API change must not leave it wrong
+    [block] = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    names = {}
+    exec(compile(block, str(README), "exec"), names)
+    trace, psi, report = names["trace"], names["psi"], names["report"]
+    assert abs(trace.fidelity_achieved - 1.0) <= 1e-12 and trace.ledger.total() == 1
+    for kind in ProtocolKind:  # (2F + 1)/3 either way
+        assert abs(teleport_fidelity_noisy(kind, psi, werner_state(0.85)) - 0.9) <= 1e-12
+    assert report.ledger.total(Purpose.LOCC) == 2 * report.attempts
+    assert report.ledger.total(Purpose.TELEPORT) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 4  # one line per SQTP branch
