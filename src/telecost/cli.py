@@ -7,12 +7,16 @@ Three subcommands:
 
 All outputs are deterministic for a fixed seed: running a command twice
 with the same arguments produces byte-identical reports.
+
+`main` parses with one parser per process, so its one build is set-up
+cost; `build_parser()` returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -319,13 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
     return RunConfig(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         handler = {"verify": cmd_verify, "compare": cmd_compare, "sweep": cmd_sweep}[cfg.command]

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import argparse
 import csv
 import hashlib
 import importlib.util
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telecost.cli import GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, main
+from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, build_parser,
+                          main)
 from telecost.kinds import ProtocolKind
 from telecost.noise import LOCC_ROUND_BITS, run_noisy_stack
 from telecost.protocol import MAX_RUNS, UnknownQubit, run_batch
@@ -586,6 +588,59 @@ def test_the_chunk_size_changes_no_output(argv, monkeypatch, capsys):
         outputs.append(run_cli(argv, capsys))
     assert outputs[0][0] == 0 and outputs[0][2] == ""
     assert outputs[1:] == [outputs[0]] * 2
+
+
+def invoke(argv, capsys):
+    """run_cli, with argparse's rejections as their exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+NOISY_COMPARE = ["compare", "--runs", "5", "--seed", "4", "--noise-f", "0.75",
+                 "--distill-target", "0.9", "--format", "json"]
+
+
+def test_the_shared_parser_carries_nothing_between_invocations(monkeypatch, capsys):
+    argvs = [NOISY_COMPARE,
+             ["compare", "--runs", "5", "--seed", "4", "--format", "json"],
+             ["compare", "--runs", "x"],
+             ["compare", "--runs", "0"],
+             ["sweep"],
+             ["verify", "--runs", "3", "--format", "json"],
+             NOISY_COMPARE]
+    shared = [invoke(argv, capsys) for argv in argvs]
+    monkeypatch.setattr("telecost.cli._parser", build_parser)  # a new parser per invocation
+    fresh = [invoke(argv, capsys) for argv in argvs]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0, 0]
+    assert shared[-1] == shared[0]
+    # the noise flags of the first compare do not leak into the second
+    rows = json.loads(shared[1][1])["per_run"]
+    assert {(row["channel_f"], row["locc_bits"]) for row in rows} == {(None, 0)}
+    assert "invalid int value: 'x'" in shared[2][2]
+    assert "--runs must be in" in shared[3][2]
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(["sweep"], capsys)[0] == 0
+    built.clear()
+    assert run_cli(["sweep"], capsys)[0] == 0
+    assert run_cli(["verify", "--runs", "1"], capsys)[0] == 0
+    assert built == []
+    # a caller of build_parser still gets a parser of its own to change
+    assert build_parser() is not build_parser()
 
 
 def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):
