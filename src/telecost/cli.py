@@ -6,7 +6,8 @@ Three subcommands:
   sweep     CSV of the distillation economics over a channel-fidelity grid
 
 All outputs are deterministic for a fixed seed: running a command twice
-with the same arguments produces byte-identical reports.
+with the same arguments produces byte-identical reports. `compare` keeps
+per-kind columns, which only `--format json` renders as rows.
 
 `main` parses with one parser per process, so its one build is set-up
 cost; `build_parser()` returns a new parser on every call.
@@ -33,6 +34,7 @@ from .protocol import (
     BATCH_CHUNK,
     MAX_RUNS,
     SCHEDULES,
+    _OUTCOMES,
     checkpoints_stack,
     enumerate_protocol_stack,
     haar_sources,
@@ -106,28 +108,6 @@ def _emit(text: str, out: str | None) -> None:
             raise RuntimeError(f"cannot write report to {out}: {exc}") from exc
 
 
-# one flat row of a top-level list, with the separators indent=2 gives it there
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-
-
-def _json_text(payload: dict) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True) and a newline, byte for
-    byte. With indent set, json encodes in pure Python, so the rows of a
-    `per_run` list, each a non-empty dict of scalars, are encoded by one C
-    encoder call, split at the text between two rows, and spliced in
-    where the document holds "per_run": null. No JSON string holds a raw
-    newline, so "},\n      {" occurs only between rows; only a top-level
-    key starts a line with two spaces and a quote, so the splice point
-    occurs once."""
-    rows = payload.get("per_run")
-    if not rows:
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    text = json.dumps({**payload, "per_run": None}, indent=2, sort_keys=True)
-    encoded = _ROW_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    return text.replace('\n  "per_run": null',
-                        f'\n  "per_run": [\n    {{\n      {encoded}\n    }}\n  ]', 1) + "\n"
-
-
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
@@ -175,8 +155,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     all_pass = all(c["pass"] for c in checks)
 
     if cfg.fmt == "json":
-        _emit(_json_text({"command": "verify", "config": cfg.public_dict(),
-                          "checks": checks, "all_pass": all_pass}), cfg.out)
+        _emit(json.dumps({"command": "verify", "config": cfg.public_dict(), "checks": checks,
+                          "all_pass": all_pass}, indent=2, sort_keys=True) + "\n", cfg.out)
     else:
         lines = [f"{'check':24s} {'max_abs_err':>12s}  status"]
         for c in checks:
@@ -198,44 +178,63 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compare_data(cfg: RunConfig) -> dict:
-    """Each run's row per kind, in run order, from each chunk's columns;
-    kind k draws from the chunk's streams[k]."""
+def _compare_data(cfg: RunConfig) -> tuple[dict, list[range], dict]:
+    """The summary per kind, each chunk's runs, and each kind's columns,
+    appended chunk by chunk in run order: run i's outcome index (ideal) or
+    attempts (noisy), its fidelity rounded to 12 digits, and each chunk's
+    round(f_final, 12), None if noiseless. Kind k draws from streams[k]."""
     kinds = cfg.kinds()
-    per_run: list[dict] = []
+    chunks, columns = [], {kind: ([], [], []) for kind in kinds}
     for runs, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
-        rows = []
+        chunks.append(runs)
         for kind, rngs in zip(kinds, streams):
+            picks, fidelities, channel_fs = columns[kind]
             if cfg.noise_f is None:
                 stack = sample_stack(kind, sources, rngs.random())
-                outcomes, channel_f, loccs = stack.outcome_bits(), None, [0] * len(runs)
+                picks += stack.outcomes
+                channel_fs.append(None)
             else:  # every run of a noisy stack ends on the same channel
                 stack = run_noisy_stack(kind, sources, cfg.noise_f, rngs.random,
-                                        distill_target=cfg.distill_target,
-                                        max_rounds=cfg.max_rounds)
-                outcomes, channel_f = [None] * len(runs), round(stack.f_final, 12)
-                loccs = [LOCC_ROUND_BITS * attempts for attempts in stack.attempts]
-            name, t_bits = kind.value, SCHEDULES[kind].announced
-            rows.append([{"run": i, "protocol": name, "outcome_bits": outcome,
-                          "fidelity": round(fidelity, 12), "channel_f": channel_f,
-                          "teleport_bits": t_bits, "locc_bits": l_bits}
-                         for i, outcome, fidelity, l_bits
-                         in zip(runs, outcomes, stack.fidelities, loccs)])
-        per_run += itertools.chain.from_iterable(zip(*rows))
-    summary: dict[str, dict] = {}
-    for k, kind in enumerate(kinds):
-        rows = per_run[k::len(kinds)]  # the rows interleave the kinds run by run
+                                        cfg.distill_target, cfg.max_rounds)
+                picks += stack.attempts
+                channel_fs.append(round(stack.f_final, 12))
+            fidelities += [round(fidelity, 12) for fidelity in stack.fidelities]
+    summary = {}
+    for kind, (picks, fidelities, _) in columns.items():
         t_bits = SCHEDULES[kind].announced
-        locc_mean = float(np.mean([r["locc_bits"] for r in rows]))
+        locc_mean = 0.0 if cfg.noise_f is None else float(np.mean([LOCC_ROUND_BITS * a for a in picks]))
         summary[kind.value] = {
-            "mean_fidelity": round(float(np.mean([r["fidelity"] for r in rows])), 12),
-            "min_fidelity": round(min(r["fidelity"] for r in rows), 12),
+            "mean_fidelity": round(float(np.mean(fidelities)), 12),
+            "min_fidelity": round(min(fidelities), 12),
             "teleport_bits": t_bits,
             "locc_bits": round(locc_mean, 12),
             "total_bits": round(t_bits + locc_mean, 12),
         }
-    return {"command": "compare", "config": cfg.public_dict(),
-            "per_run": per_run, "summary": summary}
+    return summary, chunks, columns
+
+
+def _compare_json(payload: dict, chunks: list[range], columns: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline, byte for
+    byte, with _compare_data's rows, kinds interleaved run by run, where
+    "per_run": null stands. That text occurs once: no JSON string holds a raw
+    newline, and only top-level keys start a line with two spaces and a quote.
+    Each chunk and kind fills one % template; floats go through repr, as json's do."""
+    rows, stop = [], 0
+    for c, runs in enumerate(chunks):
+        start, stop, kind_rows = stop, stop + len(runs), []
+        for kind, (picks, fidelities, channel_fs) in columns.items():
+            picks, channel_f = picks[start:stop], channel_fs[c]
+            if channel_f is None:
+                cell, cells = '0,\n      "outcome_bits": "%s"', [_OUTCOMES[k] for k in picks]
+            else:
+                cell, cells = '%d,\n      "outcome_bits": null', [LOCC_ROUND_BITS * a for a in picks]
+            template = (f'    {{\n      "channel_f": {json.dumps(channel_f)},\n      "fidelity": %r,\n'
+                        f'      "locc_bits": {cell},\n      "protocol": "{kind.value}",\n'
+                        f'      "run": %d,\n      "teleport_bits": {SCHEDULES[kind].announced}\n    }}')
+            kind_rows.append([template % row for row in zip(fidelities[start:stop], cells, runs)])
+        rows += itertools.chain.from_iterable(zip(*kind_rows))
+    text, per_run = json.dumps(payload, indent=2, sort_keys=True), ",\n".join(rows)
+    return text.replace('\n  "per_run": null', f'\n  "per_run": [\n{per_run}\n  ]', 1) + "\n"
 
 
 _SUMMARY_COLUMNS = ["protocol", "mean_fidelity", "min_fidelity",
@@ -243,11 +242,12 @@ _SUMMARY_COLUMNS = ["protocol", "mean_fidelity", "min_fidelity",
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    data = _compare_data(cfg)
+    summary, chunks, columns = _compare_data(cfg)
     if cfg.fmt == "json":
-        _emit(_json_text(data), cfg.out)
+        _emit(_compare_json({"command": "compare", "config": cfg.public_dict(), "per_run": None,
+                             "summary": summary}, chunks, columns), cfg.out)
         return 0
-    rows = [{"protocol": name, **vals} for name, vals in data["summary"].items()]
+    rows = [{"protocol": name, **vals} for name, vals in summary.items()]
     if cfg.fmt == "csv":
         _emit(_csv_text(_SUMMARY_COLUMNS, rows), cfg.out)
         return 0

@@ -370,10 +370,6 @@ class SampledStack:
     fidelities: list[float]
     bobs: np.ndarray
 
-    def outcome_bits(self) -> list[str]:
-        """Every run's outcome as Alice's two bits, in run order."""
-        return [_OUTCOMES[k] for k in self.outcomes]
-
 
 def sample_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
                  u: np.ndarray) -> SampledStack:

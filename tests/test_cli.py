@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, build_parser,
-                          main)
+from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, _compare_json,
+                          build_parser, main)
 from telecost.kinds import ProtocolKind
 from telecost.noise import LOCC_ROUND_BITS, run_noisy_stack
 from telecost.protocol import MAX_RUNS, UnknownQubit, run_batch
@@ -571,6 +571,31 @@ def test_verify_json_output_is_pinned(argv, digest, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_only_json_renders_per_run_rows(monkeypatch, capsys):
+    # text and csv print the summary alone; json renders all its rows in one call
+    noisy_text_argv = ["compare", "--runs", "20", "--seed", "3", "--noise-f", "0.75",
+                       "--distill-target", "0.9"]
+    noisy_text = run_cli(noisy_text_argv, capsys)
+
+    def refuse(*args):
+        raise AssertionError("text or csv rendered per_run rows")
+
+    monkeypatch.setattr("telecost.cli._compare_json", refuse)
+    for argv, digest in [PINNED_SHA256[0], PINNED_SHA256[2], PINNED_SHA256[5]]:  # text, csv, noisy csv
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert noisy_text[0] == 0 and run_cli(noisy_text_argv, capsys) == noisy_text
+    calls = []
+    monkeypatch.setattr("telecost.cli._compare_json",
+                        lambda *args: calls.append(args) or _compare_json(*args))
+    for argv, digest in [PINNED_SHA256[6], PINNED_SHA256[1]]:  # ideal json, noisy json
+        calls.clear()
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == "" and len(calls) == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,9 +15,12 @@ states that
 kernels build unchecked, which must still pass the public constructor's
 checks; the stacked normalisation and fidelity of Bob's qubits against
 the per-vector arithmetic, bit for bit; the ledger's running totals
-against its entries; and the CLI's spliced JSON writer against
-json.dumps."""
+against its entries; and compare's JSON report, rendered from columns,
+against the dict rows and json.dumps it replaced, byte for byte."""
 
+import contextlib
+import io
+import itertools
 import json
 
 import numpy as np
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 
 import oracle_dense
 import per_state_reference
-from telecost.cli import _json_text
+from telecost.cli import _compare_json, build_parser, config_from_args, main
 from telecost.cost import CostLedger, CostModel, ideal_bits
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import (
@@ -56,7 +59,10 @@ from telecost.protocol import (
     kak_checkpoints,
     kak_entangled_input_demo,
     pair_response,
+    run_batch,
     run_protocol,
+    sample_stack,
+    _OUTCOMES,
     _bob_rows,
     _evolve,
     _residuals,
@@ -533,24 +539,132 @@ def test_ledger_totals_are_the_sums_over_its_entries(msgs):
     assert CostLedger(msgs) == added
 
 
+def dict_rows(kind, runs, outcomes, fidelities, channel_f, loccs):
+    """One chunk's per_run rows of one kind, as dicts."""
+    name, t_bits = kind.value, SCHEDULES[kind].announced
+    return [{"run": i, "protocol": name, "outcome_bits": outcome, "fidelity": fidelity,
+             "channel_f": channel_f, "teleport_bits": t_bits, "locc_bits": l_bits}
+            for i, outcome, fidelity, l_bits in zip(runs, outcomes, fidelities, loccs)]
+
+
+def compare_json_reference(cfg):
+    """compare's JSON report as it was built before the column template: a
+    dict per run and kind, the kinds interleaved run by run, the summary
+    read back from those rows, and json.dumps of the whole payload."""
+    kinds = cfg.kinds()
+    per_run = []
+    for runs, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
+        rows = []
+        for kind, rngs in zip(kinds, streams):
+            if cfg.noise_f is None:
+                stack = sample_stack(kind, sources, rngs.random())
+                outcomes, channel_f = [_OUTCOMES[k] for k in stack.outcomes], None
+                loccs = [0] * len(runs)
+            else:
+                stack = run_noisy_stack(kind, sources, cfg.noise_f, rngs.random,
+                                        distill_target=cfg.distill_target,
+                                        max_rounds=cfg.max_rounds)
+                outcomes, channel_f = [None] * len(runs), round(stack.f_final, 12)
+                loccs = [LOCC_ROUND_BITS * attempts for attempts in stack.attempts]
+            fidelities = [round(fidelity, 12) for fidelity in stack.fidelities]
+            rows.append(dict_rows(kind, runs, outcomes, fidelities, channel_f, loccs))
+        per_run += itertools.chain.from_iterable(zip(*rows))
+    summary = {}
+    for k, kind in enumerate(kinds):
+        rows = per_run[k::len(kinds)]
+        t_bits = SCHEDULES[kind].announced
+        locc_mean = float(np.mean([r["locc_bits"] for r in rows]))
+        summary[kind.value] = {
+            "mean_fidelity": round(float(np.mean([r["fidelity"] for r in rows])), 12),
+            "min_fidelity": round(min(r["fidelity"] for r in rows), 12),
+            "teleport_bits": t_bits,
+            "locc_bits": round(locc_mean, 12),
+            "total_bits": round(t_bits + locc_mean, 12),
+        }
+    payload = {"command": "compare", "config": cfg.public_dict(),
+               "per_run": per_run, "summary": summary}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def compare_argvs(draw):
+    # past BATCH_CHUNK = 256 runs, with noisy channels whose ladders stop at
+    # the target, the round cap, or not at all
+    argv = ["compare", "--runs", str(draw(st.integers(1, 600))),
+            "--seed", str(draw(st.one_of(st.sampled_from([0, 2**64, 2**64 + 1, 2**100]),
+                                         st.integers(0, 2**70)))),
+            "--protocol", draw(st.sampled_from(["sqtp", "kak", "both"])), "--format", "json"]
+    if draw(st.booleans()):
+        argv += ["--noise-f", str(draw(st.sampled_from([0.55, 0.75, 0.8, 0.95, 1.0])))]
+        if draw(st.booleans()):
+            argv += ["--distill-target", str(draw(st.sampled_from([0.9, 0.95, 0.99, 1.0])))]
+        argv += ["--max-rounds", str(draw(st.integers(1, 6)))]
+    return argv
+
+
+@settings(deadline=None, derandomize=True, max_examples=12)
+@given(compare_argvs())
+@example(["compare", "--runs", "257", "--seed", str(2**64), "--protocol", "both",
+          "--format", "json", "--noise-f", "0.75", "--distill-target", "0.9", "--max-rounds", "2"])
+@example(["compare", "--runs", "600", "--seed", "3", "--protocol", "both", "--format", "json",
+          "--noise-f", "0.75", "--distill-target", "0.9"])
+def test_compare_json_is_the_dict_rows_report_byte_for_byte(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    cfg = config_from_args(build_parser().parse_args(argv))
+    assert stdout.getvalue() == compare_json_reference(cfg)
+
+
 # JSON scalars: escapes, non-ASCII, NaN, ints past 2**53 and past 64 bits
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2**80, 2**80),
                          st.integers(2**53, 2**64), st.floats(), st.text())
-flat_rows = st.dictionaries(st.text(), json_scalars, min_size=1, max_size=8)
 json_values = st.recursive(json_scalars, lambda inner: st.one_of(
     st.lists(inner, max_size=3), st.dictionaries(st.text(), inner, max_size=3)), max_leaves=10)
 # a per_run row held as text elsewhere in the payload must not be mistaken for the splice point
 SPLICE = '\n  "per_run": null'
+finite_floats = st.one_of(st.sampled_from([5e-324, 1e-5, 1e16, 0.1 + 0.2, -0.0]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def compare_columns(draw):
+    """(chunks, columns) in _compare_data's shape, ideal or noisy, with
+    arbitrary run indices, fidelities and channels, and attempts far past
+    any real run's."""
+    kinds = draw(st.sampled_from([[ProtocolKind.SQTP], [ProtocolKind.KAK], list(ProtocolKind)]))
+    noisy = draw(st.booleans())
+    chunks = draw(st.lists(st.lists(st.integers(0, 2**32 - 2), min_size=1, max_size=4),
+                           min_size=1, max_size=3))
+    n = sum(map(len, chunks))
+    picks = st.integers(0, 2**70) if noisy else st.integers(0, 3)
+    channel = finite_floats if noisy else st.none()
+    columns = {kind: (draw(st.lists(picks, min_size=n, max_size=n)),
+                      draw(st.lists(finite_floats, min_size=n, max_size=n)),
+                      draw(st.lists(channel, min_size=len(chunks), max_size=len(chunks))))
+               for kind in kinds}
+    return chunks, columns
 
 
 @PROPERTY
-@given(st.dictionaries(st.text(), json_values, max_size=4), st.lists(flat_rows, max_size=4))
-@example({}, [])
-@example({"command": "compare"}, [{"run": 0}])
+@given(st.dictionaries(st.text(), json_values, max_size=4), compare_columns())
 @example({"config": {"per_run": None}, "summary": SPLICE, SPLICE: [SPLICE]},
-         [{"per_run": None, "fidelity": 2**53 + 1, "outcome_bits": SPLICE}])
-def test_json_text_is_json_dumps_byte_for_byte(payload, rows):
-    payload = {**payload, "per_run": rows}
-    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    del payload["per_run"]
-    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+         ([[0], [2**32 - 2]], {ProtocolKind.SQTP: ([2**70, 1], [2**53 + 1.0, 0.1 + 0.2],
+                                                   [1e16, 5e-324])}))
+def test_compare_json_is_json_dumps_of_the_dict_rows(payload, chunks_columns):
+    chunks, columns = chunks_columns
+    per_run, start = [], 0
+    for c, runs in enumerate(chunks):
+        rows = []
+        for kind, (picks, fidelities, channel_fs) in columns.items():
+            picks, channel_f = picks[start:start + len(runs)], channel_fs[c]
+            if channel_f is None:
+                outcomes, loccs = [_OUTCOMES[k] for k in picks], [0] * len(runs)
+            else:
+                outcomes, loccs = [None] * len(runs), [LOCC_ROUND_BITS * a for a in picks]
+            rows.append(dict_rows(kind, runs, outcomes, fidelities[start:start + len(runs)],
+                                  channel_f, loccs))
+        per_run += itertools.chain.from_iterable(zip(*rows))
+        start += len(runs)
+    text = _compare_json({**payload, "per_run": None}, chunks, columns)
+    assert text == json.dumps({**payload, "per_run": per_run}, indent=2, sort_keys=True) + "\n"

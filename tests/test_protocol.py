@@ -17,6 +17,7 @@ from telecost.protocol import (
     BATCH_CHUNK,
     MAX_RUNS,
     SCHEDULES,
+    _OUTCOMES,
     CorrectionApplied,
     GateApplied,
     Measured,
@@ -452,7 +453,7 @@ def test_sample_stack_holds_the_columns_of_its_traces():
         assert stack.bobs.shape == (40, 2) and not stack.bobs.flags.writeable
         for i, trace in enumerate(traces):
             bits = next(step.bits for step in trace.steps if isinstance(step, Measured))
-            assert (stack.outcome_bits()[i], stack.fidelities[i]) == (bits, trace.fidelity_achieved)
+            assert (_OUTCOMES[stack.outcomes[i]], stack.fidelities[i]) == (bits, trace.fidelity_achieved)
             assert stack.bobs[i].tobytes() == trace.final_bob_state.amps.tobytes()
             assert trace.ledger == CostLedger([SCHEDULES[kind].teleport])
         assert len({id(trace.ledger) for trace in traces}) == 40  # no two traces share a ledger
