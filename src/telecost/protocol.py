@@ -21,10 +21,10 @@ A non-local schedule cannot be built, and no run checks it again.
 
 One interpreter runs a table once over a stack of registers, shape
 (runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
-apply_cnot), and applies Bob's corrections for all four outcomes to the
-whole stack; one measure_sample draws every run's outcome from a column
-of uniforms, and Bob's normalised qubits and their fidelities are
-computed as stacks too. Every stack function returns columns:
+apply_cnot); one measure_sample draws every run's outcome from a column
+of uniforms, and the sampled path corrects only that outcome of each run,
+one gate call per outcome's gate. Bob's normalised qubits and their
+fidelities are computed as stacks too. Every stack function returns columns:
 `sample_stack` a stack's sampled runs, which `compare` reads;
 `checkpoints_stack` one array per named register and
 `enumerate_protocol_stack` the branches' probabilities, Bob's qubits
@@ -373,16 +373,20 @@ class SampledStack:
 
 def sample_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
                  u: np.ndarray) -> SampledStack:
-    """One sampled run per input, as columns: the schedule and Bob's
-    corrections for every outcome run once over the whole stack, and one
-    measure_sample draws every run's outcome, run i's from u[i], one
-    random() of its stream. Bob's qubits and their fidelities are computed
-    as one stack too. An empty stack has no runs."""
+    """One sampled run per input, as columns: the schedule runs once over
+    the whole stack, one measure_sample draws every run's outcome, run i's
+    from u[i], one random() of its stream, and only that outcome's qubit
+    of Bob is kept and corrected: each outcome's gates go, one call each,
+    to the runs that drew it, even to none. An empty stack has no runs."""
     schedule, sources = SCHEDULES[kind], _sources(psis)
     t, _ = _evolve(schedule, sources)
     probs = _born_rows(t)
     outcomes = measure_sample(probs, u)
-    bobs = _residuals(t, probs, schedule.bob_gates)[np.arange(len(outcomes)), outcomes]
+    runs = np.arange(len(outcomes))
+    bobs = t.reshape(len(t), 4, 2)[runs, outcomes] / np.sqrt(probs[runs, outcomes]).reshape(-1, 1)
+    for k, gates in enumerate(schedule.bob_gates):
+        for gate in gates:
+            bobs[outcomes == k] = _GATES[gate](bobs[outcomes == k], 1)
     bobs, fidelities = _bob_rows(bobs, sources)
     return SampledStack(outcomes.tolist(), fidelities, bobs)
 
@@ -584,40 +588,46 @@ class _Streams:
         return ((x >> rot | x << (np.uint64(64) - rot & np.uint64(63))) >> np.uint64(11)) * 2.0**-53
 
 
-def _hashmix(v: np.ndarray, hc: list[int]) -> np.ndarray:
-    """SeedSequence's hashmix; hc is [constant, multiplier], and each call
-    advances the constant."""
-    x = v ^ np.uint32(hc[0])
-    hc[0] = hc[0] * hc[1] & 0xFFFFFFFF
-    x = x * np.uint32(hc[0])
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    """The n + 1 values of a SeedSequence hash constant over n hashmix
+    calls; call j takes values j and j + 1 as c_in and c_out."""
+    return list(itertools.accumulate(range(n), lambda c, _: c * mult & 0xFFFFFFFF, initial=init))
+
+
+def _hashmix(v: int | np.ndarray, c_in: int | np.ndarray, c_out: int | np.ndarray) -> int | np.ndarray:
+    """SeedSequence's hashmix, on Python ints or uint32 arrays alike: no
+    NumPy scalar takes part, so none can warn of overflow."""
+    x = (v ^ c_in) * c_out & 0xFFFFFFFF
     return x ^ x >> 16
 
 
 def _streams(seed: int, runs: range, n_streams: int) -> list[_Streams]:
     """Stream s < n_streams of every run i in runs: the PCG64 of
-    SeedSequence(seed, spawn_key=(i, s)), bit for bit. Its hash constants
-    do not depend on the data, so the entropy mixing and
-    generate_state(4, uint64) run once, on uint32 arrays over every (s, i),
-    and PCG64 seeds from the state words (initstate, initseq) as limbs."""
-    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.broadcast_arrays(*map(np.uint32, words + [0] * (4 - len(words))),
-                                  np.arange(runs.start, runs.stop, dtype=np.uint32),
-                                  np.arange(n_streams, dtype=np.uint32)[:, None])
+    SeedSequence(seed, spawn_key=(i, s)), bit for bit. Only the spawn key
+    varies, so the pool of the seed's first 4 words, zero-padded, and its
+    12 cross-mixes are Python ints, hashed once. Each later word goes once
+    into all 4 slots: the seed's past the fourth, then the run index as a
+    row and the stream as a column. The 8 output words of generate_state(4,
+    uint64) are one (8, n_streams, runs) hashmix, and PCG64 seeds from
+    them, (initstate, initseq), as limbs."""
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 128), 32)]
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    def mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
+        r = (x * _MIX_MULT_L - y * _MIX_MULT_R) & 0xFFFFFFFF
         return r ^ r >> 16
 
-    hc = [_INIT_A, _MULT_A]
-    pool = [_hashmix(w, hc) for w in entropy[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], _hashmix(pool[src], hc))
-    for w in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], _hashmix(w, hc))
-    hc = [_INIT_B, _MULT_B]
-    out = [_hashmix(pool[k % 4], hc).astype(np.uint64) for k in range(8)]
-    a, b, c, d = (out[2 * j + 1] << _U32 | out[2 * j] for j in range(4))
+    hc = _hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 8)
+    pool = [_hashmix(w, hc[j], hc[j + 1]) for j, w in enumerate(words[:4])]
+    for j, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
+        pool[dst] = mix(pool[dst], _hashmix(pool[src], hc[j], hc[j + 1]))
+    # calls 16 on, 4 per later word, and the output's 8 take their constants as columns
+    pool, hc, out_hc = (np.array(x, dtype=np.uint32).reshape(-1, 1, 1)
+                        for x in (pool, hc[16:], _hash_constants(_INIT_B, _MULT_B, 8)))
+    row, column = (np.arange(r.start, r.stop, dtype=np.uint32) for r in (runs, range(n_streams)))
+    for j, w in enumerate([*words[4:], row, column[:, None]]):
+        pool = mix(pool, _hashmix(w, hc[4 * j:4 * j + 4], hc[4 * j + 1:4 * j + 5]))
+    out = _hashmix(np.concatenate([pool, pool]), out_hc[:-1], out_hc[1:])
+    a, b, c, d = out[1::2].astype(np.uint64) << _U32 | out[::2]
     # inc = initseq << 1 | 1, then state = (inc + initstate) * _PCG_MULT + inc
     inc_hi, inc_lo = c << np.uint64(1) | d >> np.uint64(63), d << np.uint64(1) | np.uint64(1)
     lo = inc_lo + b

@@ -451,16 +451,23 @@ run_indices = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @PROPERTY
-@given(stream_seeds, run_indices)
-@example(2**130 + 99, 2**32 - 1)
-@example(2**300 + 1, 0)
-@example(2**96, 1)
-def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i):
-    # a short stack ending at run i, three streams per run, as run_batch keys
-    # them: 64 vector steps, as deep as distillation draws them, then a
-    # Haar draw of two more columns
-    runs = range(max(i - 2, 0), i + 1)
+@given(stream_seeds, run_indices, st.just(3))
+@example(2**130 + 99, 2**32 - 1, 3)
+@example(2**300 + 1, 0, 3)
+@example(2**96, 1, 3)
+# a full chunk ending at the last run index, for seeds of 1, 4 and 7 words
+@example(2**31 + 5, 2**32 - 2, BATCH_CHUNK)
+@example(2**100 + 3, 2**32 - 2, BATCH_CHUNK)
+@example(2**200 + 7, 2**32 - 2, BATCH_CHUNK)
+def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i, width):
+    # a stack of up to `width` runs ending at run i, three streams per run, as
+    # run_batch keys them, each limb one uint64 word per run: 64 vector
+    # steps, as deep as distillation draws them, then a Haar draw of two
+    # more columns
+    runs = range(max(i + 1 - width, 0), i + 1)
     for s, streams in enumerate(_streams(seed, runs, 3)):
+        limbs = (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo)
+        assert all(limb.shape == (len(runs),) and limb.dtype == np.uint64 for limb in limbs)
         columns = [streams.random().tolist() for _ in range(64)]
         rows = haar_sources(np.stack([streams.random(), streams.random()], axis=1))
         for j, run in enumerate(runs):

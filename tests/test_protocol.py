@@ -9,6 +9,7 @@ import pytest
 import oracle_dense
 import per_state_reference
 from per_state_reference import collapse_residual
+from telecost import protocol
 from telecost.cost import CostLedger, LedgerEntry
 from telecost.expansions import ALL_EXPANSIONS
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
@@ -459,6 +460,33 @@ def test_sample_stack_holds_the_columns_of_its_traces():
         assert len({id(trace.ledger) for trace in traces}) == 40  # no two traces share a ledger
         empty = sample_stack(kind, [], np.array([]))
         assert empty.outcomes == empty.fidelities == [] and empty.bobs.shape == (0, 2)
+
+
+def test_sample_stack_corrects_only_the_sampled_outcome(monkeypatch):
+    # Bob's gates go, one kernel call per outcome's gate, to the runs that
+    # drew that outcome: the Bob-qubit rows the X and Z kernels receive total
+    # len(bob_gates[k_i]) over the runs, and each run is its drawn branch
+    rows = []
+    for gate in ("X", "Z"):
+        def recorded(t, *axes, kernel=protocol._GATES[gate]):
+            if t.ndim == 2:
+                rows.append(len(t))
+            return kernel(t, *axes)
+        monkeypatch.setitem(protocol._GATES, gate, recorded)
+    rng = np.random.default_rng(23)
+    sources, u = haar_sources(rng.random((257, 2))), rng.random(257)
+    for kind in ProtocolKind:
+        bob_gates = SCHEDULES[kind].bob_gates
+        # a stack of one leaves outcomes with no runs, which still take their calls
+        for n in (1, 257):
+            rows.clear()
+            stack = sample_stack(kind, sources[:n], u[:n])
+            assert len(rows) == sum(map(len, bob_gates))
+            assert sum(rows) == sum(len(bob_gates[k]) for k in stack.outcomes)
+        _, bobs, fidelities = enumerate_protocol_stack(kind, sources)
+        for i, k in enumerate(stack.outcomes):
+            assert stack.bobs[i].tobytes() == bobs[4 * i + k].tobytes()
+            assert stack.fidelities[i] == fidelities[4 * i + k]
 
 
 @pytest.mark.parametrize("u", [[np.nan, 0.5], [0.5, np.nan]])
