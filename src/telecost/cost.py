@@ -1,7 +1,8 @@
 """Classical-communication bookkeeping.
 
 Every ledger is built from its classical messages, each a (sender,
-receiver, bits, purpose) entry. The ideal protocol costs are fixed by the
+receiver, bits, purpose) entry, and keeps only them: a total sums the
+matching entries on each call. The ideal protocol costs are fixed by the
 protocol family: teleporting a state of dimension N takes 2*log2(N) bits
 the standard way and log2(N) bits (one per qubit) the chained-XOR way. A
 noisy run's distillation adds one LOCC-tagged `noise.LOCC_ROUND` per try.
@@ -30,20 +31,16 @@ class LedgerEntry:
 
 
 class CostLedger:
-    """Append-only list of classical messages, in order, with purpose
-    totals kept as the messages are added."""
+    """Append-only list of classical messages, in order."""
 
     def __init__(self, messages: Iterable[tuple[str, str, int, Purpose]] = ()) -> None:
         self._entries: list[LedgerEntry] = []
-        self._totals: dict[Purpose | None, int] = {None: 0}
         for message in messages:
             self.add(*message)
 
     def add(self, sender: str, receiver: str, bits: int, purpose: Purpose) -> LedgerEntry:
         entry = LedgerEntry(sender, receiver, bits, purpose)
         self._entries.append(entry)
-        self._totals[None] += bits
-        self._totals[purpose] = self._totals.get(purpose, 0) + bits
         return entry
 
     @property
@@ -51,7 +48,8 @@ class CostLedger:
         return tuple(self._entries)
 
     def total(self, purpose: Purpose | None = None) -> int:
-        return self._totals.get(purpose, 0)
+        """Bits over the entries of `purpose`, or over all entries."""
+        return sum(e.bits for e in self._entries if purpose is None or e.purpose == purpose)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CostLedger):

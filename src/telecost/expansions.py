@@ -7,7 +7,8 @@ table with concrete amplitudes gives reference vectors an engine run must
 match componentwise. Eleven expansions are shipped: five for the standard
 protocol (EPR pair, initial product, after CNOT, after H, branch form)
 and six for the chained-XOR protocol (initial, after each XOR, after H,
-branch form, two-class form).
+branch form, two-class form). In `verify`'s order, they are "epr_pair"
+and then the `checkpoints` of each schedule in `protocol.SCHEDULES`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .kinds import ProtocolKind
+from .protocol import SCHEDULES
+
 _COEFF_VALUES = {
     "1": 1.0,
     "-1": -1.0,
@@ -28,16 +32,8 @@ _COEFF_VALUES = {
     "-1/sqrt2": -1.0 / np.sqrt(2.0),
 }
 
-SQTP_EXPANSIONS = ("epr_pair", "sqtp_initial", "sqtp_after_cnot", "sqtp_after_h", "sqtp_branch_form")
-KAK_EXPANSIONS = (
-    "kak_initial",
-    "kak_after_xor1",
-    "kak_after_xor2",
-    "kak_after_h",
-    "kak_branch_form",
-    "kak_two_class_form",
-)
-ALL_EXPANSIONS = SQTP_EXPANSIONS + KAK_EXPANSIONS
+ALL_EXPANSIONS = ("epr_pair", *SCHEDULES[ProtocolKind.SQTP].checkpoints,
+                  *SCHEDULES[ProtocolKind.KAK].checkpoints)
 
 
 @dataclass(frozen=True)

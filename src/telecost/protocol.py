@@ -14,17 +14,19 @@ q1->q2 before q2 leaves her, then H on q0, and announces only q0's bit;
 Bob applies Z when it is 1. The residual never depends on q1's outcome,
 which is why one bit suffices.
 
-Building a `Schedule` is the one place locality is checked: a party may
-gate or hand over only qubits it holds, and at the end Alice must hold q0
-and q1 and Bob q2, so Alice measures her own qubits and Bob corrects his.
-A non-local schedule cannot be built, and no run checks it again.
+Building a `Schedule` walks its ops once, and every fact about them
+besides the gates comes from that walk: locality (a party gates or hands
+over only qubits it holds, and Alice ends holding q0 and q1 and Bob q2),
+the checkpoint names that `expansions` reads, and whether a transfer
+hands over a qubit the payload reached, so that a noisy run burns copies.
 
 One interpreter runs a table once over a stack of registers, shape
 (runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
 apply_cnot); one measure_sample draws every run's outcome from a column
-of uniforms, and the sampled path corrects only that outcome of each run,
-one gate call per outcome's gate. Bob's normalised qubits and their
-fidelities are computed as stacks too. Every stack function returns columns:
+of uniforms. One kernel, `_correct`, applies Bob's gates, one call per
+gate and outcome, to the runs that drew it, or to every run where all
+four outcomes are read. Bob's normalised qubits and their fidelities are
+computed as stacks too. Every stack function returns columns:
 `sample_stack` a stack's sampled runs, which `compare` reads;
 `checkpoints_stack` one array per named register and
 `enumerate_protocol_stack` the branches' probabilities, Bob's qubits
@@ -121,12 +123,14 @@ class Schedule:
     first `announced` measured bits go to Bob, who applies the matching
     `corrections` row to q2; gate tuples apply left to right.
 
-    Building one checks that it is local, starting from Alice holding all
-    three qubits, records the ops as trace steps in `steps`, Bob's gates
-    for each of Alice's four outcomes (in _OUTCOMES order) in `bob_gates`,
-    the announcement as one ledger message in `teleport`, and in
-    `burns_copies` whether a gate comes before q2 is handed over, so that
-    a noisy channel meets the payload before it is shared."""
+    Building one walks the ops once, checking that they are local from
+    Alice holding all three qubits, and records the ops as trace steps in
+    `steps`, the register names (initial, named ops, final) in
+    `checkpoints`, Bob's gates for each of Alice's four outcomes (in
+    _OUTCOMES order) in `bob_gates`, the announcement as one ledger
+    message in `teleport`, and in `burns_copies` whether a transfer hands
+    over a qubit the payload has reached, from q0 through every gate on a
+    reached qubit, so that a noisy channel meets the payload."""
 
     initial: str
     ops: tuple[tuple[str, str, tuple[int, ...], str | None], ...]
@@ -134,26 +138,31 @@ class Schedule:
     announced: int
     corrections: dict[str, tuple[str, ...]]
     steps: tuple[GateApplied | QubitTransferred, ...] = field(init=False, repr=False)
+    checkpoints: tuple[str, ...] = field(init=False, repr=False)
     bob_gates: tuple[tuple[str, ...], ...] = field(init=False, repr=False)
     teleport: tuple[str, str, int, Purpose] = field(init=False, repr=False)
     burns_copies: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         owners = {0: ALICE, 1: ALICE, 2: ALICE}
-        steps, burns_copies = [], False
-        for party, gate, qubits, _name in self.ops:
+        steps, names, reached, burns_copies = [], [self.initial], {0}, False
+        for party, gate, qubits, name in self.ops:
             for q in qubits:
                 if owners.get(q) != party:
                     raise ValueError(f"{party} cannot {gate} qubit {q}, owned by {owners.get(q)!r}")
             if gate == "transfer":
                 owners[qubits[0]] = BOB
+                burns_copies |= qubits[0] in reached
                 steps.append(QubitTransferred(party, BOB, qubits[0]))
             else:
-                burns_copies |= owners[2] == ALICE
+                reached.update(qubits if reached.intersection(qubits) else ())
                 steps.append(GateApplied(party, gate, qubits))
+            if name is not None:
+                names.append(name)
         if owners != {0: ALICE, 1: ALICE, 2: BOB}:
             raise ValueError(f"Alice must end holding q0 and q1 and Bob q2, got {owners}")
         object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "checkpoints", (*names, *self.final))
         object.__setattr__(self, "bob_gates",
                            tuple(self.corrections[bits[: self.announced]] for bits in _OUTCOMES))
         object.__setattr__(self, "teleport", (ALICE, BOB, self.announced, Purpose.TELEPORT))
@@ -316,25 +325,22 @@ def _born_rows(t: np.ndarray) -> np.ndarray:
     return (np.abs(t) ** 2).sum(axis=3).reshape(len(t), 4)
 
 
-def _residuals(t: np.ndarray, probs: np.ndarray, corrections: list[tuple[str, ...]]) -> np.ndarray:
-    """Bob's qubit of every run for every outcome k, shape (runs, 4, 2):
-    the stack where Alice reads outcome k, divided by sqrt(probs[:, k]),
-    with Bob's gates corrections[k] applied. Each vector still needs
-    normalising."""
-    out = []
-    for k, gates in enumerate(corrections):
-        res = t[(slice(None), *divmod(k, 2))] / np.sqrt(probs[:, k]).reshape(-1, 1)
+def _correct(bobs: np.ndarray, rows: list, bob_gates: tuple) -> np.ndarray:
+    """Apply Bob's gates bob_gates[k] to his qubits bobs[rows[k]], in place,
+    one kernel call per gate and outcome, even when rows[k] selects none."""
+    for k, gates in enumerate(bob_gates):
         for gate in gates:
-            res = _GATES[gate](res, 1)
-        out.append(res)
-    return np.stack(out, axis=1)
+            bobs[rows[k]] = _GATES[gate](bobs[rows[k]], 1)
+    return bobs
 
 
-def _normalised(v: np.ndarray) -> np.ndarray:
-    """v over its norm, one vector at a time, for the entangled-input
-    probe: _bob_rows is bit for bit only on 1-qubit rows, because np.vdot
-    sums a 2-qubit overlap in another order."""
-    return v / np.linalg.norm(v)
+def _correct_all(t: np.ndarray, probs: np.ndarray, bob_gates: tuple) -> np.ndarray:
+    """Bob's qubit of every run i for every outcome k, row 4i + k of one
+    (4 runs, 2) array: the stack where Alice reads k, over sqrt(probs[i, k])
+    (or probs[k], for one row), corrected with bob_gates[k]. Each row still
+    needs normalising."""
+    bobs = (t.reshape(len(t), 4, 2) / np.sqrt(probs)[..., None]).reshape(-1, 2)
+    return _correct(bobs, [slice(k, None, 4) for k in range(4)], bob_gates)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -346,8 +352,8 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _bob_rows(bobs: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Bob's qubits, one per row, normalised, and the fidelity of each with
-    its source, with the arithmetic of _normalised and fidelity_pure row
-    by row, bit for bit: the norm is sqrt(re.re + im.im), the overlap
+    its source, with the arithmetic of np.linalg.norm and fidelity_pure
+    row by row, bit for bit: the norm is sqrt(re.re + im.im), the overlap
     <bob|source> is (br.sr + bi.si) + i(br.si - bi.sr), its modulus
     np.hypot, and its square the float ** 2 that fidelity_pure takes (an
     array ** 2 can move the last bit). The rows come back read-only."""
@@ -384,9 +390,7 @@ def sample_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
     outcomes = measure_sample(probs, u)
     runs = np.arange(len(outcomes))
     bobs = t.reshape(len(t), 4, 2)[runs, outcomes] / np.sqrt(probs[runs, outcomes]).reshape(-1, 1)
-    for k, gates in enumerate(schedule.bob_gates):
-        for gate in gates:
-            bobs[outcomes == k] = _GATES[gate](bobs[outcomes == k], 1)
+    _correct(bobs, [outcomes == k for k in range(4)], schedule.bob_gates)
     bobs, fidelities = _bob_rows(bobs, sources)
     return SampledStack(outcomes.tolist(), fidelities, bobs)
 
@@ -445,7 +449,7 @@ def pair_response(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray) -> 
     n = len(sources)
     pairs = np.tile(np.eye(4, dtype=complex), (n, 1))
     t, _ = _evolve(schedule, np.repeat(sources, 4, axis=0), pairs)
-    bobs = _residuals(t, np.ones((len(pairs), 4)), schedule.bob_gates)
+    bobs = _correct_all(t, np.ones(4), schedule.bob_gates)
     return (bobs.reshape(n, 4, 4, 2) @ sources.conj()[:, None, :, None])[..., 0].transpose(0, 2, 1)
 
 
@@ -471,7 +475,7 @@ def enumerate_protocol_stack(
     schedule, sources = SCHEDULES[kind], _sources(psis)
     t, _ = _evolve(schedule, sources)
     probs = _born_rows(t)
-    bobs = _residuals(t, probs, schedule.bob_gates).reshape(-1, 2)
+    bobs = _correct_all(t, probs, schedule.bob_gates)
     return (probs, *_bob_rows(bobs, np.repeat(sources, 4, axis=0)))
 
 
@@ -526,9 +530,10 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
     schedule = SCHEDULES[ProtocolKind.KAK]
     t, _ = _evolve(schedule, joint.amps.reshape(2, 2))
     probs = _born_rows(t).sum(axis=0)
-    rows = np.broadcast_to(probs, (2, 4))
-    fids = {key: [fidelity_pure(StateVector._trusted(2, _normalised(v)), joint)
-                  for v in _residuals(t, rows, [gates] * 4).transpose(1, 0, 2).reshape(4, 4)]
+    # each joint vector over its own norm: _bob_rows is bit for bit only on
+    # 1-qubit rows, because np.vdot sums a 2-qubit overlap in another order
+    fids = {key: [fidelity_pure(StateVector._trusted(2, v / np.linalg.norm(v)), joint)
+                  for v in np.hstack(_correct_all(t, probs, (gates,) * 4).reshape(2, 4, 2))]
             for key, gates in schedule.corrections.items()}
     branches = []
     for k, bits in enumerate(_OUTCOMES):

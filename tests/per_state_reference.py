@@ -13,6 +13,11 @@ and `measure_sample` on one `StateVector` (the package's functions of the
 same names act on a stack), `enumerate_branches` and `collapse_residual`.
 The reference keeps its own branch record, `CollapsedBranch`, with the
 full collapsed register, which the package's branch walk does not build.
+
+`_residuals` is the retired stacked all-outcomes path: one gate call
+per outcome on its own slice, the four results stacked. The package now
+corrects every outcome through one kernel, `protocol._correct`, and the
+noisy-fidelity property checks it against this path bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from telecost.protocol import (
     ProtocolTrace,
     UnknownQubit,
 )
+from telecost.protocol import _GATES as _STACKED_GATES  # the package's stacked kernels by name
 from telecost.statevector import (
     _H,
     _X,
@@ -276,3 +282,22 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
         prescribed = fids[bits[: schedule.announced]]
         branches.append(EntangledBranch(bits, branch.probability, prescribed, max(fids.values())))
     return EntangledInputReport(tuple(branches))
+
+
+# ---------------------------------------------------------------------------
+# the retired stacked all-outcomes path
+# ---------------------------------------------------------------------------
+
+
+def _residuals(t: np.ndarray, probs: np.ndarray, corrections: list[tuple[str, ...]]) -> np.ndarray:
+    """Bob's qubit of every run for every outcome k, shape (runs, 4, 2):
+    the stack where Alice reads outcome k, divided by sqrt(probs[:, k]),
+    with Bob's gates corrections[k] applied. Each vector still needs
+    normalising."""
+    out = []
+    for k, gates in enumerate(corrections):
+        res = t[(slice(None), *divmod(k, 2))] / np.sqrt(probs[:, k]).reshape(-1, 1)
+        for gate in gates:
+            res = _STACKED_GATES[gate](res, 1)
+        out.append(res)
+    return np.stack(out, axis=1)

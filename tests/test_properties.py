@@ -5,7 +5,8 @@ sweep against the two recurrence walks they replaced, and their two LOCC
 bills against each other; the stacked interpreter and run_protocol's
 traces against the per-state path it replaced, bit for bit, and every
 stack against its stacks of one; the stacked pair responses and noisy
-fidelities against the retired per-input formulas, bit for bit;
+fidelities against the retired per-input formulas and all-outcomes
+correction, bit for bit;
 the locality of every sampled run's trace; SQTP and KAK as one channel
 on any resource pair; the seeded batch's vector streams, 64 columns
 deep, against NumPy's SeedSequence and PCG64, and the Haar draw, one at
@@ -14,8 +15,8 @@ bit; the noisy stack's attempt columns against the per-attempt walk; the
 states that
 kernels build unchecked, which must still pass the public constructor's
 checks; the stacked normalisation and fidelity of Bob's qubits against
-the per-vector arithmetic, bit for bit; the ledger's running totals
-against its entries; and compare's JSON report, rendered from columns,
+the per-vector arithmetic, bit for bit; the ledger's totals against
+its entries; and compare's JSON report, rendered from columns,
 against the dict rows and json.dumps it replaced, byte for byte."""
 
 import contextlib
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 import oracle_dense
 import per_state_reference
+from per_state_reference import _residuals
 from telecost.cli import _compare_json, build_parser, config_from_args, main
 from telecost.cost import CostLedger, CostModel, ideal_bits
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
@@ -65,7 +67,6 @@ from telecost.protocol import (
     _OUTCOMES,
     _bob_rows,
     _evolve,
-    _residuals,
     _streams,
     haar_sources,
     sqtp_checkpoints,
@@ -337,7 +338,8 @@ def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, tar
 
 def retired_pair_response(kind, psi):
     """One input's pair response as it was computed before the stack became
-    one array: that input's block of the residual stack, times conj(psi)."""
+    one array and before Bob's gates went through one kernel: that input's
+    block of the retired residual stack, times conj(psi)."""
     schedule, source = SCHEDULES[kind], np.array([psi.alpha, psi.beta])
     t, _ = _evolve(schedule, np.repeat(source[None], 4, axis=0), np.eye(4, dtype=complex))
     return (_residuals(t, np.ones((4, 4)), schedule.bob_gates) @ source.conj()).T

@@ -407,7 +407,8 @@ def test_run_batch_rejects_a_run_count_or_seed_it_cannot_key(n_runs, seed):
 
 def test_schedules_cover_every_expansion_and_noisy_bit_count():
     psi = haar(14)
-    assert set(sqtp_checkpoints(psi)) | set(kak_checkpoints(psi)) == set(ALL_EXPANSIONS)
+    named = [*checkpoints_stack(ProtocolKind.SQTP, [psi]), *checkpoints_stack(ProtocolKind.KAK, [psi])]
+    assert named == list(ALL_EXPANSIONS)
     for kind in ProtocolKind:
         report = run_noisy_teleport(kind, psi, 0.8, np.random.default_rng(14), distill_target=0.9)
         assert report.attempts > 0
@@ -427,6 +428,22 @@ def test_schedule_owns_its_teleport_message_and_copy_rule():
         noisy = run_noisy_teleport(kind, psi, 0.8, np.random.default_rng(15), distill_target=0.9)
         assert noisy.attempts > 0 and noisy.ledger.entries[-1] == want
         assert noisy.copies_consumed == (noisy.attempts if schedule.burns_copies else 0)
+
+
+@pytest.mark.parametrize("ops, burns", [
+    # the payload never reaches q2: q1 and q2 are entangled before q0 touches q1
+    ([("H", (1,)), ("CNOT", (1, 2)), ("transfer", (2,)), ("CNOT", (0, 1)), ("H", (0,))], False),
+    # the payload reaches q1, then q2 through a CNOT whose target is q1
+    ([("CNOT", (0, 1)), ("CNOT", (2, 1)), ("transfer", (2,))], True),
+    # a 1-qubit gate spreads it nowhere, and it reaches q1 only after q1 has met q2
+    ([("H", (0,)), ("CNOT", (2, 1)), ("CNOT", (1, 0)), ("transfer", (2,))], False),
+    ([op[1:3] for op in SCHEDULES[ProtocolKind.SQTP].ops], False),
+    ([op[1:3] for op in SCHEDULES[ProtocolKind.KAK].ops], True),
+])
+def test_copies_burn_exactly_when_a_transfer_carries_the_payload(ops, burns):
+    schedule = Schedule("start", tuple((ALICE, gate, qubits, None) for gate, qubits in ops),
+                        final=(), announced=1, corrections={"0": (), "1": ("Z",)})
+    assert schedule.burns_copies is burns
 
 
 def test_every_stack_of_no_inputs_is_empty():

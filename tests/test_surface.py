@@ -1,11 +1,13 @@
 """The public surface stays what the package, the README and the acceptance
 gate use: a public top-level function or class that only unit tests call
 has no job in the program. The private names of `statevector` stay
-inside it."""
+inside it, and each checkpoint name is written once, in its schedule."""
 
 import ast
 import re
 from pathlib import Path
+
+from telecost.expansions import ALL_EXPANSIONS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "telecost"
@@ -55,3 +57,11 @@ def test_only_statevector_touches_its_private_names():
                                                                     "telecost.statevector"):
                 leaks += [f"{path.name}:{a.name}" for a in node.names if a.name.startswith("_")]
     assert leaks == [], f"private statevector names imported elsewhere: {leaks}"
+
+
+def test_every_checkpoint_name_is_written_once_in_src():
+    # the schedules own the names; expansions and the interpreter derive them
+    constants = [node.value for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Constant)]
+    counts = {name: constants.count(name) for name in ALL_EXPANSIONS if name != "epr_pair"}
+    assert counts == dict.fromkeys(counts, 1), f"checkpoint names written other than once: {counts}"
