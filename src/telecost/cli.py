@@ -7,7 +7,8 @@ Three subcommands:
 
 All outputs are deterministic for a fixed seed: running a command twice
 with the same arguments produces byte-identical reports. `compare` keeps
-per-kind columns, which only `--format json` renders as rows.
+each kind's columns over all runs and one channel fidelity, which only
+`--format json` renders as rows.
 
 `main` parses with one parser per process, so its one build is set-up
 cost; `build_parser()` returns a new parser on every call.
@@ -178,29 +179,28 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compare_data(cfg: RunConfig) -> tuple[dict, list[range], dict]:
-    """The summary per kind, each chunk's runs, and each kind's columns,
-    appended chunk by chunk in run order: run i's outcome index (ideal) or
-    attempts (noisy), its fidelity rounded to 12 digits, and each chunk's
-    round(f_final, 12), None if noiseless. Kind k draws from streams[k]."""
+def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, dict]:
+    """The summary per kind, the channel's round(f_final, 12), None if
+    noiseless, and each kind's columns in run order: run i's outcome index
+    (ideal) or attempts (noisy), and its fidelity rounded to 12 digits.
+    Kind k, the k-th that --protocol selects, draws from stream 1 + k, so
+    kak alone reads the stream that sqtp reads beside it."""
     kinds = cfg.kinds()
-    chunks, columns = [], {kind: ([], [], []) for kind in kinds}
-    for runs, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
-        chunks.append(runs)
+    channel_f, columns = None, {kind: ([], []) for kind in kinds}
+    for _, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
         for kind, rngs in zip(kinds, streams):
-            picks, fidelities, channel_fs = columns[kind]
+            picks, fidelities = columns[kind]
             if cfg.noise_f is None:
                 stack = sample_stack(kind, sources, rngs.random())
                 picks += stack.outcomes
-                channel_fs.append(None)
-            else:  # every run of a noisy stack ends on the same channel
+            else:  # the ladder is deterministic, so every noisy stack ends on one channel
                 stack = run_noisy_stack(kind, sources, cfg.noise_f, rngs.random,
                                         cfg.distill_target, cfg.max_rounds)
                 picks += stack.attempts
-                channel_fs.append(round(stack.f_final, 12))
+                channel_f = round(stack.f_final, 12)
             fidelities += [round(fidelity, 12) for fidelity in stack.fidelities]
     summary = {}
-    for kind, (picks, fidelities, _) in columns.items():
+    for kind, (picks, fidelities) in columns.items():
         t_bits = SCHEDULES[kind].announced
         locc_mean = 0.0 if cfg.noise_f is None else float(np.mean([LOCC_ROUND_BITS * a for a in picks]))
         summary[kind.value] = {
@@ -210,30 +210,26 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, list[range], dict]:
             "locc_bits": round(locc_mean, 12),
             "total_bits": round(t_bits + locc_mean, 12),
         }
-    return summary, chunks, columns
+    return summary, channel_f, columns
 
 
-def _compare_json(payload: dict, chunks: list[range], columns: dict) -> str:
+def _compare_json(payload: dict, channel_f: float | None, columns: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True) and a newline, byte for
     byte, with _compare_data's rows, kinds interleaved run by run, where
     "per_run": null stands. That text occurs once: no JSON string holds a raw
     newline, and only top-level keys start a line with two spaces and a quote.
-    Each chunk and kind fills one % template; floats go through repr, as json's do."""
-    rows, stop = [], 0
-    for c, runs in enumerate(chunks):
-        start, stop, kind_rows = stop, stop + len(runs), []
-        for kind, (picks, fidelities, channel_fs) in columns.items():
-            picks, channel_f = picks[start:stop], channel_fs[c]
-            if channel_f is None:
-                cell, cells = '0,\n      "outcome_bits": "%s"', [_OUTCOMES[k] for k in picks]
-            else:
-                cell, cells = '%d,\n      "outcome_bits": null', [LOCC_ROUND_BITS * a for a in picks]
-            template = (f'    {{\n      "channel_f": {json.dumps(channel_f)},\n      "fidelity": %r,\n'
-                        f'      "locc_bits": {cell},\n      "protocol": "{kind.value}",\n'
-                        f'      "run": %d,\n      "teleport_bits": {SCHEDULES[kind].announced}\n    }}')
-            kind_rows.append([template % row for row in zip(fidelities[start:stop], cells, runs)])
-        rows += itertools.chain.from_iterable(zip(*kind_rows))
-    text, per_run = json.dumps(payload, indent=2, sort_keys=True), ",\n".join(rows)
+    Each kind fills one % template; floats go through repr, as json's do."""
+    noisy = channel_f is not None
+    cell = '%d,\n      "outcome_bits": null' if noisy else '0,\n      "outcome_bits": "%s"'
+    kind_rows = []
+    for kind, (picks, fidelities) in columns.items():
+        cells = [LOCC_ROUND_BITS * a for a in picks] if noisy else [_OUTCOMES[k] for k in picks]
+        template = (f'    {{\n      "channel_f": {json.dumps(channel_f)},\n      "fidelity": %r,\n'
+                    f'      "locc_bits": {cell},\n      "protocol": "{kind.value}",\n'
+                    f'      "run": %d,\n      "teleport_bits": {SCHEDULES[kind].announced}\n    }}')
+        kind_rows.append([template % row for row in zip(fidelities, cells, itertools.count())])
+    per_run = ",\n".join(itertools.chain.from_iterable(zip(*kind_rows)))
+    text = json.dumps(payload, indent=2, sort_keys=True)
     return text.replace('\n  "per_run": null', f'\n  "per_run": [\n{per_run}\n  ]', 1) + "\n"
 
 
@@ -242,10 +238,10 @@ _SUMMARY_COLUMNS = ["protocol", "mean_fidelity", "min_fidelity",
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    summary, chunks, columns = _compare_data(cfg)
+    summary, channel_f, columns = _compare_data(cfg)
     if cfg.fmt == "json":
         _emit(_compare_json({"command": "compare", "config": cfg.public_dict(), "per_run": None,
-                             "summary": summary}, chunks, columns), cfg.out)
+                             "summary": summary}, channel_f, columns), cfg.out)
         return 0
     rows = [{"protocol": name, **vals} for name, vals in summary.items()]
     if cfg.fmt == "csv":
@@ -327,8 +323,7 @@ _parser = functools.cache(build_parser)
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    return RunConfig(**fields)
+    return RunConfig(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> int:

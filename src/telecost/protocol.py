@@ -622,6 +622,7 @@ def _streams(seed: int, runs: range, n_streams: int) -> list[_Streams]:
         return r ^ r >> 16
 
     hc = _hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 8)
+    # SeedSequence(seed).pool equals this pool, but importing numpy.random costs ~15 ms
     pool = [_hashmix(w, hc[j], hc[j + 1]) for j, w in enumerate(words[:4])]
     for j, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
         pool[dst] = mix(pool[dst], _hashmix(pool[src], hc[j], hc[j + 1]))

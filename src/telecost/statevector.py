@@ -130,7 +130,9 @@ def measure_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One outcome index per row of Born probabilities, row i drawn by u[i],
     one random() of its run's stream, with rng.choice(len(row),
     p=row / row.sum())'s arithmetic, bit for bit; a negative, non-finite or
-    all-0 row raises."""
+    all-0 row, or a draw outside [0, 1), raises."""
+    if not (np.all(u >= 0) and np.all(u < 1)):  # NaN compares False
+        raise ValueError("draws must be in [0, 1)")
     cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
     if not (np.all(probs >= 0) and np.all(cdf[:, -1] > 0)):  # NaN compares False
         raise ValueError("Born probabilities must be finite, non-negative and not all 0")

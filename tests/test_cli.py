@@ -6,6 +6,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -680,6 +683,52 @@ def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     assert run_cli(argv, capsys) == plain
     assert plain[0] == 0 and len(json.loads(plain[1])["per_run"]) == 600
+
+
+NUMPY_RANDOM_PROBE = """
+import contextlib, io, sys
+import numpy
+if "numpy.random" in sys.modules:
+    sys.exit("eager")
+from telecost.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["compare", "--runs", "20", "--format", "json"],
+                 ["compare", "--runs", "20", "--noise-f", "0.75", "--distill-target", "0.9",
+                  "--format", "json"],
+                 ["sweep"]):
+        assert main(argv) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_compare_and_sweep_never_import_numpy_random():
+    # NumPy 2 imports numpy.random lazily, and loading it costs an import of
+    # about 15 ms and 2 MB; only verify needs it, for default_rng
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE], env=env,
+                           capture_output=True, text=True)
+    if probe.stderr == "eager\n":
+        pytest.skip("import numpy alone loads numpy.random (NumPy 1.x)")
+    assert (probe.returncode, probe.stdout, probe.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise-f", "0.75", "--distill-target", "0.9"]],
+                         ids=["ideal", "noisy"])
+def test_protocol_k_of_the_selected_reads_stream_1_plus_k(noise, capsys):
+    # kak alone reads stream 1, which sqtp reads under --protocol both, and
+    # beside sqtp kak reads stream 2; most of its 300 rows then differ
+    def rows(protocol, name):
+        argv = ["compare", "--runs", "300", "--seed", "3", "--protocol", protocol,
+                "--format", "json", *noise]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        return [(r["outcome_bits"], r["locc_bits"]) for r in json.loads(out)["per_run"]
+                if r["protocol"] == name]
+
+    kak_alone, kak_beside = rows("kak", "kak"), rows("both", "kak")
+    assert len(kak_alone) == 300 and kak_alone == rows("both", "sqtp")
+    assert sum(a != b for a, b in zip(kak_alone, kak_beside)) > 200
 
 
 def test_ideal_compare_builds_no_scalar_stream_and_no_input_object(monkeypatch, capsys):

@@ -14,12 +14,13 @@ from telecost.noise import (
     DensityMatrix,
     distill_step_map,
     distill_to_threshold,
+    run_noisy_stack,
     run_noisy_teleport,
     sweep_rows,
     teleport_fidelity_noisy,
     werner_state,
 )
-from telecost.protocol import UnknownQubit
+from telecost.protocol import BATCH_CHUNK, UnknownQubit, run_batch
 from telecost.statevector import basis_state, bell_pair
 
 F_GRID = [0.55, 0.65, 0.75, 0.85, 0.95]
@@ -302,6 +303,27 @@ def test_noisy_report_says_whether_the_target_was_met():
     assert report(0.9).target_met is True
     assert report(0.9, max_rounds=3).target_met is False
     assert report(0.7).target_met is True and report(None).target_met is True
+
+
+@pytest.mark.parametrize("channel_f,target,max_rounds,rounds,met", [
+    (0.75, 0.9, 32, 5, True),
+    (0.55, 0.95, 32, 16, True),
+    (0.75, 0.99, 3, 3, False),  # the round cap
+    (0.75, 1.0, 1024, 90, False),  # the ladder stalls below 1
+    (0.8, None, 32, 0, True),
+])
+def test_every_noisy_stack_ends_on_one_channel(channel_f, target, max_rounds, rounds, met):
+    # the ladder is deterministic and the draws decide only each run's
+    # attempts, so compare reports one channel_f for all its stacks
+    ends = set()
+    for n_runs in (1, 7, BATCH_CHUNK + 1):
+        for _, sources, streams in run_batch(n_runs, 11, 2):
+            for kind, rngs in zip(ProtocolKind, streams):
+                stack = run_noisy_stack(kind, sources, channel_f, rngs.random, target, max_rounds)
+                ends.add((stack.rounds, stack.f_final, stack.target_met))
+    assert len(ends) == 1
+    [(got_rounds, _, got_met)] = ends
+    assert (got_rounds, got_met) == (rounds, met)
 
 
 def test_distill_to_threshold_steps_the_map_once_per_level(monkeypatch):

@@ -549,7 +549,7 @@ def test_ledger_totals_are_the_sums_over_its_entries(msgs):
 
 
 def dict_rows(kind, runs, outcomes, fidelities, channel_f, loccs):
-    """One chunk's per_run rows of one kind, as dicts."""
+    """The per_run rows of one kind for the given run indices, as dicts."""
     name, t_bits = kind.value, SCHEDULES[kind].announced
     return [{"run": i, "protocol": name, "outcome_bits": outcome, "fidelity": fidelity,
              "channel_f": channel_f, "teleport_bits": t_bits, "locc_bits": l_bits}
@@ -638,42 +638,32 @@ finite_floats = st.one_of(st.sampled_from([5e-324, 1e-5, 1e16, 0.1 + 0.2, -0.0])
 
 @st.composite
 def compare_columns(draw):
-    """(chunks, columns) in _compare_data's shape, ideal or noisy, with
-    arbitrary run indices, fidelities and channels, and attempts far past
-    any real run's."""
+    """(channel_f, columns) in _compare_data's shape, ideal or noisy, with
+    arbitrary fidelities and channel, and attempts far past any real run's."""
     kinds = draw(st.sampled_from([[ProtocolKind.SQTP], [ProtocolKind.KAK], list(ProtocolKind)]))
     noisy = draw(st.booleans())
-    chunks = draw(st.lists(st.lists(st.integers(0, 2**32 - 2), min_size=1, max_size=4),
-                           min_size=1, max_size=3))
-    n = sum(map(len, chunks))
+    n = draw(st.integers(1, 12))
     picks = st.integers(0, 2**70) if noisy else st.integers(0, 3)
-    channel = finite_floats if noisy else st.none()
+    channel_f = draw(finite_floats) if noisy else None
     columns = {kind: (draw(st.lists(picks, min_size=n, max_size=n)),
-                      draw(st.lists(finite_floats, min_size=n, max_size=n)),
-                      draw(st.lists(channel, min_size=len(chunks), max_size=len(chunks))))
+                      draw(st.lists(finite_floats, min_size=n, max_size=n)))
                for kind in kinds}
-    return chunks, columns
+    return channel_f, columns
 
 
 @PROPERTY
 @given(st.dictionaries(st.text(), json_values, max_size=4), compare_columns())
 @example({"config": {"per_run": None}, "summary": SPLICE, SPLICE: [SPLICE]},
-         ([[0], [2**32 - 2]], {ProtocolKind.SQTP: ([2**70, 1], [2**53 + 1.0, 0.1 + 0.2],
-                                                   [1e16, 5e-324])}))
-def test_compare_json_is_json_dumps_of_the_dict_rows(payload, chunks_columns):
-    chunks, columns = chunks_columns
-    per_run, start = [], 0
-    for c, runs in enumerate(chunks):
-        rows = []
-        for kind, (picks, fidelities, channel_fs) in columns.items():
-            picks, channel_f = picks[start:start + len(runs)], channel_fs[c]
-            if channel_f is None:
-                outcomes, loccs = [_OUTCOMES[k] for k in picks], [0] * len(runs)
-            else:
-                outcomes, loccs = [None] * len(runs), [LOCC_ROUND_BITS * a for a in picks]
-            rows.append(dict_rows(kind, runs, outcomes, fidelities[start:start + len(runs)],
-                                  channel_f, loccs))
-        per_run += itertools.chain.from_iterable(zip(*rows))
-        start += len(runs)
-    text = _compare_json({**payload, "per_run": None}, chunks, columns)
+         (1e16, {ProtocolKind.SQTP: ([2**70, 1, 0], [2**53 + 1.0, 0.1 + 0.2, 5e-324])}))
+def test_compare_json_is_json_dumps_of_the_dict_rows(payload, channel_columns):
+    channel_f, columns = channel_columns
+    rows = []
+    for kind, (picks, fidelities) in columns.items():
+        if channel_f is None:
+            outcomes, loccs = [_OUTCOMES[k] for k in picks], [0] * len(picks)
+        else:
+            outcomes, loccs = [None] * len(picks), [LOCC_ROUND_BITS * a for a in picks]
+        rows.append(dict_rows(kind, range(len(picks)), outcomes, fidelities, channel_f, loccs))
+    per_run = list(itertools.chain.from_iterable(zip(*rows)))
+    text = _compare_json({**payload, "per_run": None}, channel_f, columns)
     assert text == json.dumps({**payload, "per_run": per_run}, indent=2, sort_keys=True) + "\n"

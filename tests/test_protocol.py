@@ -506,6 +506,17 @@ def test_sample_stack_corrects_only_the_sampled_outcome(monkeypatch):
             assert stack.fidelities[i] == fidelities[4 * i + k]
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.5, 1.0])
+def test_sample_stack_rejects_a_draw_outside_the_unit_interval(bad):
+    # NaN and -0.5 would fall to outcome 0, and 1.0 would index past outcome 3
+    rows = haar_sources(np.random.default_rng(5).random((2, 2)))
+    for kind in ProtocolKind:
+        assert len(sample_stack(kind, rows, np.array([0.0, np.nextafter(1.0, 0.0)])).outcomes) == 2
+        for u in ([bad, 0.5], [0.5, bad]):
+            with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
+                sample_stack(kind, rows, np.array(u))
+
+
 @pytest.mark.parametrize("u", [[np.nan, 0.5], [0.5, np.nan]])
 def test_haar_sources_rejects_a_row_off_the_unit_sphere(u):
     with pytest.raises(ValueError, match="must be 1"):
