@@ -12,6 +12,11 @@ each kind's columns over all runs and one channel fidelity, which only
 
 `main` parses with one parser per process, so its one build is set-up
 cost; `build_parser()` returns a new parser on every call.
+
+At import this module loads only `kinds`, `cost` and `schedule`, none of
+which needs NumPy, so `sweep` never loads it; `verify` and `compare`
+import NumPy and the engine (`protocol`, `noise`, `expansions`) when
+they run.
 """
 
 from __future__ import annotations
@@ -26,22 +31,9 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .expansions import ALL_EXPANSIONS, load_expansions
+from .cost import LOCC_ROUND_BITS, SWEEP_COLUMNS, sweep_rows
 from .kinds import ProtocolKind
-from .noise import LOCC_ROUND_BITS, run_noisy_stack, sweep_rows, SWEEP_COLUMNS
-from .protocol import (
-    BATCH_CHUNK,
-    MAX_RUNS,
-    SCHEDULES,
-    _OUTCOMES,
-    checkpoints_stack,
-    enumerate_protocol_stack,
-    haar_sources,
-    run_batch,
-    sample_stack,
-)
+from .schedule import BATCH_CHUNK, MAX_RUNS, SCHEDULES, _OUTCOMES
 
 GOLDEN_ATOL = 1e-12
 MAX_SWEEP_POINTS = 100_001
@@ -129,6 +121,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     run in stacks of BATCH_CHUNK, each drawn as one block of rng.random(),
     which gives the draws of one random() call after another; the errors
     are maxima, so the stacking changes none of them."""
+    import numpy as np
+
+    from .expansions import ALL_EXPANSIONS, load_expansions
+    from .protocol import checkpoints_stack, enumerate_protocol_stack, haar_sources
+
     table = load_expansions(cfg.golden)
     rng = np.random.default_rng(cfg.seed)
     max_err = {name: 0.0 for name in ALL_EXPANSIONS}
@@ -185,6 +182,11 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, dict]:
     (ideal) or attempts (noisy), and its fidelity rounded to 12 digits.
     Kind k, the k-th that --protocol selects, draws from stream 1 + k, so
     kak alone reads the stream that sqtp reads beside it."""
+    import numpy as np
+
+    from .noise import run_noisy_stack
+    from .protocol import run_batch, sample_stack
+
     kinds = cfg.kinds()
     channel_f, columns = None, {kind: ([], []) for kind in kinds}
     for _, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):

@@ -8,7 +8,7 @@ match componentwise. Eleven expansions are shipped: five for the standard
 protocol (EPR pair, initial product, after CNOT, after H, branch form)
 and six for the chained-XOR protocol (initial, after each XOR, after H,
 branch form, two-class form). In `verify`'s order, they are "epr_pair"
-and then the `checkpoints` of each schedule in `protocol.SCHEDULES`.
+and then the `checkpoints` of each schedule in `schedule.SCHEDULES`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .kinds import ProtocolKind
-from .protocol import SCHEDULES
+from .schedule import SCHEDULES
 
 _COEFF_VALUES = {
     "1": 1.0,

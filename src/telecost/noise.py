@@ -1,4 +1,4 @@
-"""Mixed-state channels, noisy teleportation and recurrence distillation.
+"""Mixed-state channels, noisy teleportation and sampled distillation.
 
 The resource pair is modeled as a Werner state: fidelity F on the
 (|00>+|11>)/sqrt(2) projector and (1-F)/3 on each of the other three Bell
@@ -6,14 +6,9 @@ projectors. Teleporting through it yields an input-independent fidelity
 (2F+1)/3 for both protocol families, which pins the two boundary cases
 used as cross-checks: F=1 gives 1, the maximally mixed channel gives 1/2.
 
-One distillation step takes two Werner pairs, applies a bilateral CNOT,
-measures the target pair on both sides, keeps the source pair when the
-outcomes, announced 1 bit each way (`LOCC_ROUND`, the one record every LOCC
-bill reads), agree and re-twirls the kept pair to Werner form. It is
-computed from its exact closed form; the 4-qubit density evolution is the
-test oracle. For F > 1/2 the step strictly improves fidelity; at F = 1/4
-it is a fixed point.
-Sampled runs and sweeps climb the same exact ladder of steps (`_ladder`).
+Distillation samples attempts up the exact recurrence ladder that
+`cost._ladder` walks, the one `sweep` reads: each attempt succeeds with
+its level's probability and sends one `cost.LOCC_ROUND`.
 
 Every DensityMatrix is a 2-qubit channel state, checked when built: shape
 4x4, Hermiticity, trace and positivity. No density matrix is evolved: the
@@ -34,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostLedger
-from .kinds import ALICE, BOB, ProtocolKind, Purpose
-from .protocol import SCHEDULES, UnknownQubit, pair_response
+from .cost import LOCC_ROUND, CostLedger, _ladder
+from .kinds import ProtocolKind
+from .protocol import UnknownQubit, pair_response
+from .schedule import SCHEDULES
 
 PSD_FLOOR = -1e-10
 
@@ -105,37 +101,6 @@ def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: Dens
 # ---------------------------------------------------------------------------
 
 
-def distill_step_map(f: float) -> tuple[float, float]:
-    """Exact (success probability, output fidelity) of one recurrence step
-    on two Werner pairs of fidelity f, by the BBPSSW closed form (Bennett et
-    al., quant-ph/9511027). tests/oracle_dense.oracle_distill_map derives it
-    by 4-qubit density evolution."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity parameter must be in [0, 1], got {f}")
-    r = (1.0 - f) / 3.0
-    p_succ = f**2 + 2.0 * f * r + 5.0 * r**2
-    return p_succ, (f**2 + r**2) / p_succ
-
-
-# one recurrence attempt's traffic: each party announces its target-pair outcome
-LOCC_ROUND = ((ALICE, BOB, 1, Purpose.LOCC), (BOB, ALICE, 1, Purpose.LOCC))
-LOCC_ROUND_BITS = sum(bits for _, _, bits, _ in LOCC_ROUND)
-
-
-def _ladder(f_in: float, f_target: float, max_rounds: int) -> tuple[list[tuple[float, float]], str]:
-    """Exact (success probability, fidelity after) per recurrence level from
-    f_in, and why it stopped: "target" reached, "half" (F at or below 1/2,
-    which no level improves), "stalled" (a level left F unchanged; floats
-    stall below 1) or "cap" (max_rounds levels)."""
-    levels: list[tuple[float, float]] = []
-    f, f_prev = f_in, None
-    while 0.5 < f < f_target and len(levels) < max_rounds and f != f_prev:
-        levels.append(distill_step_map(f))
-        f, f_prev = levels[-1][1], f
-    return levels, ("target" if f >= f_target else "half" if f <= 0.5
-                    else "stalled" if f == f_prev else "cap")
-
-
 @dataclass(frozen=True)
 class DistillRun:
     rounds: int
@@ -149,7 +114,11 @@ def _climb(f_in: float, f_target: float, max_rounds: int, draw: Callable,
     """(rounds, every run's attempts, final F, target met) of n runs climbing
     the ladder together, one draw() column per step: a climbing run's attempt
     succeeds when its draw is below its level's exact probability, else it
-    retries the level, so run i reads the first attempts[i] draws of its stream."""
+    retries the level, so run i reads the first attempts[i] draws of its stream.
+    Every climbed level has p > 5/9, so a legal run passes 64 steps a level
+    only after 64 straight failures on some level, below (4/9)**64 likely.
+    Only past that bound are the columns checked to lie in [0, 1), which ends
+    draws of NaN or 1.0, which never succeed, in a ValueError."""
     if not 0.5 < f_in <= 1.0:
         raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
     if not 0.0 < f_target <= 1.0:
@@ -158,10 +127,13 @@ def _climb(f_in: float, f_target: float, max_rounds: int, draw: Callable,
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     levels, stop = _ladder(f_in, f_target, max_rounds)
     p_succ = np.array([p for p, _ in levels] + [0.0])  # past the top level no draw succeeds
-    level, attempts = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    level, attempts, steps = np.zeros(n, dtype=int), np.zeros(n, dtype=int), 0
     while (climbing := level < len(levels)).any():
+        u, steps = draw(), steps + 1
+        if steps > 64 * len(levels) and not np.all((0.0 <= u) & (u < 1.0)):
+            raise ValueError("draws must be in [0, 1)")
         attempts += climbing
-        level += draw() < p_succ[level]
+        level += u < p_succ[level]
     return len(levels), attempts, levels[-1][1] if levels else f_in, stop == "target"
 
 
@@ -181,42 +153,6 @@ def distill_to_threshold(
     attempts. A stack of one."""
     rounds, attempts, final_f, target_met = _climb(f_in, f_target, max_rounds, rng.random, 1)
     return DistillRun(rounds, int(attempts[0]), final_f, target_met)
-
-
-SWEEP_COLUMNS = [
-    "F_in",
-    "success_prob",
-    "F_out",
-    "rounds_to_target",
-    "locc_bits",
-    "total_bits_sqtp",
-    "total_bits_kak",
-]
-
-
-def sweep_rows(f_grid: list[float], distill_target: float, max_rounds: int = 64) -> list[dict]:
-    """Deterministic no-failure expectation per grid point: one-step
-    success probability and output fidelity, the ladder's length to the
-    target (-1 if short), and per-qubit totals for both protocol families."""
-    sqtp_bits, kak_bits = SCHEDULES[ProtocolKind.SQTP].announced, SCHEDULES[ProtocolKind.KAK].announced
-    rows = []
-    for f in f_grid:
-        levels, stop = _ladder(f, distill_target, max_rounds)
-        p_succ, f_out = levels[0] if levels else distill_step_map(f)
-        rounds = len(levels) if stop == "target" else -1
-        locc = LOCC_ROUND_BITS * rounds if rounds >= 0 else -1
-        rows.append(
-            {
-                "F_in": round(f, 12),
-                "success_prob": round(p_succ, 12),
-                "F_out": round(f_out, 12),
-                "rounds_to_target": rounds,
-                "locc_bits": locc,
-                "total_bits_sqtp": sqtp_bits + locc if locc >= 0 else -1,
-                "total_bits_kak": kak_bits + locc if locc >= 0 else -1,
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

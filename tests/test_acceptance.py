@@ -12,11 +12,10 @@ import numpy as np
 
 import oracle_dense
 from telecost.cli import main
-from telecost.cost import CostModel, ideal_bits
+from telecost.cost import CostModel, distill_step_map, ideal_bits
 from telecost.expansions import ALL_EXPANSIONS, load_expansions
 from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import (
-    distill_step_map,
     run_noisy_teleport,
     teleport_fidelity_noisy,
     werner_state,

@@ -17,8 +17,9 @@ import pytest
 
 from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, _compare_json,
                           build_parser, main)
+from telecost.cost import LOCC_ROUND_BITS
 from telecost.kinds import ProtocolKind
-from telecost.noise import LOCC_ROUND_BITS, run_noisy_stack
+from telecost.noise import run_noisy_stack
 from telecost.protocol import MAX_RUNS, UnknownQubit, run_batch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -384,22 +385,45 @@ def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
     # every run of a stack climbs the same ladder to the same F: 0.75 -> 0.9
     # takes 5 levels, so 20 runs of both kinds evaluate the map 5 times per
     # kind and validate one Werner channel per kind
-    from telecost import noise
+    from telecost import cost, noise
 
     steps, builds = [], []
-    step_map, post_init = noise.distill_step_map, noise.DensityMatrix.__post_init__
+    step_map, post_init = cost.distill_step_map, noise.DensityMatrix.__post_init__
 
     def counting(self):
         builds.append(self)
         post_init(self)
 
-    monkeypatch.setattr(noise, "distill_step_map", lambda f: steps.append(f) or step_map(f))
+    monkeypatch.setattr(cost, "distill_step_map", lambda f: steps.append(f) or step_map(f))
     monkeypatch.setattr(noise.DensityMatrix, "__post_init__", counting)
     code, out, _ = run_cli(["compare", "--runs", "20", "--seed", "3", "--noise-f", "0.75",
                             "--distill-target", "0.9", "--format", "json"], capsys)
     assert code == 0 and len(json.loads(out)["per_run"]) == 40
     assert len(steps) == 10 and len(set(steps)) == 5
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("f_in, target, levels, seed", [(0.75, 0.9, 5, 26), (0.55, 0.95, 16, 2626)])
+def test_compare_mean_locc_bits_match_the_exact_ladder(f_in, target, levels, seed, capsys):
+    # a run's attempts are one geometric count per level, success p_k, so its
+    # LOCC bits have mean 2 sum 1/p_k and variance 4 sum (1 - p_k)/p_k^2; the
+    # p_k come from the BBPSSW closed form, and the seeds were fixed before the first run
+    ps, f = [], f_in
+    while f < target:
+        r = (1.0 - f) / 3.0
+        ps.append(f * f + 2.0 * f * r + 5.0 * r * r)
+        f = (f * f + r * r) / ps[-1]
+    assert len(ps) == levels
+    n_runs = 5000
+    code, out, err = run_cli(["compare", "--runs", str(n_runs), "--seed", str(seed), "--noise-f",
+                              str(f_in), "--distill-target", str(target), "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    mean = 2.0 * sum(1.0 / p for p in ps)
+    sigma = 2.0 * (sum((1.0 - p) / p**2 for p in ps) / n_runs) ** 0.5
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["protocol"] for row in rows] == ["sqtp", "kak"]
+    for row in rows:
+        assert abs(float(row["locc_bits"]) - mean) <= 5.0 * sigma, (row, mean, sigma)
 
 
 def test_compare_undistillable_channel_rejected(capsys):
@@ -463,8 +487,8 @@ def test_runs_past_one_spawn_key_word_rejected_before_any_work(command, monkeypa
     def no_work(*args, **kwargs):
         raise AssertionError("no run may start")
 
-    monkeypatch.setattr("telecost.cli.run_batch", no_work)
-    monkeypatch.setattr("telecost.cli.haar_sources", no_work)
+    monkeypatch.setattr("telecost.protocol.run_batch", no_work)
+    monkeypatch.setattr("telecost.protocol.haar_sources", no_work)
     code, out, err = run_cli([command, "--runs", str(MAX_RUNS + 1)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "--runs" in err and str(MAX_RUNS) in err
@@ -711,6 +735,35 @@ def test_compare_and_sweep_never_import_numpy_random():
     if probe.stderr == "eager\n":
         pytest.skip("import numpy alone loads numpy.random (NumPy 1.x)")
     assert (probe.returncode, probe.stdout, probe.stderr) == (0, "False\n", "")
+
+
+ENGINE_PROBE = """
+import contextlib, hashlib, io, json, sys
+import telecost, telecost.cli
+telecost.cli.build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert telecost.cli.main(["sweep"]) == 0
+digests = {"numpy_after_sweep": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert telecost.cli.main(argv) == 0
+    digests[" ".join(argv)] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_sweep_never_imports_numpy_and_compare_and_verify_load_the_engine_when_they_run():
+    # a fresh process: the package, the CLI, its parser and a sweep leave NumPy
+    # unloaded; the commands after it import the engine and print the pinned bytes
+    pinned = [PINNED_SHA256[7], PINNED_SHA256[1], PINNED_VERIFY_SHA256[0]]
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = subprocess.run([sys.executable, "-c", ENGINE_PROBE, json.dumps([a for a, _ in pinned])],
+                           env=env, capture_output=True, text=True)
+    assert (probe.returncode, probe.stderr) == (0, "")
+    assert json.loads(probe.stdout) == {"numpy_after_sweep": False,
+                                        **{" ".join(argv): digest for argv, digest in pinned}}
 
 
 @pytest.mark.parametrize("noise", [[], ["--noise-f", "0.75", "--distill-target", "0.9"]],

@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 
 import oracle_dense
-from telecost import noise
+from telecost import cost
+from telecost.cost import SWEEP_COLUMNS, distill_step_map, sweep_rows
 from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import (
-    SWEEP_COLUMNS,
     DensityMatrix,
-    distill_step_map,
     distill_to_threshold,
     run_noisy_stack,
     run_noisy_teleport,
-    sweep_rows,
     teleport_fidelity_noisy,
     werner_state,
 )
@@ -267,7 +265,7 @@ def test_deterministic_rounds_edge_cases():
 def test_deterministic_rounds_stop_when_the_iterate_stalls(monkeypatch):
     # in floats the recurrence stalls just below 1, so F = 1 is never reached
     calls = []
-    monkeypatch.setattr(noise, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
+    monkeypatch.setattr(cost, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
     assert sweep_rounds(0.75, 1.0, 100_000) == -1
     assert len(calls) < 300
     assert distill_step_map(calls[-1])[1] == calls[-1]
@@ -287,7 +285,7 @@ def test_distill_to_threshold_stops_when_the_iterate_stalls():
     (0.75, 1.0, 1024, "stalled"), (0.5, 0.9, 64, "half"), (0.3, 0.9, 64, "half"),
 ])
 def test_ladder_says_why_it_stopped(f_in, f_target, max_rounds, stop):
-    levels, got = noise._ladder(f_in, f_target, max_rounds)
+    levels, got = cost._ladder(f_in, f_target, max_rounds)
     assert got == stop
     assert ((levels[-1][1] if levels else f_in) >= f_target) == (stop == "target")
 
@@ -329,7 +327,7 @@ def test_every_noisy_stack_ends_on_one_channel(channel_f, target, max_rounds, ro
 def test_distill_to_threshold_steps_the_map_once_per_level(monkeypatch):
     # a failed attempt retries its level without evaluating the map again
     calls = []
-    monkeypatch.setattr(noise, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
+    monkeypatch.setattr(cost, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
     run = distill_to_threshold(0.75, 0.9, 64, np.random.default_rng(1))
     assert run.attempts > run.rounds == len(calls) == len(set(calls))
 
@@ -381,3 +379,23 @@ def test_run_noisy_teleport_seeded_repeatability():
                            distill_target=0.9)
     assert (a.rounds, a.attempts, a.f_final, a.fidelity) == (b.rounds, b.attempts, b.f_final, b.fidelity)
     assert a.ledger == b.ledger
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.0])
+def test_a_climb_on_draws_that_never_succeed_ends_in_a_value_error(bad):
+    # no draw of NaN or 1.0 is below a level's probability, so without the
+    # check past 64 steps a level these stacks would climb forever
+    for column in ([bad, bad], [0.0, bad]):
+        with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
+            run_noisy_stack(ProtocolKind.KAK, [haar(0), haar(1)], 0.75,
+                            lambda column=column: np.array(column), 0.9)
+    with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
+        distill_to_threshold(0.75, 0.9, 32, SimpleNamespace(random=lambda: bad))
+
+
+def test_a_climb_past_its_check_bound_still_counts_every_attempt():
+    # 0.75 -> 0.9 has 5 levels, so columns past step 320 are checked; legal
+    # ones pass, and 400 failures then 5 successes are 405 attempts
+    draws = iter([np.full(2, 0.999)] * 400 + [np.zeros(2)] * 5)
+    stack = run_noisy_stack(ProtocolKind.SQTP, [haar(0), haar(1)], 0.75, lambda: next(draws), 0.9)
+    assert (stack.rounds, stack.attempts, stack.target_met) == (5, [405, 405], True)

@@ -32,17 +32,21 @@ import oracle_dense
 import per_state_reference
 from per_state_reference import _residuals
 from telecost.cli import _compare_json, build_parser, config_from_args, main
-from telecost.cost import CostLedger, CostModel, ideal_bits
-from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
-from telecost.noise import (
+from telecost.cost import (
     LOCC_ROUND,
     LOCC_ROUND_BITS,
-    DensityMatrix,
+    CostLedger,
+    CostModel,
     distill_step_map,
+    ideal_bits,
+    sweep_rows,
+)
+from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
+from telecost.noise import (
+    DensityMatrix,
     distill_to_threshold,
     run_noisy_stack,
     run_noisy_teleport,
-    sweep_rows,
     teleport_fidelity_noisy,
     werner_state,
 )

@@ -1,12 +1,18 @@
 """The public surface stays what the package, the README and the acceptance
 gate use: a public top-level function or class that only unit tests call
 has no job in the program. The private names of `statevector` stay
-inside it, and each checkpoint name is written once, in its schedule."""
+inside it, and each checkpoint name is written once, in its schedule.
+The NumPy-free modules import no engine module when they are imported,
+and the package still resolves every name it has exported."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
+import pytest
+
+import telecost
 from telecost.expansions import ALL_EXPANSIONS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +71,60 @@ def test_every_checkpoint_name_is_written_once_in_src():
                  for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Constant)]
     counts = {name: constants.count(name) for name in ALL_EXPANSIONS if name != "epr_pair"}
     assert counts == dict.fromkeys(counts, 1), f"checkpoint names written other than once: {counts}"
+
+
+# `sweep`, the CLI's set-up and the package import only these modules
+NUMPY_FREE = ("__init__.py", "cli.py", "cost.py", "kinds.py", "schedule.py")
+ENGINE = {"numpy", "protocol", "statevector", "noise", "expansions"}
+
+
+def _imports_at_import_time(tree):
+    """Every module an import outside a function body names, dotted."""
+    pending, names = list(tree.body), []
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [node.module] if node.module else [alias.name for alias in node.names]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            pending += ast.iter_child_nodes(node)
+    return names
+
+
+def test_the_numpy_free_modules_import_no_engine_module_at_import_time():
+    leaks = [f"{module}:{name}" for module in NUMPY_FREE
+             for name in _imports_at_import_time(ast.parse((SRC / module).read_text()))
+             if ENGINE.intersection(name.split("."))]
+    assert leaks == [], f"NumPy-free modules importing the engine at import time: {leaks}"
+
+
+# every name telecost/__init__.py bound when it imported all its modules at once
+PACKAGE_NAMES = {
+    "CostLedger", "CostModel", "LedgerEntry", "ideal_bits", "ledger_rows",
+    "ALL_EXPANSIONS", "Expansion", "load_expansions",
+    "ALICE", "BOB", "ProtocolKind", "Purpose",
+    "DensityMatrix", "DistillRun", "NoisyTeleportReport", "distill_step_map",
+    "distill_to_threshold", "run_noisy_teleport", "sweep_rows", "teleport_fidelity_noisy",
+    "werner_state",
+    "EntangledInputReport", "ProtocolBranch", "ProtocolTrace", "UnknownQubit",
+    "enumerate_protocol", "kak_checkpoints", "kak_entangled_input_demo", "run_protocol",
+    "sqtp_checkpoints",
+    "BranchOutcome", "StateVector", "basis_state", "bell_pair", "fidelity_pure", "tensor",
+}
+
+
+def test_the_package_resolves_every_name_it_has_exported():
+    namespace = {}
+    exec("from telecost import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PACKAGE_NAMES == set(telecost.__all__)
+    for name in PACKAGE_NAMES:
+        value = getattr(telecost, name)
+        assert value is namespace[name]
+        if hasattr(value, "__module__") and value.__module__.startswith("telecost."):
+            assert value is vars(sys.modules[value.__module__])[name]
+    assert telecost.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="'telecost' has no attribute 'no_such_name'"):
+        telecost.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from telecost import no_such_name", {})
