@@ -141,7 +141,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             max_err[name] = max(max_err[name], err)
         for kind in ProtocolKind:
             _, _, fidelities = enumerate_protocol_stack(kind, sources)
-            branch_err[kind] = max(branch_err[kind], max(1.0 - f for f in fidelities))
+            branch_err[kind] = max(branch_err[kind], 1.0 - min(fidelities))
 
     checks = [
         {"name": name, "max_abs_err": max_err[name], "pass": max_err[name] <= GOLDEN_ATOL}

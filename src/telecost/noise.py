@@ -113,12 +113,12 @@ def _climb(f_in: float, f_target: float, max_rounds: int, draw: Callable,
            n: int) -> tuple[int, np.ndarray, float, bool]:
     """(rounds, every run's attempts, final F, target met) of n runs climbing
     the ladder together, one draw() column per step: a climbing run's attempt
-    succeeds when its draw is below its level's exact probability, else it
-    retries the level, so run i reads the first attempts[i] draws of its stream.
-    Every climbed level has p > 5/9, so a legal run passes 64 steps a level
-    only after 64 straight failures on some level, below (4/9)**64 likely.
-    Only past that bound are the columns checked to lie in [0, 1), which ends
-    draws of NaN or 1.0, which never succeed, in a ValueError."""
+    succeeds when its draw lies in [0, p), p its level's exact probability,
+    else it retries the level, so run i reads the first attempts[i] draws of
+    its stream. Every climbed level has p > 5/9, so a legal run passes 64
+    steps a level only after 64 straight failures, below (4/9)**64 likely.
+    Only past that bound are the columns checked to lie in [0, 1), which
+    ends draws that never succeed, NaN, 1.0 or negative, in a ValueError."""
     if not 0.5 < f_in <= 1.0:
         raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
     if not 0.0 < f_target <= 1.0:
@@ -133,7 +133,7 @@ def _climb(f_in: float, f_target: float, max_rounds: int, draw: Callable,
         if steps > 64 * len(levels) and not np.all((0.0 <= u) & (u < 1.0)):
             raise ValueError("draws must be in [0, 1)")
         attempts += climbing
-        level += u < p_succ[level]
+        level += (0.0 <= u) & (u < p_succ[level])
     return len(levels), attempts, levels[-1][1] if levels else f_in, stop == "target"
 
 

@@ -6,10 +6,10 @@ which needs no NumPy; this module interprets them.
 One interpreter runs a table once over a stack of registers, shape
 (runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
 apply_cnot); one measure_sample draws every run's outcome from a column
-of uniforms. One kernel, `_correct`, applies Bob's gates, one call per
-gate and outcome, to the runs that drew it, or to every run where all
-four outcomes are read. Bob's normalised qubits and their fidelities are
-computed as stacks too. Every stack function returns columns:
+of uniforms. One kernel, `_correct`, applies Bob's gates to every run's
+qubit under all four outcomes, one call per gate and outcome; a sampled
+stack keeps each run's drawn row of it. Bob's normalised qubits and their
+fidelities are computed as stacks too. Every stack function returns columns:
 `sample_stack` a stack's sampled runs, which `compare` reads;
 `checkpoints_stack` one array per named register and
 `enumerate_protocol_stack` the branches' probabilities, Bob's qubits
@@ -201,22 +201,16 @@ def _born_rows(t: np.ndarray) -> np.ndarray:
     return (np.abs(t) ** 2).sum(axis=3).reshape(len(t), 4)
 
 
-def _correct(bobs: np.ndarray, rows: list, bob_gates: tuple) -> np.ndarray:
-    """Apply Bob's gates bob_gates[k] to his qubits bobs[rows[k]], in place,
-    one kernel call per gate and outcome, even when rows[k] selects none."""
-    for k, gates in enumerate(bob_gates):
-        for gate in gates:
-            bobs[rows[k]] = _GATES[gate](bobs[rows[k]], 1)
-    return bobs
-
-
-def _correct_all(t: np.ndarray, probs: np.ndarray, bob_gates: tuple) -> np.ndarray:
+def _correct(t: np.ndarray, probs: np.ndarray, bob_gates: tuple) -> np.ndarray:
     """Bob's qubit of every run i for every outcome k, row 4i + k of one
     (4 runs, 2) array: the stack where Alice reads k, over sqrt(probs[i, k])
-    (or probs[k], for one row), corrected with bob_gates[k]. Each row still
-    needs normalising."""
+    (or probs[k], for one row), corrected with bob_gates[k], one kernel call
+    per gate and outcome on the rows k::4. Each row still needs normalising."""
     bobs = (t.reshape(len(t), 4, 2) / np.sqrt(probs)[..., None]).reshape(-1, 2)
-    return _correct(bobs, [slice(k, None, 4) for k in range(4)], bob_gates)
+    for k, gates in enumerate(bob_gates):
+        for gate in gates:
+            bobs[k::4] = _GATES[gate](bobs[k::4], 1)
+    return bobs
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,16 +251,14 @@ def sample_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
                  u: np.ndarray) -> SampledStack:
     """One sampled run per input, as columns: the schedule runs once over
     the whole stack, one measure_sample draws every run's outcome, run i's
-    from u[i], one random() of its stream, and only that outcome's qubit
-    of Bob is kept and corrected: each outcome's gates go, one call each,
-    to the runs that drew it, even to none. An empty stack has no runs."""
+    from u[i], one random() of its stream, and _correct's row 4i + k of
+    Bob's corrected qubits, run i's drawn outcome k, is the one kept,
+    normalised and scored. An empty stack has no runs."""
     schedule, sources = SCHEDULES[kind], _sources(psis)
     t, _ = _evolve(schedule, sources)
     probs = _born_rows(t)
     outcomes = measure_sample(probs, u)
-    runs = np.arange(len(outcomes))
-    bobs = t.reshape(len(t), 4, 2)[runs, outcomes] / np.sqrt(probs[runs, outcomes]).reshape(-1, 1)
-    _correct(bobs, [outcomes == k for k in range(4)], schedule.bob_gates)
+    bobs = _correct(t, probs, schedule.bob_gates)[4 * np.arange(len(t)) + outcomes]
     bobs, fidelities = _bob_rows(bobs, sources)
     return SampledStack(outcomes.tolist(), fidelities, bobs)
 
@@ -325,7 +317,7 @@ def pair_response(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray) -> 
     n = len(sources)
     pairs = np.tile(np.eye(4, dtype=complex), (n, 1))
     t, _ = _evolve(schedule, np.repeat(sources, 4, axis=0), pairs)
-    bobs = _correct_all(t, np.ones(4), schedule.bob_gates)
+    bobs = _correct(t, np.ones(4), schedule.bob_gates)
     return (bobs.reshape(n, 4, 4, 2) @ sources.conj()[:, None, :, None])[..., 0].transpose(0, 2, 1)
 
 
@@ -351,7 +343,7 @@ def enumerate_protocol_stack(
     schedule, sources = SCHEDULES[kind], _sources(psis)
     t, _ = _evolve(schedule, sources)
     probs = _born_rows(t)
-    bobs = _correct_all(t, probs, schedule.bob_gates)
+    bobs = _correct(t, probs, schedule.bob_gates)
     return (probs, *_bob_rows(bobs, np.repeat(sources, 4, axis=0)))
 
 
@@ -409,7 +401,7 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
     # each joint vector over its own norm: _bob_rows is bit for bit only on
     # 1-qubit rows, because np.vdot sums a 2-qubit overlap in another order
     fids = {key: [fidelity_pure(StateVector._trusted(2, v / np.linalg.norm(v)), joint)
-                  for v in np.hstack(_correct_all(t, probs, (gates,) * 4).reshape(2, 4, 2))]
+                  for v in np.hstack(_correct(t, probs, (gates,) * 4).reshape(2, 4, 2))]
             for key, gates in schedule.corrections.items()}
     branches = []
     for k, bits in enumerate(_OUTCOMES):

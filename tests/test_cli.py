@@ -403,20 +403,33 @@ def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
     assert len(builds) == 2
 
 
-@pytest.mark.parametrize("f_in, target, levels, seed", [(0.75, 0.9, 5, 26), (0.55, 0.95, 16, 2626)])
-def test_compare_mean_locc_bits_match_the_exact_ladder(f_in, target, levels, seed, capsys):
-    # a run's attempts are one geometric count per level, success p_k, so its
-    # LOCC bits have mean 2 sum 1/p_k and variance 4 sum (1 - p_k)/p_k^2; the
-    # p_k come from the BBPSSW closed form, and the seeds were fixed before the first run
+def _ladder_probabilities(f_in, target, max_rounds):
+    """Each climbed level's success probability, from the BBPSSW closed form."""
     ps, f = [], f_in
-    while f < target:
+    while f < target and len(ps) < max_rounds:
         r = (1.0 - f) / 3.0
         ps.append(f * f + 2.0 * f * r + 5.0 * r * r)
         f = (f * f + r * r) / ps[-1]
+    return ps
+
+
+@pytest.mark.parametrize("f_in, target, max_rounds, levels, seed", [
+    pytest.param(0.75, 0.9, 32, 5, 26, id="0.75-0.9-5-26"),
+    pytest.param(0.55, 0.95, 32, 16, 2626, id="0.55-0.95-16-2626"),
+    pytest.param(0.85, 0.95, 32, 4, 2727, id="0.85-0.95-4-2727"),
+    pytest.param(0.75, 0.99, 3, 3, 2728, id="0.75-0.99-3-2728-max-rounds-3")])
+def test_compare_mean_locc_bits_match_the_exact_ladder(f_in, target, max_rounds, levels, seed,
+                                                       capsys):
+    # a run's attempts are one geometric count per level, success p_k, so its
+    # LOCC bits have mean 2 sum 1/p_k and variance 4 sum (1 - p_k)/p_k^2; the
+    # p_k come from the BBPSSW closed form, a climb stopped at the round cap
+    # counts the levels it climbed, and the seeds were fixed before the first run
+    ps = _ladder_probabilities(f_in, target, max_rounds)
     assert len(ps) == levels
     n_runs = 5000
     code, out, err = run_cli(["compare", "--runs", str(n_runs), "--seed", str(seed), "--noise-f",
-                              str(f_in), "--distill-target", str(target), "--format", "csv"], capsys)
+                              str(f_in), "--distill-target", str(target), "--max-rounds",
+                              str(max_rounds), "--format", "csv"], capsys)
     assert code == 0 and err == ""
     mean = 2.0 * sum(1.0 / p for p in ps)
     sigma = 2.0 * (sum((1.0 - p) / p**2 for p in ps) / n_runs) ** 0.5
@@ -424,6 +437,40 @@ def test_compare_mean_locc_bits_match_the_exact_ladder(f_in, target, levels, see
     assert [row["protocol"] for row in rows] == ["sqtp", "kak"]
     for row in rows:
         assert abs(float(row["locc_bits"]) - mean) <= 5.0 * sigma, (row, mean, sigma)
+
+
+def test_compare_attempts_follow_the_exact_pmf(capsys):
+    # a run's attempts are a sum of one geometric count per level, so their pmf
+    # is the convolution of the levels' geometric pmfs; bins merge from the
+    # low end until each expects at least 5 runs, the last takes the whole
+    # tail, and the chi-square statistic must stay within dof + 8 sqrt(2 dof),
+    # a false alarm at most 5e-5 likely at 3 dof; seed fixed before the first run
+    ps, n_runs, top = _ladder_probabilities(0.75, 0.9, 32), 20000, 200
+    pmf = [1.0] + [0.0] * top
+    for p in ps:
+        geometric = [0.0] + [p * (1.0 - p) ** (a - 1) for a in range(1, top + 1)]
+        pmf = [sum(pmf[j] * geometric[a - j] for j in range(a + 1)) for a in range(top + 1)]
+    code, out, _ = run_cli(["compare", "--runs", str(n_runs), "--seed", "2729", "--noise-f", "0.75",
+                            "--distill-target", "0.9", "--format", "json"], capsys)
+    assert code == 0
+    per_run = json.loads(out)["per_run"]
+    for kind in ProtocolKind:
+        counts = [0] * (top + 1)
+        for row in per_run:
+            if row["protocol"] == kind.value:
+                counts[min(row["locc_bits"] // LOCC_ROUND_BITS, top)] += 1
+        assert sum(counts) == n_runs
+        bins, expected, observed = [], 0.0, 0
+        for a in range(top + 1):
+            expected, observed = expected + n_runs * pmf[a], observed + counts[a]
+            if expected >= 5.0:
+                bins.append([expected, observed])
+                expected, observed = 0.0, 0
+        bins[-1][0] += n_runs * (1.0 - sum(pmf)) + expected  # the tail past the last full bin
+        bins[-1][1] += observed
+        dof = len(bins) - 1
+        statistic = sum((o - e) ** 2 / e for e, o in bins)
+        assert dof >= 3 and statistic <= dof + 8.0 * (2.0 * dof) ** 0.5, (kind, statistic, dof)
 
 
 def test_compare_undistillable_channel_rejected(capsys):

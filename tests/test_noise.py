@@ -381,10 +381,11 @@ def test_run_noisy_teleport_seeded_repeatability():
     assert a.ledger == b.ledger
 
 
-@pytest.mark.parametrize("bad", [np.nan, 1.0])
+@pytest.mark.parametrize("bad", [np.nan, 1.0, -0.5])
 def test_a_climb_on_draws_that_never_succeed_ends_in_a_value_error(bad):
-    # no draw of NaN or 1.0 is below a level's probability, so without the
-    # check past 64 steps a level these stacks would climb forever
+    # no draw of NaN, 1.0 or -0.5 lies in [0, p) for a level's probability p,
+    # so without the check past 64 steps a level NaN and 1.0 would climb
+    # forever, and -0.5 would pass for a success at every step
     for column in ([bad, bad], [0.0, bad]):
         with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
             run_noisy_stack(ProtocolKind.KAK, [haar(0), haar(1)], 0.75,

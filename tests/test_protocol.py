@@ -1,6 +1,7 @@
 """Protocol-level behavior: traces, schedule locality, corrections, branch
 structure, the entangled-input probe and seeded batches."""
 
+import itertools
 import json
 
 import numpy as np
@@ -415,6 +416,42 @@ def test_schedules_cover_every_expansion_and_noisy_bit_count():
         assert report.ledger.total(Purpose.TELEPORT) == SCHEDULES[kind].announced
 
 
+def _derived_corrections(schedule):
+    """The oracle for a schedule's table: per outcome, the gates of {I, X, Z,
+    ZX}, applied through the engine's kernels, that leave Bob's residual
+    proportional to I (None unless exactly one does), and every smallest set
+    of Alice's bit positions that determines them."""
+    t, _ = protocol._evolve(schedule, np.eye(2, dtype=complex))
+    residuals = t.reshape(2, 4, 2)  # [j, k]: Bob's amplitudes for input |j> and outcome k
+    table = []
+    for k in range(4):
+        fits = []
+        for gates in [(), ("X",), ("Z",), ("Z", "X")]:
+            m = residuals[:, k]
+            for gate in gates:
+                m = protocol._GATES[gate](m, 1)
+            if abs(m[0, 0]) > 0.1 and np.allclose(m, m[0, 0] * np.eye(2), atol=1e-12):
+                fits.append(gates)
+        table.append(fits[0] if len(fits) == 1 else None)
+    subsets = [positions for size in range(3) for positions in itertools.combinations((0, 1), size)]
+    keyed = [{(tuple(bits[i] for i in positions), gates) for bits, gates in zip(_OUTCOMES, table)}
+             for positions in subsets]
+    determining = [positions for positions, pairs in zip(subsets, keyed)
+                   if len(pairs) == len({key for key, _ in pairs})]
+    return tuple(table), [p for p in determining if len(p) == len(determining[0])]
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_each_schedules_table_and_announcement_are_the_smallest_its_ops_allow(kind):
+    # the residuals, not the written table, decide which Pauli Bob needs per
+    # outcome and which of Alice's bits he must hear: both for SQTP, q0's
+    # alone for KAK, and q1's alone for neither
+    schedule = SCHEDULES[kind]
+    table, smallest = _derived_corrections(schedule)
+    assert table == schedule.bob_gates
+    assert smallest == [tuple(range(schedule.announced))]
+
+
 def test_schedule_owns_its_teleport_message_and_copy_rule():
     # KAK gates q2 before handing it over, so a noisy channel meets the payload
     assert SCHEDULES[ProtocolKind.KAK].burns_copies
@@ -479,10 +516,10 @@ def test_sample_stack_holds_the_columns_of_its_traces():
         assert empty.outcomes == empty.fidelities == [] and empty.bobs.shape == (0, 2)
 
 
-def test_sample_stack_corrects_only_the_sampled_outcome(monkeypatch):
-    # Bob's gates go, one kernel call per outcome's gate, to the runs that
-    # drew that outcome: the Bob-qubit rows the X and Z kernels receive total
-    # len(bob_gates[k_i]) over the runs, and each run is its drawn branch
+def test_sample_stack_reads_each_runs_drawn_branch(monkeypatch):
+    # Bob's gates go, one kernel call per outcome's gate, to every run's qubit
+    # for that outcome: each X and Z call on Bob's qubits receives all n rows,
+    # and each run keeps its drawn branch, row 4i + k of the enumeration
     rows = []
     for gate in ("X", "Z"):
         def recorded(t, *axes, kernel=protocol._GATES[gate]):
@@ -494,12 +531,12 @@ def test_sample_stack_corrects_only_the_sampled_outcome(monkeypatch):
     sources, u = haar_sources(rng.random((257, 2))), rng.random(257)
     for kind in ProtocolKind:
         bob_gates = SCHEDULES[kind].bob_gates
-        # a stack of one leaves outcomes with no runs, which still take their calls
+        # a stack of one leaves outcomes no run drew, which still take their calls
         for n in (1, 257):
             rows.clear()
             stack = sample_stack(kind, sources[:n], u[:n])
             assert len(rows) == sum(map(len, bob_gates))
-            assert sum(rows) == sum(len(bob_gates[k]) for k in stack.outcomes)
+            assert rows == [n] * len(rows)
         _, bobs, fidelities = enumerate_protocol_stack(kind, sources)
         for i, k in enumerate(stack.outcomes):
             assert stack.bobs[i].tobytes() == bobs[4 * i + k].tobytes()
