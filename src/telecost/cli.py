@@ -14,9 +14,10 @@ each kind's columns over all runs and one channel fidelity, which only
 cost; `build_parser()` returns a new parser on every call.
 
 At import this module loads only `kinds`, `cost` and `schedule`, none of
-which needs NumPy, so `sweep` never loads it; `verify` and `compare`
-import NumPy and the engine (`protocol`, `noise`, `expansions`) when
-they run.
+which needs NumPy or `dataclasses` (`RunConfig` is a validated
+namedtuple), so `sweep` never loads them; `verify` and `compare` import
+NumPy and the engine (`protocol`, `noise`, `expansions`) when they run,
+and `json` where they print it.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ import csv
 import functools
 import io
 import itertools
-import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .cost import LOCC_ROUND_BITS, SWEEP_COLUMNS, sweep_rows
 from .kinds import ProtocolKind
@@ -40,23 +40,14 @@ MAX_SWEEP_POINTS = 100_001
 MAX_ROUNDS = 1024  # the float recurrence stalls below 1 within a few hundred levels
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    protocol: str = "both"
-    n_runs: int = 20
-    seed: int = 0
-    noise_f: float | None = None
-    distill_target: float | None = None
-    max_rounds: int = 32
-    fmt: str = "text"
-    out: str | None = None
-    golden: str | None = None
-    f_min: float = 0.55
-    f_max: float = 0.95
-    f_step: float = 0.1
+class RunConfig(namedtuple("RunConfig", "command protocol n_runs seed noise_f distill_target "
+                                        "max_rounds fmt out golden f_min f_max f_step",
+                           defaults=("both", 20, 0, None, None, 32, "text", None, None,
+                                     0.55, 0.95, 0.1))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.protocol not in ("sqtp", "kak", "both"):
             raise ValueError(f"protocol must be sqtp, kak or both, got {self.protocol!r}")
         # the bound: a run index must fit one uint32 word of its streams' spawn key
@@ -76,6 +67,7 @@ class RunConfig:
                                  f"--distill-target {self.distill_target}")
         if not 1 <= self.max_rounds <= MAX_ROUNDS:
             raise ValueError(f"--max-rounds must be in 1..{MAX_ROUNDS}, got {self.max_rounds}")
+        return self
 
     def kinds(self) -> list[ProtocolKind]:
         if self.protocol == "both":
@@ -85,7 +77,7 @@ class RunConfig:
     def public_dict(self) -> dict:
         # the destination path is plumbing, not part of the computation,
         # and keeping it out makes reports byte-identical across runs
-        d = asdict(self)
+        d = self._asdict()
         d.pop("out")
         return d
 
@@ -121,6 +113,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     run in stacks of BATCH_CHUNK, each drawn as one block of rng.random(),
     which gives the draws of one random() call after another; the errors
     are maxima, so the stacking changes none of them."""
+    import json
+
     import numpy as np
 
     from .expansions import ALL_EXPANSIONS, load_expansions
@@ -221,6 +215,8 @@ def _compare_json(payload: dict, channel_f: float | None, columns: dict) -> str:
     "per_run": null stands. That text occurs once: no JSON string holds a raw
     newline, and only top-level keys start a line with two spaces and a quote.
     Each kind fills one % template; floats go through repr, as json's do."""
+    import json
+
     noisy = channel_f is not None
     cell = '%d,\n      "outcome_bits": null' if noisy else '0,\n      "outcome_bits": "%s"'
     kind_rows = []

@@ -18,30 +18,28 @@ improves fidelity; at F = 1/4 it is a fixed point. Sampled runs
 (`_ladder`).
 
 All of it is float arithmetic over the schedules' data, with no NumPy,
-so `sweep` runs without loading the engine.
+so `sweep` runs without loading the engine; its records are validated
+namedtuples, as in `schedule`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .kinds import ALICE, BOB, ProtocolKind, Purpose
 from .schedule import SCHEDULES
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    sender: str
-    receiver: str
-    bits: int
-    purpose: Purpose
+class LedgerEntry(namedtuple("LedgerEntry", "sender receiver bits purpose")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or self.bits < 1:
-            raise ValueError(f"bits must be a positive integer, got {self.bits!r}")
-        if self.sender == self.receiver:
+    def __new__(cls, sender: str, receiver: str, bits: int, purpose: Purpose) -> LedgerEntry:
+        if not isinstance(bits, int) or bits < 1:
+            raise ValueError(f"bits must be a positive integer, got {bits!r}")
+        if sender == receiver:
             raise ValueError("sender and receiver must differ")
+        return super().__new__(cls, sender, receiver, bits, purpose)
 
 
 class CostLedger:
@@ -74,17 +72,16 @@ class CostLedger:
         return len(self._entries)
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(namedtuple("CostModel", "dimension kind")):
     """Ideal cost model for teleporting one N-dimensional state."""
 
-    dimension: int
-    kind: ProtocolKind
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.dimension
+    def __new__(cls, dimension: int, kind: ProtocolKind) -> CostModel:
+        n = dimension
         if not isinstance(n, int) or n < 2 or n & (n - 1):
             raise ValueError(f"dimension must be a power of two >= 2, got {n!r}")
+        return super().__new__(cls, dimension, kind)
 
 
 def ideal_bits(model: CostModel) -> int:

@@ -22,12 +22,14 @@ hands over a qubit the payload reached, so that a noisy run burns copies.
 
 This module is plain data and needs no NumPy: `sweep` and the CLI's
 argument checks read it without loading the engine (`protocol`), which
-interprets it.
+interprets it. Its records are namedtuples, not dataclasses, whose import
+loads `inspect` and whose classes each exec their methods, so importing
+it costs little.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .kinds import ALICE, BOB, ProtocolKind, Purpose
 
@@ -42,77 +44,43 @@ MAX_RUNS = 2**32 - 1  # a run index is one uint32 word of its streams' spawn key
 # trace events
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class GateApplied:
-    party: str
-    gate: str
-    qubits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class QubitTransferred:
-    src: str
-    dst: str
-    qubit: int
-
-
-@dataclass(frozen=True)
-class Measured:
-    party: str
-    qubits: tuple[int, ...]
-    bits: str
-
-
-@dataclass(frozen=True)
-class MessageSent:
-    src: str
-    dst: str
-    bits: str
-    purpose: Purpose
-
-
-@dataclass(frozen=True)
-class CorrectionApplied:
-    party: str
-    qubit: int
-    gates: tuple[str, ...]
-
+# Tuples compare by value, but two kinds of event never compare equal: in
+# every pair of kinds of one length some position holds a str in one and a
+# tuple or int in the other (qubits are tuples, a single qubit an int).
+GateApplied = namedtuple("GateApplied", "party gate qubits")
+QubitTransferred = namedtuple("QubitTransferred", "src dst qubit")
+Measured = namedtuple("Measured", "party qubits bits")
+MessageSent = namedtuple("MessageSent", "src dst bits purpose")
+CorrectionApplied = namedtuple("CorrectionApplied", "party qubit gates")
 
 TraceStep = GateApplied | QubitTransferred | Measured | MessageSent | CorrectionApplied
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(namedtuple("Schedule", "initial ops final announced corrections "
+                                      "steps checkpoints bob_gates teleport burns_copies")):
     """One protocol as data. The ops run in order up to Alice's measurement
     of q0 and q1; a "transfer" op hands its qubit from its party to Bob. The
     first `announced` measured bits go to Bob, who applies the matching
     `corrections` row to q2; gate tuples apply left to right.
 
-    Building one walks the ops once, checking that they are local from
-    Alice holding all three qubits, and records the ops as trace steps in
-    `steps`, the register names (initial, named ops, final) in
-    `checkpoints`, Bob's gates for each of Alice's four outcomes (in
-    _OUTCOMES order) in `bob_gates`, the announcement as one ledger
-    message in `teleport`, and in `burns_copies` whether a transfer hands
-    over a qubit the payload has reached, from q0 through every gate on a
-    reached qubit, so that a noisy channel meets the payload."""
+    Building one takes those five fields and walks the ops once, checking
+    that they are local from Alice holding all three qubits, and records
+    the ops as trace steps in `steps`, the register names (initial, named
+    ops, final) in `checkpoints`, Bob's gates for each of Alice's four
+    outcomes (in _OUTCOMES order) in `bob_gates`, the announcement as one
+    ledger message in `teleport`, and in `burns_copies` whether a transfer
+    hands over a qubit the payload has reached, from q0 through every gate
+    on a reached qubit, so that a noisy channel meets the payload. Copies,
+    pickles and the repr carry the five inputs only."""
 
-    initial: str
-    ops: tuple[tuple[str, str, tuple[int, ...], str | None], ...]
-    final: tuple[str, ...]
-    announced: int
-    corrections: dict[str, tuple[str, ...]]
-    steps: tuple[GateApplied | QubitTransferred, ...] = field(init=False, repr=False)
-    checkpoints: tuple[str, ...] = field(init=False, repr=False)
-    bob_gates: tuple[tuple[str, ...], ...] = field(init=False, repr=False)
-    teleport: tuple[str, str, int, Purpose] = field(init=False, repr=False)
-    burns_copies: bool = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, initial: str, ops: tuple[tuple[str, str, tuple[int, ...], str | None], ...],
+                final: tuple[str, ...], announced: int,
+                corrections: dict[str, tuple[str, ...]]) -> Schedule:
         owners = {0: ALICE, 1: ALICE, 2: ALICE}
-        steps, names, reached, burns_copies = [], [self.initial], {0}, False
-        for party, gate, qubits, name in self.ops:
+        steps, names, reached, burns_copies = [], [initial], {0}, False
+        for party, gate, qubits, name in ops:
             for q in qubits:
                 if owners.get(q) != party:
                     raise ValueError(f"{party} cannot {gate} qubit {q}, owned by {owners.get(q)!r}")
@@ -127,12 +95,16 @@ class Schedule:
                 names.append(name)
         if owners != {0: ALICE, 1: ALICE, 2: BOB}:
             raise ValueError(f"Alice must end holding q0 and q1 and Bob q2, got {owners}")
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "checkpoints", (*names, *self.final))
-        object.__setattr__(self, "bob_gates",
-                           tuple(self.corrections[bits[: self.announced]] for bits in _OUTCOMES))
-        object.__setattr__(self, "teleport", (ALICE, BOB, self.announced, Purpose.TELEPORT))
-        object.__setattr__(self, "burns_copies", burns_copies)
+        return super().__new__(cls, initial, ops, final, announced, corrections, tuple(steps),
+                               (*names, *final),
+                               tuple(corrections[bits[:announced]] for bits in _OUTCOMES),
+                               (ALICE, BOB, announced, Purpose.TELEPORT), burns_copies)
+
+    def __getnewargs__(self) -> tuple:
+        return self[:5]
+
+    def __repr__(self) -> str:
+        return f"Schedule({', '.join(f'{k}={v!r}' for k, v in zip(self._fields, self[:5]))})"
 
 
 SCHEDULES: dict[ProtocolKind, Schedule] = {

@@ -790,7 +790,7 @@ import telecost, telecost.cli
 telecost.cli.build_parser()
 with contextlib.redirect_stdout(io.StringIO()):
     assert telecost.cli.main(["sweep"]) == 0
-digests = {"numpy_after_sweep": "numpy" in sys.modules}
+digests = {"loaded_after_sweep": [m for m in ("dataclasses", "inspect", "numpy") if m in sys.modules]}
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -801,15 +801,16 @@ print(json.dumps(digests))
 
 
 def test_sweep_never_imports_numpy_and_compare_and_verify_load_the_engine_when_they_run():
-    # a fresh process: the package, the CLI, its parser and a sweep leave NumPy
-    # unloaded; the commands after it import the engine and print the pinned bytes
+    # a fresh process: the package, the CLI, its parser and a sweep leave NumPy,
+    # dataclasses and inspect unloaded (the probe itself imports json); the
+    # commands after it import the engine and print the pinned bytes
     pinned = [PINNED_SHA256[7], PINNED_SHA256[1], PINNED_VERIFY_SHA256[0]]
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     probe = subprocess.run([sys.executable, "-c", ENGINE_PROBE, json.dumps([a for a, _ in pinned])],
                            env=env, capture_output=True, text=True)
     assert (probe.returncode, probe.stderr) == (0, "")
-    assert json.loads(probe.stdout) == {"numpy_after_sweep": False,
+    assert json.loads(probe.stdout) == {"loaded_after_sweep": [],
                                         **{" ".join(argv): digest for argv, digest in pinned}}
 
 

@@ -2,10 +2,15 @@
 gate use: a public top-level function or class that only unit tests call
 has no job in the program. The private names of `statevector` stay
 inside it, and each checkpoint name is written once, in its schedule.
-The NumPy-free modules import no engine module when they are imported,
-and the package still resolves every name it has exported."""
+The NumPy-free modules import no engine module, and none of `dataclasses`,
+`inspect` and `json`, when they are imported; their records, namedtuples,
+keep a frozen dataclass's repr, immutability, copies, pickles and checks.
+The package still resolves every name it has exported."""
 
 import ast
+import copy
+import itertools
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -13,7 +18,12 @@ from pathlib import Path
 import pytest
 
 import telecost
+from telecost.cli import MAX_ROUNDS, RunConfig
+from telecost.cost import CostModel, LedgerEntry
 from telecost.expansions import ALL_EXPANSIONS
+from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
+from telecost.schedule import (MAX_RUNS, SCHEDULES, CorrectionApplied, GateApplied, Measured,
+                               MessageSent, QubitTransferred, Schedule)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "telecost"
@@ -76,6 +86,8 @@ def test_every_checkpoint_name_is_written_once_in_src():
 # `sweep`, the CLI's set-up and the package import only these modules
 NUMPY_FREE = ("__init__.py", "cli.py", "cost.py", "kinds.py", "schedule.py")
 ENGINE = {"numpy", "protocol", "statevector", "noise", "expansions"}
+# dataclasses loads inspect, ast, dis and tokenize; only verify and compare print JSON
+BOOKKEEPING = {"dataclasses", "inspect", "json"}
 
 
 def _imports_at_import_time(tree):
@@ -95,8 +107,91 @@ def _imports_at_import_time(tree):
 def test_the_numpy_free_modules_import_no_engine_module_at_import_time():
     leaks = [f"{module}:{name}" for module in NUMPY_FREE
              for name in _imports_at_import_time(ast.parse((SRC / module).read_text()))
-             if ENGINE.intersection(name.split("."))]
+             if (ENGINE | BOOKKEEPING).intersection(name.split("."))]
     assert leaks == [], f"NumPy-free modules importing the engine at import time: {leaks}"
+
+
+# one record of each kind the CLI's import path declares, and its first field
+RECORDS = [
+    (GateApplied(ALICE, "H", (0,)), "party"),
+    (QubitTransferred(ALICE, BOB, 2), "src"),
+    (Measured(ALICE, (0, 1), "01"), "party"),
+    (MessageSent(ALICE, BOB, "0", Purpose.TELEPORT), "src"),
+    (CorrectionApplied(BOB, 2, ("Z", "X")), "party"),
+    (SCHEDULES[ProtocolKind.SQTP], "initial"),
+    (LedgerEntry(ALICE, BOB, 2, Purpose.TELEPORT), "sender"),
+    (CostModel(4, ProtocolKind.KAK), "dimension"),
+    (RunConfig("compare", noise_f=0.8, distill_target=0.9), "command"),
+]
+
+
+@pytest.mark.parametrize("record, first", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_frozen_and_survive_copies_and_pickles(record, first):
+    for name in (first, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+
+
+def test_record_reprs_are_the_dataclass_text():
+    assert repr(GateApplied(ALICE, "H", (0,))) == "GateApplied(party='alice', gate='H', qubits=(0,))"
+    assert repr(RunConfig("sweep")) == (
+        "RunConfig(command='sweep', protocol='both', n_runs=20, seed=0, noise_f=None, "
+        "distill_target=None, max_rounds=32, fmt='text', out=None, golden=None, f_min=0.55, "
+        "f_max=0.95, f_step=0.1)")
+    # a schedule shows its five inputs, not what the walk derives from them
+    assert repr(SCHEDULES[ProtocolKind.KAK]) == (
+        "Schedule(initial='kak_initial', ops=(('alice', 'CNOT', (0, 1), 'kak_after_xor1'), "
+        "('alice', 'CNOT', (1, 2), 'kak_after_xor2'), ('alice', 'transfer', (2,), None), "
+        "('alice', 'H', (0,), 'kak_after_h')), final=('kak_branch_form', 'kak_two_class_form'), "
+        "announced=1, corrections={'0': (), '1': ('Z',)})")
+
+
+KAK_TABLE = {"0": (), "1": ("Z",)}
+# (record, positional arguments, keyword arguments, the ValueError's message)
+CHECKS = [
+    (LedgerEntry, (ALICE, BOB, 0, Purpose.LOCC), {}, "bits must be a positive integer"),
+    (LedgerEntry, (ALICE, BOB, 1.5, Purpose.LOCC), {}, "bits must be a positive integer"),
+    (LedgerEntry, (BOB, BOB, 1, Purpose.LOCC), {}, "sender and receiver must differ"),
+    (CostModel, (6, ProtocolKind.SQTP), {}, "dimension must be a power of two"),
+    (CostModel, (1, ProtocolKind.KAK), {}, "dimension must be a power of two"),
+    (Schedule, ("s", ((BOB, "H", (0,), None),), (), 1, KAK_TABLE), {}, "bob cannot H qubit 0"),
+    (Schedule, ("s", ((ALICE, "H", (0,), None),), (), 1, KAK_TABLE), {},
+     "Alice must end holding q0 and q1 and Bob q2"),
+    (RunConfig, ("compare",), {"protocol": "quantum"}, "protocol must be sqtp, kak or both"),
+    (RunConfig, ("compare",), {"n_runs": 0}, "--runs must be in"),
+    (RunConfig, ("verify",), {"n_runs": MAX_RUNS + 1}, "--runs must be in"),
+    (RunConfig, ("compare",), {"seed": -1}, "--seed must be >= 0"),
+    (RunConfig, ("compare",), {"noise_f": 1.5}, r"--noise-f must be in \[0, 1\]"),
+    (RunConfig, ("compare",), {"distill_target": 0.9}, "--distill-target requires --noise-f"),
+    (RunConfig, ("sweep",), {"distill_target": 0.0}, r"--distill-target must be in \(0, 1\]"),
+    (RunConfig, ("compare",), {"noise_f": 0.5, "distill_target": 0.9}, "cannot be distilled"),
+    (RunConfig, ("sweep",), {"max_rounds": MAX_ROUNDS + 1}, "--max-rounds must be in"),
+]
+
+
+@pytest.mark.parametrize("record, args, kwargs, message", CHECKS,
+                         ids=[f"{c[0].__name__}-{i}" for i, c in enumerate(CHECKS)])
+def test_every_record_check_still_fires(record, args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        record(*args, **kwargs)
+
+
+def test_events_of_different_kinds_never_compare_equal():
+    # events are tuples, and in every pair of kinds of one length some position
+    # holds a str in one and a tuple or int in the other, so no values make them equal
+    values = {str: ("alice", "bob", "H", "01"), tuple: ((0,), (2,), ("Z",)), int: (0, 2),
+              Purpose: tuple(Purpose)}
+    fields = {GateApplied: (str, str, tuple), QubitTransferred: (str, str, int),
+              Measured: (str, tuple, str), MessageSent: (str, str, str, Purpose),
+              CorrectionApplied: (str, int, tuple)}
+    events = [kind(*args) for kind, types in fields.items()
+              for args in itertools.product(*map(values.get, types))]
+    events += [step for schedule in SCHEDULES.values() for step in schedule.steps]
+    clashes = [(a, b) for a, b in itertools.combinations(events, 2)
+               if type(a) is not type(b) and a == b]
+    assert clashes == []
 
 
 # every name telecost/__init__.py bound when it imported all its modules at once
