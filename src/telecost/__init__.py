@@ -12,8 +12,8 @@ _EXPORTS = {
              "ledger_rows", "sweep_rows"),
     "expansions": ("ALL_EXPANSIONS", "Expansion", "load_expansions"),
     "kinds": ("ALICE", "BOB", "ProtocolKind", "Purpose"),
-    "noise": ("DensityMatrix", "DistillRun", "NoisyTeleportReport", "distill_to_threshold",
-              "run_noisy_teleport", "teleport_fidelity_noisy", "werner_state"),
+    "noise": ("DensityMatrix", "NoisyTeleportReport", "run_noisy_teleport",
+              "teleport_fidelity_noisy", "werner_state"),
     "protocol": ("EntangledInputReport", "ProtocolBranch", "ProtocolTrace", "UnknownQubit",
                  "enumerate_protocol", "kak_checkpoints", "kak_entangled_input_demo",
                  "run_protocol", "sqtp_checkpoints"),

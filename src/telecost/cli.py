@@ -31,23 +31,37 @@ import math
 import sys
 from collections import namedtuple
 
-from .cost import LOCC_ROUND_BITS, SWEEP_COLUMNS, sweep_rows
+from .cost import LOCC_ROUND_BITS, SWEEP_COLUMNS, _NOISY_MAX_ROUNDS, _SWEEP_MAX_ROUNDS, sweep_rows
 from .kinds import ProtocolKind
 from .schedule import BATCH_CHUNK, MAX_RUNS, SCHEDULES, _OUTCOMES
 
 GOLDEN_ATOL = 1e-12
 MAX_SWEEP_POINTS = 100_001
 MAX_ROUNDS = 1024  # the float recurrence stalls below 1 within a few hundred levels
+# each command's formats; sweep has no --format and prints CSV
+_FORMATS = {"verify": ("json", "text"), "compare": ("json", "csv", "text"), "sweep": ("text",)}
 
 
 class RunConfig(namedtuple("RunConfig", "command protocol n_runs seed noise_f distill_target "
                                         "max_rounds fmt out golden f_min f_max f_step",
-                           defaults=("both", 20, 0, None, None, 32, "text", None, None,
+                           defaults=("both", 20, 0, None, None, None, "text", None, None,
                                      0.55, 0.95, 0.1))):
+    """Every flag's default, declared only here, and every flag's check but
+    the sweep grid's, which cmd_sweep makes as it builds the grid. A None
+    max_rounds is the command's cap; sweep reads a None distill_target as 0.95."""
+
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> RunConfig:
         self = super().__new__(cls, *args, **kwargs)
+        sweep = self.command == "sweep"
+        if sweep and self.distill_target is None:
+            self = self._replace(distill_target=0.95)
+        if self.max_rounds is None:
+            self = self._replace(max_rounds=_SWEEP_MAX_ROUNDS if sweep else _NOISY_MAX_ROUNDS)
+        formats = _FORMATS.get(self.command, ())
+        if self.fmt not in formats:
+            raise ValueError(f"{self.command} --format must be in {formats}, got {self.fmt!r}")
         if self.protocol not in ("sqtp", "kak", "both"):
             raise ValueError(f"protocol must be sqtp, kak or both, got {self.protocol!r}")
         # the bound: a run index must fit one uint32 word of its streams' spawn key
@@ -290,30 +304,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-        p.add_argument("--runs", type=int, default=20, dest="n_runs")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=formats, default="text", dest="fmt")
-        p.add_argument("--out", default=None)
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        # flags, types and choices only: a flag not given sets nothing, so RunConfig's default holds
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        if name in ("verify", "compare"):
+            p.add_argument("--runs", type=int, dest="n_runs")
+            p.add_argument("--seed", type=int)
+            p.add_argument("--format", choices=_FORMATS[name], dest="fmt")
+            p.add_argument("--out")
+        return p
 
-    p_verify = sub.add_parser("verify", help="check golden expansions and branch recovery")
-    common(p_verify, ("json", "text"))
-    p_verify.add_argument("--golden", default=None, help="alternate golden expansion file")
+    command("verify", "check golden expansions and branch recovery").add_argument(
+        "--golden", help="alternate golden expansion file")
 
-    p_compare = sub.add_parser("compare", help="fidelity and classical cost per protocol")
-    common(p_compare, ("json", "csv", "text"))
-    p_compare.add_argument("--protocol", choices=("sqtp", "kak", "both"), default="both")
-    p_compare.add_argument("--noise-f", type=float, default=None, dest="noise_f")
-    p_compare.add_argument("--distill-target", type=float, default=None, dest="distill_target")
-    p_compare.add_argument("--max-rounds", type=int, default=32, dest="max_rounds")
+    p_compare = command("compare", "fidelity and classical cost per protocol")
+    p_compare.add_argument("--protocol", choices=("sqtp", "kak", "both"))
+    p_compare.add_argument("--noise-f", type=float)
+    p_compare.add_argument("--distill-target", type=float)
+    p_compare.add_argument("--max-rounds", type=int)
 
-    p_sweep = sub.add_parser("sweep", help="distillation economics over a fidelity grid")
-    p_sweep.add_argument("--f-min", type=float, default=0.55, dest="f_min")
-    p_sweep.add_argument("--f-max", type=float, default=0.95, dest="f_max")
-    p_sweep.add_argument("--f-step", type=float, default=0.1, dest="f_step")
-    p_sweep.add_argument("--distill-target", type=float, default=0.95, dest="distill_target")
-    p_sweep.add_argument("--max-rounds", type=int, default=64, dest="max_rounds")
-    p_sweep.add_argument("--out", default=None)
+    p_sweep = command("sweep", "distillation economics over a fidelity grid")
+    p_sweep.add_argument("--f-min", type=float)
+    p_sweep.add_argument("--f-max", type=float)
+    p_sweep.add_argument("--f-step", type=float)
+    p_sweep.add_argument("--distill-target", type=float)
+    p_sweep.add_argument("--max-rounds", type=int)
+    p_sweep.add_argument("--out")
     return parser
 
 

@@ -124,6 +124,8 @@ def distill_step_map(f: float) -> tuple[float, float]:
 # one recurrence attempt's traffic: each party announces its target-pair outcome
 LOCC_ROUND = ((ALICE, BOB, 1, Purpose.LOCC), (BOB, ALICE, 1, Purpose.LOCC))
 LOCC_ROUND_BITS = sum(bits for _, _, bits, _ in LOCC_ROUND)
+# the default level caps: a noisy run's (compare's) and sweep's
+_NOISY_MAX_ROUNDS, _SWEEP_MAX_ROUNDS = 32, 64
 
 
 def _ladder(f_in: float, f_target: float, max_rounds: int) -> tuple[list[tuple[float, float]], str]:
@@ -151,7 +153,7 @@ SWEEP_COLUMNS = [
 ]
 
 
-def sweep_rows(f_grid: list[float], distill_target: float, max_rounds: int = 64) -> list[dict]:
+def sweep_rows(f_grid: list[float], distill_target: float, max_rounds: int = _SWEEP_MAX_ROUNDS) -> list[dict]:
     """Deterministic no-failure expectation per grid point: one-step
     success probability and output fidelity, the ladder's length to the
     target (-1 if short), and per-qubit totals for both protocol families."""

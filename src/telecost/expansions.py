@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .kinds import ProtocolKind
-from .schedule import SCHEDULES
+from .schedule import SCHEDULES, _EPR_PAIR
 
 _COEFF_VALUES = {
     "1": 1.0,
@@ -32,7 +32,7 @@ _COEFF_VALUES = {
     "-1/sqrt2": -1.0 / np.sqrt(2.0),
 }
 
-ALL_EXPANSIONS = ("epr_pair", *SCHEDULES[ProtocolKind.SQTP].checkpoints,
+ALL_EXPANSIONS = (_EPR_PAIR, *SCHEDULES[ProtocolKind.SQTP].checkpoints,
                   *SCHEDULES[ProtocolKind.KAK].checkpoints)
 
 
@@ -69,7 +69,7 @@ def load_expansions(path: str | Path | None = None) -> dict[str, Expansion]:
             raise ValueError(f"{name}: entry must be a JSON object, got {type(entry).__name__}")
         terms = []
         try:
-            size = 2 if name == "epr_pair" else 3
+            size = 2 if name == _EPR_PAIR else 3
             if entry["n_qubits"] != size:
                 raise ValueError(f"{name}: n_qubits must be {size}, got {entry['n_qubits']!r}")
             if not isinstance(entry["terms"], list):

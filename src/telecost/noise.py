@@ -18,8 +18,7 @@ protocol is linear in the resource pair, so the fidelity through any
 array expression. A chunk of noisy runs is one stack: every run climbs
 the same ladder to the same F, so the stack walks it once, steps all
 runs' attempts together and builds one Werner channel;
-`run_noisy_teleport`, `distill_to_threshold` and `teleport_fidelity_noisy`
-are stacks of one.
+`run_noisy_teleport` and `teleport_fidelity_noisy` are stacks of one.
 """
 
 from __future__ import annotations
@@ -29,16 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import LOCC_ROUND, CostLedger, _ladder
+from .cost import LOCC_ROUND, _NOISY_MAX_ROUNDS, CostLedger, _ladder
 from .kinds import ProtocolKind
 from .protocol import UnknownQubit, pair_response
 from .schedule import SCHEDULES
+from .statevector import bell_pair
 
 PSD_FLOOR = -1e-10
 
 _SQRT2 = np.sqrt(2.0)
 BELL_VECTORS = {
-    "phi_plus": np.array([1, 0, 0, 1], dtype=complex) / _SQRT2,
+    "phi_plus": bell_pair().amps,
     "phi_minus": np.array([1, 0, 0, -1], dtype=complex) / _SQRT2,
     "psi_plus": np.array([0, 1, 1, 0], dtype=complex) / _SQRT2,
     "psi_minus": np.array([0, 1, -1, 0], dtype=complex) / _SQRT2,
@@ -97,16 +97,8 @@ def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: Dens
 
 
 # ---------------------------------------------------------------------------
-# recurrence distillation
+# distilled noisy runs, with cost and copy accounting
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistillRun:
-    rounds: int
-    attempts: int
-    final_f: float
-    target_met: bool
 
 
 def _climb(f_in: float, f_target: float, max_rounds: int, draw: Callable,
@@ -121,10 +113,6 @@ def _climb(f_in: float, f_target: float, max_rounds: int, draw: Callable,
     ends draws that never succeed, NaN, 1.0 or negative, in a ValueError."""
     if not 0.5 < f_in <= 1.0:
         raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
-    if not 0.0 < f_target <= 1.0:
-        raise ValueError(f"f_target must be in (0, 1], got {f_target}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     levels, stop = _ladder(f_in, f_target, max_rounds)
     p_succ = np.array([p for p, _ in levels] + [0.0])  # past the top level no draw succeeds
     level, attempts, steps = np.zeros(n, dtype=int), np.zeros(n, dtype=int), 0
@@ -135,29 +123,6 @@ def _climb(f_in: float, f_target: float, max_rounds: int, draw: Callable,
         attempts += climbing
         level += (0.0 <= u) & (u < p_succ[level])
     return len(levels), attempts, levels[-1][1] if levels else f_in, stop == "target"
-
-
-def distill_to_threshold(
-    f_in: float, f_target: float, max_rounds: int, rng: np.random.Generator
-) -> DistillRun:
-    """Climb the recurrence ladder from f_in toward f_target with sampled
-    attempts; if the ladder stops short, target_met is False and final_f
-    stays under the target.
-
-    Each attempt succeeds with its level's exact probability, one
-    rng.random() apiece, the only draw it needs. rounds counts successes,
-    attempts counts every try; a failure loses both pairs and the next
-    attempt retries the current level on fresh pairs. Each attempt sends
-    one LOCC_ROUND. f_in at or below 1/2 raises, as the recurrence cannot
-    improve it; any other f_in at or above the target returns with no
-    attempts. A stack of one."""
-    rounds, attempts, final_f, target_met = _climb(f_in, f_target, max_rounds, rng.random, 1)
-    return DistillRun(rounds, int(attempts[0]), final_f, target_met)
-
-
-# ---------------------------------------------------------------------------
-# noisy end-to-end run with cost and copy accounting
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -199,14 +164,22 @@ class NoisyStack:
 
 def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
                     channel_f: float, draw: Callable, distill_target: float | None = None,
-                    max_rounds: int = 32) -> NoisyStack:
-    """One noisy run per input: the runs distill together, one draw() column
-    per step (a single run may pass rng.random), then all inputs go through
-    pair_response as one stack and one Werner channel."""
-    if distill_target is not None and channel_f < distill_target:
-        rounds, attempts, f_final, met = _climb(channel_f, distill_target, max_rounds, draw, len(psis))
-    else:
-        rounds, attempts, f_final, met = 0, np.zeros(len(psis), dtype=int), channel_f, True
+                    max_rounds: int = _NOISY_MAX_ROUNDS) -> NoisyStack:
+    """One noisy run per input: the runs climb the ladder from channel_f
+    toward distill_target together, one draw() column per step (a single run
+    may pass rng.random), then all inputs go through pair_response as one
+    stack and one Werner channel. A given target must lie in (0, 1] and
+    max_rounds be >= 1, whether or not the runs climb; a channel_f at the
+    target makes no attempt, and one at or below 1/2 under it raises."""
+    rounds, attempts, f_final, met = 0, np.zeros(len(psis), dtype=int), channel_f, True
+    if distill_target is not None:
+        if not 0.0 < distill_target <= 1.0:
+            raise ValueError(f"distill_target must be in (0, 1], got {distill_target}")
+        if max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+        if channel_f < distill_target:
+            rounds, attempts, f_final, met = _climb(channel_f, distill_target, max_rounds, draw,
+                                                    len(psis))
     channel = werner_state(f_final)
     return NoisyStack(rounds, f_final, met, attempts.tolist(),
                       _channel_fidelities(pair_response(kind, psis), channel))
@@ -214,7 +187,7 @@ def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
 
 def run_noisy_teleport(kind: ProtocolKind, psi: UnknownQubit, channel_f: float,
                        rng: np.random.Generator, distill_target: float | None = None,
-                       max_rounds: int = 32) -> NoisyTeleportReport:
+                       max_rounds: int = _NOISY_MAX_ROUNDS) -> NoisyTeleportReport:
     """One noisy run, as a stack of one, with a ledger of its own that
     bills one LOCC_ROUND per attempt before the teleport."""
     stack = run_noisy_stack(kind, [psi], channel_f, rng.random, distill_target, max_rounds)

@@ -44,6 +44,7 @@ from .schedule import (
     BATCH_CHUNK,
     MAX_RUNS,
     SCHEDULES,
+    _EPR_PAIR,
     _OUTCOMES,
     CorrectionApplied,
     GateApplied,
@@ -74,9 +75,7 @@ class UnknownQubit:
     beta: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN and infinite amplitudes
-            raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm}")
+        _unit_rows(np.array([[self.alpha, self.beta]]))
 
     @classmethod
     def haar(cls, rng: np.random.Generator) -> UnknownQubit:
@@ -155,8 +154,8 @@ def haar_sources(u: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """rows, once every one is a 2-vector within UnknownQubit's norm bound,
-    checked as one array."""
+    """rows, once every one is a 2-vector of norm 1 within 1e-12, checked as
+    one array; an UnknownQubit is one such row."""
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise ValueError(f"input rows must have shape (n, 2), got {rows.shape}")
     norms = np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2
@@ -166,8 +165,8 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _sources(psis: list[UnknownQubit] | np.ndarray) -> np.ndarray:
-    """The inputs' amplitudes, one row each: UnknownQubits, which checked
-    their norm, or rows such as haar_sources', checked here."""
+    """The inputs' amplitudes, one row each: UnknownQubits, each checked as a
+    row when built, or rows such as haar_sources', checked here."""
     if isinstance(psis, np.ndarray):
         return _unit_rows(psis)
     return np.array([(psi.alpha, psi.beta) for psi in psis], dtype=complex).reshape(-1, 2)
@@ -280,11 +279,11 @@ def checkpoints_stack(kind: ProtocolKind,
                       psis: list[UnknownQubit] | np.ndarray) -> dict[str, np.ndarray]:
     """The named registers of every input, one array per name with one
     amplitude row per input; SQTP's also holds the resource pair on its
-    own as "epr_pair"."""
+    own as _EPR_PAIR."""
     _, stacks = _evolve(SCHEDULES[kind], _sources(psis))
     named = {name: t.reshape(len(psis), 2 ** (t.ndim - 1)) for name, t in stacks.items()}
     if kind is ProtocolKind.SQTP:
-        named = {"epr_pair": np.broadcast_to(bell_pair().amps, (len(psis), 4)), **named}
+        named = {_EPR_PAIR: np.broadcast_to(bell_pair().amps, (len(psis), 4)), **named}
     return named
 
 

@@ -35,6 +35,8 @@ from .kinds import ALICE, BOB, ProtocolKind, Purpose
 
 # Alice's two measured bits; outcome k reads as the binary number k
 _OUTCOMES = ("00", "01", "10", "11")
+# the checkpoint of the resource pair on its own, which SQTP's checkpoints add
+_EPR_PAIR = "epr_pair"
 
 # runs per stack: bounds the inputs, streams and results held at once
 BATCH_CHUNK = 256

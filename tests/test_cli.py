@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, _compare_json,
-                          build_parser, main)
+                          build_parser, cmd_sweep, config_from_args, main)
 from telecost.cost import LOCC_ROUND_BITS
 from telecost.kinds import ProtocolKind
 from telecost.noise import run_noisy_stack
@@ -558,6 +558,38 @@ def test_run_config_direct_validation():
         RunConfig(command="compare", noise_f=-0.2)
     cfg = RunConfig(command="compare", noise_f=0.8, distill_target=0.9)
     assert [k.value for k in cfg.kinds()] == ["sqtp", "kak"]
+
+
+@pytest.mark.parametrize("command", ["verify", "compare", "sweep"])
+def test_every_default_is_run_configs(command):
+    # the parser declares no default, so a command with no flags is RunConfig's
+    assert config_from_args(build_parser().parse_args([command])) == RunConfig(command)
+
+
+def test_cmd_sweep_of_the_default_config_prints_what_main_does(capsys):
+    # sweep's own target and cap are RunConfig's, not only the parser's
+    assert cmd_sweep(RunConfig("sweep")) == 0
+    direct = capsys.readouterr().out
+    assert run_cli(["sweep"], capsys) == (0, direct, "")
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text", "xml"])
+def test_run_config_accepts_the_formats_the_parser_offers(command, fmt, capsys):
+    # one table of formats per command: the parser's choices and RunConfig's check
+    try:
+        build_parser().parse_args([command, "--format", fmt])
+        offered = True
+    except SystemExit:
+        offered = False
+    capsys.readouterr()
+    try:
+        RunConfig(command, fmt=fmt)
+        accepted = True
+    except ValueError as exc:
+        assert f"{command} --format must be in" in str(exc)
+        accepted = False
+    assert offered == accepted == (fmt in ("json", "text") or fmt == "csv" and command == "compare")
 
 
 def _perfbench_module(name):

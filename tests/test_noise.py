@@ -12,7 +12,6 @@ from telecost.cost import SWEEP_COLUMNS, distill_step_map, sweep_rows
 from telecost.kinds import ProtocolKind, Purpose
 from telecost.noise import (
     DensityMatrix,
-    distill_to_threshold,
     run_noisy_stack,
     run_noisy_teleport,
     teleport_fidelity_noisy,
@@ -46,6 +45,11 @@ LADDER_075 = [
 
 def haar(seed):
     return UnknownQubit.haar(np.random.default_rng(seed))
+
+
+def distill(f_in, f_target, max_rounds, rng):
+    """A noisy run's distillation: a KAK run of |0>, an input it draws nothing for."""
+    return run_noisy_teleport(ProtocolKind.KAK, UnknownQubit(1, 0), f_in, rng, f_target, max_rounds)
 
 
 def pure_density(state):
@@ -177,12 +181,12 @@ def test_distill_step_failure_keeps_input_fidelity():
     # the rung of the exact ladder that its successes alone reach
     saw_failure = False
     for seed in range(20):
-        run = distill_to_threshold(0.75, 0.9, 64, np.random.default_rng(seed))
+        run = distill(0.75, 0.9, 64, np.random.default_rng(seed))
         saw_failure |= run.attempts > run.rounds
         f = 0.75
         for _ in range(run.rounds):
             f = distill_step_map(f)[1]
-        assert run.final_f == f
+        assert run.f_final == f
     assert saw_failure
 
 
@@ -191,7 +195,7 @@ def test_distill_step_success_frequency():
     rng = np.random.default_rng(7)
     n = 4000
     p, _ = distill_step_map(0.75)
-    attempts = [distill_to_threshold(0.75, 0.76, 1, rng).attempts for _ in range(n)]
+    attempts = [distill(0.75, 0.76, 1, rng).attempts for _ in range(n)]
     sigma = np.sqrt((1.0 - p) / (n * p**2))
     assert abs(np.mean(attempts) - 1.0 / p) < 3.0 * sigma
 
@@ -201,7 +205,7 @@ def test_a_draw_at_the_success_probability_fails_its_attempt():
     # with probability p; a draw of exactly p retries the level
     p, _ = distill_step_map(0.75)
     draws = iter([p, 0.0])
-    run = distill_to_threshold(0.75, 0.76, 1, SimpleNamespace(random=lambda: next(draws)))
+    run = distill(0.75, 0.76, 1, SimpleNamespace(random=lambda: next(draws)))
     assert (run.rounds, run.attempts) == (1, 2)
 
 
@@ -215,33 +219,43 @@ def assert_locc_bill_matches(run, f_in, f_target, max_rounds, seed):
 
 
 def test_distill_to_threshold_already_there():
-    run = distill_to_threshold(0.999, 0.99, 32, np.random.default_rng(0))
+    run = distill(0.999, 0.99, 32, np.random.default_rng(0))
     assert run.rounds == 0 and run.attempts == 0
     assert_locc_bill_matches(run, 0.999, 0.99, 32, 0)
-    assert run.final_f == 0.999
+    assert run.f_final == 0.999
 
 
 def test_distill_to_threshold_reaches_target():
     for seed in range(10):
-        run = distill_to_threshold(0.75, 0.9, 64, np.random.default_rng(seed))
-        assert run.final_f >= 0.9
+        run = distill(0.75, 0.9, 64, np.random.default_rng(seed))
+        assert run.f_final >= 0.9
         assert run.rounds == 5  # the deterministic ladder length
         assert run.attempts >= run.rounds
         assert_locc_bill_matches(run, 0.75, 0.9, 64, seed)
 
 
+@pytest.mark.parametrize("target,max_rounds", [(np.nan, 32), (0.0, 32), (-1.0, 32), (0.9, 0)])
+def test_a_given_target_is_checked_even_when_no_run_climbs(target, max_rounds):
+    # a channel at 0.95 climbs toward none of these targets, yet each is illegal
+    with pytest.raises(ValueError, match="distill_target must be in|max_rounds must be >= 1"):
+        run_noisy_stack(ProtocolKind.SQTP, [haar(0), haar(1)], 0.95, lambda: np.zeros(2),
+                        target, max_rounds)
+    with pytest.raises(ValueError, match="distill_target must be in|max_rounds must be >= 1"):
+        distill(0.95, target, max_rounds, np.random.default_rng(0))
+
+
 def test_distill_to_threshold_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        distill_to_threshold(0.5, 0.9, 32, rng)
+        distill(0.5, 0.9, 32, rng)
     with pytest.raises(ValueError):
-        distill_to_threshold(0.3, 0.9, 32, rng)
+        distill(0.3, 0.9, 32, rng)
     with pytest.raises(ValueError):
-        distill_to_threshold(0.75, 0.0, 32, rng)
+        distill(0.75, 0.0, 32, rng)
     with pytest.raises(ValueError):
-        distill_to_threshold(0.75, 1.5, 32, rng)
+        distill(0.75, 1.5, 32, rng)
     with pytest.raises(ValueError):
-        distill_to_threshold(0.75, 0.9, 0, rng)
+        distill(0.75, 0.9, 0, rng)
 
 
 def sweep_rounds(f_in, f_target, max_rounds=64):
@@ -273,9 +287,9 @@ def test_deterministic_rounds_stop_when_the_iterate_stalls(monkeypatch):
 
 def test_distill_to_threshold_stops_when_the_iterate_stalls():
     # F = 1 is out of reach in floats; a cap of 1024 levels must not be spent
-    run = distill_to_threshold(0.75, 1.0, 1024, np.random.default_rng(0))
-    assert run.final_f < 1.0
-    assert distill_step_map(run.final_f)[1] == run.final_f
+    run = distill(0.75, 1.0, 1024, np.random.default_rng(0))
+    assert run.f_final < 1.0
+    assert distill_step_map(run.f_final)[1] == run.f_final
     assert run.rounds < 300
     assert_locc_bill_matches(run, 0.75, 1.0, 1024, 0)
 
@@ -328,7 +342,7 @@ def test_distill_to_threshold_steps_the_map_once_per_level(monkeypatch):
     # a failed attempt retries its level without evaluating the map again
     calls = []
     monkeypatch.setattr(cost, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
-    run = distill_to_threshold(0.75, 0.9, 64, np.random.default_rng(1))
+    run = distill(0.75, 0.9, 64, np.random.default_rng(1))
     assert run.attempts > run.rounds == len(calls) == len(set(calls))
 
 
@@ -391,7 +405,7 @@ def test_a_climb_on_draws_that_never_succeed_ends_in_a_value_error(bad):
             run_noisy_stack(ProtocolKind.KAK, [haar(0), haar(1)], 0.75,
                             lambda column=column: np.array(column), 0.9)
     with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
-        distill_to_threshold(0.75, 0.9, 32, SimpleNamespace(random=lambda: bad))
+        distill(0.75, 0.9, 32, SimpleNamespace(random=lambda: bad))
 
 
 def test_a_climb_past_its_check_bound_still_counts_every_attempt():

@@ -44,7 +44,6 @@ from telecost.cost import (
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import (
     DensityMatrix,
-    distill_to_threshold,
     run_noisy_stack,
     run_noisy_teleport,
     teleport_fidelity_noisy,
@@ -95,7 +94,7 @@ def test_distill_map_equals_dense_oracle(f):
 
 def walked_distill_run(f_in, f_target, max_rounds, rng):
     """The per-attempt loop the ladder replaced, as (rounds, attempts,
-    final_f)."""
+    f_final)."""
     f, f_prev = f_in, None
     rounds = attempts = 0
     while f < f_target and rounds < max_rounds and f != f_prev:
@@ -131,10 +130,11 @@ caps = st.integers(min_value=1, max_value=1024)
 @example(0.75, 1.0, 1024, 0)  # the float iterate stalls below 1 long before the cap
 @example(0.75, 0.9, 3, 0)  # the cap stops the ladder short of the target
 def test_distill_run_matches_the_per_attempt_walk(f_in, f_target, max_rounds, seed):
-    run = distill_to_threshold(f_in, f_target, max_rounds, np.random.default_rng(seed))
+    run = run_noisy_teleport(ProtocolKind.KAK, UnknownQubit(1, 0), f_in,
+                             np.random.default_rng(seed), f_target, max_rounds)
     want = walked_distill_run(f_in, f_target, max_rounds, np.random.default_rng(seed))
-    assert (run.rounds, run.attempts, run.final_f) == want
-    assert run.target_met == (run.final_f >= f_target)
+    assert (run.rounds, run.attempts, run.f_final) == want
+    assert run.target_met == (run.f_final >= f_target)
 
 
 @PROPERTY

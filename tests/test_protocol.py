@@ -14,7 +14,7 @@ from telecost import protocol
 from telecost.cost import CostLedger, LedgerEntry
 from telecost.expansions import ALL_EXPANSIONS
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
-from telecost.noise import distill_to_threshold, run_noisy_stack, run_noisy_teleport
+from telecost.noise import run_noisy_stack, run_noisy_teleport
 from telecost.protocol import (
     BATCH_CHUNK,
     MAX_RUNS,
@@ -387,7 +387,8 @@ def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk():
     want = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
         subs = child.spawn(1 + len(kinds))
-        want += [(i, kind, distill_to_threshold(0.75, 0.9, 32, np.random.default_rng(subs[1 + k])).attempts)
+        want += [(i, kind, run_noisy_teleport(kind, UnknownQubit(1, 0), 0.75,
+                                              np.random.default_rng(subs[1 + k]), 0.9, 32).attempts)
                  for k, kind in enumerate(kinds)]
     assert got == want
     assert len({attempts for _, _, attempts in want}) > 1  # the runs retry different numbers of times

@@ -79,7 +79,7 @@ def test_every_checkpoint_name_is_written_once_in_src():
     # the schedules own the names; expansions and the interpreter derive them
     constants = [node.value for path in sorted(SRC.glob("*.py"))
                  for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Constant)]
-    counts = {name: constants.count(name) for name in ALL_EXPANSIONS if name != "epr_pair"}
+    counts = {name: constants.count(name) for name in ALL_EXPANSIONS}
     assert counts == dict.fromkeys(counts, 1), f"checkpoint names written other than once: {counts}"
 
 
@@ -138,7 +138,7 @@ def test_record_reprs_are_the_dataclass_text():
     assert repr(GateApplied(ALICE, "H", (0,))) == "GateApplied(party='alice', gate='H', qubits=(0,))"
     assert repr(RunConfig("sweep")) == (
         "RunConfig(command='sweep', protocol='both', n_runs=20, seed=0, noise_f=None, "
-        "distill_target=None, max_rounds=32, fmt='text', out=None, golden=None, f_min=0.55, "
+        "distill_target=0.95, max_rounds=64, fmt='text', out=None, golden=None, f_min=0.55, "
         "f_max=0.95, f_step=0.1)")
     # a schedule shows its five inputs, not what the walk derives from them
     assert repr(SCHEDULES[ProtocolKind.KAK]) == (
@@ -168,6 +168,7 @@ CHECKS = [
     (RunConfig, ("sweep",), {"distill_target": 0.0}, r"--distill-target must be in \(0, 1\]"),
     (RunConfig, ("compare",), {"noise_f": 0.5, "distill_target": 0.9}, "cannot be distilled"),
     (RunConfig, ("sweep",), {"max_rounds": MAX_ROUNDS + 1}, "--max-rounds must be in"),
+    (RunConfig, ("sweep",), {"fmt": "json"}, "sweep --format must be in"),
 ]
 
 
@@ -199,9 +200,8 @@ PACKAGE_NAMES = {
     "CostLedger", "CostModel", "LedgerEntry", "ideal_bits", "ledger_rows",
     "ALL_EXPANSIONS", "Expansion", "load_expansions",
     "ALICE", "BOB", "ProtocolKind", "Purpose",
-    "DensityMatrix", "DistillRun", "NoisyTeleportReport", "distill_step_map",
-    "distill_to_threshold", "run_noisy_teleport", "sweep_rows", "teleport_fidelity_noisy",
-    "werner_state",
+    "DensityMatrix", "NoisyTeleportReport", "distill_step_map", "run_noisy_teleport",
+    "sweep_rows", "teleport_fidelity_noisy", "werner_state",
     "EntangledInputReport", "ProtocolBranch", "ProtocolTrace", "UnknownQubit",
     "enumerate_protocol", "kak_checkpoints", "kak_entangled_input_demo", "run_protocol",
     "sqtp_checkpoints",

@@ -72,6 +72,7 @@ def test_the_readme_library_example_holds_what_its_comments_state(capsys):
     assert abs(trace.fidelity_achieved - 1.0) <= 1e-12 and trace.ledger.total() == 1
     for kind in ProtocolKind:  # (2F + 1)/3 either way
         assert abs(teleport_fidelity_noisy(kind, psi, werner_state(0.85)) - 0.9) <= 1e-12
+    assert report.rounds == 5 <= report.attempts and report.target_met
     assert report.ledger.total(Purpose.LOCC) == 2 * report.attempts
     assert report.ledger.total(Purpose.TELEPORT) == 1
     assert len(capsys.readouterr().out.splitlines()) == 4  # one line per SQTP branch
