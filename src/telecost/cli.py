@@ -284,7 +284,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not span < MAX_SWEEP_POINTS:
         raise ValueError(f"grid from --f-min {cfg.f_min} to --f-max {cfg.f_max} at --f-step "
                          f"{cfg.f_step} has more than {MAX_SWEEP_POINTS} points")
-    grid = [round(cfg.f_min + k * cfg.f_step, 12) for k in range(int(span) + 1)]
+    # + 0.0 turns a point that rounds to -0.0 into 0.0, which prints as such
+    grid = [round(cfg.f_min + k * cfg.f_step, 12) + 0.0 for k in range(int(span) + 1)]
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise ValueError("grid must stay inside [0, 1]")
     rows = sweep_rows(grid, cfg.distill_target, cfg.max_rounds)
@@ -336,14 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**vars(args))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        cfg = RunConfig(**vars(args))
         handler = {"verify": cmd_verify, "compare": cmd_compare, "sweep": cmd_sweep}[cfg.command]
         return handler(cfg)
     except (ValueError, RuntimeError) as exc:

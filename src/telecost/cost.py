@@ -142,37 +142,24 @@ def _ladder(f_in: float, f_target: float, max_rounds: int) -> tuple[list[tuple[f
                     else "stalled" if f == f_prev else "cap")
 
 
-SWEEP_COLUMNS = [
-    "F_in",
-    "success_prob",
-    "F_out",
-    "rounds_to_target",
-    "locc_bits",
-    "total_bits_sqtp",
-    "total_bits_kak",
-]
+SWEEP_COLUMNS = ["F_in", "success_prob", "F_out", "rounds_to_target", "locc_bits",
+                 "total_bits_sqtp", "total_bits_kak"]
 
 
 def sweep_rows(f_grid: list[float], distill_target: float, max_rounds: int = _SWEEP_MAX_ROUNDS) -> list[dict]:
     """Deterministic no-failure expectation per grid point: one-step
     success probability and output fidelity, the ladder's length to the
-    target (-1 if short), and per-qubit totals for both protocol families."""
+    target, and per-qubit totals for both protocol families; a ladder that
+    stops short of the target reads -1 in each of its last four columns."""
     sqtp_bits, kak_bits = SCHEDULES[ProtocolKind.SQTP].announced, SCHEDULES[ProtocolKind.KAK].announced
     rows = []
     for f in f_grid:
         levels, stop = _ladder(f, distill_target, max_rounds)
         p_succ, f_out = levels[0] if levels else distill_step_map(f)
-        rounds = len(levels) if stop == "target" else -1
-        locc = LOCC_ROUND_BITS * rounds if rounds >= 0 else -1
-        rows.append(
-            {
-                "F_in": round(f, 12),
-                "success_prob": round(p_succ, 12),
-                "F_out": round(f_out, 12),
-                "rounds_to_target": rounds,
-                "locc_bits": locc,
-                "total_bits_sqtp": sqtp_bits + locc if locc >= 0 else -1,
-                "total_bits_kak": kak_bits + locc if locc >= 0 else -1,
-            }
-        )
+        locc = LOCC_ROUND_BITS * len(levels)
+        costs = [len(levels), locc, sqtp_bits + locc, kak_bits + locc]
+        if stop != "target":
+            costs = [-1] * 4
+        row = [round(f, 12), round(p_succ, 12), round(f_out, 12), *costs]
+        rows.append(dict(zip(SWEEP_COLUMNS, row)))
     return rows

@@ -8,7 +8,8 @@ used as cross-checks: F=1 gives 1, the maximally mixed channel gives 1/2.
 
 Distillation samples attempts up the exact recurrence ladder that
 `cost._ladder` walks, the one `sweep` reads: each attempt succeeds with
-its level's probability and sends one `cost.LOCC_ROUND`.
+its level's probability and sends one `cost.LOCC_ROUND`. The climb lives
+in `run_noisy_stack`, which checks its draws only past 64 steps a level.
 
 Every DensityMatrix is a 2-qubit channel state, checked when built: shape
 4x4, Hermiticity, trace and positivity. No density matrix is evolved: the
@@ -36,14 +37,6 @@ from .statevector import bell_pair
 
 PSD_FLOOR = -1e-10
 
-_SQRT2 = np.sqrt(2.0)
-BELL_VECTORS = {
-    "phi_plus": bell_pair().amps,
-    "phi_minus": np.array([1, 0, 0, -1], dtype=complex) / _SQRT2,
-    "psi_plus": np.array([0, 1, 1, 0], dtype=complex) / _SQRT2,
-    "psi_minus": np.array([0, 1, -1, 0], dtype=complex) / _SQRT2,
-}
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -69,15 +62,13 @@ class DensityMatrix:
 
 
 def werner_state(f: float) -> DensityMatrix:
-    """Werner pair with Bell fidelity f; f = 1/4 is the maximally mixed state."""
+    """Werner pair with Bell fidelity f, r*I + (f - r)|Phi+><Phi+| with
+    r = (1 - f)/3: f on |Phi+> and r on each other Bell projector; f = 1/4
+    is the maximally mixed state."""
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity parameter must be in [0, 1], got {f}")
-    rest = (1.0 - f) / 3.0
-    mat = f * np.outer(BELL_VECTORS["phi_plus"], BELL_VECTORS["phi_plus"].conj())
-    for name in ("phi_minus", "psi_plus", "psi_minus"):
-        v = BELL_VECTORS[name]
-        mat = mat + rest * np.outer(v, v.conj())
-    return DensityMatrix(mat)
+    rest, phi = (1.0 - f) / 3.0, bell_pair().amps
+    return DensityMatrix(rest * np.eye(4) + (f - rest) * np.outer(phi, phi.conj()))
 
 
 def _channel_fidelities(a: np.ndarray, channel: DensityMatrix) -> list[float]:
@@ -99,30 +90,6 @@ def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: Dens
 # ---------------------------------------------------------------------------
 # distilled noisy runs, with cost and copy accounting
 # ---------------------------------------------------------------------------
-
-
-def _climb(f_in: float, f_target: float, max_rounds: int, draw: Callable,
-           n: int) -> tuple[int, np.ndarray, float, bool]:
-    """(rounds, every run's attempts, final F, target met) of n runs climbing
-    the ladder together, one draw() column per step: a climbing run's attempt
-    succeeds when its draw lies in [0, p), p its level's exact probability,
-    else it retries the level, so run i reads the first attempts[i] draws of
-    its stream. Every climbed level has p > 5/9, so a legal run passes 64
-    steps a level only after 64 straight failures, below (4/9)**64 likely.
-    Only past that bound are the columns checked to lie in [0, 1), which
-    ends draws that never succeed, NaN, 1.0 or negative, in a ValueError."""
-    if not 0.5 < f_in <= 1.0:
-        raise ValueError(f"f_in must be in (1/2, 1], got {f_in}")
-    levels, stop = _ladder(f_in, f_target, max_rounds)
-    p_succ = np.array([p for p, _ in levels] + [0.0])  # past the top level no draw succeeds
-    level, attempts, steps = np.zeros(n, dtype=int), np.zeros(n, dtype=int), 0
-    while (climbing := level < len(levels)).any():
-        u, steps = draw(), steps + 1
-        if steps > 64 * len(levels) and not np.all((0.0 <= u) & (u < 1.0)):
-            raise ValueError("draws must be in [0, 1)")
-        attempts += climbing
-        level += (0.0 <= u) & (u < p_succ[level])
-    return len(levels), attempts, levels[-1][1] if levels else f_in, stop == "target"
 
 
 @dataclass(frozen=True)
@@ -166,23 +133,39 @@ def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
                     channel_f: float, draw: Callable, distill_target: float | None = None,
                     max_rounds: int = _NOISY_MAX_ROUNDS) -> NoisyStack:
     """One noisy run per input: the runs climb the ladder from channel_f
-    toward distill_target together, one draw() column per step (a single run
-    may pass rng.random), then all inputs go through pair_response as one
-    stack and one Werner channel. A given target must lie in (0, 1] and
-    max_rounds be >= 1, whether or not the runs climb; a channel_f at the
-    target makes no attempt, and one at or below 1/2 under it raises."""
-    rounds, attempts, f_final, met = 0, np.zeros(len(psis), dtype=int), channel_f, True
+    toward distill_target together, then all inputs go through pair_response
+    as one stack and one Werner channel. A given target must lie in (0, 1]
+    and max_rounds be >= 1, whether or not the runs climb; a channel_f at the
+    target makes no attempt, and one at or below 1/2 under it raises.
+
+    Each climb step reads one draw() column (a single run may pass
+    rng.random); a climbing run's attempt succeeds on a draw in [0, p), p
+    its level's exact probability, else it retries, so run i reads the first
+    attempts[i] draws of its stream. Every climbed level has p > 5/9, so a
+    legal run passes 64 steps a level below (4/9)**64 likely; only past that
+    bound is a column checked to lie in [0, 1), which ends draws that never
+    succeed, NaN, 1.0 or negative, in a ValueError."""
+    levels, stop = [], "target"
     if distill_target is not None:
         if not 0.0 < distill_target <= 1.0:
             raise ValueError(f"distill_target must be in (0, 1], got {distill_target}")
         if max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
         if channel_f < distill_target:
-            rounds, attempts, f_final, met = _climb(channel_f, distill_target, max_rounds, draw,
-                                                    len(psis))
-    channel = werner_state(f_final)
-    return NoisyStack(rounds, f_final, met, attempts.tolist(),
-                      _channel_fidelities(pair_response(kind, psis), channel))
+            if not 0.5 < channel_f <= 1.0:
+                raise ValueError(f"f_in must be in (1/2, 1], got {channel_f}")
+            levels, stop = _ladder(channel_f, distill_target, max_rounds)
+    p_succ = np.array([p for p, _ in levels] + [0.0])  # past the top level no draw succeeds
+    level, attempts, steps = np.zeros(len(psis), dtype=int), np.zeros(len(psis), dtype=int), 0
+    while (climbing := level < len(levels)).any():
+        u, steps = draw(), steps + 1
+        if steps > 64 * len(levels) and not np.all((0.0 <= u) & (u < 1.0)):
+            raise ValueError("draws must be in [0, 1)")
+        attempts += climbing
+        level += (0.0 <= u) & (u < p_succ[level])
+    f_final = levels[-1][1] if levels else channel_f
+    return NoisyStack(len(levels), f_final, stop == "target", attempts.tolist(),
+                      _channel_fidelities(pair_response(kind, psis), werner_state(f_final)))
 
 
 def run_noisy_teleport(kind: ProtocolKind, psi: UnknownQubit, channel_f: float,

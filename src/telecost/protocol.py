@@ -109,7 +109,7 @@ def step_to_json(step: TraceStep) -> dict:
     raise TypeError(f"not a trace step: {step!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolTrace:
     """Complete record of one teleportation run."""
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, _compare_json,
-                          build_parser, cmd_sweep, config_from_args, main)
+                          build_parser, cmd_sweep, main)
 from telecost.cost import LOCC_ROUND_BITS
 from telecost.kinds import ProtocolKind
 from telecost.noise import run_noisy_stack
@@ -300,6 +300,13 @@ def test_sweep_grid_outside_unit_interval_rejected(capsys):
     assert "inside [0, 1]" in err
 
 
+def test_a_grid_point_that_rounds_to_negative_zero_prints_as_zero(capsys):
+    # -1e-13 rounds to -0.0 at 12 digits, which passes the grid's >= 0 check
+    code, out, err = run_cli(["sweep", "--f-min=-1e-13", "--f-max", "0.1", "--f-step", "0.1"], capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[0] for line in out.splitlines()] == ["F_in", "0.0", "0.1"]
+
+
 def test_sweep_oversized_grid_rejected(capsys):
     # 4e8 points: the cap must fire before any of them is built
     code, out, err = run_cli(["sweep", "--f-step", "1e-9"], capsys)
@@ -563,7 +570,7 @@ def test_run_config_direct_validation():
 @pytest.mark.parametrize("command", ["verify", "compare", "sweep"])
 def test_every_default_is_run_configs(command):
     # the parser declares no default, so a command with no flags is RunConfig's
-    assert config_from_args(build_parser().parse_args([command])) == RunConfig(command)
+    assert RunConfig(**vars(build_parser().parse_args([command]))) == RunConfig(command)
 
 
 def test_cmd_sweep_of_the_default_config_prints_what_main_does(capsys):

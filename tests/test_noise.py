@@ -67,6 +67,13 @@ def test_werner_quarter_is_maximally_mixed():
     assert np.allclose(w.mat, np.eye(4) / 4.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("f", [0.0, 0.25, 0.5, 0.75, 0.9, 1.0])
+def test_werner_state_is_the_oracles_four_projector_sum(f):
+    # built from r*I + (f - r)|Phi+><Phi+|; the oracle sums all four Bell projectors
+    for g in (f, *np.linspace(max(f - 0.25, 0.0), f, 251)):
+        assert np.max(np.abs(werner_state(g).mat - oracle_dense.werner_dm(g))) <= 1e-15
+
+
 @pytest.mark.parametrize("f", [-0.01, 1.01])
 def test_werner_rejects_out_of_range(f):
     with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import oracle_dense
 import per_state_reference
 from per_state_reference import _residuals
-from telecost.cli import _compare_json, build_parser, config_from_args, main
+from telecost.cli import RunConfig, _compare_json, build_parser, main
 from telecost.cost import (
     LOCC_ROUND,
     LOCC_ROUND_BITS,
@@ -625,7 +625,7 @@ def test_compare_json_is_the_dict_rows_report_byte_for_byte(argv):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(argv) == 0
-    cfg = config_from_args(build_parser().parse_args(argv))
+    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
     assert stdout.getvalue() == compare_json_reference(cfg)
 
 

@@ -1,6 +1,7 @@
 """Protocol-level behavior: traces, schedule locality, corrections, branch
 structure, the entangled-input probe and seeded batches."""
 
+import dataclasses
 import itertools
 import json
 
@@ -238,6 +239,13 @@ def test_replay_ledger_matches_run_ledger():
     for kind in ProtocolKind:
         trace = run_protocol(kind, haar(12), np.random.default_rng(12))
         assert trace.replay_ledger() == trace.ledger
+
+
+def test_a_protocol_trace_is_frozen_like_every_other_result_record():
+    trace = run_protocol(ProtocolKind.SQTP, haar(14), np.random.default_rng(14))
+    for name in ("kind", "steps", "final_bob_state", "fidelity_achieved", "ledger"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, name, None)
 
 
 def test_trace_json_schema():

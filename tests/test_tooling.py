@@ -1,16 +1,19 @@
 """The test run itself: the warning filters of pyproject.toml turn warnings
 into errors, yet a failing hypothesis test must not abort the session, and
 its strict keys make a misspelled configuration key or marker fail the run.
-README's Library example runs as written and prints what its comments say."""
+README's Library example runs as written and prints what its comments say,
+and its sweep example prints the CSV block shown under it."""
 
 import json
 import re
+import shlex
 import tomllib
 from pathlib import Path
 
 import pytest
 
 from telecost import ProtocolKind, Purpose, teleport_fidelity_noisy, werner_state
+from telecost.cli import main
 
 pytest_plugins = ["pytester"]
 
@@ -76,3 +79,10 @@ def test_the_readme_library_example_holds_what_its_comments_state(capsys):
     assert report.ledger.total(Purpose.LOCC) == 2 * report.attempts
     assert report.ledger.total(Purpose.TELEPORT) == 1
     assert len(capsys.readouterr().out.splitlines()) == 4  # one line per SQTP branch
+
+
+def test_the_readme_sweep_example_prints_the_csv_block_under_it(capsys):
+    [(command, block)] = re.findall(r"```\n(telecost sweep --f-min 0\.55 [^\n]*)\n```\n\n```\n(.*?)```",
+                                    README.read_text(), re.S)
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == block
