@@ -124,22 +124,22 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Instantiate every golden expansion with random amplitudes and
     compare the engine's registers componentwise; also require every
     corrected branch of both protocols to recover the input. The inputs
-    run in stacks of BATCH_CHUNK, each drawn as one block of rng.random(),
-    which gives the draws of one random() call after another; the errors
-    are maxima, so the stacking changes none of them."""
+    run in stacks of BATCH_CHUNK, n rows from 2n draws of SeedSequence(seed)'s
+    stream, default_rng(seed).random((n, 2)) without numpy.random; the
+    errors are maxima, so the stacking changes none of them."""
     import json
 
     import numpy as np
 
     from .expansions import ALL_EXPANSIONS, load_expansions
-    from .protocol import checkpoints_stack, enumerate_protocol_stack, haar_sources
+    from .protocol import _streams, checkpoints_stack, enumerate_protocol_stack, haar_sources
 
     table = load_expansions(cfg.golden)
-    rng = np.random.default_rng(cfg.seed)
+    stream = _streams(cfg.seed)
     max_err = {name: 0.0 for name in ALL_EXPANSIONS}
     branch_err = dict.fromkeys(ProtocolKind, 0.0)
     for start in range(0, cfg.n_runs, BATCH_CHUNK):
-        sources = haar_sources(rng.random((min(BATCH_CHUNK, cfg.n_runs - start), 2)))
+        sources = haar_sources(stream.random(2 * min(BATCH_CHUNK, cfg.n_runs - start)).reshape(-1, 2))
         alphas, betas = sources.T
         states = {**checkpoints_stack(ProtocolKind.SQTP, sources),
                   **checkpoints_stack(ProtocolKind.KAK, sources)}
@@ -198,16 +198,15 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, dict]:
     kinds = cfg.kinds()
     channel_f, columns = None, {kind: ([], []) for kind in kinds}
     for _, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
-        for kind, rngs in zip(kinds, streams):
+        if cfg.noise_f is None:
+            stacks = [sample_stack(kind, sources, u) for kind, u in zip(kinds, streams.random())]
+        else:  # the ladder is deterministic, so every noisy chunk ends on one channel
+            stacks = run_noisy_stack(kinds, sources, cfg.noise_f, streams.random,
+                                     cfg.distill_target, cfg.max_rounds)
+            channel_f = round(stacks[0].f_final, 12)
+        for kind, stack in zip(kinds, stacks):
             picks, fidelities = columns[kind]
-            if cfg.noise_f is None:
-                stack = sample_stack(kind, sources, rngs.random())
-                picks += stack.outcomes
-            else:  # the ladder is deterministic, so every noisy stack ends on one channel
-                stack = run_noisy_stack(kind, sources, cfg.noise_f, rngs.random,
-                                        cfg.distill_target, cfg.max_rounds)
-                picks += stack.attempts
-                channel_f = round(stack.f_final, 12)
+            picks += stack.outcomes if cfg.noise_f is None else stack.attempts
             fidelities += [round(fidelity, 12) for fidelity in stack.fidelities]
     summary = {}
     for kind, (picks, fidelities) in columns.items():

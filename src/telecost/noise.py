@@ -16,10 +16,11 @@ Every DensityMatrix is a 2-qubit channel state, checked when built: shape
 protocol is linear in the resource pair, so the fidelity through any
 2-qubit channel is a quadratic form, in the channel's matrix, of
 `protocol.pair_response`, evaluated for a whole stack of inputs in one
-array expression. A chunk of noisy runs is one stack: every run climbs
-the same ladder to the same F, so the stack walks it once, steps all
-runs' attempts together and builds one Werner channel;
-`run_noisy_teleport` and `teleport_fidelity_noisy` are stacks of one.
+array expression. A chunk of noisy runs, all its kinds, is one stack:
+every run climbs the same ladder to the same F, so the stack walks it
+once, draws at once the steps its slowest run still needs, and builds
+one Werner channel; `run_noisy_teleport` and `teleport_fidelity_noisy`
+are stacks of one.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ class NoisyTeleportReport:
 
 @dataclass(frozen=True)
 class NoisyStack:
-    """The noisy runs of one stack as columns. Every run distills to the same
-    f_final in the same rounds, held once with target_met; run i's attempts
-    and fidelity are entry i of their columns, and its LOCC bits
+    """One kind's noisy runs of a stack, as columns. Every run distills to
+    the same f_final in the same rounds, held once with target_met; run i's
+    attempts and fidelity are entry i of their columns, and its LOCC bits
     attempts[i] * LOCC_ROUND_BITS. Every run then sends its schedule's
     TELEPORT message, which the stack does not copy."""
 
@@ -129,19 +130,21 @@ class NoisyStack:
     fidelities: list[float]
 
 
-def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
+def run_noisy_stack(kinds: list[ProtocolKind], psis: list[UnknownQubit] | np.ndarray,
                     channel_f: float, draw: Callable, distill_target: float | None = None,
-                    max_rounds: int = _NOISY_MAX_ROUNDS) -> NoisyStack:
-    """One noisy run per input: the runs climb the ladder from channel_f
-    toward distill_target together, then all inputs go through pair_response
-    as one stack and one Werner channel. A given target must lie in (0, 1]
+                    max_rounds: int = _NOISY_MAX_ROUNDS) -> list[NoisyStack]:
+    """A NoisyStack per kind, one run per input: the runs of all kinds climb
+    the ladder, walked once, from channel_f toward distill_target as one
+    (kinds, runs) level array, then each kind's inputs go through
+    pair_response and one Werner channel. A given target must lie in (0, 1]
     and max_rounds be >= 1, whether or not the runs climb; a channel_f at the
     target makes no attempt, and one at or below 1/2 under it raises.
 
-    Each climb step reads one draw() column (a single run may pass
-    rng.random); a climbing run's attempt succeeds on a draw in [0, p), p
-    its level's exact probability, else it retries, so run i reads the first
-    attempts[i] draws of its stream. Every climbed level has p > 5/9, so a
+    draw(k) gives k columns, one per step, that broadcast to (kinds, runs);
+    k is the steps the slowest run still needs, so no column past the last
+    climbing step is drawn. A climbing run's attempt succeeds on a draw in
+    [0, p), p its level's exact probability, else it retries: run i reads
+    the first attempts[i] draws of its stream. Every level has p > 5/9, so a
     legal run passes 64 steps a level below (4/9)**64 likely; only past that
     bound is a column checked to lie in [0, 1), which ends draws that never
     succeed, NaN, 1.0 or negative, in a ValueError."""
@@ -156,16 +159,19 @@ def run_noisy_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
                 raise ValueError(f"f_in must be in (1/2, 1], got {channel_f}")
             levels, stop = _ladder(channel_f, distill_target, max_rounds)
     p_succ = np.array([p for p, _ in levels] + [0.0])  # past the top level no draw succeeds
-    level, attempts, steps = np.zeros(len(psis), dtype=int), np.zeros(len(psis), dtype=int), 0
-    while (climbing := level < len(levels)).any():
-        u, steps = draw(), steps + 1
-        if steps > 64 * len(levels) and not np.all((0.0 <= u) & (u < 1.0)):
-            raise ValueError("draws must be in [0, 1)")
-        attempts += climbing
-        level += (0.0 <= u) & (u < p_succ[level])
+    level = np.zeros((len(kinds), len(psis)), dtype=int)
+    attempts, steps = np.zeros_like(level), 0
+    while k := len(levels) - int(level.min(initial=len(levels))):
+        for steps, u in enumerate(draw(k), steps + 1):
+            if steps > 64 * len(levels) and not np.all((0.0 <= u) & (u < 1.0)):
+                raise ValueError("draws must be in [0, 1)")
+            attempts += level < len(levels)
+            level += (0.0 <= u) & (u < p_succ[level])
     f_final = levels[-1][1] if levels else channel_f
-    return NoisyStack(len(levels), f_final, stop == "target", attempts.tolist(),
-                      _channel_fidelities(pair_response(kind, psis), werner_state(f_final)))
+    channel = werner_state(f_final)
+    return [NoisyStack(len(levels), f_final, stop == "target", row.tolist(),
+                       _channel_fidelities(pair_response(kind, psis), channel))
+            for kind, row in zip(kinds, attempts)]
 
 
 def run_noisy_teleport(kind: ProtocolKind, psi: UnknownQubit, channel_f: float,
@@ -173,7 +179,7 @@ def run_noisy_teleport(kind: ProtocolKind, psi: UnknownQubit, channel_f: float,
                        max_rounds: int = _NOISY_MAX_ROUNDS) -> NoisyTeleportReport:
     """One noisy run, as a stack of one, with a ledger of its own that
     bills one LOCC_ROUND per attempt before the teleport."""
-    stack = run_noisy_stack(kind, [psi], channel_f, rng.random, distill_target, max_rounds)
+    [stack] = run_noisy_stack([kind], [psi], channel_f, rng.random, distill_target, max_rounds)
     [attempts], [fidelity], schedule = stack.attempts, stack.fidelities, SCHEDULES[kind]
     return NoisyTeleportReport(kind, channel_f, stack.f_final, stack.target_met, stack.rounds,
                                attempts, attempts if schedule.burns_copies else 0, fidelity,

@@ -22,16 +22,17 @@ qubit's two values, and `pair_response`, all `noise` needs for a mixed
 channel, the resource pair's four basis states under every input, as
 one (inputs, 4, 4) array.
 `run_batch` is the one seeded batch runner: it yields chunks of at most
-BATCH_CHUNK runs, each the chunk's input rows and its streams, stepped as
-uint64 limb arrays, NumPy's SeedSequence->PCG64 bit for bit, which hand
-out columns of random() draws, one per step, that every stack takes,
-noisy ones included. The TELEPORT message is the Schedule's alone: no
-stack holds a copy of it. The per-state path this replaced
-is the bit-for-bit reference in tests/per_state_reference.py.
+BATCH_CHUNK runs, each the chunk's input rows and one object of its
+streams, kinds by runs, NumPy's SeedSequence->PCG64 bit for bit on uint64
+limbs, which hand out a column of random() draws per step, or k at once
+by jump-ahead, to every stack, noisy ones included. The TELEPORT message
+is the Schedule's alone: no stack holds a copy of it. The per-state path
+this replaced is the bit-for-bit reference in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -418,41 +419,63 @@ def kak_entangled_input_demo(joint: StateVector) -> EntangledInputReport:
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# the multiplier's 64-bit limbs, and the low limb's 32-bit halves, as uint64
 _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
 _M32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_MULT_LO0, _MULT_LO1 = _MULT_LO & _M32, _MULT_LO >> _U32
 
 
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
-              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """state * _PCG_MULT + inc mod 2**128 on uint64 hi/lo limb arrays, which
-    wrap silently: the high limb of lo * _MULT_LO from 32-bit partial
-    products, then the carry of the low limb's sum."""
-    a0, a1 = lo & _M32, lo >> _U32
-    p00, p01, p10 = a0 * _MULT_LO0, a0 * _MULT_LO1, a1 * _MULT_LO0
-    mid = (p00 >> _U32) + (p01 & _M32) + (p10 & _M32)
-    hi = (a1 * _MULT_LO1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-          + hi * _MULT_LO + lo * _MULT_HI)
-    lo_product = lo * _MULT_LO
+def _mul128(hi: np.ndarray, lo: np.ndarray, m_hi: np.ndarray,
+            m_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * (m_hi, m_lo) mod 2**128 on uint64 limb arrays, which wrap
+    silently: the high limb of lo * m_lo from 32-bit partial products."""
+    a0, a1, b0, b1 = lo & _M32, lo >> _U32, m_lo & _M32, m_lo >> _U32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _U32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + hi * m_lo + lo * m_hi, lo * m_lo
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray,
+              m_hi: np.ndarray = _MULT_HI, m_lo: np.ndarray = _MULT_LO) -> tuple[np.ndarray, np.ndarray]:
+    """state * m + inc mod 2**128 on limb arrays, then the carry of the low
+    limb's sum; m = _PCG_MULT is one PCG64 step."""
+    hi, lo_product = _mul128(hi, lo, m_hi, m_lo)
     lo = lo_product + inc_lo
     return hi + inc_hi + (lo < lo_product), lo
 
 
+@functools.cache  # k is at most a ladder's length or 2 * BATCH_CHUNK
+def _jumps(k: int) -> np.ndarray:
+    """Rows hi, lo of G_j = sum_{i<j} M**i and of A_j = M**j mod 2**128, M =
+    _PCG_MULT, j = 1..k, read-only: j steps take a state s to A_j s + G_j inc."""
+    a = list(itertools.accumulate(range(1, k), lambda x, _: x * _PCG_MULT % 2**128, initial=_PCG_MULT))
+    g = [x % 2**128 for x in itertools.accumulate([1, *a[:-1]])]
+    limbs = np.array([[x >> s & 2**64 - 1 for x in v] for v in (g, a) for s in (64, 0)], dtype=np.uint64)
+    limbs.flags.writeable = False
+    return limbs
+
+
 @dataclass
 class _Streams:
-    """One stream of every run of a chunk, NumPy's PCG64 on uint64 hi/lo
-    limb arrays of its state and increment."""
+    """NumPy's PCG64 streams on uint64 hi/lo limb arrays of their states and
+    increments, one stream per entry: a chunk's kinds by its runs, or one."""
 
     hi: np.ndarray
     lo: np.ndarray
     inc_hi: np.ndarray
     inc_lo: np.ndarray
 
-    def random(self) -> np.ndarray:
-        """Step every stream once: one random() of each, as float64."""
-        self.hi, self.lo = _pcg_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
-        x, rot = self.hi ^ self.lo, self.hi >> np.uint64(58)  # XSL-RR output
+    def __getitem__(self, rows) -> _Streams:  # the streams of `rows`, to step on their own
+        return _Streams(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+
+    def random(self, k: int | None = None) -> np.ndarray:
+        """One random() of every stream, float64 of the limbs' shape, or k
+        of them, shape (k, *shape), each step's state one jump from here."""
+        if k is None:
+            self.hi, self.lo = hi, lo = _pcg_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
+        else:
+            g_hi, g_lo, *a = _jumps(k).reshape(4, k, *[1] * self.hi.ndim)
+            hi, lo = _pcg_step(self.hi, self.lo, *_mul128(self.inc_hi, self.inc_lo, g_hi, g_lo), *a)
+            self.hi, self.lo = hi[-1], lo[-1]
+        x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR output
         return ((x >> rot | x << (np.uint64(64) - rot & np.uint64(63))) >> np.uint64(11)) * 2.0**-53
 
 
@@ -469,15 +492,15 @@ def _hashmix(v: int | np.ndarray, c_in: int | np.ndarray, c_out: int | np.ndarra
     return x ^ x >> 16
 
 
-def _streams(seed: int, runs: range, n_streams: int) -> list[_Streams]:
-    """Stream s < n_streams of every run i in runs: the PCG64 of
-    SeedSequence(seed, spawn_key=(i, s)), bit for bit. Only the spawn key
-    varies, so the pool of the seed's first 4 words, zero-padded, and its
-    12 cross-mixes are Python ints, hashed once. Each later word goes once
-    into all 4 slots: the seed's past the fourth, then the run index as a
-    row and the stream as a column. The 8 output words of generate_state(4,
-    uint64) are one (8, n_streams, runs) hashmix, and PCG64 seeds from
-    them, (initstate, initseq), as limbs."""
+def _streams(seed: int, runs: range | None = None, n_streams: int = 1) -> _Streams:
+    """Stream s < n_streams of every run i in runs, as row s: the PCG64 of
+    SeedSequence(seed, spawn_key=(i, s)), bit for bit, or with no runs the
+    one stream, shape (1, 1), of SeedSequence(seed). Only the spawn key
+    varies, so the pool of the seed's first 4 words, zero-padded, and its 12
+    cross-mixes are Python ints, hashed once. Each later word goes once into
+    all 4 slots: the seed's past the fourth, then the run index as a row and
+    the stream as a column. The 8 output words of generate_state(4, uint64)
+    are one (8, n_streams, runs) hashmix; PCG64 seeds from them as limbs."""
     words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 128), 32)]
 
     def mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
@@ -492,31 +515,31 @@ def _streams(seed: int, runs: range, n_streams: int) -> list[_Streams]:
     # calls 16 on, 4 per later word, and the output's 8 take their constants as columns
     pool, hc, out_hc = (np.array(x, dtype=np.uint32).reshape(-1, 1, 1)
                         for x in (pool, hc[16:], _hash_constants(_INIT_B, _MULT_B, 8)))
-    row, column = (np.arange(r.start, r.stop, dtype=np.uint32) for r in (runs, range(n_streams)))
-    for j, w in enumerate([*words[4:], row, column[:, None]]):
+    spawn_key = [] if runs is None else [np.arange(runs.start, runs.stop, dtype=np.uint32),
+                                         np.arange(n_streams, dtype=np.uint32)[:, None]]
+    for j, w in enumerate([*words[4:], *spawn_key]):
         pool = mix(pool, _hashmix(w, hc[4 * j:4 * j + 4], hc[4 * j + 1:4 * j + 5]))
     out = _hashmix(np.concatenate([pool, pool]), out_hc[:-1], out_hc[1:])
     a, b, c, d = out[1::2].astype(np.uint64) << _U32 | out[::2]
     # inc = initseq << 1 | 1, then state = (inc + initstate) * _PCG_MULT + inc
     inc_hi, inc_lo = c << np.uint64(1) | d >> np.uint64(63), d << np.uint64(1) | np.uint64(1)
     lo = inc_lo + b
-    hi, lo = _pcg_step(inc_hi + a + (lo < b), lo, inc_hi, inc_lo)
-    return [_Streams(*limbs) for limbs in zip(hi, lo, inc_hi, inc_lo)]
+    return _Streams(*_pcg_step(inc_hi + a + (lo < b), lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def run_batch(n_runs: int, seed: int,
-              n_streams: int) -> Iterator[tuple[range, np.ndarray, list[_Streams]]]:
+def run_batch(n_runs: int, seed: int, n_streams: int) -> Iterator[tuple[range, np.ndarray, _Streams]]:
     """Seeded batch over Haar-random inputs, yielding each chunk of at most
     BATCH_CHUNK runs as (runs, sources, streams). Stream s of run i is
     NumPy's PCG64 of SeedSequence(seed, spawn_key=(i, s)): `sources` are
-    haar_sources of two random() of stream 0 per run, and streams[k], for
-    k < n_streams, is stream 1 + k of the chunk's runs, a column of draws
-    per random(), so run i depends neither on n_runs nor on the chunks."""
+    haar_sources of two random() of stream 0 per run, and row k of
+    `streams`, limbs (n_streams, runs), is stream 1 + k of the chunk's
+    runs, a column of draws per step, so run i depends neither on n_runs
+    nor on the chunks."""
     if not 1 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must be in 1..{MAX_RUNS}, got {n_runs}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     for start in range(0, n_runs, BATCH_CHUNK):
         runs = range(start, min(start + BATCH_CHUNK, n_runs))
-        inputs, *streams = _streams(seed, runs, 1 + n_streams)
-        yield runs, haar_sources(np.stack([inputs.random(), inputs.random()], axis=1)), streams
+        streams = _streams(seed, runs, 1 + n_streams)
+        yield runs, haar_sources(streams[0].random(2).T), streams[1:]

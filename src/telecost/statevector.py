@@ -13,11 +13,12 @@ Conventions, fixed across the whole package:
     protocol interpreter builds) trust it and skip the checks.
   - the fixed gates apply_h/x/z and apply_cnot act on a stack of
     registers, one size-2 axis per qubit, and take any leading axes along,
-    so `protocol` runs one gate over all its runs; apply_h/x/z share the
-    private kernel _unitary1_axes. measure_sample draws every run's outcome
-    at once, one row of Born probabilities and one uniform per run. The
-    per-state gates, sampling and collapse helpers the stacked path
-    replaced are the test reference in tests/per_state_reference.py.
+    so `protocol` runs one gate over all its runs; X and Z are index
+    kernels, H the private matrix kernel _unitary1_axes. measure_sample
+    draws every run's outcome at once, one row of Born probabilities and
+    one uniform per run. The per-state gates, sampling and collapse helpers
+    the stacked path replaced are the test reference in
+    tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ MAX_QUBITS = 8
 ATOL = 1e-12
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,14 @@ def apply_h(t: np.ndarray, axis: int) -> np.ndarray:
 
 
 def apply_x(t: np.ndarray, axis: int) -> np.ndarray:
-    return _unitary1_axes(t, axis, _X)
+    return np.flip(t, axis=axis).copy()
 
 
 def apply_z(t: np.ndarray, axis: int) -> np.ndarray:
-    return _unitary1_axes(t, axis, _Z)
+    out = t.copy()
+    ones = np.moveaxis(out, axis, 0)[1:]  # a view of index 1 of the size-2 axis
+    np.negative(ones, out=ones)
+    return out
 
 
 def apply_cnot(t: np.ndarray, control: int, target: int) -> np.ndarray:

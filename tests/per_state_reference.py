@@ -42,17 +42,22 @@ from telecost.protocol import (
 )
 from telecost.protocol import _GATES as _STACKED_GATES  # the package's stacked kernels by name
 from telecost.statevector import (
-    _H,
-    _X,
-    _Z,
     BranchOutcome,
     StateVector,
-    _unitary1_axes,
     bell_pair,
     fidelity_pure,
     tensor,
 )
-from telecost.statevector import apply_cnot as _cnot_kernel  # the stacked kernel
+from telecost.statevector import apply_cnot as _cnot_kernel  # the stacked kernels
+from telecost.statevector import apply_h as _h_kernel
+from telecost.statevector import apply_x as _x_kernel
+from telecost.statevector import apply_z as _z_kernel
+
+# X and Z as matrices, which through statevector._unitary1_axes (np.tensordot)
+# are the oracle of the package's index kernels apply_x (a flip) and apply_z
+# (a sign flip of index 1): equal by value, though the signs of zeros can differ
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # ---------------------------------------------------------------------------
 # per-state gates, measurement and collapse
@@ -73,22 +78,22 @@ def _check_qubit(s: StateVector, q: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {s.n_qubits}-qubit register")
 
 
-def _apply_fixed1(s: StateVector, q: int, m: np.ndarray) -> StateVector:
+def _apply_fixed1(s: StateVector, q: int, kernel) -> StateVector:
     _check_qubit(s, q)
-    t = _unitary1_axes(s.amps.reshape([2] * s.n_qubits), q, m)
+    t = kernel(s.amps.reshape([2] * s.n_qubits), q)
     return StateVector._trusted(s.n_qubits, t.reshape(-1))
 
 
 def apply_h(s: StateVector, q: int) -> StateVector:
-    return _apply_fixed1(s, q, _H)
+    return _apply_fixed1(s, q, _h_kernel)
 
 
 def apply_x(s: StateVector, q: int) -> StateVector:
-    return _apply_fixed1(s, q, _X)
+    return _apply_fixed1(s, q, _x_kernel)
 
 
 def apply_z(s: StateVector, q: int) -> StateVector:
-    return _apply_fixed1(s, q, _Z)
+    return _apply_fixed1(s, q, _z_kernel)
 
 
 def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:

@@ -357,16 +357,17 @@ def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
     assert code == 0
     assert json.loads(out)["per_run"][0]["locc_bits"] == 182
     # the same run through the API: the printed channel_f 1.0 is a rounding
-    [(_, sources, [streams])] = run_batch(1, 0, 1)
-    stack = run_noisy_stack(ProtocolKind.KAK, sources, 0.75, streams.random,
-                            distill_target=1.0, max_rounds=1024)
+    [(_, sources, streams)] = run_batch(1, 0, 1)
+    [stack] = run_noisy_stack([ProtocolKind.KAK], sources, 0.75, streams.random,
+                              distill_target=1.0, max_rounds=1024)
     assert stack.f_final < 1.0 and stack.target_met is False
     assert LOCC_ROUND_BITS * stack.attempts[0] == 182
 
 
 def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch, capsys):
-    # a Werner channel depends on F alone, so a chunk validates one per distinct
-    # F (with its eigvalsh), not one per run
+    # a Werner channel depends on F alone, and every run of a chunk, of
+    # either kind, ends on one F: the chunk validates one (with its
+    # eigvalsh), not one per run or per kind
     from telecost.noise import DensityMatrix
 
     builds = []
@@ -385,13 +386,13 @@ def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch,
                                 *argv], capsys)
         assert code == 0
         per_run = json.loads(out)["per_run"]
-        assert len(builds) == len({(r["protocol"], r["channel_f"]) for r in per_run}) == 2
+        assert len(builds) == len({r["channel_f"] for r in per_run}) == 1
 
 
 def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
-    # every run of a stack climbs the same ladder to the same F: 0.75 -> 0.9
-    # takes 5 levels, so 20 runs of both kinds evaluate the map 5 times per
-    # kind and validate one Werner channel per kind
+    # every run of a chunk climbs the same ladder to the same F: 0.75 -> 0.9
+    # takes 5 levels, so 20 runs of both kinds, one chunk and one stack,
+    # evaluate the map 5 times and validate one Werner channel
     from telecost import cost, noise
 
     steps, builds = [], []
@@ -406,8 +407,8 @@ def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
     code, out, _ = run_cli(["compare", "--runs", "20", "--seed", "3", "--noise-f", "0.75",
                             "--distill-target", "0.9", "--format", "json"], capsys)
     assert code == 0 and len(json.loads(out)["per_run"]) == 40
-    assert len(steps) == 10 and len(set(steps)) == 5
-    assert len(builds) == 2
+    assert len(steps) == len(set(steps)) == 5
+    assert len(builds) == 1
 
 
 def _ladder_probabilities(f_in, target, max_rounds):
@@ -782,9 +783,11 @@ def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
 
 
 def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):
-    # run_batch seeds its streams itself; NumPy's constructors are only the tests' oracle
+    # run_batch and verify seed their streams themselves; NumPy's constructors
+    # are only the tests' oracle
     argv = ["compare", "--runs", "300", "--seed", "4", "--format", "json"]
-    plain = run_cli(argv, capsys)
+    verify_argv = ["verify", "--runs", "300", "--seed", "4", "--format", "json"]
+    plain, verified = run_cli(argv, capsys), run_cli(verify_argv, capsys)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a NumPy stream was built")
@@ -793,6 +796,8 @@ def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     assert run_cli(argv, capsys) == plain
     assert plain[0] == 0 and len(json.loads(plain[1])["per_run"]) == 600
+    assert run_cli(verify_argv, capsys) == verified
+    assert verified[0] == 0 and json.loads(verified[1])["all_pass"] is True
 
 
 NUMPY_RANDOM_PROBE = """
@@ -805,6 +810,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["compare", "--runs", "20", "--format", "json"],
                  ["compare", "--runs", "20", "--noise-f", "0.75", "--distill-target", "0.9",
                   "--format", "json"],
+                 ["verify", "--runs", "20"],
                  ["sweep"]):
         assert main(argv) == 0
 print("numpy.random" in sys.modules)
@@ -813,7 +819,8 @@ print("numpy.random" in sys.modules)
 
 def test_compare_and_sweep_never_import_numpy_random():
     # NumPy 2 imports numpy.random lazily, and loading it costs an import of
-    # about 15 ms and 2 MB; only verify needs it, for default_rng
+    # about 15 ms and 2 MB; verify draws its inputs from telecost's own
+    # PCG64 stream too, so no command needs it
     paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     probe = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE], env=env,

@@ -212,7 +212,7 @@ def test_a_draw_at_the_success_probability_fails_its_attempt():
     # with probability p; a draw of exactly p retries the level
     p, _ = distill_step_map(0.75)
     draws = iter([p, 0.0])
-    run = distill(0.75, 0.76, 1, SimpleNamespace(random=lambda: next(draws)))
+    run = distill(0.75, 0.76, 1, SimpleNamespace(random=lambda k: [next(draws) for _ in range(k)]))
     assert (run.rounds, run.attempts) == (1, 2)
 
 
@@ -245,7 +245,7 @@ def test_distill_to_threshold_reaches_target():
 def test_a_given_target_is_checked_even_when_no_run_climbs(target, max_rounds):
     # a channel at 0.95 climbs toward none of these targets, yet each is illegal
     with pytest.raises(ValueError, match="distill_target must be in|max_rounds must be >= 1"):
-        run_noisy_stack(ProtocolKind.SQTP, [haar(0), haar(1)], 0.95, lambda: np.zeros(2),
+        run_noisy_stack([ProtocolKind.SQTP], [haar(0), haar(1)], 0.95, lambda k: np.zeros((k, 2)),
                         target, max_rounds)
     with pytest.raises(ValueError, match="distill_target must be in|max_rounds must be >= 1"):
         distill(0.95, target, max_rounds, np.random.default_rng(0))
@@ -337,8 +337,8 @@ def test_every_noisy_stack_ends_on_one_channel(channel_f, target, max_rounds, ro
     ends = set()
     for n_runs in (1, 7, BATCH_CHUNK + 1):
         for _, sources, streams in run_batch(n_runs, 11, 2):
-            for kind, rngs in zip(ProtocolKind, streams):
-                stack = run_noisy_stack(kind, sources, channel_f, rngs.random, target, max_rounds)
+            for stack in run_noisy_stack(list(ProtocolKind), sources, channel_f, streams.random,
+                                         target, max_rounds):
                 ends.add((stack.rounds, stack.f_final, stack.target_met))
     assert len(ends) == 1
     [(got_rounds, _, got_met)] = ends
@@ -409,15 +409,58 @@ def test_a_climb_on_draws_that_never_succeed_ends_in_a_value_error(bad):
     # forever, and -0.5 would pass for a success at every step
     for column in ([bad, bad], [0.0, bad]):
         with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
-            run_noisy_stack(ProtocolKind.KAK, [haar(0), haar(1)], 0.75,
-                            lambda column=column: np.array(column), 0.9)
+            run_noisy_stack([ProtocolKind.KAK], [haar(0), haar(1)], 0.75,
+                            lambda k, column=column: np.array([column] * k), 0.9)
     with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
-        distill(0.75, 0.9, 32, SimpleNamespace(random=lambda: bad))
+        distill(0.75, 0.9, 32, SimpleNamespace(random=lambda k: np.full(k, bad)))
 
 
 def test_a_climb_past_its_check_bound_still_counts_every_attempt():
     # 0.75 -> 0.9 has 5 levels, so columns past step 320 are checked; legal
     # ones pass, and 400 failures then 5 successes are 405 attempts
     draws = iter([np.full(2, 0.999)] * 400 + [np.zeros(2)] * 5)
-    stack = run_noisy_stack(ProtocolKind.SQTP, [haar(0), haar(1)], 0.75, lambda: next(draws), 0.9)
+    [stack] = run_noisy_stack([ProtocolKind.SQTP], [haar(0), haar(1)], 0.75,
+                              lambda k: [next(draws) for _ in range(k)], 0.9)
     assert (stack.rounds, stack.attempts, stack.target_met) == (5, [405, 405], True)
+
+
+def one_step_climb(levels, streams):
+    """The climb as a loop of one column per step while any run climbs, the
+    loop the block draws replaced: each run's attempts."""
+    p_succ = np.array([p for p, _ in levels] + [0.0])
+    level = np.zeros(streams.hi.shape, dtype=int)
+    attempts = np.zeros_like(level)
+    while (climbing := level < len(levels)).any():
+        u = streams.random()
+        attempts += climbing
+        level += u < p_succ[level]
+    return attempts
+
+
+@pytest.mark.parametrize("n_runs, target", [(1, 0.9), (20, 0.9), (BATCH_CHUNK, 0.99), (7, 0.75)])
+def test_a_stack_of_one_kind_leaves_its_stream_where_the_one_step_loop_does(n_runs, target):
+    # each round draws only the steps the slowest run still needs, so the
+    # blocks end on the step the loop ends on, with the same attempts
+    [(_, sources, streams)] = run_batch(n_runs, 31, 1)
+    [(_, _, twin)] = run_batch(n_runs, 31, 1)
+    [stack] = run_noisy_stack([ProtocolKind.KAK], sources, 0.75, streams.random, target)
+    want = one_step_climb(cost._ladder(0.75, target, 32)[0], twin)
+    assert stack.attempts == want[0].tolist()
+    for limb in ("hi", "lo"):
+        assert getattr(streams, limb).tobytes() == getattr(twin, limb).tobytes()
+
+
+def test_a_noisy_run_leaves_its_generator_where_its_attempts_random_calls_do():
+    # run_noisy_teleport draws rng.random(k) blocks, k successive random()
+    # values, never past the step that ends its climb: a shared Generator
+    # continues exactly where one random() per attempt leaves it
+    rng = np.random.default_rng(3131)
+    twin = np.random.default_rng(3131)
+    attempts = set()
+    for seed in range(30):
+        report = run_noisy_teleport(ProtocolKind.SQTP, haar(seed), 0.75, rng, 0.99)
+        for _ in range(report.attempts):
+            twin.random()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        attempts.add(report.attempts - report.rounds)
+    assert len(attempts) > 1  # runs that fail different numbers of attempts

@@ -153,8 +153,8 @@ def test_sweep_rows_match_the_deterministic_walk(grid, f_target, max_rounds):
 class AlwaysSucceeds:
     """An rng stub under which every distillation attempt succeeds."""
 
-    def random(self):
-        return 0.0
+    def random(self, k):
+        return np.zeros(k)
 
 
 @PROPERTY
@@ -168,7 +168,7 @@ def test_noisy_ledger_without_failures_bills_what_sweep_bills(f_in, f_target, ma
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         teleport = (ALICE, BOB, SCHEDULES[kind].announced, Purpose.TELEPORT)
         # the stack: a column of zeros makes every attempt succeed
-        stack = run_noisy_stack(kind, psis, f_in, lambda: np.zeros(2), f_target, max_rounds)
+        [stack] = run_noisy_stack([kind], psis, f_in, lambda k: np.zeros((k, 2)), f_target, max_rounds)
         assert stack.attempts == [stack.rounds] * 2 == [row["rounds_to_target"]] * 2
         # the stack bills no TELEPORT copy of its own: each run sends its schedule's message
         assert SCHEDULES[kind].teleport == teleport
@@ -316,7 +316,7 @@ def test_stacks_match_their_stacks_of_one_bit_for_bit(size, seed):
 @example(2, 0, 0.75, 1.0, 1024)  # the float recurrence stalls below the target
 @example(BATCH_CHUNK + 1, 0, 0.75, 0.9, 32)  # runs clear the top level at different steps
 def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, target, max_rounds):
-    # the stack draws a column of one random() per run's Generator per step
+    # the stack draws k columns of one random() per run's Generator per step
     psis = [UnknownQubit.haar(np.random.default_rng([seed, i])) for i in range(size)]
 
     def rng(i):
@@ -324,8 +324,9 @@ def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, tar
 
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         rngs = [rng(i) for i in range(size)]
-        stack = run_noisy_stack(kind, psis, channel_f, lambda: np.array([r.random() for r in rngs]),
-                                distill_target=target, max_rounds=max_rounds)
+        [stack] = run_noisy_stack([kind], psis, channel_f,
+                                  lambda k: np.array([r.random(k) for r in rngs]).reshape(size, k).T,
+                                  distill_target=target, max_rounds=max_rounds)
         assert len(stack.attempts) == len(stack.fidelities) == size
         for i, psi in enumerate(psis):
             report = run_noisy_teleport(kind, psi, channel_f, rng(i),
@@ -365,7 +366,8 @@ def test_noisy_fidelities_are_the_retired_per_input_formula_bit_for_bit(size, se
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         stacked = pair_response(kind, psis)
         assert stacked.shape == (size, 4, 4)
-        stack = run_noisy_stack(kind, psis, channel_f, lambda: rng.random(size), distill_target=0.9)
+        [stack] = run_noisy_stack([kind], psis, channel_f, lambda k: rng.random((k, size)),
+                                  distill_target=0.9)
         werner = werner_state(stack.f_final).mat
         for i, psi in enumerate(psis):
             single = retired_pair_response(kind, psi)
@@ -471,7 +473,9 @@ def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i, width):
     # steps, as deep as distillation draws them, then a Haar draw of two
     # more columns
     runs = range(max(i + 1 - width, 0), i + 1)
-    for s, streams in enumerate(_streams(seed, runs, 3)):
+    chunk = _streams(seed, runs, 3)
+    for s in range(3):
+        streams = chunk[s]
         limbs = (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo)
         assert all(limb.shape == (len(runs),) and limb.dtype == np.uint64 for limb in limbs)
         columns = [streams.random().tolist() for _ in range(64)]
@@ -481,6 +485,44 @@ def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i, width):
             assert [column[j] for column in columns] == [rng.random() for _ in range(64)]
             psi = UnknownQubit.haar(rng)
             assert rows[j].tobytes() == np.array([psi.alpha, psi.beta]).tobytes()
+
+
+@settings(PROPERTY, max_examples=60)
+@given(stream_seeds, run_indices, st.integers(min_value=1, max_value=2 * BATCH_CHUNK),
+       st.sampled_from([0, slice(1, None)]))
+@example(2**64 + 5, 2**32 - 1, 2 * BATCH_CHUNK, slice(1, None))
+@example(2**128 + 7, 0, 1, 0)
+@example(2**200 + 3, 7, BATCH_CHUNK + 1, slice(1, None))
+def test_a_block_of_k_columns_is_k_random_calls_bit_for_bit(seed, i, k, rows):
+    # random(k) takes each step's state by one jump from cached tables: the
+    # doubles of k random() calls, and their limbs after, on one stream per
+    # run (row 0, 1-D limbs) and on a chunk's kinds by runs (2-D limbs)
+    runs = range(max(i - 2, 0), i + 1)
+    block, stepped = _streams(seed, runs, 3)[rows], _streams(seed, runs, 3)[rows]
+    columns = block.random(k)
+    assert columns.shape == (k, *stepped.hi.shape) and stepped.hi.ndim == (1 if rows == 0 else 2)
+    assert columns.tobytes() == np.stack([stepped.random() for _ in range(k)]).tobytes()
+    for limb in ("hi", "lo", "inc_hi", "inc_lo"):
+        assert getattr(block, limb).tobytes() == getattr(stepped, limb).tobytes()
+    assert block.random().tobytes() == stepped.random().tobytes()
+
+
+@PROPERTY
+@given(stream_seeds)
+@example(0)
+@example(12345)
+@example(2**31 - 1)
+@example(2**64 + 5)
+@example(2**70 + 1)
+@example(2**130 + 7)
+def test_verifys_stream_is_default_rng_of_the_seed_bit_for_bit(seed):
+    # the stream of SeedSequence(seed) with no spawn key, drawn as verify
+    # draws it, block after block of 2n doubles as n input rows
+    stream, rng = _streams(seed), np.random.default_rng(seed)
+    assert stream.hi.shape == (1, 1)
+    for n in (44, 150, BATCH_CHUNK):
+        assert stream.random(2 * n).reshape(n, 2).tobytes() == rng.random((n, 2)).tobytes()
+    assert stream.random().tolist() == [[rng.random()]]
 
 
 def retired_haar(rng) -> tuple[complex, complex]:
@@ -498,7 +540,7 @@ def test_haar_draw_is_the_retired_uniform_formula_bit_for_bit(seed, i):
     # as run_batch draws it, against the NumPy generator it reproduces,
     # which still has uniform()
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    stream = _streams(seed, range(i, i + 1), 1)[0]
+    stream = _streams(seed, range(i, i + 1), 1)[0]  # row 0, one run
     twin = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, 0)))
     for _ in range(16):
         psi = UnknownQubit.haar(rng)
@@ -568,15 +610,15 @@ def compare_json_reference(cfg):
     per_run = []
     for runs, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
         rows = []
-        for kind, rngs in zip(kinds, streams):
+        for j, kind in enumerate(kinds):
             if cfg.noise_f is None:
-                stack = sample_stack(kind, sources, rngs.random())
+                stack = sample_stack(kind, sources, streams[j].random())
                 outcomes, channel_f = [_OUTCOMES[k] for k in stack.outcomes], None
                 loccs = [0] * len(runs)
             else:
-                stack = run_noisy_stack(kind, sources, cfg.noise_f, rngs.random,
-                                        distill_target=cfg.distill_target,
-                                        max_rounds=cfg.max_rounds)
+                [stack] = run_noisy_stack([kind], sources, cfg.noise_f, streams[j].random,
+                                          distill_target=cfg.distill_target,
+                                          max_rounds=cfg.max_rounds)
                 outcomes, channel_f = [None] * len(runs), round(stack.f_final, 12)
                 loccs = [LOCC_ROUND_BITS * attempts for attempts in stack.attempts]
             fidelities = [round(fidelity, 12) for fidelity in stack.fidelities]

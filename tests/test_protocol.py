@@ -313,8 +313,8 @@ def test_entangled_demo_rejects_wrong_size():
 
 def sampled_chunks(kinds, n_runs, seed):
     """run_batch's chunks as (runs, one sample_stack per kind), kind k's
-    outcomes from the draw of its stream, streams[k]."""
-    return [(runs, [sample_stack(kind, sources, rngs.random()) for kind, rngs in zip(kinds, streams)])
+    outcomes from row k of the chunk's draw, one column of its streams."""
+    return [(runs, [sample_stack(kind, sources, u) for kind, u in zip(kinds, streams.random())])
             for runs, sources, streams in run_batch(n_runs, seed, len(kinds))]
 
 
@@ -365,11 +365,11 @@ def test_run_batch_streams_are_the_spawn_chain_of_each_run():
 
     def recorded(n_runs, seed):
         psis, draws = [], {kind: [] for kind in kinds}
-        for _, sources, streams in run_batch(n_runs, seed, len(kinds)):
-            assert len(streams) == len(kinds)
+        for runs, sources, streams in run_batch(n_runs, seed, len(kinds)):
+            assert streams.hi.shape == (len(kinds), len(runs))
             psis.extend(UnknownQubit(*row) for row in sources.tolist())
-            for kind, rngs in zip(kinds, streams):
-                draws[kind].extend(rngs.random().tolist())
+            for kind, u in zip(kinds, streams.random()):
+                draws[kind].extend(u.tolist())
         return psis, draws
 
     n_runs = 2 * BATCH_CHUNK + 1
@@ -388,8 +388,7 @@ def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk():
     # a noisy run draws once per distillation attempt, so every draw of its stream must follow NumPy's
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
     n_runs, seed = BATCH_CHUNK + 1, 9
-    chunks = [(runs, [run_noisy_stack(kind, sources, 0.75, rngs.random, distill_target=0.9)
-                      for kind, rngs in zip(kinds, streams)])
+    chunks = [(runs, run_noisy_stack(kinds, sources, 0.75, streams.random, distill_target=0.9))
               for runs, sources, streams in run_batch(n_runs, seed, len(kinds))]
     got = per_run(kinds, chunks, "attempts")
     want = []
@@ -497,7 +496,7 @@ def test_every_stack_of_no_inputs_is_empty():
         probs, bobs, fidelities = enumerate_protocol_stack(kind, [])
         assert (probs.shape, bobs.shape, fidelities) == ((0, 4), (0, 2), [])
         assert pair_response(kind, []).shape == (0, 4, 4)
-        noisy = run_noisy_stack(kind, [], 0.8, np.random.default_rng(0).random, distill_target=0.9)
+        [noisy] = run_noisy_stack([kind], [], 0.8, np.random.default_rng(0).random, distill_target=0.9)
         assert noisy.attempts == noisy.fidelities == []
         one = checkpoints_stack(kind, [haar(16)])
         empty = checkpoints_stack(kind, [])

@@ -2,11 +2,14 @@
 measurement branches and sampling. The per-state gates, measurement and
 collapse helpers are the test reference in per_state_reference."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import telecost.statevector as sv
 
+import per_state_reference
 from per_state_reference import (
     apply_cnot,
     apply_h,
@@ -47,6 +50,25 @@ def test_stacked_gates_match_the_per_state_gates_on_every_register():
         out = stacked(stack, *(q + 1 for q in qubits))
         for row, s in zip(out, states):
             assert row.reshape(-1).tobytes() == single(s, *qubits).amps.tobytes()
+
+
+def test_x_and_z_index_kernels_equal_their_matrices_through_the_tensordot_kernel():
+    # apply_x flips its axis and apply_z negates index 1 of it; the oracle is
+    # each matrix through _unitary1_axes. Bit for bit on amplitudes without
+    # zeros; by value on {+-0, +-1, 0.5}^2 entries, where zero signs can differ
+    values = [0.0, -0.0, 1.0, -1.0, 0.5]
+    entries = [complex(re, im) for re in values for im in values]
+    zeros = np.array(list(itertools.product(entries, repeat=2)))
+    before = zeros.tobytes()
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(50, 2, 2, 2)) + 1j * rng.normal(size=(50, 2, 2, 2))
+    for kernel, matrix in ((sv.apply_x, per_state_reference._X), (sv.apply_z, per_state_reference._Z)):
+        for axis in (1, -1):
+            got, want = kernel(zeros, axis), sv._unitary1_axes(zeros, axis, matrix)
+            assert got.shape == want.shape == (625, 2) and np.array_equal(got, want)
+        for axis in (1, 2, 3, -2):
+            assert kernel(stack, axis).tobytes() == sv._unitary1_axes(stack, axis, matrix).tobytes()
+    assert zeros.tobytes() == before  # the kernels work on copies
 
 
 def test_basis_state_index_convention():
