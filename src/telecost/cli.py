@@ -189,7 +189,9 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, dict]:
     noiseless, and each kind's columns in run order: run i's outcome index
     (ideal) or attempts (noisy), and its fidelity rounded to 12 digits.
     Kind k, the k-th that --protocol selects, draws from stream 1 + k, so
-    kak alone reads the stream that sqtp reads beside it."""
+    kak alone reads the stream that sqtp reads beside it. Each distinct
+    fidelity of a stack is rounded once, which keeps the bytes: equal floats
+    round alike, and a zero, 0.0 or -0.0 (one dict key), is its own round."""
     import numpy as np
 
     from .noise import run_noisy_stack
@@ -207,7 +209,8 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, dict]:
         for kind, stack in zip(kinds, stacks):
             picks, fidelities = columns[kind]
             picks += stack.outcomes if cfg.noise_f is None else stack.attempts
-            fidelities += [round(fidelity, 12) for fidelity in stack.fidelities]
+            rounded = {f: round(f, 12) for f in set(stack.fidelities)}
+            fidelities += [rounded[f] if f else f for f in stack.fidelities]
     summary = {}
     for kind, (picks, fidelities) in columns.items():
         t_bits = SCHEDULES[kind].announced
@@ -227,7 +230,10 @@ def _compare_json(payload: dict, channel_f: float | None, columns: dict) -> str:
     byte, with _compare_data's rows, kinds interleaved run by run, where
     "per_run": null stands. That text occurs once: no JSON string holds a raw
     newline, and only top-level keys start a line with two spaces and a quote.
-    Each kind fills one % template; floats go through repr, as json's do."""
+    Each kind renders its row head, a % template up to the run index, once
+    per distinct (fidelity, cell), which keeps the bytes: equal keys render
+    alike but for 0.0 and -0.0, so a zero's head is its own; floats go
+    through repr, as json's do."""
     import json
 
     noisy = channel_f is not None
@@ -236,9 +242,11 @@ def _compare_json(payload: dict, channel_f: float | None, columns: dict) -> str:
     for kind, (picks, fidelities) in columns.items():
         cells = [LOCC_ROUND_BITS * a for a in picks] if noisy else [_OUTCOMES[k] for k in picks]
         template = (f'    {{\n      "channel_f": {json.dumps(channel_f)},\n      "fidelity": %r,\n'
-                    f'      "locc_bits": {cell},\n      "protocol": "{kind.value}",\n'
-                    f'      "run": %d,\n      "teleport_bits": {SCHEDULES[kind].announced}\n    }}')
-        kind_rows.append([template % row for row in zip(fidelities, cells, itertools.count())])
+                    f'      "locc_bits": {cell},\n      "protocol": "{kind.value}",\n      "run": ')
+        tail = f',\n      "teleport_bits": {SCHEDULES[kind].announced}\n    }}'
+        heads = {key: template % key for key in set(zip(fidelities, cells))}
+        kind_rows.append([f"{heads[f, c] if f else template % (f, c)}{i}{tail}"
+                          for f, c, i in zip(fidelities, cells, itertools.count())])
     per_run = ",\n".join(itertools.chain.from_iterable(zip(*kind_rows)))
     text = json.dumps(payload, indent=2, sort_keys=True)
     return text.replace('\n  "per_run": null', f'\n  "per_run": [\n{per_run}\n  ]', 1) + "\n"

@@ -442,7 +442,7 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return hi + inc_hi + (lo < lo_product), lo
 
 
-@functools.cache  # k is at most a ladder's length or 2 * BATCH_CHUNK
+@functools.lru_cache(maxsize=32)  # 32k bytes per k, which verify makes up to 2 * BATCH_CHUNK
 def _jumps(k: int) -> np.ndarray:
     """Rows hi, lo of G_j = sum_{i<j} M**i and of A_j = M**j mod 2**128, M =
     _PCG_MULT, j = 1..k, read-only: j steps take a state s to A_j s + G_j inc."""

@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, _compare_json,
-                          build_parser, cmd_sweep, main)
+from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, _compare_data,
+                          _compare_json, build_parser, cmd_sweep, main)
 from telecost.cost import LOCC_ROUND_BITS
 from telecost.kinds import ProtocolKind
 from telecost.noise import run_noisy_stack
-from telecost.protocol import MAX_RUNS, UnknownQubit, run_batch
+from telecost.protocol import (BATCH_CHUNK, MAX_RUNS, SampledStack, UnknownQubit, run_batch,
+                               sample_stack)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -641,7 +642,7 @@ PINNED_SHA256 = [
      "6c249793fc7bbd4c73ca8b1ac7f9e64443c3d5e5c5721738f1b830a8ad8e0a7b"),
     # computed before the noisy runs of a chunk were distilled as one stack
     (["compare", "--runs", "300", "--seed", "11", "--noise-f", "0.55", "--distill-target", "0.95",
-      "--format", "json"],  # 16 levels across two chunks
+      "--format", "json"],  # 16 levels
      "9398086d7b8964a7b3e60ecb3f09f0c2895d3cbdc4cb7427b2e361e102d99df3"),
     (["compare", "--runs", "257", "--seed", "3", "--noise-f", "0.75", "--distill-target", "1.0",
       "--max-rounds", "1024", "--protocol", "kak", "--format", "json"],  # the stalled ladder
@@ -712,16 +713,34 @@ def test_only_json_renders_per_run_rows(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_compare_rounds_every_fidelity_as_round_does(monkeypatch):
+    # a stack's distinct fidelities are rounded once each, yet every run's is
+    # round(f, 12) to the bit: a zero keeps its sign, and two values one ulp
+    # apart across a 12-digit rounding edge stay apart
+    raw = [0.0, -0.0, -0.0, 0.0, 0.9999999999995, 0.9999999999995001, 0.9999999999995]
+
+    def planted(kind, sources, u):
+        stack = sample_stack(kind, sources, u)
+        return SampledStack(stack.outcomes, raw[:len(stack.fidelities)], stack.bobs)
+
+    monkeypatch.setattr("telecost.protocol.sample_stack", planted)
+    _, _, columns = _compare_data(RunConfig("compare", n_runs=len(raw)))
+    assert len(columns) == 2
+    for _, fidelities in columns.values():
+        assert list(map(repr, fidelities)) == [repr(round(f, 12)) for f in raw]
+        assert fidelities[4:] == [0.999999999999, 1.0, 0.999999999999]
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--runs", "20"],
     ["compare", "--runs", "20", "--noise-f", "0.75", "--distill-target", "0.9"],
     ["verify", "--runs", "20"],
 ], ids=["ideal", "noisy", "verify"])
 def test_the_chunk_size_changes_no_output(argv, monkeypatch, capsys):
-    # the streams continue across chunks, so chunks of 1 or 7 runs print what one chunk of 256 prints
+    # the streams continue across chunks, so chunks of 1 or 7 runs print what one full chunk prints
     argv = [*argv, "--seed", "4", "--format", "json"]
     outputs = []
-    for chunk in (256, 1, 7):
+    for chunk in (BATCH_CHUNK, 1, 7):
         monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", chunk)
         monkeypatch.setattr("telecost.cli.BATCH_CHUNK", chunk)
         outputs.append(run_cli(argv, capsys))

@@ -17,7 +17,7 @@ from telecost.noise import (
     teleport_fidelity_noisy,
     werner_state,
 )
-from telecost.protocol import BATCH_CHUNK, UnknownQubit, run_batch
+from telecost.protocol import UnknownQubit, run_batch
 from telecost.statevector import basis_state, bell_pair
 
 F_GRID = [0.55, 0.65, 0.75, 0.85, 0.95]
@@ -331,11 +331,14 @@ def test_noisy_report_says_whether_the_target_was_met():
     (0.75, 1.0, 1024, 90, False),  # the ladder stalls below 1
     (0.8, None, 32, 0, True),
 ])
-def test_every_noisy_stack_ends_on_one_channel(channel_f, target, max_rounds, rounds, met):
+def test_every_noisy_stack_ends_on_one_channel(channel_f, target, max_rounds, rounds, met,
+                                               monkeypatch):
     # the ladder is deterministic and the draws decide only each run's
-    # attempts, so compare reports one channel_f for all its stacks
+    # attempts, so compare reports one channel_f for all its stacks, here
+    # stacks of up to 16 runs
+    monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", 16)
     ends = set()
-    for n_runs in (1, 7, BATCH_CHUNK + 1):
+    for n_runs in (1, 7, 33):
         for _, sources, streams in run_batch(n_runs, 11, 2):
             for stack in run_noisy_stack(list(ProtocolKind), sources, channel_f, streams.random,
                                          target, max_rounds):
@@ -437,7 +440,7 @@ def one_step_climb(levels, streams):
     return attempts
 
 
-@pytest.mark.parametrize("n_runs, target", [(1, 0.9), (20, 0.9), (BATCH_CHUNK, 0.99), (7, 0.75)])
+@pytest.mark.parametrize("n_runs, target", [(1, 0.9), (20, 0.9), (256, 0.99), (7, 0.75)])
 def test_a_stack_of_one_kind_leaves_its_stream_where_the_one_step_loop_does(n_runs, target):
     # each round draws only the steps the slowest run still needs, so the
     # blocks end on the step the loop ends on, with the same attempts

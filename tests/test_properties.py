@@ -23,6 +23,7 @@ import contextlib
 import io
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -280,8 +281,8 @@ def test_run_protocol_matches_the_per_state_path_bit_for_bit(angles, seed):
         assert got.final_bob_state.amps.tobytes() == want.final_bob_state.amps.tobytes()
 
 
-# stack sizes around the chunking: one, a pair, and more than a chunk
-stack_sizes = st.sampled_from([1, 2, BATCH_CHUNK + 1])
+# stack sizes: one, a pair, and a large stack
+stack_sizes = st.sampled_from([1, 2, 257])
 STACKS = settings(PROPERTY, max_examples=30)
 
 
@@ -314,7 +315,7 @@ def test_stacks_match_their_stacks_of_one_bit_for_bit(size, seed):
        st.one_of(st.none(), st.floats(min_value=0.5, max_value=1.0)),
        st.integers(min_value=1, max_value=64))
 @example(2, 0, 0.75, 1.0, 1024)  # the float recurrence stalls below the target
-@example(BATCH_CHUNK + 1, 0, 0.75, 0.9, 32)  # runs clear the top level at different steps
+@example(257, 0, 0.75, 0.9, 32)  # runs clear the top level at different steps
 def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, target, max_rounds):
     # the stack draws k columns of one random() per run's Generator per step
     psis = [UnknownQubit.haar(np.random.default_rng([seed, i])) for i in range(size)]
@@ -463,10 +464,10 @@ run_indices = st.integers(min_value=0, max_value=2**32 - 1)
 @example(2**130 + 99, 2**32 - 1, 3)
 @example(2**300 + 1, 0, 3)
 @example(2**96, 1, 3)
-# a full chunk ending at the last run index, for seeds of 1, 4 and 7 words
-@example(2**31 + 5, 2**32 - 2, BATCH_CHUNK)
-@example(2**100 + 3, 2**32 - 2, BATCH_CHUNK)
-@example(2**200 + 7, 2**32 - 2, BATCH_CHUNK)
+# a large stack ending at the last run index, for seeds of 1, 4 and 7 words
+@example(2**31 + 5, 2**32 - 2, 256)
+@example(2**100 + 3, 2**32 - 2, 256)
+@example(2**200 + 7, 2**32 - 2, 256)
 def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i, width):
     # a stack of up to `width` runs ending at run i, three streams per run, as
     # run_batch keys them, each limb one uint64 word per run: 64 vector
@@ -488,11 +489,11 @@ def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i, width):
 
 
 @settings(PROPERTY, max_examples=60)
-@given(stream_seeds, run_indices, st.integers(min_value=1, max_value=2 * BATCH_CHUNK),
+@given(stream_seeds, run_indices, st.integers(min_value=1, max_value=512),
        st.sampled_from([0, slice(1, None)]))
-@example(2**64 + 5, 2**32 - 1, 2 * BATCH_CHUNK, slice(1, None))
+@example(2**64 + 5, 2**32 - 1, 512, slice(1, None))
 @example(2**128 + 7, 0, 1, 0)
-@example(2**200 + 3, 7, BATCH_CHUNK + 1, slice(1, None))
+@example(2**200 + 3, 7, 257, slice(1, None))
 def test_a_block_of_k_columns_is_k_random_calls_bit_for_bit(seed, i, k, rows):
     # random(k) takes each step's state by one jump from cached tables: the
     # doubles of k random() calls, and their limbs after, on one stream per
@@ -641,11 +642,15 @@ def compare_json_reference(cfg):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# run_batch's chunk in the compare test below, so that a few runs cross its edges
+SMALL_CHUNK = 16
+
+
 @st.composite
 def compare_argvs(draw):
-    # past BATCH_CHUNK = 256 runs, with noisy channels whose ladders stop at
-    # the target, the round cap, or not at all
-    argv = ["compare", "--runs", str(draw(st.integers(1, 600))),
+    # past one and two chunks of SMALL_CHUNK runs, with noisy channels whose
+    # ladders stop at the target, the round cap, or not at all
+    argv = ["compare", "--runs", str(draw(st.integers(1, 2 * SMALL_CHUNK + 8))),
             "--seed", str(draw(st.one_of(st.sampled_from([0, 2**64, 2**64 + 1, 2**100]),
                                          st.integers(0, 2**70)))),
             "--protocol", draw(st.sampled_from(["sqtp", "kak", "both"])), "--format", "json"]
@@ -659,16 +664,17 @@ def compare_argvs(draw):
 
 @settings(deadline=None, derandomize=True, max_examples=12)
 @given(compare_argvs())
-@example(["compare", "--runs", "257", "--seed", str(2**64), "--protocol", "both",
+@example(["compare", "--runs", str(SMALL_CHUNK + 1), "--seed", str(2**64), "--protocol", "both",
           "--format", "json", "--noise-f", "0.75", "--distill-target", "0.9", "--max-rounds", "2"])
-@example(["compare", "--runs", "600", "--seed", "3", "--protocol", "both", "--format", "json",
-          "--noise-f", "0.75", "--distill-target", "0.9"])
+@example(["compare", "--runs", str(2 * SMALL_CHUNK + 8), "--seed", "3", "--protocol", "both",
+          "--format", "json", "--noise-f", "0.75", "--distill-target", "0.9"])
 def test_compare_json_is_the_dict_rows_report_byte_for_byte(argv):
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main(argv) == 0
-    cfg = RunConfig(**vars(build_parser().parse_args(argv)))
-    assert stdout.getvalue() == compare_json_reference(cfg)
+    with mock.patch("telecost.protocol.BATCH_CHUNK", SMALL_CHUNK):
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        cfg = RunConfig(**vars(build_parser().parse_args(argv)))
+        assert stdout.getvalue() == compare_json_reference(cfg)
 
 
 # JSON scalars: escapes, non-ASCII, NaN, ints past 2**53 and past 64 bits
@@ -701,6 +707,13 @@ def compare_columns(draw):
 @given(st.dictionaries(st.text(), json_values, max_size=4), compare_columns())
 @example({"config": {"per_run": None}, "summary": SPLICE, SPLICE: [SPLICE]},
          (1e16, {ProtocolKind.SQTP: ([2**70, 1, 0], [2**53 + 1.0, 0.1 + 0.2, 5e-324])}))
+# zeros of both signs in one cell: one dict key, two reprs, so one row head each
+@example({}, (None, {ProtocolKind.KAK: ([0, 0, 0, 1], [0.0, -0.0, 0.0, -0.0])}))
+@example({}, (-0.0, {ProtocolKind.SQTP: ([2, 2], [-0.0, 0.0]), ProtocolKind.KAK: ([2, 2], [0.0, -0.0])}))
+# pairs one ulp apart, across a 12-digit rounding edge (0.999999999999 and 1.0 once
+# rounded) and within one (both 1.0): every float its own head
+@example({}, (None, {ProtocolKind.SQTP: ([3] * 4, [0.9999999999995, 0.9999999999995001,
+                                                   0.9999999999999999, 1.0])}))
 def test_compare_json_is_json_dumps_of_the_dict_rows(payload, channel_columns):
     channel_f, columns = channel_columns
     rows = []

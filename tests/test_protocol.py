@@ -347,47 +347,54 @@ def _trace_bits(trace):
     return bits, trace.fidelity_achieved, trace.final_bob_state.amps.tobytes()
 
 
+# run_batch's chunk in the chunk-edge tests below, so that a few runs cross its edges
+SMALL_CHUNK = 16
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
-def test_run_batch_matches_the_per_state_path_bit_for_bit(seed):
+def test_run_batch_matches_the_per_state_path_bit_for_bit(seed, monkeypatch):
     # run counts on both sides of a chunk boundary: every chunk continues the seed's streams
+    monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", SMALL_CHUNK)
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
-    traces = list(per_state_reference.run_batch(kinds, BATCH_CHUNK + 1, seed))
+    traces = list(per_state_reference.run_batch(kinds, 2 * SMALL_CHUNK + 1, seed))
     # every reference run bills its schedule's one TELEPORT message, which compare reads
     assert all(trace.ledger == CostLedger([SCHEDULES[kind].teleport]) for _, kind, trace in traces)
     want = [(i, kind, _trace_bits(trace)) for i, kind, trace in traces]
-    for n_runs in (BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 1):
+    for n_runs in (SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 1):
         assert sampled_runs(kinds, n_runs, seed) == want[: 2 * n_runs]
 
 
-def test_run_batch_streams_are_the_spawn_chain_of_each_run():
+def test_run_batch_streams_are_the_spawn_chain_of_each_run(monkeypatch):
     # stream s of run i is child s of child i of SeedSequence(seed), across chunks
+    monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", SMALL_CHUNK)
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
 
     def recorded(n_runs, seed):
         psis, draws = [], {kind: [] for kind in kinds}
         for runs, sources, streams in run_batch(n_runs, seed, len(kinds)):
-            assert streams.hi.shape == (len(kinds), len(runs))
+            assert streams.hi.shape == (len(kinds), len(runs)) and len(runs) <= SMALL_CHUNK
             psis.extend(UnknownQubit(*row) for row in sources.tolist())
             for kind, u in zip(kinds, streams.random()):
                 draws[kind].extend(u.tolist())
         return psis, draws
 
-    n_runs = 2 * BATCH_CHUNK + 1
+    n_runs = 2 * SMALL_CHUNK + 1
     for seed in (0, 12345):
         runs = [child.spawn(1 + len(kinds)) for child in np.random.SeedSequence(seed).spawn(n_runs)]
         want_psis = [UnknownQubit.haar(np.random.default_rng(subs[0])) for subs in runs]
         want_draws = {kind: [np.random.default_rng(subs[1 + k]).random() for subs in runs]
                       for k, kind in enumerate(kinds)}
         assert recorded(n_runs, seed) == (want_psis, want_draws)
-        psis, draws = recorded(BATCH_CHUNK + 3, seed)
-        assert psis == want_psis[: BATCH_CHUNK + 3]
-        assert draws == {kind: want[: BATCH_CHUNK + 3] for kind, want in want_draws.items()}
+        psis, draws = recorded(SMALL_CHUNK + 3, seed)
+        assert psis == want_psis[: SMALL_CHUNK + 3]
+        assert draws == {kind: want[: SMALL_CHUNK + 3] for kind, want in want_draws.items()}
 
 
-def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk():
+def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk(monkeypatch):
     # a noisy run draws once per distillation attempt, so every draw of its stream must follow NumPy's
+    monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", SMALL_CHUNK)
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
-    n_runs, seed = BATCH_CHUNK + 1, 9
+    n_runs, seed = SMALL_CHUNK + 1, 9
     chunks = [(runs, run_noisy_stack(kinds, sources, 0.75, streams.random, distill_target=0.9))
               for runs, sources, streams in run_batch(n_runs, seed, len(kinds))]
     got = per_run(kinds, chunks, "attempts")
@@ -399,6 +406,17 @@ def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk():
                  for k, kind in enumerate(kinds)]
     assert got == want
     assert len({attempts for _, _, attempts in want}) > 1  # the runs retry different numbers of times
+
+
+def test_a_long_lived_process_keeps_few_jump_tables():
+    # verify draws blocks of 2 * min(BATCH_CHUNK, runs) columns, a new k for
+    # every --runs value; the tables kept, 32k bytes each, stay within 4 MB
+    protocol._jumps.cache_clear()
+    maxsize = protocol._jumps.cache_info().maxsize
+    for k in range(1, 3 * maxsize):
+        assert protocol._jumps(k).shape == (4, k)
+    assert protocol._jumps.cache_info().currsize == maxsize
+    assert maxsize * protocol._jumps(2 * BATCH_CHUNK).nbytes <= 4 * 2**20
 
 
 def test_run_batch_rejects_zero_runs():
