@@ -125,14 +125,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     compare the engine's registers componentwise; also require every
     corrected branch of both protocols to recover the input. The inputs
     run in stacks of BATCH_CHUNK, n rows from 2n draws of SeedSequence(seed)'s
-    stream, default_rng(seed).random((n, 2)) without numpy.random; the
-    errors are maxima, so the stacking changes none of them."""
+    stream, default_rng(seed).random((n, 2)) without numpy.random, each
+    kind's registers and branches from one verify_stack; the errors are
+    maxima, so the stacking changes none of them."""
     import json
 
     import numpy as np
 
     from .expansions import ALL_EXPANSIONS, load_expansions
-    from .protocol import _streams, checkpoints_stack, enumerate_protocol_stack, haar_sources
+    from .protocol import _streams, haar_sources, verify_stack
 
     table = load_expansions(cfg.golden)
     stream = _streams(cfg.seed)
@@ -141,15 +142,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     for start in range(0, cfg.n_runs, BATCH_CHUNK):
         sources = haar_sources(stream.random(2 * min(BATCH_CHUNK, cfg.n_runs - start)).reshape(-1, 2))
         alphas, betas = sources.T
-        states = {**checkpoints_stack(ProtocolKind.SQTP, sources),
-                  **checkpoints_stack(ProtocolKind.KAK, sources)}
+        states = {}
+        for kind in ProtocolKind:
+            named, fidelities = verify_stack(kind, sources)
+            states.update(named)
+            branch_err[kind] = max(branch_err[kind], 1.0 - min(fidelities))
         for name in ALL_EXPANSIONS:
             ref = table[name].instantiate(alphas, betas)
             err = float(np.max(np.abs(states[name] - ref)))
             max_err[name] = max(max_err[name], err)
-        for kind in ProtocolKind:
-            _, _, fidelities = enumerate_protocol_stack(kind, sources)
-            branch_err[kind] = max(branch_err[kind], 1.0 - min(fidelities))
 
     checks = [
         {"name": name, "max_abs_err": max_err[name], "pass": max_err[name] <= GOLDEN_ATOL}

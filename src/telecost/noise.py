@@ -19,8 +19,10 @@ protocol is linear in the resource pair, so the fidelity through any
 array expression. A chunk of noisy runs, all its kinds, is one stack:
 every run climbs the same ladder to the same F, so the stack walks it
 once, draws at once the steps its slowest run still needs, and builds
-one Werner channel; `run_noisy_teleport` and `teleport_fidelity_noisy`
-are stacks of one.
+one Werner channel. Every kind's response is SQTP's up to the sign of a
+row, which the quadratic form cannot see, so one response and one column
+of fidelities serve all its kinds; `run_noisy_teleport` and
+`teleport_fidelity_noisy` are stacks of one.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ def run_noisy_stack(kinds: list[ProtocolKind], psis: list[UnknownQubit] | np.nda
                     max_rounds: int = _NOISY_MAX_ROUNDS) -> list[NoisyStack]:
     """A NoisyStack per kind, one run per input: the runs of all kinds climb
     the ladder, walked once, from channel_f toward distill_target as one
-    (kinds, runs) level array, then each kind's inputs go through
-    pair_response and one Werner channel. A given target must lie in (0, 1]
+    (kinds, runs) level array, then the first kind's inputs go through
+    pair_response and one Werner channel, and each kind gets a copy of that
+    fidelity column, its own bit for bit. A given target must lie in (0, 1]
     and max_rounds be >= 1, whether or not the runs climb; a channel_f at the
     target makes no attempt, and one at or below 1/2 under it raises.
 
@@ -169,9 +172,9 @@ def run_noisy_stack(kinds: list[ProtocolKind], psis: list[UnknownQubit] | np.nda
             level += (0.0 <= u) & (u < p_succ[level])
     f_final = levels[-1][1] if levels else channel_f
     channel = werner_state(f_final)
-    return [NoisyStack(len(levels), f_final, stop == "target", row.tolist(),
-                       _channel_fidelities(pair_response(kind, psis), channel))
-            for kind, row in zip(kinds, attempts)]
+    column = _channel_fidelities(pair_response(kinds[0], psis), channel) if kinds else []
+    return [NoisyStack(len(levels), f_final, stop == "target", row.tolist(), list(column))
+            for row in attempts]
 
 
 def run_noisy_teleport(kind: ProtocolKind, psi: UnknownQubit, channel_f: float,

@@ -412,6 +412,44 @@ def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
     assert len(builds) == 1
 
 
+def test_verify_evolves_each_schedule_once_per_chunk(monkeypatch, capsys):
+    # the golden registers and the branch walk both start from one run of a
+    # schedule: 33 runs in 16-run chunks are 3 chunks, each evolving SQTP's and
+    # KAK's schedule once
+    from collections import Counter
+
+    from telecost import protocol
+
+    argv = ["verify", "--runs", "33", "--seed", "5", "--format", "json"]
+    full = run_cli(argv, capsys)
+    evolved, evolve = Counter(), protocol._evolve
+    monkeypatch.setattr(protocol, "_evolve",
+                        lambda schedule, *args: evolved.update([schedule.initial])
+                        or evolve(schedule, *args))
+    monkeypatch.setattr("telecost.cli.BATCH_CHUNK", 16)
+    assert run_cli(argv, capsys) == full
+    assert full[0] == 0 and json.loads(full[1])["all_pass"] is True
+    assert evolved == {protocol.SCHEDULES[kind].initial: 3 for kind in ProtocolKind}
+
+
+@pytest.mark.parametrize("protocol", ["both", "sqtp", "kak"])
+def test_noisy_chunk_computes_one_channel_response(protocol, monkeypatch, capsys):
+    # every kind's fidelities through a channel are equal, so a noisy chunk,
+    # of one kind or both, scores its runs from one pair_response
+    from telecost import noise
+
+    argv = ["compare", "--runs", "33", "--seed", "6", "--noise-f", "0.75", "--distill-target",
+            "0.9", "--protocol", protocol, "--format", "json"]
+    full = run_cli(argv, capsys)
+    calls, response = [], noise.pair_response
+    monkeypatch.setattr(noise, "pair_response",
+                        lambda kind, psis: calls.append(len(psis)) or response(kind, psis))
+    monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", 16)
+    assert run_cli(argv, capsys) == full
+    assert full[0] == 0 and full[2] == ""
+    assert calls == [16, 16, 1]
+
+
 def _ladder_probabilities(f_in, target, max_rounds):
     """Each climbed level's success probability, from the BBPSSW closed form."""
     ps, f = [], f_in
@@ -945,7 +983,7 @@ def test_benchmark_tracer_installs_and_changes_no_output(capsys):
         tracer.uninstall()
     assert traced == plain
     spans = [span[3] for span in tracer.spans]
-    assert {"protocol.sample_stack", "protocol.enumerate_protocol_stack",
+    assert {"protocol.sample_stack", "protocol.verify_stack",
             "statevector.apply_h", "statevector.apply_cnot"} <= set(spans)
     # one stacked outcome draw per kind's chunk: the 3 runs are one chunk of sqtp and one of kak
     assert spans.count("statevector.measure_sample") == 2

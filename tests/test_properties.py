@@ -45,6 +45,7 @@ from telecost.cost import (
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import (
     DensityMatrix,
+    _channel_fidelities,
     run_noisy_stack,
     run_noisy_teleport,
     teleport_fidelity_noisy,
@@ -74,6 +75,7 @@ from telecost.protocol import (
     _streams,
     haar_sources,
     sqtp_checkpoints,
+    verify_stack,
 )
 from telecost.statevector import BranchOutcome, StateVector, fidelity_pure, measure_sample
 
@@ -212,17 +214,22 @@ def test_teleport_fidelity_through_any_channel_equals_dense_oracle(seed):
 @given(seeds)
 def test_sqtp_and_kak_are_the_same_channel_up_to_the_sign_of_outcome_11(seed):
     # SQTP corrects outcome 11 with Z then X, a global -1 that KAK's one-bit Z
-    # leaves out; the fidelity's quadratic form does not see the sign, so no
-    # channel on the resource pair tells the two protocols apart
+    # leaves out; the fidelity's quadratic form does not see the sign of a row,
+    # so no channel on the resource pair tells any two protocols apart.
+    # run_noisy_stack rests on this: one kind's fidelity column is every kind's
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     channel = DensityMatrix(rho / np.real(np.trace(rho)))
     psi = UnknownQubit.haar(rng)
-    [sqtp], [kak] = (pair_response(kind, [psi]) for kind in (ProtocolKind.SQTP, ProtocolKind.KAK))
-    assert np.array_equal(kak, sqtp * np.array([[1], [1], [1], [-1]]))
-    assert (teleport_fidelity_noisy(ProtocolKind.KAK, psi, channel)
-            == teleport_fidelity_noisy(ProtocolKind.SQTP, psi, channel))
+    responses = {kind: pair_response(kind, [psi])[0] for kind in ProtocolKind}
+    sqtp = responses[ProtocolKind.SQTP]
+    assert np.array_equal(responses[ProtocolKind.KAK], sqtp * np.array([[1], [1], [1], [-1]]))
+    for kind, response in responses.items():
+        assert all(np.array_equal(row, ref) or np.array_equal(row, -ref)
+                   for row, ref in zip(response, sqtp, strict=True))
+        assert (teleport_fidelity_noisy(kind, psi, channel)
+                == teleport_fidelity_noisy(ProtocolKind.SQTP, psi, channel))
 
 
 # Haar-uniform input from its two angles: cos(theta) uniform on [-1, 1],
@@ -297,6 +304,11 @@ def test_stacks_match_their_stacks_of_one_bit_for_bit(size, seed):
         # branch k of input i is row i, k of probs and row 4i + k of bobs and fidelities
         probs, bobs, fidelities = enumerate_protocol_stack(kind, psis)
         assert (probs.shape, bobs.shape, len(fidelities)) == ((size, 4), (4 * size, 2), 4 * size)
+        # verify's one evolution scores what the two stacks score
+        registers, verify_fidelities = verify_stack(kind, psis)
+        assert verify_fidelities == fidelities
+        assert [(name, rows.tobytes()) for name, rows in registers.items()] == [
+            (name, rows.tobytes()) for name, rows in stacked.items()]
         assert not bobs.flags.writeable
         for i, psi in enumerate(psis):
             single = checkpoints(psi)
@@ -340,6 +352,30 @@ def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, tar
             walked = walked_distill_run(channel_f, channel_f if target is None else target,
                                         max_rounds, rng(i))
             assert (stack.rounds, stack.attempts[i], stack.f_final) == walked
+
+
+@STACKS
+@given(stack_sizes, seeds, st.floats(min_value=0.51, max_value=1.0),
+       st.one_of(st.none(), st.floats(min_value=0.5, max_value=1.0)))
+@example(257, 0, 0.75, 0.9)
+@example(1, 0, 1.0, None)  # a perfect channel
+def test_every_kind_of_a_noisy_stack_is_its_own_channel_response_bit_for_bit(
+        size, seed, channel_f, target):
+    # run_noisy_stack scores the first kind's response and hands each kind a
+    # copy, so each column must be the one its own kind would compute; the
+    # responses of |0> and |1> hold zeros, one of them signed apart by the kinds
+    rng = np.random.default_rng(seed)
+    psis = [UnknownQubit(1, 0), UnknownQubit(0, 1), *(UnknownQubit.haar(rng) for _ in range(size))]
+    kinds_lists = [[ProtocolKind.SQTP, ProtocolKind.KAK], [ProtocolKind.KAK, ProtocolKind.SQTP],
+                   [ProtocolKind.KAK], [ProtocolKind.SQTP], []]
+    for kinds in kinds_lists:
+        stacks = run_noisy_stack(kinds, psis, channel_f, lambda k: rng.random((k, 1, len(psis))),
+                                 distill_target=target)
+        assert len(stacks) == len(kinds)
+        for kind, stack in zip(kinds, stacks):
+            want = _channel_fidelities(pair_response(kind, psis), werner_state(stack.f_final))
+            assert [f.hex() for f in stack.fidelities] == [f.hex() for f in want]
+        assert len({id(stack.fidelities) for stack in stacks}) == len(stacks)
 
 
 def retired_pair_response(kind, psi):

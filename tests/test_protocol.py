@@ -40,6 +40,7 @@ from telecost.protocol import (
     sample_stack,
     sqtp_checkpoints,
     step_to_json,
+    verify_stack,
 )
 from telecost.statevector import (
     StateVector,
@@ -419,6 +420,19 @@ def test_a_long_lived_process_keeps_few_jump_tables():
     assert maxsize * protocol._jumps(2 * BATCH_CHUNK).nbytes <= 4 * 2**20
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 257, 300, 2048])
+def test_jump_tables_are_their_python_int_definition(k):
+    # column j - 1 holds A_j = M**j and G_j = sum_{i<j} M**i mod 2**128, M
+    # PCG64's multiplier, as hi and lo uint64 limbs
+    powers = [pow(protocol._PCG_MULT, i, 2**128) for i in range(k + 1)]
+    a, g = powers[1:], [x % 2**128 for x in itertools.accumulate(powers[:-1])]
+    want = np.array([[x >> s & 2**64 - 1 for x in v] for v in (g, a) for s in (64, 0)], dtype=np.uint64)
+    protocol._jumps.cache_clear()
+    table = protocol._jumps(k)
+    assert table.dtype == np.uint64 and not table.flags.writeable
+    assert table.tobytes() == want.tobytes()
+
+
 def test_run_batch_rejects_zero_runs():
     with pytest.raises(ValueError):
         list(run_batch(0, 1, 1))
@@ -520,6 +534,10 @@ def test_every_stack_of_no_inputs_is_empty():
         empty = checkpoints_stack(kind, [])
         assert {name: rows.shape for name, rows in empty.items()} == {
             name: (0, rows.shape[1]) for name, rows in one.items()}
+        registers, verify_fidelities = verify_stack(kind, [])
+        assert verify_fidelities == []
+        assert {name: rows.shape for name, rows in registers.items()} == {
+            name: rows.shape for name, rows in empty.items()}
 
 
 def test_sample_stack_holds_the_columns_of_its_traces():
