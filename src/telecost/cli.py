@@ -125,9 +125,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     compare the engine's registers componentwise; also require every
     corrected branch of both protocols to recover the input. The inputs
     run in stacks of BATCH_CHUNK, n rows from 2n draws of SeedSequence(seed)'s
-    stream, default_rng(seed).random((n, 2)) without numpy.random, each
-    kind's registers and branches from one verify_stack; the errors are
-    maxima, so the stacking changes none of them."""
+    stream, default_rng(seed).random((n, 2)) without numpy.random, one
+    verify_stack a kind; the errors are maxima, so the stacking changes none of them."""
     import json
 
     import numpy as np
@@ -144,7 +143,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         alphas, betas = sources.T
         states = {}
         for kind in ProtocolKind:
-            named, fidelities = verify_stack(kind, sources)
+            named, _, _, fidelities = verify_stack(kind, sources)
             states.update(named)
             branch_err[kind] = max(branch_err[kind], 1.0 - min(fidelities))
         for name in ALL_EXPANSIONS:

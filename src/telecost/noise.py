@@ -18,11 +18,10 @@ protocol is linear in the resource pair, so the fidelity through any
 `protocol.pair_response`, evaluated for a whole stack of inputs in one
 array expression. A chunk of noisy runs, all its kinds, is one stack:
 every run climbs the same ladder to the same F, so the stack walks it
-once, draws at once the steps its slowest run still needs, and builds
-one Werner channel. Every kind's response is SQTP's up to the sign of a
-row, which the quadratic form cannot see, so one response and one column
-of fidelities serve all its kinds; `run_noisy_teleport` and
-`teleport_fidelity_noisy` are stacks of one.
+once, draws at once the steps its slowest run still needs, and scores
+one kind's response through one Werner channel for all its kinds: each
+is SQTP's up to the sign of a row, which the quadratic form cannot see.
+`run_noisy_teleport` and `teleport_fidelity_noisy` are stacks of one.
 """
 
 from __future__ import annotations
@@ -137,9 +136,8 @@ def run_noisy_stack(kinds: list[ProtocolKind], psis: list[UnknownQubit] | np.nda
                     max_rounds: int = _NOISY_MAX_ROUNDS) -> list[NoisyStack]:
     """A NoisyStack per kind, one run per input: the runs of all kinds climb
     the ladder, walked once, from channel_f toward distill_target as one
-    (kinds, runs) level array, then the first kind's inputs go through
-    pair_response and one Werner channel, and each kind gets a copy of that
-    fidelity column, its own bit for bit. A given target must lie in (0, 1]
+    (kinds, runs) level array, then every kind gets a copy of the first kind's
+    pair_response through one Werner channel, its own bit for bit. A given target must lie in (0, 1]
     and max_rounds be >= 1, whether or not the runs climb; a channel_f at the
     target makes no attempt, and one at or below 1/2 under it raises.
 

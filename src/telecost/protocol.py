@@ -15,9 +15,9 @@ fidelities are computed as stacks too. Every stack function returns columns:
 `enumerate_protocol_stack` the branches' probabilities, Bob's qubits and
 fidelities, and `verify_stack`, which `verify` reads, both from one run
 of the schedule. Each takes UnknownQubits or checked amplitude rows such
-as `haar_sources` draws. Only the stacks of
-one build objects per run: `run_protocol` a trace from `sample_stack` of
-one, the checkpoints StateVectors and `enumerate_protocol` branches. The
+as `haar_sources` draws. Only the stacks of one build objects per run:
+`run_protocol` a trace from `sample_stack` of one, the checkpoints
+StateVectors and `enumerate_protocol` branches. The
 schedule is linear, so the entangled-input probe stacks the held-back
 qubit's two values, and `pair_response`, all `noise` needs for a mixed
 channel, the resource pair's four basis states under every input, as
@@ -282,15 +282,7 @@ def checkpoints_stack(kind: ProtocolKind,
     """The named registers of every input, one array per name with one
     amplitude row per input; SQTP's also holds the resource pair on its
     own as _EPR_PAIR."""
-    return _registers(kind, *_evolve(SCHEDULES[kind], _sources(psis)))
-
-
-def _registers(kind: ProtocolKind, t: np.ndarray, stacks: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """checkpoints_stack's arrays from _evolve's stack t and named stacks."""
-    named = {name: s.reshape(len(t), 2 ** (s.ndim - 1)) for name, s in stacks.items()}
-    if kind is ProtocolKind.SQTP:
-        named = {_EPR_PAIR: np.broadcast_to(bell_pair().amps, (len(t), 4)), **named}
-    return named
+    return verify_stack(kind, psis)[0]
 
 
 def _checkpoints(kind: ProtocolKind, psi: UnknownQubit) -> dict[str, StateVector]:
@@ -345,25 +337,21 @@ def enumerate_protocol_stack(
     SQTP the four corrected residuals all recover psi (branch 11 up to a
     global -1). For KAK the uncorrected residuals come in exactly two
     classes keyed on the q0 bit."""
-    schedule, sources = SCHEDULES[kind], _sources(psis)
-    return _branches(schedule, _evolve(schedule, sources)[0], sources)
+    return verify_stack(kind, psis)[1:]
 
 
-def _branches(schedule: Schedule, t: np.ndarray,
-              sources: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """enumerate_protocol_stack's columns from _evolve's stack t of `sources`."""
-    probs = _born_rows(t)
-    return (probs, *_bob_rows(_correct(t, probs, schedule.bob_gates), np.repeat(sources, 4, axis=0)))
-
-
-def verify_stack(kind: ProtocolKind,
-                 psis: list[UnknownQubit] | np.ndarray) -> tuple[dict[str, np.ndarray], list[float]]:
-    """What verify scores of every input, checkpoints_stack's registers and
-    enumerate_protocol_stack's fidelities, from one run of the schedule: the
-    branches start from the stack before Alice's measurement."""
+def verify_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray
+                 ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, list[float]]:
+    """checkpoints_stack's registers and enumerate_protocol_stack's columns from
+    one run of the schedule: the branches start before Alice's measurement."""
     schedule, sources = SCHEDULES[kind], _sources(psis)
     t, stacks = _evolve(schedule, sources)
-    return _registers(kind, t, stacks), _branches(schedule, t, sources)[2]
+    named = {name: s.reshape(len(sources), 2 ** (s.ndim - 1)) for name, s in stacks.items()}
+    if kind is ProtocolKind.SQTP:
+        named = {_EPR_PAIR: np.broadcast_to(bell_pair().amps, (len(sources), 4)), **named}
+    probs = _born_rows(t)
+    bobs = _correct(t, probs, schedule.bob_gates)
+    return (named, probs, *_bob_rows(bobs, np.repeat(sources, 4, axis=0)))
 
 
 def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBranch]:
@@ -463,20 +451,13 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
 
 @functools.lru_cache(maxsize=32)  # 32k bytes per k, which verify makes up to 2 * BATCH_CHUNK
 def _jumps(k: int) -> np.ndarray:
-    """Rows hi, lo of G_j = sum_{i<j} M**i and of A_j = M**j mod 2**128, M = _PCG_MULT,
-    j = 1..k, read-only: j steps take a state s to A_j s + G_j inc. From j = 1 the
-    columns double on limb arrays, A_{n+i} = A_i A_n and G_{n+i} = A_i G_n + G_i,
-    with one _mul128 of A_i by A_n and G_n, as rows 0 and 1, per doubling."""
-    t = np.empty((4, k), dtype=np.uint64)
-    t[:, 0] = 0, 1, _PCG_MULT >> 64, _PCG_MULT & 2**64 - 1
-    for n in (1 << e for e in range((k - 1).bit_length())):  # n = 1, 2, 4, ... < k
-        m = min(n, k - n)
-        g_hi, g_lo, a_hi, a_lo = t[:, :m]
-        hi, lo = _mul128(a_hi, a_lo, t[2::-2, n - 1:n], t[3::-2, n - 1:n])  # rows 2, 0 and 3, 1
-        g_lo = lo[1] + g_lo
-        t[:, n:n + m] = hi[1] + g_hi + (g_lo < lo[1]), g_lo, hi[0], lo[0]
-    t.flags.writeable = False
-    return t
+    """Rows hi, lo of G_j = sum_{i<j} M**i and of A_j = M**j mod 2**128, M =
+    _PCG_MULT, j = 1..k, read-only: j steps take a state s to A_j s + G_j inc."""
+    a = list(itertools.accumulate(range(1, k), lambda x, _: x * _PCG_MULT % 2**128, initial=_PCG_MULT))
+    g = [x % 2**128 for x in itertools.accumulate([1, *a[:-1]])]
+    limbs = np.array([[x >> s & 2**64 - 1 for x in v] for v in (g, a) for s in (64, 0)], dtype=np.uint64)
+    limbs.flags.writeable = False
+    return limbs
 
 
 @dataclass

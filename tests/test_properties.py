@@ -305,8 +305,9 @@ def test_stacks_match_their_stacks_of_one_bit_for_bit(size, seed):
         probs, bobs, fidelities = enumerate_protocol_stack(kind, psis)
         assert (probs.shape, bobs.shape, len(fidelities)) == ((size, 4), (4 * size, 2), 4 * size)
         # verify's one evolution scores what the two stacks score
-        registers, verify_fidelities = verify_stack(kind, psis)
-        assert verify_fidelities == fidelities
+        registers, verify_probs, verify_bobs, verify_fidelities = verify_stack(kind, psis)
+        assert (verify_probs.tobytes(), verify_bobs.tobytes(), verify_fidelities) == (
+            probs.tobytes(), bobs.tobytes(), fidelities)
         assert [(name, rows.tobytes()) for name, rows in registers.items()] == [
             (name, rows.tobytes()) for name, rows in stacked.items()]
         assert not bobs.flags.writeable

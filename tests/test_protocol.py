@@ -534,7 +534,7 @@ def test_every_stack_of_no_inputs_is_empty():
         empty = checkpoints_stack(kind, [])
         assert {name: rows.shape for name, rows in empty.items()} == {
             name: (0, rows.shape[1]) for name, rows in one.items()}
-        registers, verify_fidelities = verify_stack(kind, [])
+        registers, _, _, verify_fidelities = verify_stack(kind, [])
         assert verify_fidelities == []
         assert {name: rows.shape for name, rows in registers.items()} == {
             name: rows.shape for name, rows in empty.items()}
