@@ -8,11 +8,13 @@ match componentwise. Eleven expansions are shipped: five for the standard
 protocol (EPR pair, initial product, after CNOT, after H, branch form)
 and six for the chained-XOR protocol (initial, after each XOR, after H,
 branch form, two-class form). In `verify`'s order, they are "epr_pair"
-and then the `checkpoints` of each schedule in `schedule.SCHEDULES`.
+and then the `checkpoints` of each schedule in `schedule.SCHEDULES`. A
+process parses and checks the shipped file once, an alternate one per load.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -53,14 +55,18 @@ class Expansion:
 
 
 def load_expansions(path: str | Path | None = None) -> dict[str, Expansion]:
-    """Load the golden table, from `path` if given, else the shipped file."""
+    """The golden table as a new dict, read and checked from `path` on every
+    call, else from the shipped file, which cannot change, once per process."""
     if path is None:
-        data = json.loads(resources.files("telecost").joinpath("data/expansions.json").read_text())
-    else:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-            raise ValueError(f"cannot read golden file {path}: {exc}") from exc
+        return dict(_shipped())
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ValueError(f"cannot read golden file {path}: {exc}") from exc
+    return _table(data)
+
+
+def _table(data: object) -> dict[str, Expansion]:
     if not isinstance(data, dict):
         raise ValueError(f"golden table must be a JSON object, got {type(data).__name__}")
     table: dict[str, Expansion] = {}
@@ -91,3 +97,7 @@ def load_expansions(path: str | Path | None = None) -> dict[str, Expansion]:
     if missing:
         raise ValueError(f"golden table is missing expansions: {missing}")
     return table
+
+
+_shipped = functools.cache(lambda: _table(json.loads(
+    resources.files("telecost").joinpath("data/expansions.json").read_text())))

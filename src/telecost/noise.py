@@ -12,20 +12,21 @@ its level's probability and sends one `cost.LOCC_ROUND`. The climb lives
 in `run_noisy_stack`, which checks its draws only past 64 steps a level.
 
 Every DensityMatrix is a 2-qubit channel state, checked when built: shape
-4x4, Hermiticity, trace and positivity. No density matrix is evolved: the
-protocol is linear in the resource pair, so the fidelity through any
-2-qubit channel is a quadratic form, in the channel's matrix, of
-`protocol.pair_response`, evaluated for a whole stack of inputs in one
-array expression. A chunk of noisy runs, all its kinds, is one stack:
-every run climbs the same ladder to the same F, so the stack walks it
-once, draws at once the steps its slowest run still needs, and scores
-one kind's response through one Werner channel for all its kinds: each
-is SQTP's up to the sign of a row, which the quadratic form cannot see.
-`run_noisy_teleport` and `teleport_fidelity_noisy` are stacks of one.
+4x4, Hermiticity, trace and positivity; `werner_state` builds each F's once
+per process. No density matrix is evolved: the protocol is linear in the
+resource pair, so the fidelity through any 2-qubit channel is a quadratic
+form, in the channel's matrix, of `protocol.pair_response`, evaluated for
+a whole stack of inputs in one array expression. A chunk of noisy runs,
+all its kinds, is one stack: every run climbs the same ladder to the same
+F, so the stack walks it once, draws at once the steps its slowest run
+still needs, and scores one kind's response through one Werner channel
+for all its kinds: each is SQTP's up to the sign of a row, which the
+quadratic form cannot see. `run_noisy_teleport` and `teleport_fidelity_noisy` are stacks of one.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -63,10 +64,12 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
 
 
+@functools.lru_cache(maxsize=64)
 def werner_state(f: float) -> DensityMatrix:
     """Werner pair with Bell fidelity f, r*I + (f - r)|Phi+><Phi+| with
     r = (1 - f)/3: f on |Phi+> and r on each other Bell projector; f = 1/4
-    is the maximally mixed state."""
+    is the maximally mixed state. Cached on f (-0.0 is 0.0), 64 deep, and
+    shared, frozen and read-only; an f outside [0, 1] raises on every call."""
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity parameter must be in [0, 1], got {f}")
     rest, phi = (1.0 - f) / 3.0, bell_pair().amps

@@ -88,6 +88,50 @@ def test_verify_detects_corrupted_golden(tmp_path, capsys):
     assert "verify failed: first mismatch in epr_pair" in err
 
 
+def test_verify_parses_the_shipped_golden_file_once_per_process(monkeypatch, capsys):
+    # the shipped table cannot change within a process, so two verify calls
+    # after a cleared cache parse it once, and print what an unpatched run does
+    from telecost import expansions
+
+    argv = ["verify", "--runs", "3", "--seed", "8", "--format", "json"]
+    full = run_cli(argv, capsys)
+    expansions._shipped.cache_clear()
+    parsed, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+    assert run_cli(argv, capsys) == full
+    assert run_cli(argv, capsys) == full
+    assert full[0] == 0 and len(parsed) == 1
+
+
+def test_verify_rereads_a_golden_file_on_every_call(tmp_path, capsys):
+    shipped = resources.files("telecost").joinpath("data/expansions.json").read_text()
+    golden = tmp_path / "golden.json"
+    golden.write_text(shipped)
+    argv = ["verify", "--runs", "3", "--seed", "8"]
+    plain = run_cli(argv, capsys)
+    assert plain[0] == 0 and run_cli([*argv, "--golden", str(golden)], capsys) == plain
+    table = json.loads(shipped)
+    table["sqtp_after_h"]["terms"][0]["coeff"] = "-1/2"
+    golden.write_text(json.dumps(table))
+    code, out, err = run_cli([*argv, "--golden", str(golden)], capsys)
+    assert code == 1 and "overall: FAIL" in out
+    assert err == "verify failed: first mismatch in sqtp_after_h\n"
+    assert run_cli(argv, capsys) == plain
+
+
+def test_load_expansions_returns_a_new_table_on_every_call():
+    from telecost.expansions import ALL_EXPANSIONS, load_expansions
+
+    first = load_expansions()
+    first.clear()
+    second = load_expansions()
+    assert second is not first and list(second) == list(ALL_EXPANSIONS)
+    second["epr_pair"] = second["sqtp_initial"]
+    third = load_expansions()
+    assert third is not second and third["epr_pair"].name == "epr_pair"
+    assert list(third) == list(ALL_EXPANSIONS)
+
+
 def test_verify_missing_golden_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "no_such_table.json"
     code, out, err = run_cli(["verify", "--runs", "1", "--golden", str(missing)], capsys)
@@ -366,34 +410,44 @@ def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
 
 
 def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch, capsys):
-    # a Werner channel depends on F alone, and every run of a chunk, of
-    # either kind, ends on one F: the chunk validates one (with its
-    # eigvalsh), not one per run or per kind
-    from telecost.noise import DensityMatrix
+    # a Werner channel depends on F alone, every run of a chunk, of either
+    # kind, ends on one F, and werner_state keeps each F's channel: a process
+    # validates one per distinct F (with its eigvalsh), not one per run, kind,
+    # chunk or invocation
+    from telecost import noise
 
     builds = []
-    original = DensityMatrix.__post_init__
+    original = noise.DensityMatrix.__post_init__
 
     def counting(self):
         builds.append(self)
         original(self)
 
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    monkeypatch.setattr(noise.DensityMatrix, "__post_init__", counting)
+    noise.werner_state.cache_clear()
     for argv in (["--noise-f", "0.75", "--distill-target", "0.9"],
                  ["--noise-f", "0.75", "--distill-target", "0.99", "--max-rounds", "3"],
                  ["--noise-f", "0.8"]):
         builds.clear()
-        code, out, _ = run_cli(["compare", "--runs", "20", "--seed", "4", "--format", "json",
-                                *argv], capsys)
-        assert code == 0
-        per_run = json.loads(out)["per_run"]
+        argv = ["compare", "--seed", "4", "--format", "json", *argv]
+        first = run_cli([*argv, "--runs", "20"], capsys)
+        assert first[0] == 0
+        per_run = json.loads(first[1])["per_run"]
         assert len(builds) == len({r["channel_f"] for r in per_run}) == 1
+        assert run_cli([*argv, "--runs", "20"], capsys) == first
+        with monkeypatch.context() as m:
+            m.setattr("telecost.protocol.BATCH_CHUNK", 16)
+            code, out, _ = run_cli([*argv, "--runs", "33"], capsys)
+        assert code == 0 and len(json.loads(out)["per_run"]) == 66
+        assert len(builds) == 1
 
 
 def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
     # every run of a chunk climbs the same ladder to the same F: 0.75 -> 0.9
     # takes 5 levels, so 20 runs of both kinds, one chunk and one stack,
-    # evaluate the map 5 times and validate one Werner channel
+    # evaluate the map 5 times and validate one Werner channel, which the
+    # process keeps: a repeat and 33 runs in three 16-run chunks walk the
+    # ladder once a chunk and validate none
     from telecost import cost, noise
 
     steps, builds = [], []
@@ -405,11 +459,18 @@ def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
 
     monkeypatch.setattr(cost, "distill_step_map", lambda f: steps.append(f) or step_map(f))
     monkeypatch.setattr(noise.DensityMatrix, "__post_init__", counting)
-    code, out, _ = run_cli(["compare", "--runs", "20", "--seed", "3", "--noise-f", "0.75",
-                            "--distill-target", "0.9", "--format", "json"], capsys)
-    assert code == 0 and len(json.loads(out)["per_run"]) == 40
-    assert len(steps) == len(set(steps)) == 5
-    assert len(builds) == 1
+    noise.werner_state.cache_clear()
+    argv = ["compare", "--seed", "3", "--noise-f", "0.75", "--distill-target", "0.9",
+            "--format", "json"]
+    for runs, chunk, walks, validated in (("20", BATCH_CHUNK, 1, 1), ("20", BATCH_CHUNK, 1, 0),
+                                          ("33", 16, 3, 0)):
+        steps.clear()
+        builds.clear()
+        monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", chunk)
+        code, out, _ = run_cli([*argv, "--runs", runs], capsys)
+        assert code == 0 and len(json.loads(out)["per_run"]) == 2 * int(runs)
+        assert len(steps) == 5 * walks and len(set(steps)) == 5
+        assert len(builds) == validated
 
 
 def test_verify_evolves_each_schedule_once_per_chunk(monkeypatch, capsys):

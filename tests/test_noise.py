@@ -80,6 +80,24 @@ def test_werner_rejects_out_of_range(f):
         werner_state(f)
 
 
+@pytest.mark.parametrize("f, same", [(0.9, 0.9), (0.25, 0.25), (-0.0, 0.0), (1.0, 1.0)])
+def test_werner_state_is_built_once_per_f_and_read_only(f, same):
+    # a channel depends on f alone and is frozen, so every call shares one
+    channel = werner_state(f)
+    assert werner_state(same) is channel and werner_state(f) is channel
+    with pytest.raises(ValueError, match="read-only"):
+        channel.mat[0, 0] = 0.0
+    assert np.max(np.abs(werner_state(f).mat - oracle_dense.werner_dm(same))) <= 1e-15
+
+
+@pytest.mark.parametrize("f", [float("nan"), -0.1, 1.1])
+def test_werner_state_rejects_a_bad_f_on_every_call(f):
+    # an exception is never cached: a repeat raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="fidelity parameter must be in"):
+            werner_state(f)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         DensityMatrix(np.pad([[0.5, 0.5j], [0.5j, 0.5]], (0, 2)))  # not Hermitian
