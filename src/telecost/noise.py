@@ -12,16 +12,16 @@ its level's probability and sends one `cost.LOCC_ROUND`. The climb lives
 in `run_noisy_stack`, which checks its draws only past 64 steps a level.
 
 Every DensityMatrix is a 2-qubit channel state, checked when built: shape
-4x4, Hermiticity, trace and positivity; `werner_state` builds each F's once
-per process. No density matrix is evolved: the protocol is linear in the
-resource pair, so the fidelity through any 2-qubit channel is a quadratic
-form, in the channel's matrix, of `protocol.pair_response`, evaluated for
-a whole stack of inputs in one array expression. A chunk of noisy runs,
-all its kinds, is one stack: every run climbs the same ladder to the same
-F, so the stack walks it once, draws at once the steps its slowest run
-still needs, and scores one kind's response through one Werner channel
-for all its kinds: each is SQTP's up to the sign of a row, which the
-quadratic form cannot see. `run_noisy_teleport` and `teleport_fidelity_noisy` are stacks of one.
+4x4, Hermiticity, trace and positivity, and a `werner_state` once per F.
+No density matrix is evolved: the protocol is linear in the resource pair,
+so the fidelity through any 2-qubit channel is a quadratic form, in the
+channel's matrix, of `protocol.pair_response`, evaluated for a whole stack
+of inputs in one array expression. A chunk of noisy runs, all its kinds,
+is one stack: every run climbs the same ladder to the same F, so the stack
+walks it once, draws at once the steps its slowest run still needs, and
+scores one kind's response through one Werner channel for all its kinds:
+each is SQTP's up to the sign of a row, which the quadratic form cannot
+see. `run_noisy_teleport` and `teleport_fidelity_noisy` are stacks of one.
 """
 
 from __future__ import annotations

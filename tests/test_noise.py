@@ -80,14 +80,15 @@ def test_werner_rejects_out_of_range(f):
         werner_state(f)
 
 
-@pytest.mark.parametrize("f, same", [(0.9, 0.9), (0.25, 0.25), (-0.0, 0.0), (1.0, 1.0)])
-def test_werner_state_is_built_once_per_f_and_read_only(f, same):
-    # a channel depends on f alone and is frozen, so every call shares one
+@pytest.mark.parametrize("f", [0.9, 0.25, -0.0, 1.0])
+def test_werner_state_is_built_once_per_f_and_read_only(f):
+    # a channel depends on f alone and is frozen, so every call shares one;
+    # -0.0 is 0.0, whose matrix it builds bit for bit
     channel = werner_state(f)
-    assert werner_state(same) is channel and werner_state(f) is channel
+    assert werner_state(f) is channel and werner_state(abs(f)) is channel
     with pytest.raises(ValueError, match="read-only"):
         channel.mat[0, 0] = 0.0
-    assert np.max(np.abs(werner_state(f).mat - oracle_dense.werner_dm(same))) <= 1e-15
+    assert np.max(np.abs(channel.mat - oracle_dense.werner_dm(abs(f)))) <= 1e-15
 
 
 @pytest.mark.parametrize("f", [float("nan"), -0.1, 1.1])
