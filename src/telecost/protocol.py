@@ -9,26 +9,24 @@ apply_cnot); one measure_sample draws every run's outcome from a column
 of uniforms. One kernel, `_correct`, applies Bob's gates to every run's
 qubit under all four outcomes, one call per gate and outcome; a sampled
 stack keeps each run's drawn row of it. Bob's normalised qubits and their
-fidelities are computed as stacks too. Every stack function returns columns:
-`sample_stack` a stack's sampled runs, which `compare` reads;
-`checkpoints_stack` one array per named register,
-`enumerate_protocol_stack` the branches' probabilities, Bob's qubits and
-fidelities, and `verify_stack`, which `verify` reads, both from one run
-of the schedule. Each takes UnknownQubits or checked amplitude rows such
-as `haar_sources` draws. Only the stacks of one build objects per run:
-`run_protocol` a trace from `sample_stack` of one, the checkpoints
-StateVectors and `enumerate_protocol` branches. The
-schedule is linear, so the entangled-input probe stacks the held-back
-qubit's two values, and `pair_response`, all `noise` needs for a mixed
-channel, the resource pair's four basis states under every input, as
-one (inputs, 4, 4) array.
-`run_batch` is the one seeded batch runner: it yields chunks of at most
-BATCH_CHUNK runs, each the chunk's input rows and one object of its
-streams, kinds by runs, NumPy's SeedSequence->PCG64 bit for bit on uint64
-limbs, which hand out a column of random() draws per step, or k at once
-by jump-ahead, to every stack, noisy ones included. The TELEPORT message
-is the Schedule's alone: no stack holds a copy of it. The per-state path
-this replaced is the bit-for-bit reference in tests/per_state_reference.py.
+fidelities are computed as stacks too. Three stack functions take
+UnknownQubits or checked amplitude rows such as `haar_sources` draws and
+return columns: `sample_stack`, one sampled run per input, for `compare`;
+`verify_stack`, every named register and all four branches from one run
+of the schedule, for `verify`; and `pair_response`, all `noise` needs for
+a mixed channel: the schedule is linear, so it runs the resource pair's
+four basis states under every input, as one (inputs, 4, 4) array; so the
+entangled-input probe stacks the held-back qubit's two values. Only the
+stacks of one build objects per run: `run_protocol` a trace from
+`sample_stack`, the checkpoint StateVectors and `enumerate_protocol`
+branches from `verify_stack`. `run_batch`, the one seeded batch runner,
+yields chunks of at most BATCH_CHUNK runs as (runs, sources, streams):
+run indices, input rows and one object of the chunk's streams, kinds by
+runs, NumPy's SeedSequence->PCG64 bit for bit on uint64 limbs, which
+hand out a column of random() draws per step, or k at once by
+jump-ahead, to every stack. The TELEPORT message is the Schedule's alone.
+The per-state path this replaced is the bit-for-bit reference in
+tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -277,17 +275,9 @@ def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator
                          CostLedger([schedule.teleport]))
 
 
-def checkpoints_stack(kind: ProtocolKind,
-                      psis: list[UnknownQubit] | np.ndarray) -> dict[str, np.ndarray]:
-    """The named registers of every input, one array per name with one
-    amplitude row per input; SQTP's also holds the resource pair on its
-    own as _EPR_PAIR."""
-    return verify_stack(kind, psis)[0]
-
-
 def _checkpoints(kind: ProtocolKind, psi: UnknownQubit) -> dict[str, StateVector]:
     return {name: StateVector._trusted(rows.shape[1].bit_length() - 1, rows[0])
-            for name, rows in checkpoints_stack(kind, [psi]).items()}
+            for name, rows in verify_stack(kind, [psi])[0].items()}
 
 
 def sqtp_checkpoints(psi: UnknownQubit) -> dict[str, StateVector]:
@@ -327,23 +317,12 @@ class ProtocolBranch:
     fidelity: float
 
 
-def enumerate_protocol_stack(
-    kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """All four measurement branches of every input with corrections
-    applied, as columns: the Born probabilities, one (n, 4) row per input
-    indexed like _OUTCOMES, and Bob's corrected qubits, read-only rows
-    4i + k of a (4n, 2) array, with their fidelities in the same order. For
-    SQTP the four corrected residuals all recover psi (branch 11 up to a
-    global -1). For KAK the uncorrected residuals come in exactly two
-    classes keyed on the q0 bit."""
-    return verify_stack(kind, psis)[1:]
-
-
 def verify_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray
                  ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, list[float]]:
-    """checkpoints_stack's registers and enumerate_protocol_stack's columns from
-    one run of the schedule: the branches start before Alice's measurement."""
+    """Every input's named registers, one (n, 2**qubits) array per name,
+    SQTP's with the pair alone as _EPR_PAIR, and its four branches from the
+    same schedule run: Born probabilities (n, 4) indexed like _OUTCOMES, and
+    Bob's corrected qubits, read-only rows 4i + k of (4n, 2), and fidelities."""
     schedule, sources = SCHEDULES[kind], _sources(psis)
     t, stacks = _evolve(schedule, sources)
     named = {name: s.reshape(len(sources), 2 ** (s.ndim - 1)) for name, s in stacks.items()}
@@ -356,7 +335,7 @@ def verify_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray
 
 def enumerate_protocol(kind: ProtocolKind, psi: UnknownQubit) -> list[ProtocolBranch]:
     """All four measurement branches of one input, as a stack of one."""
-    probs, bobs, fidelities = enumerate_protocol_stack(kind, [psi])
+    _, probs, bobs, fidelities = verify_stack(kind, [psi])
     return [ProtocolBranch(BranchOutcome(bits, pk), StateVector._trusted(1, bob), fidelity)
             for bits, pk, bob, fidelity in zip(_OUTCOMES, probs[0].tolist(), bobs, fidelities)]
 
@@ -476,7 +455,7 @@ class _Streams:
     def random(self, k: int | None = None) -> np.ndarray:
         """One random() of every stream, float64 of the limbs' shape, or k
         of them, shape (k, *shape), each step's state one jump from here."""
-        if k is None:
+        if k is None:  # every ideal chunk draws its outcomes here; random(1)[0] costs ~30 us more
             self.hi, self.lo = hi, lo = _pcg_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
         else:
             g_hi, g_lo, *a = _jumps(k).reshape(4, k, *[1] * self.hi.ndim)

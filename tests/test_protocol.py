@@ -4,11 +4,14 @@ structure, the entangled-input probe and seeded batches."""
 import dataclasses
 import itertools
 import json
+from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import oracle_dense
+import oracle_exact
 import per_state_reference
 from per_state_reference import collapse_residual
 from telecost import protocol
@@ -28,9 +31,7 @@ from telecost.protocol import (
     QubitTransferred,
     Schedule,
     UnknownQubit,
-    checkpoints_stack,
     enumerate_protocol,
-    enumerate_protocol_stack,
     haar_sources,
     kak_checkpoints,
     kak_entangled_input_demo,
@@ -448,12 +449,36 @@ def test_run_batch_rejects_a_run_count_or_seed_it_cannot_key(n_runs, seed):
 
 def test_schedules_cover_every_expansion_and_noisy_bit_count():
     psi = haar(14)
-    named = [*checkpoints_stack(ProtocolKind.SQTP, [psi]), *checkpoints_stack(ProtocolKind.KAK, [psi])]
+    named = [*verify_stack(ProtocolKind.SQTP, [psi])[0], *verify_stack(ProtocolKind.KAK, [psi])[0]]
     assert named == list(ALL_EXPANSIONS)
     for kind in ProtocolKind:
         report = run_noisy_teleport(kind, psi, 0.8, np.random.default_rng(14), distill_target=0.9)
         assert report.attempts > 0
         assert report.ledger.total(Purpose.TELEPORT) == SCHEDULES[kind].announced
+
+
+def test_golden_table_is_the_exact_run_of_each_schedule():
+    # term for term, in Q(sqrt2) with no tolerance; epr_pair is the pair on its own
+    golden = json.loads(resources.files("telecost").joinpath("data/expansions.json").read_text())
+    exact = {"epr_pair": oracle_exact.epr_pair()}
+    for kind in ProtocolKind:
+        exact.update(oracle_exact.run_schedule(SCHEDULES[kind]))
+    assert list(exact) == list(ALL_EXPANSIONS)
+    assert {name: oracle_exact.golden_register(entry) for name, entry in golden.items()} == exact
+
+
+def test_each_corrected_residual_is_exactly_the_input_times_one_scalar():
+    for kind in ProtocolKind:
+        schedule = SCHEDULES[kind]
+        final = oracle_exact.run_schedule(schedule)[schedule.final[0]]
+        for bits in _OUTCOMES:
+            bob = oracle_exact.bob_residual(final, bits)
+            for gate in schedule.corrections[bits[: schedule.announced]]:
+                bob = oracle_exact.apply(bob, gate, (0,))
+            scalar = bob.get(("0", "alpha"), oracle_exact.ZERO)
+            assert bob == {("0", "alpha"): scalar, ("1", "beta"): scalar}, (kind, bits)
+            # every branch has probability scalar**2 = 1/4 exactly
+            assert oracle_exact.mul(scalar, scalar) == (Fraction(1, 4), 0)
 
 
 def _derived_corrections(schedule):
@@ -525,19 +550,14 @@ def test_copies_burn_exactly_when_a_transfer_carries_the_payload(ops, burns):
 
 def test_every_stack_of_no_inputs_is_empty():
     for kind in ProtocolKind:
-        probs, bobs, fidelities = enumerate_protocol_stack(kind, [])
+        empty, probs, bobs, fidelities = verify_stack(kind, [])
         assert (probs.shape, bobs.shape, fidelities) == ((0, 4), (0, 2), [])
         assert pair_response(kind, []).shape == (0, 4, 4)
         [noisy] = run_noisy_stack([kind], [], 0.8, np.random.default_rng(0).random, distill_target=0.9)
         assert noisy.attempts == noisy.fidelities == []
-        one = checkpoints_stack(kind, [haar(16)])
-        empty = checkpoints_stack(kind, [])
+        one = verify_stack(kind, [haar(16)])[0]
         assert {name: rows.shape for name, rows in empty.items()} == {
             name: (0, rows.shape[1]) for name, rows in one.items()}
-        registers, _, _, verify_fidelities = verify_stack(kind, [])
-        assert verify_fidelities == []
-        assert {name: rows.shape for name, rows in registers.items()} == {
-            name: rows.shape for name, rows in empty.items()}
 
 
 def test_sample_stack_holds_the_columns_of_its_traces():
@@ -581,7 +601,7 @@ def test_sample_stack_reads_each_runs_drawn_branch(monkeypatch):
             stack = sample_stack(kind, sources[:n], u[:n])
             assert len(rows) == sum(map(len, bob_gates))
             assert rows == [n] * len(rows)
-        _, bobs, fidelities = enumerate_protocol_stack(kind, sources)
+        _, _, bobs, fidelities = verify_stack(kind, sources)
         for i, k in enumerate(stack.outcomes):
             assert stack.bobs[i].tobytes() == bobs[4 * i + k].tobytes()
             assert stack.fidelities[i] == fidelities[4 * i + k]
@@ -610,7 +630,6 @@ def test_stack_functions_check_the_input_rows_they_are_given(rows):
     rows = np.array(rows, dtype=complex)
     for kind in ProtocolKind:
         for call in (lambda: sample_stack(kind, rows, np.zeros(len(rows))),
-                     lambda: checkpoints_stack(kind, rows), lambda: pair_response(kind, rows),
-                     lambda: enumerate_protocol_stack(kind, rows)):
+                     lambda: verify_stack(kind, rows), lambda: pair_response(kind, rows)):
             with pytest.raises(ValueError, match="input row"):
                 call()

@@ -7,7 +7,6 @@ and its sweep example prints the CSV block shown under it."""
 import json
 import re
 import shlex
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -19,13 +18,19 @@ pytest_plugins = ["pytester"]
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 README = PYPROJECT.parent / "README.md"
-INI_OPTIONS = tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"]
+
+
+def ini_options() -> dict:
+    """pyproject.toml's pytest ini options; tomllib is 3.11+, so on 3.10
+    only the tests that read them skip."""
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"]
 
 
 def test_a_failing_hypothesis_test_leaves_the_others_running(pytester):
     # when a @given test fails, hypothesis imports libcst, whose import warns;
     # under a bare "error" filter that warning stops the session
-    filters = json.dumps(INI_OPTIONS["filterwarnings"])
+    filters = json.dumps(ini_options()["filterwarnings"])
     pytester.makepyprojecttoml(f"[tool.pytest.ini_options]\nfilterwarnings = {filters}\n")
     pytester.makepyfile("""
         from hypothesis import given, strategies as st
@@ -50,7 +55,8 @@ def test_a_misspelled_configuration_key_or_marker_fails_the_run(pytester, ini_li
                                                                  exit_code, message):
     # without strict_config an unknown key only warns, so a misspelled
     # filterwarnings would silently let warnings pass again
-    strict = "".join(f"{key} = {json.dumps(INI_OPTIONS[key])}\n"
+    options = ini_options()
+    strict = "".join(f"{key} = {json.dumps(options[key])}\n"
                      for key in ("strict_config", "strict_markers"))
     pytester.makepyprojecttoml(f"[tool.pytest.ini_options]\n{strict}{ini_line}")
     pytester.makepyfile(f"""
