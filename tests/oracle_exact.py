@@ -51,7 +51,6 @@ def apply(register: Register, gate: str, qubits: tuple[int, ...]) -> Register:
     def put(label: str, var: str, c: Coeff) -> None:
         out[label, var] = add(out.get((label, var), ZERO), c)
 
-    half_sqrt2 = TOKENS["1/sqrt2"]
     for (label, var), c in register.items():
         if gate == "transfer":
             put(label, var, c)
@@ -61,7 +60,7 @@ def apply(register: Register, gate: str, qubits: tuple[int, ...]) -> Register:
             put(label, var, mul(TOKENS["-1" if label[qubits[0]] == "1" else "1"], c))
         elif gate == "H":  # |0> -> (|0> + |1>)/sqrt2, |1> -> (|0> - |1>)/sqrt2
             q = qubits[0]
-            c = mul(half_sqrt2, c)
+            c = mul(TOKENS["1/sqrt2"], c)
             put(label[:q] + "0" + label[q + 1:], var, c)
             put(label[:q] + "1" + label[q + 1:], var, mul(TOKENS["-1"], c) if label[q] == "1" else c)
         elif gate == "CNOT":
