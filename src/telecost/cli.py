@@ -189,39 +189,34 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, dict]:
     noiseless, and each kind's columns in run order: run i's outcome index
     (ideal) or attempts (noisy), and its fidelity rounded to 12 digits.
     Kind k, the k-th that --protocol selects, draws from stream 1 + k, so
-    kak alone reads the stream that sqtp reads beside it. Each distinct
-    fidelity of a stack is rounded once, which keeps the bytes: equal floats
-    round alike, and a zero, 0.0 or -0.0 (one dict key), is its own round."""
-    import numpy as np
-
+    kak alone reads the stream that sqtp reads beside it. No input is drawn
+    and no register evolved: an ideal run's fidelity is 1.0, and a noisy
+    stack's one fidelity is run_noisy_stack's (2F+1)/3."""
     from .noise import run_noisy_stack
-    from .protocol import run_batch, sample_stack
+    from .protocol import run_batch
 
     kinds = cfg.kinds()
     channel_f, columns = None, {kind: ([], []) for kind in kinds}
-    for _, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
+    for runs, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
         if cfg.noise_f is None:
-            stacks = [sample_stack(kind, sources, u) for kind, u in zip(kinds, streams.random())]
+            # run i's outcome is floor(4u) of its draw u in [0, 1), as every outcome is 1/4 likely for every
+            # input (tests/test_protocol.py::test_every_outcome_has_born_probability_exactly_one_quarter)
+            picks, fidelity = (4.0 * streams.random()).astype(int).tolist(), 1.0
         else:  # the ladder is deterministic, so every noisy chunk ends on one channel
-            stacks = run_noisy_stack(kinds, sources, cfg.noise_f, streams.random,
+            stacks = run_noisy_stack(kinds, len(runs), cfg.noise_f, streams.random,
                                      cfg.distill_target, cfg.max_rounds)
-            channel_f = round(stacks[0].f_final, 12)
-        for kind, stack in zip(kinds, stacks):
-            picks, fidelities = columns[kind]
-            picks += stack.outcomes if cfg.noise_f is None else stack.attempts
-            rounded = {f: round(f, 12) for f in set(stack.fidelities)}
-            fidelities += [rounded[f] if f else f for f in stack.fidelities]
+            channel_f, fidelity = round(stacks[0].f_final, 12), stacks[0].fidelity
+            picks = [stack.attempts for stack in stacks]
+        for (kind_picks, fidelities), row in zip(columns.values(), picks):
+            kind_picks += row
+            fidelities += [fidelity] * len(runs)
     summary = {}
-    for kind, (picks, fidelities) in columns.items():
+    for kind, (picks, _) in columns.items():
         t_bits = SCHEDULES[kind].announced
-        locc_mean = 0.0 if cfg.noise_f is None else float(np.mean([LOCC_ROUND_BITS * a for a in picks]))
-        summary[kind.value] = {
-            "mean_fidelity": round(float(np.mean(fidelities)), 12),
-            "min_fidelity": round(min(fidelities), 12),
-            "teleport_bits": t_bits,
-            "locc_bits": round(locc_mean, 12),
-            "total_bits": round(t_bits + locc_mean, 12),
-        }
+        # every run has the one fidelity; the integer sum is exact, so the mean is rounded once
+        locc_mean = 0.0 if cfg.noise_f is None else LOCC_ROUND_BITS * sum(picks) / len(picks)
+        summary[kind.value] = {"mean_fidelity": fidelity, "min_fidelity": fidelity, "teleport_bits": t_bits,
+                               "locc_bits": round(locc_mean, 12), "total_bits": round(t_bits + locc_mean, 12)}
     return summary, channel_f, columns
 
 
@@ -231,8 +226,8 @@ def _compare_json(payload: dict, channel_f: float | None, columns: dict) -> str:
     "per_run": null stands. That text occurs once: no JSON string holds a raw
     newline, and only top-level keys start a line with two spaces and a quote.
     Each kind renders its row head, a % template up to the run index, once
-    per distinct (fidelity, cell), which keeps the bytes: equal keys render
-    alike but for 0.0 and -0.0, so a zero's head is its own; floats go
+    per distinct (fidelity, cell): equal keys render alike, as no fidelity
+    of compare's, 1.0 or (2F+1)/3, is a zero of either sign; floats go
     through repr, as json's do."""
     import json
 
@@ -245,8 +240,7 @@ def _compare_json(payload: dict, channel_f: float | None, columns: dict) -> str:
                     f'      "locc_bits": {cell},\n      "protocol": "{kind.value}",\n      "run": ')
         tail = f',\n      "teleport_bits": {SCHEDULES[kind].announced}\n    }}'
         heads = {key: template % key for key in set(zip(fidelities, cells))}
-        kind_rows.append([f"{heads[f, c] if f else template % (f, c)}{i}{tail}"
-                          for f, c, i in zip(fidelities, cells, itertools.count())])
+        kind_rows.append([f"{heads[key]}{i}{tail}" for i, key in enumerate(zip(fidelities, cells))])
     per_run = ",\n".join(itertools.chain.from_iterable(zip(*kind_rows)))
     text = json.dumps(payload, indent=2, sort_keys=True)
     return text.replace('\n  "per_run": null', f'\n  "per_run": [\n{per_run}\n  ]', 1) + "\n"

@@ -3,25 +3,25 @@
 The resource pair is modeled as a Werner state: fidelity F on the
 (|00>+|11>)/sqrt(2) projector and (1-F)/3 on each of the other three Bell
 projectors. Teleporting through it yields an input-independent fidelity
-(2F+1)/3 for both protocol families, which pins the two boundary cases
-used as cross-checks: F=1 gives 1, the maximally mixed channel gives 1/2.
+(2F+1)/3 for both protocol families (Horodecki, "General teleportation
+channel, singlet fraction and quasi-distillation"): F=1 gives 1, the
+maximally mixed channel 1/2.
 
 Distillation samples attempts up the exact recurrence ladder that
 `cost._ladder` walks, the one `sweep` reads: each attempt succeeds with
 its level's probability and sends one `cost.LOCC_ROUND`. The climb lives
-in `run_noisy_stack`, which checks its draws only past 64 steps a level.
+in `run_noisy_stack`, which takes no inputs: every run climbs the same
+ladder to the same F, so the stack walks it once, draws at once the steps
+its slowest run still needs, and gives every run (2F+1)/3, correctly
+rounded to 12 digits from the float F's exact value.
 
 Every DensityMatrix is a 2-qubit channel state, checked when built: shape
 4x4, Hermiticity, trace and positivity, and a `werner_state` once per F.
 No density matrix is evolved: the protocol is linear in the resource pair,
-so the fidelity through any 2-qubit channel is a quadratic form, in the
-channel's matrix, of `protocol.pair_response`, evaluated for a whole stack
-of inputs in one array expression. A chunk of noisy runs, all its kinds,
-is one stack: every run climbs the same ladder to the same F, so the stack
-walks it once, draws at once the steps its slowest run still needs, and
-scores one kind's response through one Werner channel for all its kinds:
-each is SQTP's up to the sign of a row, which the quadratic form cannot
-see. `run_noisy_teleport` and `teleport_fidelity_noisy` are stacks of one.
+so one input's fidelity through any 2-qubit channel is a quadratic form,
+in the channel's matrix, of `protocol.pair_response`, one array expression
+for a stack of inputs. `teleport_fidelity_noisy` and `run_noisy_teleport`
+score their input so, and the tests check the closed form against it.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def teleport_fidelity_noisy(kind: ProtocolKind, psi: UnknownQubit, channel: Dens
     arbitrary 2-qubit channel state, averaging Bob's corrected output
     over the four measurement outcomes with their Born weights: with
     a = pair_response(kind, [psi]), the sum over outcomes k of
-    a[0, k]^T channel conj(a[0, k]), run_noisy_stack's expression on a
-    stack of one."""
+    a[0, k]^T channel conj(a[0, k]), _channel_fidelities of a stack of
+    one."""
     return _channel_fidelities(pair_response(kind, [psi]), channel)[0]
 
 
@@ -121,28 +121,28 @@ class NoisyTeleportReport:
 
 @dataclass(frozen=True)
 class NoisyStack:
-    """One kind's noisy runs of a stack, as columns. Every run distills to
-    the same f_final in the same rounds, held once with target_met; run i's
-    attempts and fidelity are entry i of their columns, and its LOCC bits
-    attempts[i] * LOCC_ROUND_BITS. Every run then sends its schedule's
-    TELEPORT message, which the stack does not copy."""
+    """One kind's noisy runs of a stack. Every run distills to the same
+    f_final in the same rounds, held once with target_met, and teleports
+    at the one fidelity (2 f_final + 1)/3, rounded to 12 digits; run i's
+    attempts are entry i of their column, and its LOCC bits attempts[i] *
+    LOCC_ROUND_BITS. Every run then sends its schedule's TELEPORT message,
+    which the stack does not copy."""
 
     rounds: int
     f_final: float
     target_met: bool
     attempts: list[int]
-    fidelities: list[float]
+    fidelity: float
 
 
-def run_noisy_stack(kinds: list[ProtocolKind], psis: list[UnknownQubit] | np.ndarray,
-                    channel_f: float, draw: Callable, distill_target: float | None = None,
+def run_noisy_stack(kinds: list[ProtocolKind], n_runs: int, channel_f: float, draw: Callable,
+                    distill_target: float | None = None,
                     max_rounds: int = _NOISY_MAX_ROUNDS) -> list[NoisyStack]:
-    """A NoisyStack per kind, one run per input: the runs of all kinds climb
-    the ladder, walked once, from channel_f toward distill_target as one
-    (kinds, runs) level array, then every kind gets a copy of the first kind's
-    pair_response through one Werner channel, its own bit for bit. A given target must lie in (0, 1]
-    and max_rounds be >= 1, whether or not the runs climb; a channel_f at the
-    target makes no attempt, and one at or below 1/2 under it raises.
+    """A NoisyStack per kind of n_runs runs: the runs of all kinds climb the
+    ladder, walked once, from channel_f toward distill_target as one (kinds,
+    runs) level array. A given target must lie in (0, 1] and max_rounds be
+    >= 1, whether or not the runs climb; a channel_f at the target makes no
+    attempt, and one at or below 1/2 under it raises.
 
     draw(k) gives k columns, one per step, that broadcast to (kinds, runs);
     k is the steps the slowest run still needs, so no column past the last
@@ -163,7 +163,7 @@ def run_noisy_stack(kinds: list[ProtocolKind], psis: list[UnknownQubit] | np.nda
                 raise ValueError(f"f_in must be in (1/2, 1], got {channel_f}")
             levels, stop = _ladder(channel_f, distill_target, max_rounds)
     p_succ = np.array([p for p, _ in levels] + [0.0])  # past the top level no draw succeeds
-    level = np.zeros((len(kinds), len(psis)), dtype=int)
+    level = np.zeros((len(kinds), n_runs), dtype=int)
     attempts, steps = np.zeros_like(level), 0
     while k := len(levels) - int(level.min(initial=len(levels))):
         for steps, u in enumerate(draw(k), steps + 1):
@@ -172,9 +172,11 @@ def run_noisy_stack(kinds: list[ProtocolKind], psis: list[UnknownQubit] | np.nda
             attempts += level < len(levels)
             level += (0.0 <= u) & (u < p_succ[level])
     f_final = levels[-1][1] if levels else channel_f
-    channel = werner_state(f_final)
-    column = _channel_fidelities(pair_response(kinds[0], psis), channel) if kinds else []
-    return [NoisyStack(len(levels), f_final, stop == "target", row.tolist(), list(column))
+    # F = n/d exactly, so (2F + 1)/3 = (2n + d)/3d, rounded half-even to 12 digits as round() rounds
+    n, d = f_final.as_integer_ratio()
+    q, r = divmod((2 * n + d) * 10**12, 3 * d)
+    fidelity = (q + (2 * r > 3 * d or 2 * r == 3 * d and q % 2)) / 10**12
+    return [NoisyStack(len(levels), f_final, stop == "target", row.tolist(), fidelity)
             for row in attempts]
 
 
@@ -182,9 +184,11 @@ def run_noisy_teleport(kind: ProtocolKind, psi: UnknownQubit, channel_f: float,
                        rng: np.random.Generator, distill_target: float | None = None,
                        max_rounds: int = _NOISY_MAX_ROUNDS) -> NoisyTeleportReport:
     """One noisy run, as a stack of one, with a ledger of its own that
-    bills one LOCC_ROUND per attempt before the teleport."""
-    [stack] = run_noisy_stack([kind], [psi], channel_f, rng.random, distill_target, max_rounds)
-    [attempts], [fidelity], schedule = stack.attempts, stack.fidelities, SCHEDULES[kind]
+    bills one LOCC_ROUND per attempt before the teleport, and psi's
+    fidelity through the Werner channel of f_final, unrounded."""
+    [stack] = run_noisy_stack([kind], 1, channel_f, rng.random, distill_target, max_rounds)
+    [attempts], schedule = stack.attempts, SCHEDULES[kind]
+    fidelity = teleport_fidelity_noisy(kind, psi, werner_state(stack.f_final))
     return NoisyTeleportReport(kind, channel_f, stack.f_final, stack.target_met, stack.rounds,
                                attempts, attempts if schedule.burns_copies else 0, fidelity,
                                CostLedger([*LOCC_ROUND * attempts, schedule.teleport]))

@@ -7,26 +7,26 @@ One interpreter runs a table once over a stack of registers, shape
 (runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
 apply_cnot); one measure_sample draws every run's outcome from a column
 of uniforms. One kernel, `_correct`, applies Bob's gates to every run's
-qubit under all four outcomes, one call per gate and outcome; a sampled
-stack keeps each run's drawn row of it. Bob's normalised qubits and their
-fidelities are computed as stacks too. Three stack functions take
-UnknownQubits or checked amplitude rows such as `haar_sources` draws and
-return columns: `sample_stack`, one sampled run per input, for `compare`;
-`verify_stack`, every named register and all four branches from one run
-of the schedule, for `verify`; and `pair_response`, all `noise` needs for
-a mixed channel: the schedule is linear, so it runs the resource pair's
-four basis states under every input, as one (inputs, 4, 4) array; so the
-entangled-input probe stacks the held-back qubit's two values. Only the
-stacks of one build objects per run: `run_protocol` a trace from
-`sample_stack`, the checkpoint StateVectors and `enumerate_protocol`
-branches from `verify_stack`. `run_batch`, the one seeded batch runner,
-yields chunks of at most BATCH_CHUNK runs as (runs, sources, streams):
-run indices, input rows and one object of the chunk's streams, kinds by
-runs, NumPy's SeedSequence->PCG64 bit for bit on uint64 limbs, which
-hand out a column of random() draws per step, or k at once by
-jump-ahead, to every stack. The TELEPORT message is the Schedule's alone.
-The per-state path this replaced is the bit-for-bit reference in
-tests/per_state_reference.py.
+qubit under all four outcomes, one call per gate and outcome. Three stack
+functions take UnknownQubits or checked amplitude rows such as
+`haar_sources` draws and return columns: `sample_stack`, one sampled run
+per input, which keeps its drawn row; `verify_stack`, every named register
+and all four branches from one run of the schedule, for `verify`; and
+`pair_response`, all `noise` needs for a mixed channel: the schedule is
+linear, so it runs the pair's four basis states under every input, as one
+(inputs, 4, 4) array, as the entangled-input probe stacks the held-back
+qubit's two values. Only the stacks of one build objects per run:
+`run_protocol` a trace from `sample_stack`, the checkpoints and
+`enumerate_protocol` branches from `verify_stack`. `compare` evolves no
+register: every outcome has Born probability 1/4 and every corrected branch
+returns the input, so it samples outcomes as floor(4u) and noisy fidelity
+in closed form, and `sample_stack` and `pair_response` are its test oracle.
+`run_batch`, the one seeded batch runner, yields chunks of at most
+BATCH_CHUNK runs as (runs, streams): run indices and the chunk's streams,
+kinds by runs, NumPy's SeedSequence->PCG64 bit for bit on uint64 limbs,
+which hand out a column of random() draws per step, or k at once by
+jump-ahead. The per-state path this replaced is the bit-for-bit reference
+in tests/per_state_reference.py.
 """
 
 from __future__ import annotations
@@ -449,9 +449,6 @@ class _Streams:
     inc_hi: np.ndarray
     inc_lo: np.ndarray
 
-    def __getitem__(self, rows) -> _Streams:  # the streams of `rows`, to step on their own
-        return _Streams(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
-
     def random(self, k: int | None = None) -> np.ndarray:
         """One random() of every stream, float64 of the limbs' shape, or k
         of them, shape (k, *shape), each step's state one jump from here."""
@@ -478,15 +475,15 @@ def _hashmix(v: int | np.ndarray, c_in: int | np.ndarray, c_out: int | np.ndarra
     return x ^ x >> 16
 
 
-def _streams(seed: int, runs: range | None = None, n_streams: int = 1) -> _Streams:
-    """Stream s < n_streams of every run i in runs, as row s: the PCG64 of
+def _streams(seed: int, runs: range | None = None, streams: range = range(1)) -> _Streams:
+    """Stream s in streams of every run i in runs, in rows: the PCG64 of
     SeedSequence(seed, spawn_key=(i, s)), bit for bit, or with no runs the
     one stream, shape (1, 1), of SeedSequence(seed). Only the spawn key
     varies, so the pool of the seed's first 4 words, zero-padded, and its 12
     cross-mixes are Python ints, hashed once. Each later word goes once into
     all 4 slots: the seed's past the fourth, then the run index as a row and
     the stream as a column. The 8 output words of generate_state(4, uint64)
-    are one (8, n_streams, runs) hashmix; PCG64 seeds from them as limbs."""
+    are one (8, streams, runs) hashmix; PCG64 seeds from them as limbs."""
     words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 128), 32)]
 
     def mix(x: int | np.ndarray, y: int | np.ndarray) -> int | np.ndarray:
@@ -502,7 +499,7 @@ def _streams(seed: int, runs: range | None = None, n_streams: int = 1) -> _Strea
     pool, hc, out_hc = (np.array(x, dtype=np.uint32).reshape(-1, 1, 1)
                         for x in (pool, hc[16:], _hash_constants(_INIT_B, _MULT_B, 8)))
     spawn_key = [] if runs is None else [np.arange(runs.start, runs.stop, dtype=np.uint32),
-                                         np.arange(n_streams, dtype=np.uint32)[:, None]]
+                                         np.arange(streams.start, streams.stop, dtype=np.uint32)[:, None]]
     for j, w in enumerate([*words[4:], *spawn_key]):
         pool = mix(pool, _hashmix(w, hc[4 * j:4 * j + 4], hc[4 * j + 1:4 * j + 5]))
     out = _hashmix(np.concatenate([pool, pool]), out_hc[:-1], out_hc[1:])
@@ -513,19 +510,18 @@ def _streams(seed: int, runs: range | None = None, n_streams: int = 1) -> _Strea
     return _Streams(*_pcg_step(inc_hi + a + (lo < b), lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def run_batch(n_runs: int, seed: int, n_streams: int) -> Iterator[tuple[range, np.ndarray, _Streams]]:
-    """Seeded batch over Haar-random inputs, yielding each chunk of at most
-    BATCH_CHUNK runs as (runs, sources, streams). Stream s of run i is
-    NumPy's PCG64 of SeedSequence(seed, spawn_key=(i, s)): `sources` are
-    haar_sources of two random() of stream 0 per run, and row k of
-    `streams`, limbs (n_streams, runs), is stream 1 + k of the chunk's
-    runs, a column of draws per step, so run i depends neither on n_runs
-    nor on the chunks."""
+def run_batch(n_runs: int, seed: int, n_streams: int) -> Iterator[tuple[range, _Streams]]:
+    """Seeded batch, yielding each chunk of at most BATCH_CHUNK runs as
+    (runs, streams). Stream s of run i is NumPy's PCG64 of
+    SeedSequence(seed, spawn_key=(i, s)), and row k of `streams`, limbs
+    (n_streams, runs), is stream 1 + k of the chunk's runs, a column of
+    draws per step, so run i depends neither on n_runs nor on the chunks.
+    Stream 0 drew each run's Haar input, which no command needs any more,
+    so it is not seeded; numbering from 1 keeps every draw where it was."""
     if not 1 <= n_runs <= MAX_RUNS:
         raise ValueError(f"n_runs must be in 1..{MAX_RUNS}, got {n_runs}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     for start in range(0, n_runs, BATCH_CHUNK):
         runs = range(start, min(start + BATCH_CHUNK, n_runs))
-        streams = _streams(seed, runs, 1 + n_streams)
-        yield runs, haar_sources(streams[0].random(2).T), streams[1:]
+        yield runs, _streams(seed, runs, range(1, 1 + n_streams))

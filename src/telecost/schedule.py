@@ -38,9 +38,9 @@ _OUTCOMES = ("00", "01", "10", "11")
 # the checkpoint of the resource pair on its own, which SQTP's checkpoints add
 _EPR_PAIR = "epr_pair"
 
-# runs per stack, bounding what is held at once: an ideal chunk pays ~0.9 ms fixed (streams,
-# Haar block, a sample_stack per kind) and ~3.9 us a run of both kinds, 18 % fixed at 1024
-# runs (47 % at 256); a full noisy chunk's traced peak is 3.8 MB (14.8 MB at 4096 runs)
+# runs per stack, bounding what is held at once: an ideal chunk pays ~0.11 ms fixed (its streams)
+# and ~0.12 us a run of both kinds, 49 % fixed at 1024 runs (77 % at 256); a full noisy chunk's
+# traced peak is 1.1 MB (3.7 MB at 4096 runs)
 BATCH_CHUNK = 1024
 MAX_RUNS = 2**32 - 1  # a run index is one uint32 word of its streams' spawn key
 

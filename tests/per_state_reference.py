@@ -39,8 +39,10 @@ from telecost.protocol import (
     ProtocolBranch,
     ProtocolTrace,
     UnknownQubit,
+    haar_sources,
 )
 from telecost.protocol import _GATES as _STACKED_GATES  # the package's stacked kernels by name
+from telecost.protocol import _streams
 from telecost.statevector import (
     BranchOutcome,
     StateVector,
@@ -252,6 +254,13 @@ def run_batch(kinds: list[ProtocolKind], n_runs: int, seed: int):
         psi = UnknownQubit.haar(np.random.default_rng(subs[0]))
         for k, kind in enumerate(kinds):
             yield i, kind, run_protocol(kind, psi, np.random.default_rng(subs[1 + k]))
+
+
+def batch_sources(seed: int, runs: range) -> np.ndarray:
+    """The Haar inputs of run_batch's chunk `runs` for the engine's runs:
+    haar_sources of two random() of stream 0 of each run, the PCG64 of
+    SeedSequence(seed, spawn_key=(i, 0)), beside the kinds' streams 1 + k."""
+    return haar_sources(_streams(seed, runs).random(2)[:, 0].T)
 
 
 def checkpoints(kind: ProtocolKind, psi: UnknownQubit) -> dict[str, StateVector]:

@@ -5,10 +5,12 @@ import csv
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -19,9 +21,8 @@ from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, 
                           _compare_json, build_parser, cmd_sweep, main)
 from telecost.cost import LOCC_ROUND_BITS
 from telecost.kinds import ProtocolKind
-from telecost.noise import run_noisy_stack
-from telecost.protocol import (BATCH_CHUNK, MAX_RUNS, SampledStack, UnknownQubit, run_batch,
-                               sample_stack)
+from telecost.noise import run_noisy_stack, run_noisy_teleport
+from telecost.protocol import BATCH_CHUNK, MAX_RUNS, UnknownQubit, run_batch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
@@ -402,18 +403,19 @@ def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
     assert code == 0
     assert json.loads(out)["per_run"][0]["locc_bits"] == 182
     # the same run through the API: the printed channel_f 1.0 is a rounding
-    [(_, sources, streams)] = run_batch(1, 0, 1)
-    [stack] = run_noisy_stack([ProtocolKind.KAK], sources, 0.75, streams.random,
+    [(_, streams)] = run_batch(1, 0, 1)
+    [stack] = run_noisy_stack([ProtocolKind.KAK], 1, 0.75, streams.random,
                               distill_target=1.0, max_rounds=1024)
     assert stack.f_final < 1.0 and stack.target_met is False
     assert LOCC_ROUND_BITS * stack.attempts[0] == 182
 
 
 def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch, capsys):
-    # a Werner channel depends on F alone, every run of a chunk, of either
-    # kind, ends on one F, and werner_state keeps each F's channel: a process
-    # validates one per distinct F (with its eigvalsh), not one per run, kind,
-    # chunk or invocation
+    # a Werner channel depends on F alone and every run of a chunk, of either
+    # kind, ends on one F: compare needs no channel at all, as its fidelity
+    # is (2F+1)/3, and the runs of one that score their input through the
+    # channel, run_noisy_teleport's, validate one per distinct F (with its
+    # eigvalsh), which werner_state keeps, not one per run, kind or chunk
     from telecost import noise
 
     builds = []
@@ -429,25 +431,30 @@ def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch,
                  ["--noise-f", "0.75", "--distill-target", "0.99", "--max-rounds", "3"],
                  ["--noise-f", "0.8"]):
         builds.clear()
+        cfg = RunConfig(**vars(build_parser().parse_args(["compare", *argv])))
         argv = ["compare", "--seed", "4", "--format", "json", *argv]
         first = run_cli([*argv, "--runs", "20"], capsys)
         assert first[0] == 0
         per_run = json.loads(first[1])["per_run"]
-        assert len(builds) == len({r["channel_f"] for r in per_run}) == 1
+        assert len({r["channel_f"] for r in per_run}) == 1 and builds == []
         assert run_cli([*argv, "--runs", "20"], capsys) == first
         with monkeypatch.context() as m:
             m.setattr("telecost.protocol.BATCH_CHUNK", 16)
             code, out, _ = run_cli([*argv, "--runs", "33"], capsys)
         assert code == 0 and len(json.loads(out)["per_run"]) == 66
+        assert builds == []
+        for seed, kind in itertools.product(range(3), ProtocolKind):
+            report = run_noisy_teleport(kind, UnknownQubit(0.6, 0.8), cfg.noise_f,
+                                        np.random.default_rng(seed), cfg.distill_target, cfg.max_rounds)
+            assert round(report.f_final, 12) == per_run[0]["channel_f"]
         assert len(builds) == 1
 
 
 def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
     # every run of a chunk climbs the same ladder to the same F: 0.75 -> 0.9
     # takes 5 levels, so 20 runs of both kinds, one chunk and one stack,
-    # evaluate the map 5 times and validate one Werner channel, which the
-    # process keeps: a repeat and 33 runs in three 16-run chunks walk the
-    # ladder once a chunk and validate none
+    # evaluate the map 5 times and validate no Werner channel: a repeat and
+    # 33 runs in three 16-run chunks walk the ladder once a chunk
     from telecost import cost, noise
 
     steps, builds = [], []
@@ -462,15 +469,13 @@ def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
     noise.werner_state.cache_clear()
     argv = ["compare", "--seed", "3", "--noise-f", "0.75", "--distill-target", "0.9",
             "--format", "json"]
-    for runs, chunk, walks, validated in (("20", BATCH_CHUNK, 1, 1), ("20", BATCH_CHUNK, 1, 0),
-                                          ("33", 16, 3, 0)):
+    for runs, chunk, walks in (("20", BATCH_CHUNK, 1), ("20", BATCH_CHUNK, 1), ("33", 16, 3)):
         steps.clear()
-        builds.clear()
         monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", chunk)
         code, out, _ = run_cli([*argv, "--runs", runs], capsys)
         assert code == 0 and len(json.loads(out)["per_run"]) == 2 * int(runs)
         assert len(steps) == 5 * walks and len(set(steps)) == 5
-        assert len(builds) == validated
+    assert builds == []
 
 
 def test_verify_evolves_each_schedule_once_per_chunk(monkeypatch, capsys):
@@ -495,20 +500,32 @@ def test_verify_evolves_each_schedule_once_per_chunk(monkeypatch, capsys):
 
 @pytest.mark.parametrize("protocol", ["both", "sqtp", "kak"])
 def test_noisy_chunk_computes_one_channel_response(protocol, monkeypatch, capsys):
-    # every kind's fidelities through a channel are equal, so a noisy chunk,
-    # of one kind or both, scores its runs from one pair_response
+    # every kind's fidelity through a Werner channel is (2F+1)/3 for every
+    # input, so a noisy chunk, of one kind or both, scores its runs from one
+    # closed form, run_noisy_stack's one fidelity, and no pair_response
     from telecost import noise
 
     argv = ["compare", "--runs", "33", "--seed", "6", "--noise-f", "0.75", "--distill-target",
             "0.9", "--protocol", protocol, "--format", "json"]
     full = run_cli(argv, capsys)
-    calls, response = [], noise.pair_response
-    monkeypatch.setattr(noise, "pair_response",
-                        lambda kind, psis: calls.append(len(psis)) or response(kind, psis))
+    calls, stack = [], noise.run_noisy_stack
+
+    def recorded(kinds, n_runs, *args):
+        stacks = stack(kinds, n_runs, *args)
+        calls.append((len(kinds), n_runs, {s.fidelity for s in stacks}))
+        return stacks
+
+    def refuse(*args):
+        raise AssertionError("compare evaluated a channel response")
+
+    monkeypatch.setattr(noise, "run_noisy_stack", recorded)
+    monkeypatch.setattr(noise, "pair_response", refuse)
     monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", 16)
     assert run_cli(argv, capsys) == full
     assert full[0] == 0 and full[2] == ""
-    assert calls == [16, 16, 1]
+    kinds = 2 if protocol == "both" else 1
+    fidelity = {json.loads(full[1])["per_run"][0]["fidelity"]}
+    assert calls == [(kinds, 16, fidelity), (kinds, 16, fidelity), (kinds, 1, fidelity)]
 
 
 def _ladder_probabilities(f_in, target, max_rounds):
@@ -768,6 +785,43 @@ def test_compare_output_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_compare_evolves_no_register_draws_no_input_and_scores_no_channel(monkeypatch, capsys):
+    # outcomes are floor(4u) of the streams' draws and fidelities closed
+    # forms, so with the engine's register run, Haar draw and channel
+    # response refused every compare still prints its pinned bytes
+    from telecost import noise, protocol
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare called the engine")
+
+    for name in ("_evolve", "haar_sources"):
+        monkeypatch.setattr(protocol, name, refuse)
+    monkeypatch.setattr(noise, "pair_response", refuse)
+    for argv, digest in PINNED_SHA256:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("noise_f, fidelity", [("0.70000000000075", 0.800000000001),
+                                               ("0.85000000000075", 0.900000000001),
+                                               ("0.55000000000075", 0.700000000001)])
+def test_compare_prints_the_correctly_rounded_fidelity_at_a_rounding_edge(noise_f, fidelity, capsys):
+    # (2F+1)/3 of these F sits a hair above a 12-digit rounding edge; the
+    # float formula round((2 * f + 1) / 3, 12) and the engine's per-input
+    # sums fall on either side of it (0.70000000000075 printed 698 rows of
+    # 0.8 and 102 of 0.800000000001), and compare prints the exact value's
+    # rounding on every row and in both summaries
+    code, out, err = run_cli(["compare", "--runs", "400", "--seed", "0", "--noise-f", noise_f,
+                              "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert float(round((2 * Fraction(float(noise_f)) + 1) / 3, 12)) == fidelity
+    assert [row["fidelity"] for row in report["per_run"]] == [fidelity] * 800
+    assert {(s["mean_fidelity"], s["min_fidelity"]) for s in report["summary"].values()} == {
+        (fidelity, fidelity)}
+
+
 # verify's inputs come from a NumPy Generator; JSON prints max_abs_err at full precision
 PINNED_VERIFY_SHA256 = [
     (["verify", "--seed", "0", "--format", "json"],
@@ -812,22 +866,25 @@ def test_only_json_renders_per_run_rows(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_compare_rounds_every_fidelity_as_round_does(monkeypatch):
-    # a stack's distinct fidelities are rounded once each, yet every run's is
-    # round(f, 12) to the bit: a zero keeps its sign, and two values one ulp
-    # apart across a 12-digit rounding edge stay apart
-    raw = [0.0, -0.0, -0.0, 0.0, 0.9999999999995, 0.9999999999995001, 0.9999999999995]
-
-    def planted(kind, sources, u):
-        stack = sample_stack(kind, sources, u)
-        return SampledStack(stack.outcomes, raw[:len(stack.fidelities)], stack.bobs)
-
-    monkeypatch.setattr("telecost.protocol.sample_stack", planted)
-    _, _, columns = _compare_data(RunConfig("compare", n_runs=len(raw)))
-    assert len(columns) == 2
-    for _, fidelities in columns.values():
-        assert list(map(repr, fidelities)) == [repr(round(f, 12)) for f in raw]
-        assert fidelities[4:] == [0.999999999999, 1.0, 0.999999999999]
+def test_compare_rounds_every_fidelity_as_round_does():
+    # every fidelity compare prints is round() of its exact value: 1.0 when
+    # noiseless, else (2F+1)/3 of the float F the ladder ends on, correctly
+    # rounded to 12 digits; F one ulp apart across a 12-digit rounding edge
+    # print apart, and F = 0.70000000000075, which sits on an edge, prints
+    # the exact value's rounding (the float formula's is 0.8)
+    edge = 0.70000000000075
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1 / 3, 5e-324, np.nextafter(edge, 0.0), edge,
+            np.nextafter(edge, 1.0), 0.85000000000075, 0.55000000000075]
+    for noise_f in [None, *map(float, grid)]:
+        summary, channel_f, columns = _compare_data(RunConfig("compare", n_runs=7, noise_f=noise_f))
+        exact = 1 if noise_f is None else (2 * Fraction(noise_f) + 1) / 3
+        assert channel_f == (None if noise_f is None else round(noise_f, 12))
+        for kind, (_, fidelities) in columns.items():
+            assert fidelities == [float(round(exact, 12))] * 7
+            assert summary[kind.value]["mean_fidelity"] == summary[kind.value]["min_fidelity"] == fidelities[0]
+    edges = [_compare_data(RunConfig("compare", n_runs=1, noise_f=float(f)))[0]["kak"]["min_fidelity"]
+             for f in grid[7:10]]
+    assert edges == [0.8, 0.800000000001, 0.800000000001]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1032,22 +1089,30 @@ def test_verify_builds_no_branch_object(monkeypatch, capsys):
 
 def test_benchmark_tracer_installs_and_changes_no_output(capsys):
     # the tracer refuses a layer function held where it cannot rebind it
-    # (a tuple, a default argument, a closure), raising TracingError
+    # (a tuple, a default argument, a closure), raising TracingError; the
+    # engine's spans come from verify, as compare evolves no register
     tracer = _perfbench_module("tracer").Tracer()
     argvs = [["compare", "--runs", "3", "--seed", "2", "--format", "json"],
+             ["compare", "--runs", "3", "--seed", "2", "--noise-f", "0.75", "--format", "json"],
              ["verify", "--runs", "2", "--seed", "2"]]
     plain = [run_cli(argv, capsys) for argv in argvs]
     tracer.install()
     try:
-        traced = [run_cli(argv, capsys) for argv in argvs]
+        traced, spans = [], []
+        for argv in argvs:
+            start = len(tracer.spans)
+            traced.append(run_cli(argv, capsys))
+            spans.append({span[3] for span in tracer.spans[start:]})
     finally:
         tracer.uninstall()
     assert traced == plain
-    spans = [span[3] for span in tracer.spans]
-    assert {"protocol.sample_stack", "protocol.verify_stack",
-            "statevector.apply_h", "statevector.apply_cnot"} <= set(spans)
-    # one stacked outcome draw per kind's chunk: the 3 runs are one chunk of sqtp and one of kak
-    assert spans.count("statevector.measure_sample") == 2
+    ideal, noisy, verify = spans
+    assert {"protocol.verify_stack", "statevector.apply_h", "statevector.apply_cnot"} <= verify
+    assert "protocol.run_batch" in ideal and "noise.run_noisy_stack" in noisy
+    engine = {"protocol.haar_sources", "protocol.sample_stack", "protocol.pair_response",
+              "statevector.measure_sample", "noise.teleport_fidelity_noisy", "noise.werner_state"}
+    engine |= {span for span in verify if span.startswith("statevector.apply_")}
+    assert not (ideal | noisy) & engine
 
 
 def test_benchmark_tracer_refuses_a_gate_held_in_a_tuple(monkeypatch):

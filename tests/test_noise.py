@@ -264,7 +264,7 @@ def test_distill_to_threshold_reaches_target():
 def test_a_given_target_is_checked_even_when_no_run_climbs(target, max_rounds):
     # a channel at 0.95 climbs toward none of these targets, yet each is illegal
     with pytest.raises(ValueError, match="distill_target must be in|max_rounds must be >= 1"):
-        run_noisy_stack([ProtocolKind.SQTP], [haar(0), haar(1)], 0.95, lambda k: np.zeros((k, 2)),
+        run_noisy_stack([ProtocolKind.SQTP], 2, 0.95, lambda k: np.zeros((k, 2)),
                         target, max_rounds)
     with pytest.raises(ValueError, match="distill_target must be in|max_rounds must be >= 1"):
         distill(0.95, target, max_rounds, np.random.default_rng(0))
@@ -358,8 +358,8 @@ def test_every_noisy_stack_ends_on_one_channel(channel_f, target, max_rounds, ro
     monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", 16)
     ends = set()
     for n_runs in (1, 7, 33):
-        for _, sources, streams in run_batch(n_runs, 11, 2):
-            for stack in run_noisy_stack(list(ProtocolKind), sources, channel_f, streams.random,
+        for runs, streams in run_batch(n_runs, 11, 2):
+            for stack in run_noisy_stack(list(ProtocolKind), len(runs), channel_f, streams.random,
                                          target, max_rounds):
                 ends.add((stack.rounds, stack.f_final, stack.target_met))
     assert len(ends) == 1
@@ -431,7 +431,7 @@ def test_a_climb_on_draws_that_never_succeed_ends_in_a_value_error(bad):
     # forever, and -0.5 would pass for a success at every step
     for column in ([bad, bad], [0.0, bad]):
         with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
-            run_noisy_stack([ProtocolKind.KAK], [haar(0), haar(1)], 0.75,
+            run_noisy_stack([ProtocolKind.KAK], 2, 0.75,
                             lambda k, column=column: np.array([column] * k), 0.9)
     with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
         distill(0.75, 0.9, 32, SimpleNamespace(random=lambda k: np.full(k, bad)))
@@ -441,7 +441,7 @@ def test_a_climb_past_its_check_bound_still_counts_every_attempt():
     # 0.75 -> 0.9 has 5 levels, so columns past step 320 are checked; legal
     # ones pass, and 400 failures then 5 successes are 405 attempts
     draws = iter([np.full(2, 0.999)] * 400 + [np.zeros(2)] * 5)
-    [stack] = run_noisy_stack([ProtocolKind.SQTP], [haar(0), haar(1)], 0.75,
+    [stack] = run_noisy_stack([ProtocolKind.SQTP], 2, 0.75,
                               lambda k: [next(draws) for _ in range(k)], 0.9)
     assert (stack.rounds, stack.attempts, stack.target_met) == (5, [405, 405], True)
 
@@ -463,9 +463,9 @@ def one_step_climb(levels, streams):
 def test_a_stack_of_one_kind_leaves_its_stream_where_the_one_step_loop_does(n_runs, target):
     # each round draws only the steps the slowest run still needs, so the
     # blocks end on the step the loop ends on, with the same attempts
-    [(_, sources, streams)] = run_batch(n_runs, 31, 1)
-    [(_, _, twin)] = run_batch(n_runs, 31, 1)
-    [stack] = run_noisy_stack([ProtocolKind.KAK], sources, 0.75, streams.random, target)
+    [(_, streams)] = run_batch(n_runs, 31, 1)
+    [(_, twin)] = run_batch(n_runs, 31, 1)
+    [stack] = run_noisy_stack([ProtocolKind.KAK], n_runs, 0.75, streams.random, target)
     want = one_step_climb(cost._ladder(0.75, target, 32)[0], twin)
     assert stack.attempts == want[0].tolist()
     for limb in ("hi", "lo"):

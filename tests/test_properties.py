@@ -4,9 +4,12 @@ against an independent reference; the sampled distillation run and the
 sweep against the two recurrence walks they replaced, and their two LOCC
 bills against each other; the stacked interpreter and run_protocol's
 traces against the per-state path it replaced, bit for bit, and every
-stack against its stacks of one; the stacked pair responses and noisy
-fidelities against the retired per-input formulas and all-outcomes
-correction, bit for bit;
+stack against its stacks of one; the stacked pair responses and the
+engine's noisy fidelities against the retired per-input formulas and
+all-outcomes correction, bit for bit; the engine as the oracle of
+compare's closed forms: sample_stack's outcomes are floor(4u), every
+kind's Werner fidelity is (2F+1)/3, which a noisy stack gives correctly
+rounded, and compare's JSON report is the engine's;
 the locality of every sampled run's trace; SQTP and KAK as one channel
 on any resource pair; the seeded batch's vector streams, 64 columns
 deep, against NumPy's SeedSequence and PCG64, and the Haar draw, one at
@@ -23,6 +26,8 @@ import contextlib
 import io
 import itertools
 import json
+import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -169,7 +174,7 @@ def test_noisy_ledger_without_failures_bills_what_sweep_bills(f_in, f_target, ma
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         teleport = (ALICE, BOB, SCHEDULES[kind].announced, Purpose.TELEPORT)
         # the stack: a column of zeros makes every attempt succeed
-        [stack] = run_noisy_stack([kind], psis, f_in, lambda k: np.zeros((k, 2)), f_target, max_rounds)
+        [stack] = run_noisy_stack([kind], 2, f_in, lambda k: np.zeros((k, 2)), f_target, max_rounds)
         assert stack.attempts == [stack.rounds] * 2 == [row["rounds_to_target"]] * 2
         # the stack bills no TELEPORT copy of its own: each run sends its schedule's message
         assert SCHEDULES[kind].teleport == teleport
@@ -329,16 +334,17 @@ def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, tar
 
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         rngs = [rng(i) for i in range(size)]
-        [stack] = run_noisy_stack([kind], psis, channel_f,
+        [stack] = run_noisy_stack([kind], size, channel_f,
                                   lambda k: np.array([r.random(k) for r in rngs]).reshape(size, k).T,
                                   distill_target=target, max_rounds=max_rounds)
-        assert len(stack.attempts) == len(stack.fidelities) == size
+        assert len(stack.attempts) == size
         for i, psi in enumerate(psis):
             report = run_noisy_teleport(kind, psi, channel_f, rng(i),
                                         distill_target=target, max_rounds=max_rounds)
-            assert (report.rounds, report.attempts, report.f_final, report.target_met,
-                    report.fidelity) == (stack.rounds, stack.attempts[i], stack.f_final,
-                                         stack.target_met, stack.fidelities[i])
+            assert (report.rounds, report.attempts, report.f_final, report.target_met) == (
+                stack.rounds, stack.attempts[i], stack.f_final, stack.target_met)
+            # the run scores its input through the channel, the stack in closed form
+            assert abs(report.fidelity - stack.fidelity) < TOL
             assert report.ledger.entries[-1:] == CostLedger([SCHEDULES[kind].teleport]).entries
             assert report.ledger.total(Purpose.LOCC) == LOCC_ROUND_BITS * stack.attempts[i]
             walked = walked_distill_run(channel_f, channel_f if target is None else target,
@@ -346,28 +352,83 @@ def test_noisy_stack_matches_its_runs_field_for_field(size, seed, channel_f, tar
             assert (stack.rounds, stack.attempts[i], stack.f_final) == walked
 
 
+def exact_teleport_fidelity(f):
+    """(2F+1)/3 of the float f's exact value, and whether it lies within
+    1e-15 of a 12-digit rounding edge, where floats may round either way."""
+    exact = (2 * Fraction(f) + 1) / 3
+    scaled = exact * 10**12
+    return exact, abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 1000)
+
+
 @STACKS
 @given(stack_sizes, seeds, st.floats(min_value=0.51, max_value=1.0),
        st.one_of(st.none(), st.floats(min_value=0.5, max_value=1.0)))
 @example(257, 0, 0.75, 0.9)
 @example(1, 0, 1.0, None)  # a perfect channel
+@example(1, 0, 0.70000000000075, None)  # on a rounding edge
 def test_every_kind_of_a_noisy_stack_is_its_own_channel_response_bit_for_bit(
         size, seed, channel_f, target):
-    # run_noisy_stack scores the first kind's response and hands each kind a
-    # copy, so each column must be the one its own kind would compute; the
-    # responses of |0> and |1> hold zeros, one of them signed apart by the kinds
+    # run_noisy_stack gives every kind one closed-form fidelity, so each
+    # kind's own response through the Werner channel, the engine's, must
+    # round to it bit for bit, off a rounding edge, and lie within TOL of it
+    # on one; the responses of |0> and |1> hold zeros, one of them signed
+    # apart by the kinds
     rng = np.random.default_rng(seed)
     psis = [UnknownQubit(1, 0), UnknownQubit(0, 1), *(UnknownQubit.haar(rng) for _ in range(size))]
     kinds_lists = [[ProtocolKind.SQTP, ProtocolKind.KAK], [ProtocolKind.KAK, ProtocolKind.SQTP],
                    [ProtocolKind.KAK], [ProtocolKind.SQTP], []]
     for kinds in kinds_lists:
-        stacks = run_noisy_stack(kinds, psis, channel_f, lambda k: rng.random((k, 1, len(psis))),
+        stacks = run_noisy_stack(kinds, len(psis), channel_f, lambda k: rng.random((k, 1, len(psis))),
                                  distill_target=target)
         assert len(stacks) == len(kinds)
         for kind, stack in zip(kinds, stacks):
-            want = _channel_fidelities(pair_response(kind, psis), werner_state(stack.f_final))
-            assert [f.hex() for f in stack.fidelities] == [f.hex() for f in want]
-        assert len({id(stack.fidelities) for stack in stacks}) == len(stacks)
+            exact, on_edge = exact_teleport_fidelity(stack.f_final)
+            assert stack.fidelity == float(round(exact, 12))
+            for want in _channel_fidelities(pair_response(kind, psis), werner_state(stack.f_final)):
+                assert abs(want - stack.fidelity) < TOL
+                assert on_edge or round(want, 12).hex() == stack.fidelity.hex()
+
+
+@PROPERTY
+@given(unit_f)
+@example(0.70000000000075)  # (2F+1)/3 a hair above a 12-digit edge: the float formula gives 0.8
+@example(0.85000000000075)
+@example(0.55000000000075)
+@example(float(np.nextafter(0.70000000000075, 0.0)))  # a hair below it
+@example(5e-324)
+def test_a_noisy_stacks_fidelity_is_the_exact_closed_form_correctly_rounded(f):
+    # no target, so the channel is f's own: (2f+1)/3 of f's exact value,
+    # rounded half-even to 12 digits, the float nearest that decimal
+    [stack] = run_noisy_stack([ProtocolKind.KAK], 1, f, lambda k: np.zeros((k, 1)))
+    assert stack.fidelity == float(round((2 * Fraction(f) + 1) / 3, 12))
+
+
+@PROPERTY
+@given(st.lists(haar_angles, min_size=1, max_size=16), unit_f)
+@example([(1.0, 0.0), (-1.0, 0.0)], 0.0)  # the poles, whose responses hold zeros
+def test_each_kinds_werner_fidelity_is_two_f_plus_one_over_three(angles, f):
+    # the engine as the closed form's oracle: every input of a stack, each
+    # kind on its own, through the Werner pair of f; the bound is the
+    # engine's float error over its 16 terms, measured at 1.33e-15 at most
+    psis = [qubit_from_angles(a) for a in angles]
+    want = float((2 * Fraction(f) + 1) / 3)
+    for kind in ProtocolKind:
+        for got in _channel_fidelities(pair_response(kind, psis), werner_state(f)):
+            assert abs(got - want) <= 2e-15
+
+
+@PROPERTY
+@given(st.lists(st.tuples(haar_angles, st.integers(0, 2**53 - 1)), min_size=1, max_size=16))
+@example([((1.0, 0.0), 2**51), ((-1.0, 0.0), 2**52), ((0.0, 1.0), 3 * 2**51), ((0.5, 2.0), 2**51 - 1)])
+def test_sample_stacks_outcomes_are_floor_4u_and_its_fidelities_round_to_one(runs):
+    # the engine as the oracle of compare's ideal columns: u on the streams'
+    # grid of multiples of 2**-53, quarters and their neighbours included
+    psis = [qubit_from_angles(a) for a, _ in runs]
+    u = np.array([k for _, k in runs]) * 2.0**-53
+    for kind in ProtocolKind:
+        stack = sample_stack(kind, psis, u)
+        assert stack.outcomes == [math.floor(4 * x) for x in u.tolist()]
+        assert {round(f, 12) for f in stack.fidelities} == {1.0}
 
 
 def retired_pair_response(kind, psi):
@@ -395,13 +456,17 @@ def test_noisy_fidelities_are_the_retired_per_input_formula_bit_for_bit(size, se
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):
         stacked = pair_response(kind, psis)
         assert stacked.shape == (size, 4, 4)
-        [stack] = run_noisy_stack([kind], psis, channel_f, lambda k: rng.random((k, size)),
+        [stack] = run_noisy_stack([kind], size, channel_f, lambda k: rng.random((k, size)),
                                   distill_target=0.9)
-        werner = werner_state(stack.f_final).mat
+        werner = werner_state(stack.f_final)
+        fidelities = _channel_fidelities(stacked, werner)
         for i, psi in enumerate(psis):
             single = retired_pair_response(kind, psi)
             assert stacked[i].tobytes() == pair_response(kind, [psi])[0].tobytes() == single.tobytes()
-            assert stack.fidelities[i] == retired_channel_fidelity(single, werner)
+            # the engine's stacked form is the retired one bit for bit, and the
+            # stack's closed form within TOL of both
+            assert fidelities[i] == retired_channel_fidelity(single, werner.mat)
+            assert abs(stack.fidelity - fidelities[i]) < TOL
             assert (teleport_fidelity_noisy(kind, psi, channel)
                     == retired_channel_fidelity(single, channel.mat))
 
@@ -498,17 +563,17 @@ run_indices = st.integers(min_value=0, max_value=2**32 - 1)
 @example(2**200 + 7, 2**32 - 2, 256)
 def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i, width):
     # a stack of up to `width` runs ending at run i, three streams per run, as
-    # run_batch keys them, each limb one uint64 word per run: 64 vector
-    # steps, as deep as distillation draws them, then a Haar draw of two
-    # more columns
+    # run_batch keys them, each limb one uint64 word per stream and run: 64
+    # vector steps, as deep as distillation draws them, then a Haar draw of
+    # two more columns
     runs = range(max(i + 1 - width, 0), i + 1)
-    chunk = _streams(seed, runs, 3)
+    chunk = _streams(seed, runs, range(3))
+    limbs = (chunk.hi, chunk.lo, chunk.inc_hi, chunk.inc_lo)
+    assert all(limb.shape == (3, len(runs)) and limb.dtype == np.uint64 for limb in limbs)
+    steps = [chunk.random() for _ in range(66)]
     for s in range(3):
-        streams = chunk[s]
-        limbs = (streams.hi, streams.lo, streams.inc_hi, streams.inc_lo)
-        assert all(limb.shape == (len(runs),) and limb.dtype == np.uint64 for limb in limbs)
-        columns = [streams.random().tolist() for _ in range(64)]
-        rows = haar_sources(np.stack([streams.random(), streams.random()], axis=1))
+        columns = [step[s].tolist() for step in steps[:64]]
+        rows = haar_sources(np.stack([steps[64][s], steps[65][s]], axis=1))
         for j, run in enumerate(runs):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, s)))
             assert [column[j] for column in columns] == [rng.random() for _ in range(64)]
@@ -518,18 +583,18 @@ def test_stream_kernel_is_numpys_spawn_chain_bit_for_bit(seed, i, width):
 
 @settings(PROPERTY, max_examples=60)
 @given(stream_seeds, run_indices, st.integers(min_value=1, max_value=512),
-       st.sampled_from([0, slice(1, None)]))
-@example(2**64 + 5, 2**32 - 1, 512, slice(1, None))
-@example(2**128 + 7, 0, 1, 0)
-@example(2**200 + 3, 7, 257, slice(1, None))
-def test_a_block_of_k_columns_is_k_random_calls_bit_for_bit(seed, i, k, rows):
+       st.sampled_from([range(1), range(1, 3)]))
+@example(2**64 + 5, 2**32 - 1, 512, range(1, 3))
+@example(2**128 + 7, 0, 1, range(1))
+@example(2**200 + 3, 7, 257, range(1, 3))
+def test_a_block_of_k_columns_is_k_random_calls_bit_for_bit(seed, i, k, streams):
     # random(k) takes each step's state by one jump from cached tables: the
     # doubles of k random() calls, and their limbs after, on one stream per
-    # run (row 0, 1-D limbs) and on a chunk's kinds by runs (2-D limbs)
+    # run and on a chunk's kinds by runs, as run_batch keys them
     runs = range(max(i - 2, 0), i + 1)
-    block, stepped = _streams(seed, runs, 3)[rows], _streams(seed, runs, 3)[rows]
+    block, stepped = _streams(seed, runs, streams), _streams(seed, runs, streams)
     columns = block.random(k)
-    assert columns.shape == (k, *stepped.hi.shape) and stepped.hi.ndim == (1 if rows == 0 else 2)
+    assert columns.shape == (k, len(streams), len(runs)) == (k, *stepped.hi.shape)
     assert columns.tobytes() == np.stack([stepped.random() for _ in range(k)]).tobytes()
     for limb in ("hi", "lo", "inc_hi", "inc_lo"):
         assert getattr(block, limb).tobytes() == getattr(stepped, limb).tobytes()
@@ -569,13 +634,13 @@ def test_haar_draw_is_the_retired_uniform_formula_bit_for_bit(seed, i):
     # as run_batch draws it, against the NumPy generator it reproduces,
     # which still has uniform()
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    stream = _streams(seed, range(i, i + 1), 1)[0]  # row 0, one run
+    stream = _streams(seed, range(i, i + 1))  # stream 0 of one run
     twin = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, 0)))
     for _ in range(16):
         psi = UnknownQubit.haar(rng)
         assert (np.array([psi.alpha, psi.beta]).tobytes()
                 == np.array(retired_haar(reference)).tobytes())
-        row = haar_sources(np.stack([stream.random(), stream.random()], axis=1))[0]
+        row = haar_sources(np.stack([stream.random()[0], stream.random()[0]], axis=1))[0]
         assert row.tobytes() == np.array(retired_haar(twin)).tobytes()
     # as a stack: verify's block of rng.random((n, 2)) through haar_sources
     rows = haar_sources(np.random.default_rng(seed).random((16, 2)))
@@ -632,25 +697,31 @@ def dict_rows(kind, runs, outcomes, fidelities, channel_f, loccs):
 
 
 def compare_json_reference(cfg):
-    """compare's JSON report as it was built before the column template: a
-    dict per run and kind, the kinds interleaved run by run, the summary
-    read back from those rows, and json.dumps of the whole payload."""
+    """compare's JSON report as the engine gives it, built as it was before
+    the column template and the closed forms: run_batch's chunks, every
+    run's Haar input from stream 0, kind j's stack alone on stream 1 + j,
+    its outcome from sample_stack or its fidelity through the Werner channel
+    from pair_response, a dict per run and kind, the kinds interleaved run
+    by run, the summary read back from those rows, and json.dumps of the
+    whole payload."""
     kinds = cfg.kinds()
     per_run = []
-    for runs, sources, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
-        rows = []
+    for runs, _ in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
+        sources, rows = per_state_reference.batch_sources(cfg.seed, runs), []
         for j, kind in enumerate(kinds):
+            stream = _streams(cfg.seed, runs, range(1 + j, 2 + j))
             if cfg.noise_f is None:
-                stack = sample_stack(kind, sources, streams[j].random())
+                stack = sample_stack(kind, sources, stream.random()[0])
                 outcomes, channel_f = [_OUTCOMES[k] for k in stack.outcomes], None
-                loccs = [0] * len(runs)
+                loccs, fidelities = [0] * len(runs), stack.fidelities
             else:
-                [stack] = run_noisy_stack([kind], sources, cfg.noise_f, streams[j].random,
+                [stack] = run_noisy_stack([kind], len(runs), cfg.noise_f, stream.random,
                                           distill_target=cfg.distill_target,
                                           max_rounds=cfg.max_rounds)
                 outcomes, channel_f = [None] * len(runs), round(stack.f_final, 12)
                 loccs = [LOCC_ROUND_BITS * attempts for attempts in stack.attempts]
-            fidelities = [round(fidelity, 12) for fidelity in stack.fidelities]
+                fidelities = _channel_fidelities(pair_response(kind, sources), werner_state(stack.f_final))
+            fidelities = [round(fidelity, 12) for fidelity in fidelities]
             rows.append(dict_rows(kind, runs, outcomes, fidelities, channel_f, loccs))
         per_run += itertools.chain.from_iterable(zip(*rows))
     summary = {}
@@ -714,19 +785,22 @@ json_values = st.recursive(json_scalars, lambda inner: st.one_of(
 SPLICE = '\n  "per_run": null'
 finite_floats = st.one_of(st.sampled_from([5e-324, 1e-5, 1e16, 0.1 + 0.2, -0.0]),
                           st.floats(allow_nan=False, allow_infinity=False))
+# compare's fidelities, 1.0 or (2F+1)/3 >= 1/3, are never a zero of either sign
+fidelity_floats = finite_floats.filter(bool)
 
 
 @st.composite
 def compare_columns(draw):
     """(channel_f, columns) in _compare_data's shape, ideal or noisy, with
-    arbitrary fidelities and channel, and attempts far past any real run's."""
+    arbitrary nonzero fidelities and channel, and attempts far past any
+    real run's."""
     kinds = draw(st.sampled_from([[ProtocolKind.SQTP], [ProtocolKind.KAK], list(ProtocolKind)]))
     noisy = draw(st.booleans())
     n = draw(st.integers(1, 12))
     picks = st.integers(0, 2**70) if noisy else st.integers(0, 3)
     channel_f = draw(finite_floats) if noisy else None
     columns = {kind: (draw(st.lists(picks, min_size=n, max_size=n)),
-                      draw(st.lists(finite_floats, min_size=n, max_size=n)))
+                      draw(st.lists(fidelity_floats, min_size=n, max_size=n)))
                for kind in kinds}
     return channel_f, columns
 
@@ -735,9 +809,8 @@ def compare_columns(draw):
 @given(st.dictionaries(st.text(), json_values, max_size=4), compare_columns())
 @example({"config": {"per_run": None}, "summary": SPLICE, SPLICE: [SPLICE]},
          (1e16, {ProtocolKind.SQTP: ([2**70, 1, 0], [2**53 + 1.0, 0.1 + 0.2, 5e-324])}))
-# zeros of both signs in one cell: one dict key, two reprs, so one row head each
-@example({}, (None, {ProtocolKind.KAK: ([0, 0, 0, 1], [0.0, -0.0, 0.0, -0.0])}))
-@example({}, (-0.0, {ProtocolKind.SQTP: ([2, 2], [-0.0, 0.0]), ProtocolKind.KAK: ([2, 2], [0.0, -0.0])}))
+# a channel of -0.0, and the fidelities compare prints, one head per (fidelity, cell)
+@example({}, (-0.0, {ProtocolKind.SQTP: ([2, 2], [1 / 3, 1.0]), ProtocolKind.KAK: ([2, 2], [1.0, 1 / 3])}))
 # pairs one ulp apart, across a 12-digit rounding edge (0.999999999999 and 1.0 once
 # rounded) and within one (both 1.0): every float its own head
 @example({}, (None, {ProtocolKind.SQTP: ([3] * 4, [0.9999999999995, 0.9999999999995001,

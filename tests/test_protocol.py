@@ -314,10 +314,12 @@ def test_entangled_demo_rejects_wrong_size():
 
 
 def sampled_chunks(kinds, n_runs, seed):
-    """run_batch's chunks as (runs, one sample_stack per kind), kind k's
-    outcomes from row k of the chunk's draw, one column of its streams."""
-    return [(runs, [sample_stack(kind, sources, u) for kind, u in zip(kinds, streams.random())])
-            for runs, sources, streams in run_batch(n_runs, seed, len(kinds))]
+    """run_batch's chunks as (runs, one sample_stack per kind) on the runs'
+    Haar inputs from stream 0, kind k's outcomes from row k of the chunk's
+    draw, one column of its streams."""
+    return [(runs, [sample_stack(kind, per_state_reference.batch_sources(seed, runs), u)
+                    for kind, u in zip(kinds, streams.random())])
+            for runs, streams in run_batch(n_runs, seed, len(kinds))]
 
 
 def per_run(kinds, chunks, column):
@@ -373,8 +375,9 @@ def test_run_batch_streams_are_the_spawn_chain_of_each_run(monkeypatch):
 
     def recorded(n_runs, seed):
         psis, draws = [], {kind: [] for kind in kinds}
-        for runs, sources, streams in run_batch(n_runs, seed, len(kinds)):
+        for runs, streams in run_batch(n_runs, seed, len(kinds)):
             assert streams.hi.shape == (len(kinds), len(runs)) and len(runs) <= SMALL_CHUNK
+            sources = per_state_reference.batch_sources(seed, runs)
             psis.extend(UnknownQubit(*row) for row in sources.tolist())
             for kind, u in zip(kinds, streams.random()):
                 draws[kind].extend(u.tolist())
@@ -397,8 +400,8 @@ def test_run_batch_noisy_streams_are_the_spawn_chain_across_a_chunk(monkeypatch)
     monkeypatch.setattr("telecost.protocol.BATCH_CHUNK", SMALL_CHUNK)
     kinds = [ProtocolKind.SQTP, ProtocolKind.KAK]
     n_runs, seed = SMALL_CHUNK + 1, 9
-    chunks = [(runs, run_noisy_stack(kinds, sources, 0.75, streams.random, distill_target=0.9))
-              for runs, sources, streams in run_batch(n_runs, seed, len(kinds))]
+    chunks = [(runs, run_noisy_stack(kinds, len(runs), 0.75, streams.random, distill_target=0.9))
+              for runs, streams in run_batch(n_runs, seed, len(kinds))]
     got = per_run(kinds, chunks, "attempts")
     want = []
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
@@ -481,6 +484,31 @@ def test_each_corrected_residual_is_exactly_the_input_times_one_scalar():
             assert oracle_exact.mul(scalar, scalar) == (Fraction(1, 4), 0)
 
 
+def test_every_outcome_has_born_probability_exactly_one_quarter():
+    # Alice's outcome `bits` leaves Bob the amplitudes c_a alpha + c_b beta
+    # on each of his basis states, with c_a and c_b in Q(sqrt2), so its
+    # probability is A |alpha|^2 + B |beta|^2 + 2 C Re(alpha conj(beta)) for
+    # A = sum c_a^2, B = sum c_b^2 and C = sum c_a c_b; it is 1/4 for every
+    # unit input exactly when A = B = 1/4 and C = 0, which compare's
+    # floor(4u) outcome draw rests on
+    def dot(register, x, y):
+        total = oracle_exact.ZERO
+        for bob in "01":
+            total = oracle_exact.add(total, oracle_exact.mul(register.get((bob, x), oracle_exact.ZERO),
+                                                             register.get((bob, y), oracle_exact.ZERO)))
+        return total
+
+    quarter = (Fraction(1, 4), 0)
+    for kind in ProtocolKind:
+        schedule = SCHEDULES[kind]
+        final = oracle_exact.run_schedule(schedule)[schedule.final[0]]
+        for bits in _OUTCOMES:
+            bob = oracle_exact.bob_residual(final, bits)
+            assert {var for _, var in bob} <= {"alpha", "beta"}, (kind, bits)
+            assert (dot(bob, "alpha", "alpha"), dot(bob, "beta", "beta"),
+                    dot(bob, "alpha", "beta")) == (quarter, quarter, oracle_exact.ZERO), (kind, bits)
+
+
 def _derived_corrections(schedule):
     """The oracle for a schedule's table: per outcome, the gates of {I, X, Z,
     ZX}, applied through the engine's kernels, that leave Bob's residual
@@ -553,8 +581,8 @@ def test_every_stack_of_no_inputs_is_empty():
         empty, probs, bobs, fidelities = verify_stack(kind, [])
         assert (probs.shape, bobs.shape, fidelities) == ((0, 4), (0, 2), [])
         assert pair_response(kind, []).shape == (0, 4, 4)
-        [noisy] = run_noisy_stack([kind], [], 0.8, np.random.default_rng(0).random, distill_target=0.9)
-        assert noisy.attempts == noisy.fidelities == []
+        [noisy] = run_noisy_stack([kind], 0, 0.8, np.random.default_rng(0).random, distill_target=0.9)
+        assert noisy.attempts == []
         one = verify_stack(kind, [haar(16)])[0]
         assert {name: rows.shape for name, rows in empty.items()} == {
             name: (0, rows.shape[1]) for name, rows in one.items()}
