@@ -7,8 +7,8 @@ Three subcommands:
 
 All outputs are deterministic for a fixed seed: running a command twice
 with the same arguments produces byte-identical reports. `compare` keeps
-each kind's columns over all runs and one channel fidelity, which only
-`--format json` renders as rows.
+each kind's column over all runs, one channel fidelity and the one
+teleport fidelity of every run, which only `--format json` renders as rows.
 
 `main` parses with one parser per process, so its one build is set-up
 cost; `build_parser()` returns a new parser on every call.
@@ -184,10 +184,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, dict]:
+def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, float, dict]:
     """The summary per kind, the channel's round(f_final, 12), None if
-    noiseless, and each kind's columns in run order: run i's outcome index
-    (ideal) or attempts (noisy), and its fidelity rounded to 12 digits.
+    noiseless, every run's one fidelity, rounded to 12 digits, and each
+    kind's column in run order: run i's outcome index (ideal) or attempts (noisy).
     Kind k, the k-th that --protocol selects, draws from stream 1 + k, so
     kak alone reads the stream that sqtp reads beside it. No input is drawn
     and no register evolved: an ideal run's fidelity is 1.0, and a noisy
@@ -196,7 +196,7 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, dict]:
     from .protocol import run_batch
 
     kinds = cfg.kinds()
-    channel_f, columns = None, {kind: ([], []) for kind in kinds}
+    channel_f, columns = None, {kind: [] for kind in kinds}
     for runs, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
         if cfg.noise_f is None:
             # run i's outcome is floor(4u) of its draw u in [0, 1), as every outcome is 1/4 likely for every
@@ -207,40 +207,38 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, dict]:
                                      cfg.distill_target, cfg.max_rounds)
             channel_f, fidelity = round(stacks[0].f_final, 12), stacks[0].fidelity
             picks = [stack.attempts for stack in stacks]
-        for (kind_picks, fidelities), row in zip(columns.values(), picks):
+        for kind_picks, row in zip(columns.values(), picks):
             kind_picks += row
-            fidelities += [fidelity] * len(runs)
     summary = {}
-    for kind, (picks, _) in columns.items():
+    for kind, picks in columns.items():
         t_bits = SCHEDULES[kind].announced
         # every run has the one fidelity; the integer sum is exact, so the mean is rounded once
         locc_mean = 0.0 if cfg.noise_f is None else LOCC_ROUND_BITS * sum(picks) / len(picks)
         summary[kind.value] = {"mean_fidelity": fidelity, "min_fidelity": fidelity, "teleport_bits": t_bits,
                                "locc_bits": round(locc_mean, 12), "total_bits": round(t_bits + locc_mean, 12)}
-    return summary, channel_f, columns
+    return summary, channel_f, fidelity, columns
 
 
-def _compare_json(payload: dict, channel_f: float | None, columns: dict) -> str:
+def _compare_json(payload: dict, channel_f: float | None, fidelity: float, columns: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True) and a newline, byte for
     byte, with _compare_data's rows, kinds interleaved run by run, where
     "per_run": null stands. That text occurs once: no JSON string holds a raw
     newline, and only top-level keys start a line with two spaces and a quote.
-    Each kind renders its row head, a % template up to the run index, once
-    per distinct (fidelity, cell): equal keys render alike, as no fidelity
-    of compare's, 1.0 or (2F+1)/3, is a zero of either sign; floats go
-    through repr, as json's do."""
+    Each kind writes `fidelity` into its row template once and renders its
+    row head, the template up to the run index, once per distinct cell;
+    floats go through repr, as json's do."""
     import json
 
     noisy = channel_f is not None
     cell = '%d,\n      "outcome_bits": null' if noisy else '0,\n      "outcome_bits": "%s"'
     kind_rows = []
-    for kind, (picks, fidelities) in columns.items():
+    for kind, picks in columns.items():
         cells = [LOCC_ROUND_BITS * a for a in picks] if noisy else [_OUTCOMES[k] for k in picks]
-        template = (f'    {{\n      "channel_f": {json.dumps(channel_f)},\n      "fidelity": %r,\n'
+        template = (f'    {{\n      "channel_f": {json.dumps(channel_f)},\n      "fidelity": {fidelity!r},\n'
                     f'      "locc_bits": {cell},\n      "protocol": "{kind.value}",\n      "run": ')
         tail = f',\n      "teleport_bits": {SCHEDULES[kind].announced}\n    }}'
-        heads = {key: template % key for key in set(zip(fidelities, cells))}
-        kind_rows.append([f"{heads[key]}{i}{tail}" for i, key in enumerate(zip(fidelities, cells))])
+        heads = {c: template % c for c in set(cells)}
+        kind_rows.append([f"{heads[c]}{i}{tail}" for i, c in enumerate(cells)])
     per_run = ",\n".join(itertools.chain.from_iterable(zip(*kind_rows)))
     text = json.dumps(payload, indent=2, sort_keys=True)
     return text.replace('\n  "per_run": null', f'\n  "per_run": [\n{per_run}\n  ]', 1) + "\n"
@@ -251,10 +249,10 @@ _SUMMARY_COLUMNS = ["protocol", "mean_fidelity", "min_fidelity",
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    summary, channel_f, columns = _compare_data(cfg)
+    summary, channel_f, fidelity, columns = _compare_data(cfg)
     if cfg.fmt == "json":
         _emit(_compare_json({"command": "compare", "config": cfg.public_dict(), "per_run": None,
-                             "summary": summary}, channel_f, columns), cfg.out)
+                             "summary": summary}, channel_f, fidelity, columns), cfg.out)
         return 0
     rows = [{"protocol": name, **vals} for name, vals in summary.items()]
     if cfg.fmt == "csv":

@@ -5,22 +5,21 @@ which needs no NumPy; this module interprets them.
 
 One interpreter runs a table once over a stack of registers, shape
 (runs, 2, 2, 2), through the statevector gate kernels (apply_h/x/z,
-apply_cnot); one measure_sample draws every run's outcome from a column
-of uniforms. One kernel, `_correct`, applies Bob's gates to every run's
-qubit under all four outcomes, one call per gate and outcome. Three stack
+apply_cnot). One kernel, `_correct`, applies Bob's gates to every run's
+qubit under all four outcomes, one call per gate and outcome. Two stack
 functions take UnknownQubits or checked amplitude rows such as
-`haar_sources` draws and return columns: `sample_stack`, one sampled run
-per input, which keeps its drawn row; `verify_stack`, every named register
-and all four branches from one run of the schedule, for `verify`; and
+`haar_sources` draws and return columns: `verify_stack`, every named
+register and all four branches from one run of the schedule; and
 `pair_response`, all `noise` needs for a mixed channel: the schedule is
 linear, so it runs the pair's four basis states under every input, as one
 (inputs, 4, 4) array, as the entangled-input probe stacks the held-back
 qubit's two values. Only the stacks of one build objects per run:
-`run_protocol` a trace from `sample_stack`, the checkpoints and
-`enumerate_protocol` branches from `verify_stack`. `compare` evolves no
-register: every outcome has Born probability 1/4 and every corrected branch
-returns the input, so it samples outcomes as floor(4u) and noisy fidelity
-in closed form, and `sample_stack` and `pair_response` are its test oracle.
+`run_protocol` is verify_stack of one and one measure_sample draw, whose
+branch its trace keeps, and the checkpoints and `enumerate_protocol` read
+verify_stack of one. `compare` evolves no register: every outcome has Born
+probability 1/4 and every corrected branch returns the input, so it samples
+outcomes as floor(4u) and noisy fidelity in closed form, and verify_stack,
+measure_sample and `pair_response` are its test oracle.
 `run_batch`, the one seeded batch runner, yields chunks of at most
 BATCH_CHUNK runs as (runs, streams): run indices and the chunk's streams,
 kinds by runs, NumPy's SeedSequence->PCG64 bit for bit on uint64 limbs,
@@ -234,44 +233,18 @@ def _bob_rows(bobs: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, list[f
     return bobs, [m ** 2 for m in moduli.tolist()]
 
 
-@dataclass(frozen=True)
-class SampledStack:
-    """The sampled runs of one stack as columns: run i's outcome index k
-    into _OUTCOMES, its fidelity, and Bob's corrected qubit as row i of
-    `bobs`, shape (runs, 2), read-only. Every run sends its schedule's
-    TELEPORT message, which the stack does not copy."""
-
-    outcomes: list[int]
-    fidelities: list[float]
-    bobs: np.ndarray
-
-
-def sample_stack(kind: ProtocolKind, psis: list[UnknownQubit] | np.ndarray,
-                 u: np.ndarray) -> SampledStack:
-    """One sampled run per input, as columns: the schedule runs once over
-    the whole stack, one measure_sample draws every run's outcome, run i's
-    from u[i], one random() of its stream, and _correct's row 4i + k of
-    Bob's corrected qubits, run i's drawn outcome k, is the one kept,
-    normalised and scored. An empty stack has no runs."""
-    schedule, sources = SCHEDULES[kind], _sources(psis)
-    t, _ = _evolve(schedule, sources)
-    probs = _born_rows(t)
-    outcomes = measure_sample(probs, u)
-    bobs = _correct(t, probs, schedule.bob_gates)[4 * np.arange(len(t)) + outcomes]
-    bobs, fidelities = _bob_rows(bobs, sources)
-    return SampledStack(outcomes.tolist(), fidelities, bobs)
-
-
 def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
-    """One sampled run with its full trace, as sample_stack of one: the
-    schedule's steps, then Alice's measurement of outcome k, her
-    announcement and Bob's correction."""
-    schedule, stack = SCHEDULES[kind], sample_stack(kind, [psi], np.array([rng.random()]))
-    [k], [fidelity] = stack.outcomes, stack.fidelities
+    """One sampled run with its full trace, as verify_stack of one and one
+    measure_sample of rng.random(): the schedule's steps, then Alice's
+    measurement of outcome k, her announcement and Bob's correction, with
+    branch k's qubit and fidelity."""
+    schedule = SCHEDULES[kind]
+    _, probs, bobs, fidelities = verify_stack(kind, [psi])
+    [k] = measure_sample(probs, np.array([rng.random()])).tolist()
     steps = [*schedule.steps, Measured(ALICE, (0, 1), _OUTCOMES[k]),
              MessageSent(ALICE, BOB, _OUTCOMES[k][: schedule.announced], Purpose.TELEPORT),
              CorrectionApplied(BOB, 2, schedule.bob_gates[k])]
-    return ProtocolTrace(kind, steps, StateVector._trusted(1, stack.bobs[0]), fidelity,
+    return ProtocolTrace(kind, steps, StateVector._trusted(1, bobs[k]), fidelities[k],
                          CostLedger([schedule.teleport]))
 
 

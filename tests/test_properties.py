@@ -7,7 +7,8 @@ traces against the per-state path it replaced, bit for bit, and every
 stack against its stacks of one; the stacked pair responses and the
 engine's noisy fidelities against the retired per-input formulas and
 all-outcomes correction, bit for bit; the engine as the oracle of
-compare's closed forms: sample_stack's outcomes are floor(4u), every
+compare's closed forms: measure_sample of verify_stack's Born rows is
+floor(4u) and every branch's fidelity rounds to 1, every
 kind's Werner fidelity is (2F+1)/3, which a noisy stack gives correctly
 rounded, and compare's JSON report is the engine's;
 the locality of every sampled run's trace; SQTP and KAK as one channel
@@ -71,7 +72,6 @@ from telecost.protocol import (
     pair_response,
     run_batch,
     run_protocol,
-    sample_stack,
     _OUTCOMES,
     _bob_rows,
     _evolve,
@@ -422,13 +422,14 @@ def test_each_kinds_werner_fidelity_is_two_f_plus_one_over_three(angles, f):
 @example([((1.0, 0.0), 2**51), ((-1.0, 0.0), 2**52), ((0.0, 1.0), 3 * 2**51), ((0.5, 2.0), 2**51 - 1)])
 def test_sample_stacks_outcomes_are_floor_4u_and_its_fidelities_round_to_one(runs):
     # the engine as the oracle of compare's ideal columns: u on the streams'
-    # grid of multiples of 2**-53, quarters and their neighbours included
+    # grid of multiples of 2**-53, quarters and their neighbours included,
+    # and every branch's fidelity, drawn or not
     psis = [qubit_from_angles(a) for a, _ in runs]
     u = np.array([k for _, k in runs]) * 2.0**-53
     for kind in ProtocolKind:
-        stack = sample_stack(kind, psis, u)
-        assert stack.outcomes == [math.floor(4 * x) for x in u.tolist()]
-        assert {round(f, 12) for f in stack.fidelities} == {1.0}
+        _, probs, _, fidelities = verify_stack(kind, psis)
+        assert measure_sample(probs, u).tolist() == [math.floor(4 * x) for x in u.tolist()]
+        assert len(fidelities) == 4 * len(psis) and {round(f, 12) for f in fidelities} == {1.0}
 
 
 def retired_pair_response(kind, psi):
@@ -700,8 +701,9 @@ def compare_json_reference(cfg):
     """compare's JSON report as the engine gives it, built as it was before
     the column template and the closed forms: run_batch's chunks, every
     run's Haar input from stream 0, kind j's stack alone on stream 1 + j,
-    its outcome from sample_stack or its fidelity through the Werner channel
-    from pair_response, a dict per run and kind, the kinds interleaved run
+    its outcome k from measure_sample of verify_stack and the fidelity of
+    its branch 4i + k, or its fidelity through the Werner channel from
+    pair_response, a dict per run and kind, the kinds interleaved run
     by run, the summary read back from those rows, and json.dumps of the
     whole payload."""
     kinds = cfg.kinds()
@@ -711,9 +713,10 @@ def compare_json_reference(cfg):
         for j, kind in enumerate(kinds):
             stream = _streams(cfg.seed, runs, range(1 + j, 2 + j))
             if cfg.noise_f is None:
-                stack = sample_stack(kind, sources, stream.random()[0])
-                outcomes, channel_f = [_OUTCOMES[k] for k in stack.outcomes], None
-                loccs, fidelities = [0] * len(runs), stack.fidelities
+                _, probs, _, branches = verify_stack(kind, sources)
+                ks = measure_sample(probs, stream.random()[0]).tolist()
+                outcomes, channel_f = [_OUTCOMES[k] for k in ks], None
+                loccs, fidelities = [0] * len(runs), [branches[4 * i + k] for i, k in enumerate(ks)]
             else:
                 [stack] = run_noisy_stack([kind], len(runs), cfg.noise_f, stream.random,
                                           distill_target=cfg.distill_target,
@@ -785,45 +788,48 @@ json_values = st.recursive(json_scalars, lambda inner: st.one_of(
 SPLICE = '\n  "per_run": null'
 finite_floats = st.one_of(st.sampled_from([5e-324, 1e-5, 1e16, 0.1 + 0.2, -0.0]),
                           st.floats(allow_nan=False, allow_infinity=False))
-# compare's fidelities, 1.0 or (2F+1)/3 >= 1/3, are never a zero of either sign
-fidelity_floats = finite_floats.filter(bool)
 
 
 @st.composite
 def compare_columns(draw):
-    """(channel_f, columns) in _compare_data's shape, ideal or noisy, with
-    arbitrary nonzero fidelities and channel, and attempts far past any
-    real run's."""
+    """(channel_f, fidelity, columns) in _compare_data's shape, ideal or
+    noisy, with an arbitrary channel and one arbitrary fidelity per report,
+    and attempts far past any real run's."""
     kinds = draw(st.sampled_from([[ProtocolKind.SQTP], [ProtocolKind.KAK], list(ProtocolKind)]))
     noisy = draw(st.booleans())
     n = draw(st.integers(1, 12))
     picks = st.integers(0, 2**70) if noisy else st.integers(0, 3)
     channel_f = draw(finite_floats) if noisy else None
-    columns = {kind: (draw(st.lists(picks, min_size=n, max_size=n)),
-                      draw(st.lists(fidelity_floats, min_size=n, max_size=n)))
-               for kind in kinds}
-    return channel_f, columns
+    columns = {kind: draw(st.lists(picks, min_size=n, max_size=n)) for kind in kinds}
+    return channel_f, draw(finite_floats), columns
 
 
 @PROPERTY
 @given(st.dictionaries(st.text(), json_values, max_size=4), compare_columns())
 @example({"config": {"per_run": None}, "summary": SPLICE, SPLICE: [SPLICE]},
-         (1e16, {ProtocolKind.SQTP: ([2**70, 1, 0], [2**53 + 1.0, 0.1 + 0.2, 5e-324])}))
-# a channel of -0.0, and the fidelities compare prints, one head per (fidelity, cell)
-@example({}, (-0.0, {ProtocolKind.SQTP: ([2, 2], [1 / 3, 1.0]), ProtocolKind.KAK: ([2, 2], [1.0, 1 / 3])}))
-# pairs one ulp apart, across a 12-digit rounding edge (0.999999999999 and 1.0 once
-# rounded) and within one (both 1.0): every float its own head
-@example({}, (None, {ProtocolKind.SQTP: ([3] * 4, [0.9999999999995, 0.9999999999995001,
-                                                   0.9999999999999999, 1.0])}))
-def test_compare_json_is_json_dumps_of_the_dict_rows(payload, channel_columns):
-    channel_f, columns = channel_columns
+         (1e16, 2**53 + 1.0, {ProtocolKind.SQTP: [2**70, 1, 0]}))
+@example({}, (1e16, 0.1 + 0.2, {ProtocolKind.SQTP: [2**70, 1, 0]}))
+@example({}, (1e16, 5e-324, {ProtocolKind.SQTP: [2**70, 1, 0]}))
+# a channel of -0.0, the fidelities compare prints, and a zero of either sign,
+# which one template holds as it is
+@example({}, (-0.0, 1 / 3, {ProtocolKind.SQTP: [2, 2], ProtocolKind.KAK: [2, 3]}))
+@example({}, (None, 1.0, {ProtocolKind.SQTP: [0, 3, 0], ProtocolKind.KAK: [1, 1, 2]}))
+@example({}, (0.5, -0.0, {ProtocolKind.KAK: [1, 1]}))
+@example({}, (None, 0.0, {ProtocolKind.KAK: [1, 1]}))
+# fidelities one ulp apart, across a 12-digit rounding edge (0.999999999999 and 1.0
+# once rounded) and within one (both 1.0): each prints as its own repr
+@example({}, (None, 0.9999999999995, {ProtocolKind.SQTP: [3, 3]}))
+@example({}, (None, 0.9999999999995001, {ProtocolKind.SQTP: [3, 3]}))
+@example({}, (None, 0.9999999999999999, {ProtocolKind.SQTP: [3, 3]}))
+def test_compare_json_is_json_dumps_of_the_dict_rows(payload, report):
+    channel_f, fidelity, columns = report
     rows = []
-    for kind, (picks, fidelities) in columns.items():
+    for kind, picks in columns.items():
         if channel_f is None:
             outcomes, loccs = [_OUTCOMES[k] for k in picks], [0] * len(picks)
         else:
             outcomes, loccs = [None] * len(picks), [LOCC_ROUND_BITS * a for a in picks]
-        rows.append(dict_rows(kind, range(len(picks)), outcomes, fidelities, channel_f, loccs))
+        rows.append(dict_rows(kind, range(len(picks)), outcomes, [fidelity] * len(picks), channel_f, loccs))
     per_run = list(itertools.chain.from_iterable(zip(*rows)))
-    text = _compare_json({**payload, "per_run": None}, channel_f, columns)
+    text = _compare_json({**payload, "per_run": None}, channel_f, fidelity, columns)
     assert text == json.dumps({**payload, "per_run": per_run}, indent=2, sort_keys=True) + "\n"

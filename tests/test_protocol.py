@@ -6,6 +6,7 @@ import itertools
 import json
 from fractions import Fraction
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from telecost.protocol import (
     pair_response,
     run_batch,
     run_protocol,
-    sample_stack,
     sqtp_checkpoints,
     step_to_json,
     verify_stack,
@@ -48,6 +48,7 @@ from telecost.statevector import (
     basis_state,
     bell_pair,
     fidelity_pure,
+    measure_sample,
     tensor,
 )
 
@@ -314,12 +315,20 @@ def test_entangled_demo_rejects_wrong_size():
 
 
 def sampled_chunks(kinds, n_runs, seed):
-    """run_batch's chunks as (runs, one sample_stack per kind) on the runs'
-    Haar inputs from stream 0, kind k's outcomes from row k of the chunk's
-    draw, one column of its streams."""
-    return [(runs, [sample_stack(kind, per_state_reference.batch_sources(seed, runs), u)
-                    for kind, u in zip(kinds, streams.random())])
-            for runs, streams in run_batch(n_runs, seed, len(kinds))]
+    """run_batch's chunks as (runs, one column per kind) on the runs' Haar
+    inputs from stream 0: kind j's verify_stack, and run i's outcome k drawn
+    by measure_sample from its entry of row j of the chunk's draw, one
+    column of its streams. Run i keeps branch row 4i + k, as run_protocol
+    keeps branch k of a stack of one, as (k, fidelity, Bob's qubit)."""
+    chunks = []
+    for runs, streams in run_batch(n_runs, seed, len(kinds)):
+        sources, columns = per_state_reference.batch_sources(seed, runs), []
+        for kind, u in zip(kinds, streams.random()):
+            _, probs, bobs, fidelities = verify_stack(kind, sources)
+            columns.append([(k, fidelities[4 * i + k], bobs[4 * i + k])
+                            for i, k in enumerate(measure_sample(probs, u).tolist())])
+        chunks.append((runs, columns))
+    return chunks
 
 
 def per_run(kinds, chunks, column):
@@ -332,9 +341,9 @@ def per_run(kinds, chunks, column):
 def sampled_runs(kinds, n_runs, seed):
     """Each run of run_batch's sampled chunks as (run, kind, (outcome bits,
     fidelity, Bob's amplitudes as raw bytes))."""
-    return [(i, kind, (format(stack.outcomes[j], "02b"), stack.fidelities[j], stack.bobs[j].tobytes()))
-            for runs, stacks in sampled_chunks(kinds, n_runs, seed) for j, i in enumerate(runs)
-            for kind, stack in zip(kinds, stacks)]
+    return [(i, kind, (format(k, "02b"), fidelity, bob.tobytes()))
+            for runs, columns in sampled_chunks(kinds, n_runs, seed)
+            for i, row in zip(runs, zip(*columns)) for kind, (k, fidelity, bob) in zip(kinds, row)]
 
 
 def test_run_batch_run_i_does_not_depend_on_n_runs():
@@ -589,29 +598,30 @@ def test_every_stack_of_no_inputs_is_empty():
 
 
 def test_sample_stack_holds_the_columns_of_its_traces():
-    # the same draws twice: compare reads the columns, run_protocol builds a
-    # trace from a stack of one
+    # the same draws twice: run_protocol's trace is branch k of verify_stack,
+    # k drawn by measure_sample from the rng's one random()
     psis = [haar(seed) for seed in range(40)]
     for kind in ProtocolKind:
+        _, probs, bobs, fidelities = verify_stack(kind, psis)
         u = np.array([np.random.default_rng(s).random() for s in range(40)])
-        stack = sample_stack(kind, psis, u)
+        outcomes = measure_sample(probs, u).tolist()
+        assert set(outcomes) == {0, 1, 2, 3}
         traces = [run_protocol(kind, psi, np.random.default_rng(s)) for s, psi in enumerate(psis)]
-        assert len(stack.outcomes) == len(stack.fidelities) == len(traces) == 40
-        assert stack.bobs.shape == (40, 2) and not stack.bobs.flags.writeable
-        for i, trace in enumerate(traces):
+        for i, (k, trace) in enumerate(zip(outcomes, traces)):
             bits = next(step.bits for step in trace.steps if isinstance(step, Measured))
-            assert (_OUTCOMES[stack.outcomes[i]], stack.fidelities[i]) == (bits, trace.fidelity_achieved)
-            assert stack.bobs[i].tobytes() == trace.final_bob_state.amps.tobytes()
+            assert (bits, trace.fidelity_achieved) == (_OUTCOMES[k], fidelities[4 * i + k])
+            assert trace.final_bob_state.amps.tobytes() == bobs[4 * i + k].tobytes()
             assert trace.ledger == CostLedger([SCHEDULES[kind].teleport])
         assert len({id(trace.ledger) for trace in traces}) == 40  # no two traces share a ledger
-        empty = sample_stack(kind, [], np.array([]))
-        assert empty.outcomes == empty.fidelities == [] and empty.bobs.shape == (0, 2)
+        assert measure_sample(verify_stack(kind, [])[1], np.array([])).tolist() == []
 
 
 def test_sample_stack_reads_each_runs_drawn_branch(monkeypatch):
     # Bob's gates go, one kernel call per outcome's gate, to every run's qubit
-    # for that outcome: each X and Z call on Bob's qubits receives all n rows,
-    # and each run keeps its drawn branch, row 4i + k of the enumeration
+    # for that outcome: each X and Z call on Bob's qubits receives all n
+    # rows. run_protocol keeps the drawn branch of a stack of one, whose
+    # other outcomes still take their calls; the branch it keeps is
+    # verify_stack's by construction
     rows = []
     for gate in ("X", "Z"):
         def recorded(t, *axes, kernel=protocol._GATES[gate]):
@@ -619,31 +629,33 @@ def test_sample_stack_reads_each_runs_drawn_branch(monkeypatch):
                 rows.append(len(t))
             return kernel(t, *axes)
         monkeypatch.setitem(protocol._GATES, gate, recorded)
-    rng = np.random.default_rng(23)
-    sources, u = haar_sources(rng.random((257, 2))), rng.random(257)
+    sources = haar_sources(np.random.default_rng(23).random((257, 2)))
     for kind in ProtocolKind:
-        bob_gates = SCHEDULES[kind].bob_gates
-        # a stack of one leaves outcomes no run drew, which still take their calls
+        calls = sum(map(len, SCHEDULES[kind].bob_gates))
         for n in (1, 257):
             rows.clear()
-            stack = sample_stack(kind, sources[:n], u[:n])
-            assert len(rows) == sum(map(len, bob_gates))
-            assert rows == [n] * len(rows)
-        _, _, bobs, fidelities = verify_stack(kind, sources)
-        for i, k in enumerate(stack.outcomes):
-            assert stack.bobs[i].tobytes() == bobs[4 * i + k].tobytes()
-            assert stack.fidelities[i] == fidelities[4 * i + k]
+            verify_stack(kind, sources[:n])
+            assert rows == [n] * calls
+        rows.clear()
+        run_protocol(kind, haar(23), np.random.default_rng(23))
+        assert rows == [1] * calls
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.0])
 def test_sample_stack_rejects_a_draw_outside_the_unit_interval(bad):
-    # NaN and -0.5 would fall to outcome 0, and 1.0 would index past outcome 3
-    rows = haar_sources(np.random.default_rng(5).random((2, 2)))
+    # NaN and -0.5 would fall to outcome 0, and 1.0 would index past outcome 3,
+    # whether run_protocol's rng gives it or it stands in either row of a stack
+    psi, rows = haar(5), haar_sources(np.random.default_rng(5).random((2, 2)))
     for kind in ProtocolKind:
-        assert len(sample_stack(kind, rows, np.array([0.0, np.nextafter(1.0, 0.0)])).outcomes) == 2
+        for u, k in ((0.0, 0), (np.nextafter(1.0, 0.0), 3)):
+            trace = run_protocol(kind, psi, SimpleNamespace(random=lambda u=u: u))
+            assert next(step.bits for step in trace.steps if isinstance(step, Measured)) == _OUTCOMES[k]
+        with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
+            run_protocol(kind, psi, SimpleNamespace(random=lambda: bad))
+        probs = verify_stack(kind, rows)[1]
         for u in ([bad, 0.5], [0.5, bad]):
             with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
-                sample_stack(kind, rows, np.array(u))
+                measure_sample(probs, np.array(u))
 
 
 @pytest.mark.parametrize("u", [[np.nan, 0.5], [0.5, np.nan]])
@@ -657,7 +669,6 @@ def test_stack_functions_check_the_input_rows_they_are_given(rows):
     # rows stand for UnknownQubits, so they meet UnknownQubit's checks
     rows = np.array(rows, dtype=complex)
     for kind in ProtocolKind:
-        for call in (lambda: sample_stack(kind, rows, np.zeros(len(rows))),
-                     lambda: verify_stack(kind, rows), lambda: pair_response(kind, rows)):
+        for call in (lambda: verify_stack(kind, rows), lambda: pair_response(kind, rows)):
             with pytest.raises(ValueError, match="input row"):
                 call()

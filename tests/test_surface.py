@@ -1,7 +1,9 @@
 """The public surface stays what the package, the README and the acceptance
 gate use: a public top-level function or class that only unit tests call
 has no job in the program. The private names of `statevector` stay
-inside it, and each checkpoint name is written once, in its schedule.
+inside it, and each checkpoint name is written once, in its schedule;
+three functions of `protocol` run a schedule, `verify_stack` the one
+register-and-branch evaluator among them.
 The NumPy-free modules import no engine module, and none of `dataclasses`,
 `inspect` and `json`, when they are imported; their records, namedtuples,
 keep a frozen dataclass's repr, immutability, copies, pickles and checks.
@@ -81,6 +83,17 @@ def test_every_checkpoint_name_is_written_once_in_src():
                  for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Constant)]
     counts = {name: constants.count(name) for name in ALL_EXPANSIONS}
     assert counts == dict.fromkeys(counts, 1), f"checkpoint names written other than once: {counts}"
+
+
+def test_protocol_runs_its_schedules_in_three_functions_only():
+    # verify_stack is the one register-and-branch evaluator, which
+    # run_protocol, the checkpoints and enumerate_protocol read; only the
+    # channel response and the entangled-input probe run a schedule besides
+    tree = ast.parse((SRC / "protocol.py").read_text())
+    callers = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Name) and call.func.id == "_evolve"}
+    assert callers == {"verify_stack", "pair_response", "kak_entangled_input_demo"}
 
 
 # `sweep`, the CLI's set-up and the package import only these modules
