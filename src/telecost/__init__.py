@@ -9,7 +9,7 @@ import importlib
 
 _EXPORTS = {
     "cost": ("CostLedger", "CostModel", "LedgerEntry", "distill_step_map", "ideal_bits",
-             "ledger_rows", "sweep_rows"),
+             "sweep_rows"),
     "expansions": ("ALL_EXPANSIONS", "Expansion", "load_expansions"),
     "kinds": ("ALICE", "BOB", "ProtocolKind", "Purpose"),
     "noise": ("DensityMatrix", "NoisyTeleportReport", "run_noisy_teleport",

@@ -205,7 +205,8 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, float, dict]:
         else:  # the ladder is deterministic, so every noisy chunk ends on one channel
             stacks = run_noisy_stack(kinds, len(runs), cfg.noise_f, streams.random,
                                      cfg.distill_target, cfg.max_rounds)
-            channel_f, fidelity = round(stacks[0].f_final, 12), stacks[0].fidelity
+            # + 0.0, as in the sweep grid: a channel of F = -0.0 prints as 0.0
+            channel_f, fidelity = round(stacks[0].f_final, 12) + 0.0, stacks[0].fidelity
             picks = [stack.attempts for stack in stacks]
         for kind_picks, row in zip(columns.values(), picks):
             kind_picks += row

@@ -90,20 +90,6 @@ def ideal_bits(model: CostModel) -> int:
     return n_qubits if model.kind is ProtocolKind.KAK else 2 * n_qubits
 
 
-def ledger_rows(run_id: str | int, ledger: CostLedger) -> list[dict]:
-    """Flat export rows, one per message."""
-    return [
-        {
-            "run_id": run_id,
-            "from": e.sender,
-            "to": e.receiver,
-            "bits": e.bits,
-            "purpose": e.purpose.value,
-        }
-        for e in ledger.entries
-    ]
-
-
 # ---------------------------------------------------------------------------
 # recurrence distillation
 # ---------------------------------------------------------------------------

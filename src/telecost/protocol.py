@@ -46,10 +46,8 @@ from .schedule import (
     _EPR_PAIR,
     _OUTCOMES,
     CorrectionApplied,
-    GateApplied,
     Measured,
     MessageSent,
-    QubitTransferred,
     Schedule,
     TraceStep,
 )
@@ -86,28 +84,6 @@ class UnknownQubit:
         return StateVector(1, np.array([self.alpha, self.beta], dtype=complex))
 
 
-def step_to_json(step: TraceStep) -> dict:
-    """Serialize one step with the stable field vocabulary
-    {step_type, party, qubits, bits, purpose, gate_seq}. Two-party steps
-    encode party as a [from, to] pair."""
-    if isinstance(step, GateApplied):
-        return {"step_type": "gate_applied", "party": step.party,
-                "qubits": list(step.qubits), "gate_seq": [step.gate]}
-    if isinstance(step, QubitTransferred):
-        return {"step_type": "qubit_transferred", "party": [step.src, step.dst],
-                "qubits": [step.qubit]}
-    if isinstance(step, Measured):
-        return {"step_type": "measured", "party": step.party,
-                "qubits": list(step.qubits), "bits": step.bits}
-    if isinstance(step, MessageSent):
-        return {"step_type": "message_sent", "party": [step.src, step.dst],
-                "bits": step.bits, "purpose": step.purpose.value}
-    if isinstance(step, CorrectionApplied):
-        return {"step_type": "correction_applied", "party": step.party,
-                "qubits": [step.qubit], "gate_seq": list(step.gates)}
-    raise TypeError(f"not a trace step: {step!r}")
-
-
 @dataclass(frozen=True)
 class ProtocolTrace:
     """Complete record of one teleportation run."""
@@ -117,19 +93,6 @@ class ProtocolTrace:
     final_bob_state: StateVector
     fidelity_achieved: float
     ledger: CostLedger
-
-    def replay_ledger(self) -> CostLedger:
-        """Rebuild the cost ledger from the MessageSent steps alone."""
-        return CostLedger((step.src, step.dst, len(step.bits), step.purpose)
-                          for step in self.steps if isinstance(step, MessageSent))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "protocol": self.kind.value,
-            "steps": [step_to_json(s) for s in self.steps],
-            "fidelity": round(self.fidelity_achieved, 12),
-            "final_bob_state": [[float(a.real), float(a.imag)] for a in self.final_bob_state.amps],
-        }
 
 
 # ---------------------------------------------------------------------------

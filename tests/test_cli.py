@@ -822,6 +822,16 @@ def test_compare_prints_the_correctly_rounded_fidelity_at_a_rounding_edge(noise_
         (fidelity, fidelity)}
 
 
+def test_a_channel_of_negative_zero_prints_as_zero(capsys):
+    # -0.0 passes the [0, 1] check, and with no target the channel is the
+    # input; the config echoes the input as given, the rows print 0.0
+    code, out, err = run_cli(["compare", "--runs", "1", "--noise-f", "-0.0", "--format", "json"],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert '"noise_f": -0.0' in out
+    assert out.count('"channel_f": 0.0,') == 2 and '"channel_f": -0.0' not in out
+
+
 # verify's inputs come from a NumPy Generator; JSON prints max_abs_err at full precision
 PINNED_VERIFY_SHA256 = [
     (["verify", "--seed", "0", "--format", "json"],

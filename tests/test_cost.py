@@ -8,7 +8,6 @@ from telecost.cost import (
     CostModel,
     LedgerEntry,
     ideal_bits,
-    ledger_rows,
 )
 from telecost.kinds import ALICE, BOB, ProtocolKind, Purpose
 from telecost.noise import run_noisy_teleport
@@ -118,14 +117,3 @@ def test_standard_scheduling_burns_no_copies():
     )
     assert report.copies_consumed == 0
     assert report.ledger.total(Purpose.TELEPORT) == 2
-
-
-def test_ledger_rows_schema():
-    ledger = CostLedger()
-    ledger.add(ALICE, BOB, 2, Purpose.TELEPORT)
-    ledger.add(BOB, ALICE, 1, Purpose.LOCC)
-    rows = ledger_rows("run-7", ledger)
-    assert rows == [
-        {"run_id": "run-7", "from": ALICE, "to": BOB, "bits": 2, "purpose": "teleport"},
-        {"run_id": "run-7", "from": BOB, "to": ALICE, "bits": 1, "purpose": "locc"},
-    ]

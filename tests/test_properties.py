@@ -61,10 +61,8 @@ from telecost.protocol import (
     BATCH_CHUNK,
     SCHEDULES,
     CorrectionApplied,
-    GateApplied,
     Measured,
     MessageSent,
-    QubitTransferred,
     UnknownQubit,
     enumerate_protocol,
     kak_checkpoints,
@@ -80,6 +78,7 @@ from telecost.protocol import (
     sqtp_checkpoints,
     verify_stack,
 )
+from telecost.schedule import GateApplied, QubitTransferred
 from telecost.statevector import BranchOutcome, StateVector, fidelity_pure, measure_sample
 
 TOL = 1e-12

@@ -1,9 +1,10 @@
 """The public surface stays what the package, the README and the acceptance
-gate use: a public top-level function or class that only unit tests call
-has no job in the program. The private names of `statevector` stay
-inside it, and each checkpoint name is written once, in its schedule;
-three functions of `protocol` run a schedule, `verify_stack` the one
-register-and-branch evaluator among them.
+gate use: a public top-level function or class, or a public method of a
+public class, that only unit tests call has no job in the program, and a
+caller counts only while it has a caller itself. The private names of
+`statevector` stay inside it, and each checkpoint name is written once, in
+its schedule; three functions of `protocol` run a schedule, `verify_stack`
+the one register-and-branch evaluator among them.
 The NumPy-free modules import no engine module, and none of `dataclasses`,
 `inspect` and `json`, when they are imported; their records, namedtuples,
 keep a frozen dataclass's repr, immutability, copies, pickles and checks.
@@ -29,8 +30,6 @@ from telecost.schedule import (MAX_RUNS, SCHEDULES, CorrectionApplied, GateAppli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "telecost"
-# ROADMAP item 1: `compare --trace` writes each run's ledger as ledger_rows
-UNREFERENCED_ALLOWED = {"ledger_rows"}
 
 
 def _identifiers(node):
@@ -44,21 +43,48 @@ def _identifiers(node):
     return out
 
 
+def _public(body):
+    return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _pieces(tree):
+    """(owner, identifiers) of each piece of a module: a public top-level
+    function or a public method owns its own code, a public class the rest
+    of its own, and owner None marks code that always counts."""
+    public = _public(tree.body)
+    for stmt in tree.body:
+        if stmt not in public:
+            yield None, _identifiers(stmt)
+        elif isinstance(stmt, ast.FunctionDef):
+            yield stmt, _identifiers(stmt)
+        else:
+            methods = _public(stmt.body)
+            rest = [*stmt.bases, *stmt.keywords, *stmt.decorator_list,
+                    *(member for member in stmt.body if member not in methods)]
+            yield stmt, set().union(*map(_identifiers, rest))
+            yield from ((method, _identifiers(method)) for method in methods)
+
+
 def test_every_public_definition_has_a_caller():
     modules = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
                if p.name != "__init__.py"}
-    # one identifier set per top-level statement, so a definition's own body is left out
-    statements = [(stmt, _identifiers(stmt)) for tree in modules.values() for stmt in tree.body]
+    pieces = [piece for tree in modules.values() for piece in _pieces(tree)]
     docs = (ROOT / "README.md").read_text() + (ROOT / "tests" / "test_acceptance.py").read_text()
-    orphans = []
+    # every public function and class, and every public method of a public class
+    labels = {}
     for module, tree in modules.items():
-        for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in UNREFERENCED_ALLOWED):
-                continue
-            used = any(node.name in ids for stmt, ids in statements if stmt is not node)
-            if not used and not re.search(rf"\b{node.name}\b", docs):
-                orphans.append(f"{module}:{node.name}")
+        for node in _public(tree.body):
+            labels[node] = f"{module}:{node.name}"
+            if isinstance(node, ast.ClassDef):
+                labels.update((m, f"{module}:{node.name}.{m.name}") for m in _public(node.body))
+    # a caller counts only while it has a caller itself
+    live = set(labels)
+    while dead := {node for node in live if not re.search(rf"\b{node.name}\b", docs)
+                   and not any(node.name in ids for owner, ids in pieces
+                               if owner is not node and (owner is None or owner in live))}:
+        live -= dead
+    orphans = sorted(labels[node] for node in set(labels) - live)
     assert orphans == [], (
         f"public names with no caller in src/, README.md or tests/test_acceptance.py: {orphans}"
     )
@@ -210,7 +236,7 @@ def test_events_of_different_kinds_never_compare_equal():
 
 # every name telecost/__init__.py bound when it imported all its modules at once
 PACKAGE_NAMES = {
-    "CostLedger", "CostModel", "LedgerEntry", "ideal_bits", "ledger_rows",
+    "CostLedger", "CostModel", "LedgerEntry", "ideal_bits",
     "ALL_EXPANSIONS", "Expansion", "load_expansions",
     "ALICE", "BOB", "ProtocolKind", "Purpose",
     "DensityMatrix", "NoisyTeleportReport", "distill_step_map", "run_noisy_teleport",

@@ -2,7 +2,8 @@
 into errors, yet a failing hypothesis test must not abort the session, and
 its strict keys make a misspelled configuration key or marker fail the run.
 README's Library example runs as written and prints what its comments say,
-and its sweep example prints the CSV block shown under it."""
+its sweep example prints the CSV block shown under it, and every `telecost`
+command it shows exits 0 and prints what the text around it says."""
 
 import json
 import re
@@ -92,3 +93,27 @@ def test_the_readme_sweep_example_prints_the_csv_block_under_it(capsys):
                                     README.read_text(), re.S)
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == block
+
+
+def test_every_readme_command_runs_as_written_and_prints_what_the_text_says(capsys):
+    fenced = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = [line for lang, body in fenced if not lang
+             for line in body.splitlines() if line.startswith("telecost ")]
+    outputs = {}
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        outputs[line] = capsys.readouterr().out
+    assert len(outputs) == 4
+    # a 13-row table and the overall line
+    header, *rows, overall = outputs["telecost verify --runs 20 --seed 0"].splitlines()
+    assert header.split() == ["check", "max_abs_err", "status"]
+    assert len(rows) == 13 and all(row.endswith("PASS") for row in rows)
+    assert overall == "overall: PASS (13/13)"
+    noisy = [out for line, out in outputs.items() if "--noise-f" in line and "--format json" in line]
+    assert [json.loads(out)["command"] for out in noisy] == ["compare"]
+    # the inline sweep, whose inputs all meet the lower target: "gives 0, 0 and 0"
+    [inline] = re.findall(r"`(sweep\s+--distill-target 0\.4[^`]*)` gives 0,\s+0 and 0", README.read_text())
+    assert main(shlex.split(inline)) == 0
+    [header, *rows] = capsys.readouterr().out.splitlines()
+    column = header.split(",").index("rounds_to_target")
+    assert [row.split(",")[column] for row in rows] == ["0", "0", "0"]
