@@ -28,6 +28,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -109,9 +110,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(operator.itemgetter(*columns), rows))
     return buf.getvalue()
 
 
@@ -225,24 +226,26 @@ def _compare_json(payload: dict, channel_f: float | None, fidelity: float, colum
     byte, with _compare_data's rows, kinds interleaved run by run, where
     "per_run": null stands. That text occurs once: no JSON string holds a raw
     newline, and only top-level keys start a line with two spaces and a quote.
-    Each kind writes `fidelity` into its row template once and renders its
-    row head, the template up to the run index, once per distinct cell;
-    floats go through repr, as json's do."""
+    One join builds the report: per run and kind a row head (one per distinct
+    pick, `fidelity` written in once), the run index (rendered once for all
+    kinds) and the kind's tail; floats go through repr, as json's do."""
     import json
 
     noisy = channel_f is not None
     cell = '%d,\n      "outcome_bits": null' if noisy else '0,\n      "outcome_bits": "%s"'
-    kind_rows = []
+    before, after = json.dumps(payload, indent=2, sort_keys=True).split('\n  "per_run": null', 1)
+    indices = list(map(str, range(len(next(iter(columns.values()))))))
+    parts = []
     for kind, picks in columns.items():
-        cells = [LOCC_ROUND_BITS * a for a in picks] if noisy else [_OUTCOMES[k] for k in picks]
         template = (f'    {{\n      "channel_f": {json.dumps(channel_f)},\n      "fidelity": {fidelity!r},\n'
                     f'      "locc_bits": {cell},\n      "protocol": "{kind.value}",\n      "run": ')
-        tail = f',\n      "teleport_bits": {SCHEDULES[kind].announced}\n    }}'
-        heads = {c: template % c for c in set(cells)}
-        kind_rows.append([f"{heads[c]}{i}{tail}" for i, c in enumerate(cells)])
-    per_run = ",\n".join(itertools.chain.from_iterable(zip(*kind_rows)))
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    return text.replace('\n  "per_run": null', f'\n  "per_run": [\n{per_run}\n  ]', 1) + "\n"
+        heads = {p: template % (LOCC_ROUND_BITS * p if noisy else _OUTCOMES[p]) for p in set(picks)}
+        tail = f',\n      "teleport_bits": {SCHEDULES[kind].announced}\n    }},\n'
+        parts += map(heads.__getitem__, picks), indices, itertools.repeat(tail)
+    pieces = [before, '\n  "per_run": [\n', *itertools.chain.from_iterable(zip(*parts))]
+    pieces[-1] = pieces[-1][:-2]  # the last row takes no comma
+    pieces += '\n  ]', after, "\n"
+    return "".join(pieces)
 
 
 _SUMMARY_COLUMNS = ["protocol", "mean_fidelity", "min_fidelity",

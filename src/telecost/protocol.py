@@ -398,10 +398,11 @@ class _Streams:
         return ((x >> rot | x << (np.uint64(64) - rot & np.uint64(63))) >> np.uint64(11)) * 2.0**-53
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list[int]:
-    """The n + 1 values of a SeedSequence hash constant over n hashmix
-    calls; call j takes values j and j + 1 as c_in and c_out."""
-    return list(itertools.accumulate(range(n), lambda c, _: c * mult & 0xFFFFFFFF, initial=init))
+@functools.cache
+def _hash_constants(init: int, mult: int, n: int) -> tuple[int, ...]:
+    """The n + 1 values, cached as a tuple, of a SeedSequence hash constant
+    over n hashmix calls; call j takes values j and j + 1 as c_in and c_out."""
+    return tuple(itertools.accumulate(range(n), lambda c, _: c * mult & 0xFFFFFFFF, initial=init))
 
 
 def _hashmix(v: int | np.ndarray, c_in: int | np.ndarray, c_out: int | np.ndarray) -> int | np.ndarray:

@@ -768,6 +768,14 @@ PINNED_SHA256 = [
     (["compare", "--runs", "20", "--seed", "8", "--noise-f", "0.75", "--distill-target", "0.99",
       "--max-rounds", "3", "--format", "json"],  # the round cap
      "a8142d87561107ed3a79c3e42f864028d89d92815e21dc9583c29abaeb2f5052"),
+    # computed before the JSON report was one join of row pieces; each spans several chunks
+    (["compare", "--runs", "2500", "--seed", "5", "--format", "json"],
+     "8dda4cd33155a6599dae763d0fd71b5a37505b5a0e169304d43da5cb3345b50c"),
+    (["compare", "--runs", "2049", "--seed", "12", "--protocol", "kak", "--format", "json"],
+     "19a0ab7eae7bcba27b40a54cdfc168b8965322fffa40e15f0c46e8148dc40b79"),
+    (["compare", "--runs", "1500", "--seed", "6", "--noise-f", "0.75", "--distill-target", "0.9",
+      "--format", "json"],
+     "82609330864bfa193432778aeed4753bb0e680acfdf96caa5777b1ad3f2038e4"),
 ]
 
 
@@ -778,7 +786,9 @@ PINNED_SHA256 = [
                                                             "noisy-16-levels-300-json",
                                                             "noisy-stalled-kak-257-json",
                                                             "noisy-no-target-40-json",
-                                                            "noisy-round-cap-20-json"])
+                                                            "noisy-round-cap-20-json",
+                                                            "ideal-2500-json", "kak-2049-json",
+                                                            "noisy-1500-json"])
 def test_compare_output_is_pinned(argv, digest, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""

@@ -70,9 +70,14 @@ from telecost.protocol import (
     pair_response,
     run_batch,
     run_protocol,
+    _INIT_A,
+    _INIT_B,
+    _MULT_A,
+    _MULT_B,
     _OUTCOMES,
     _bob_rows,
     _evolve,
+    _hash_constants,
     _streams,
     haar_sources,
     sqtp_checkpoints,
@@ -619,6 +624,21 @@ def test_verifys_stream_is_default_rng_of_the_seed_bit_for_bit(seed):
     assert stream.random().tolist() == [[rng.random()]]
 
 
+def test_cached_hash_constants_are_a_fresh_accumulate():
+    # _streams asks for 4w + 8 constants of hash A for a seed of w words, the
+    # pool zero-padded to at least 4, and 8 of hash B; after it the same call
+    # is a cache hit, and the cached tuple is the recurrence computed afresh
+    for seed, words in ((5, 1), (2**100 + 3, 4), (2**130 + 7, 5), (2**200 + 7, 7)):
+        assert -(-seed.bit_length() // 32) == words
+        _streams(seed, range(2), range(3))
+        for init, mult, n in ((_INIT_A, _MULT_A, 4 * max(words, 4) + 8), (_INIT_B, _MULT_B, 8)):
+            hits = _hash_constants.cache_info().hits
+            cached = _hash_constants(init, mult, n)
+            assert _hash_constants.cache_info().hits == hits + 1
+            fresh = itertools.accumulate(range(n), lambda c, _: c * mult & 0xFFFFFFFF, initial=init)
+            assert type(cached) is tuple and cached == tuple(fresh)
+
+
 def retired_haar(rng) -> tuple[complex, complex]:
     """The Haar draw as it was before streams served only random(): both
     angles from rng.uniform."""
@@ -820,6 +840,10 @@ def compare_columns(draw):
 @example({}, (None, 0.9999999999995, {ProtocolKind.SQTP: [3, 3]}))
 @example({}, (None, 0.9999999999995001, {ProtocolKind.SQTP: [3, 3]}))
 @example({}, (None, 0.9999999999999999, {ProtocolKind.SQTP: [3, 3]}))
+# four-digit run indices, with the last row taking no comma, and a single noisy kak row
+@example({}, (None, 1.0, {ProtocolKind.SQTP: [k % 4 for k in range(1001)],
+                          ProtocolKind.KAK: [k * 7 % 4 for k in range(1001)]}))
+@example({}, (0.9, 0.9333333333333333, {ProtocolKind.KAK: [3]}))
 def test_compare_json_is_json_dumps_of_the_dict_rows(payload, report):
     channel_f, fidelity, columns = report
     rows = []
