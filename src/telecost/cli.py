@@ -7,8 +7,9 @@ Three subcommands:
 
 All outputs are deterministic for a fixed seed: running a command twice
 with the same arguments produces byte-identical reports. `compare` keeps
-each kind's column over all runs, one channel fidelity and the one
-teleport fidelity of every run, which only `--format json` renders as rows.
+each kind's column over all runs, of outcomes by `protocol._outcomes`
+(ideal) or attempts (noisy), one channel fidelity and the one teleport
+fidelity of every run, which only `--format json` renders as rows.
 
 `main` parses with one parser per process, so its one build is set-up
 cost; `build_parser()` returns a new parser on every call.
@@ -194,15 +195,13 @@ def _compare_data(cfg: RunConfig) -> tuple[dict, float | None, float, dict]:
     and no register evolved: an ideal run's fidelity is 1.0, and a noisy
     stack's one fidelity is run_noisy_stack's (2F+1)/3."""
     from .noise import run_noisy_stack
-    from .protocol import run_batch
+    from .protocol import _outcomes, run_batch
 
     kinds = cfg.kinds()
     channel_f, columns = None, {kind: [] for kind in kinds}
     for runs, streams in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
         if cfg.noise_f is None:
-            # run i's outcome is floor(4u) of its draw u in [0, 1), as every outcome is 1/4 likely for every
-            # input (tests/test_protocol.py::test_every_outcome_has_born_probability_exactly_one_quarter)
-            picks, fidelity = (4.0 * streams.random()).astype(int).tolist(), 1.0
+            picks, fidelity = _outcomes(streams.random()), 1.0
         else:  # the ladder is deterministic, so every noisy chunk ends on one channel
             stacks = run_noisy_stack(kinds, len(runs), cfg.noise_f, streams.random,
                                      cfg.distill_target, cfg.max_rounds)

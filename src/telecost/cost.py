@@ -86,8 +86,7 @@ class CostModel(namedtuple("CostModel", "dimension kind")):
 
 def ideal_bits(model: CostModel) -> int:
     """Classical bits an ideal run of the protocol family transmits."""
-    n_qubits = model.dimension.bit_length() - 1
-    return n_qubits if model.kind is ProtocolKind.KAK else 2 * n_qubits
+    return SCHEDULES[model.kind].announced * (model.dimension.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------

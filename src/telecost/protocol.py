@@ -14,12 +14,13 @@ register and all four branches from one run of the schedule; and
 linear, so it runs the pair's four basis states under every input, as one
 (inputs, 4, 4) array, as the entangled-input probe stacks the held-back
 qubit's two values. Only the stacks of one build objects per run:
-`run_protocol` is verify_stack of one and one measure_sample draw, whose
-branch its trace keeps, and the checkpoints and `enumerate_protocol` read
-verify_stack of one. `compare` evolves no register: every outcome has Born
-probability 1/4 and every corrected branch returns the input, so it samples
-outcomes as floor(4u) and noisy fidelity in closed form, and verify_stack,
-measure_sample and `pair_response` are its test oracle.
+`run_protocol` is verify_stack of one, whose branch k its trace keeps, and
+the checkpoints and `enumerate_protocol` read verify_stack of one. Every
+outcome has Born probability 1/4 for every input, so `_outcomes`, the one
+outcome rule, draws k as floor(4u) for `run_protocol` and `compare` alike.
+`compare` evolves no register: every corrected branch returns the input,
+so it takes noisy fidelity in closed form, and verify_stack, the stacked
+Born-row sampler of the tests and `pair_response` are its test oracle.
 `run_batch`, the one seeded batch runner, yields chunks of at most
 BATCH_CHUNK runs as (runs, streams): run indices and the chunk's streams,
 kinds by runs, NumPy's SeedSequence->PCG64 bit for bit on uint64 limbs,
@@ -60,7 +61,6 @@ from .statevector import (
     apply_z,
     bell_pair,
     fidelity_pure,
-    measure_sample,
 )
 
 
@@ -196,14 +196,23 @@ def _bob_rows(bobs: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, list[f
     return bobs, [m ** 2 for m in moduli.tolist()]
 
 
+def _outcomes(u: np.ndarray) -> int | list:
+    """Alice's outcome floor(4u) of every draw u in [0, 1), as u.tolist(): the one outcome rule, as
+    every outcome has Born probability 1/4 for every input, which its oracle proves exactly:
+    tests/test_protocol.py::test_every_outcome_has_born_probability_exactly_one_quarter."""
+    if not (u.min() >= 0.0 and u.max() < 1.0):  # NaN propagates and compares False
+        raise ValueError("draws must be in [0, 1)")
+    return (4.0 * u).astype(int).tolist()
+
+
 def run_protocol(kind: ProtocolKind, psi: UnknownQubit, rng: np.random.Generator) -> ProtocolTrace:
-    """One sampled run with its full trace, as verify_stack of one and one
-    measure_sample of rng.random(): the schedule's steps, then Alice's
-    measurement of outcome k, her announcement and Bob's correction, with
+    """One sampled run with its full trace, as verify_stack of one and
+    outcome k = _outcomes of one rng.random(): the schedule's steps, then
+    Alice's measurement of k, her announcement and Bob's correction, with
     branch k's qubit and fidelity."""
     schedule = SCHEDULES[kind]
-    _, probs, bobs, fidelities = verify_stack(kind, [psi])
-    [k] = measure_sample(probs, np.array([rng.random()])).tolist()
+    _, _, bobs, fidelities = verify_stack(kind, [psi])
+    k = _outcomes(np.array(rng.random()))
     steps = [*schedule.steps, Measured(ALICE, (0, 1), _OUTCOMES[k]),
              MessageSent(ALICE, BOB, _OUTCOMES[k][: schedule.announced], Purpose.TELEPORT),
              CorrectionApplied(BOB, 2, schedule.bob_gates[k])]

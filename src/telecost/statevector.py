@@ -14,10 +14,10 @@ Conventions, fixed across the whole package:
   - the fixed gates apply_h/x/z and apply_cnot act on a stack of
     registers, one size-2 axis per qubit, and take any leading axes along,
     so `protocol` runs one gate over all its runs; X and Z are index
-    kernels, H the private matrix kernel _unitary1_axes. measure_sample
-    draws every run's outcome at once, one row of Born probabilities and
-    one uniform per run. The per-state gates, sampling and collapse helpers
-    the stacked path replaced are the test reference in
+    kernels, H the private matrix kernel _unitary1_axes. No function here
+    draws: `protocol` samples Alice's outcome as floor(4u). The per-state
+    gates, sampling and collapse helpers the stacked path replaced, and the
+    stacked Born-row sampler, are the test reference in
     tests/per_state_reference.py.
 """
 
@@ -99,9 +99,8 @@ def _unitary1_axes(t: np.ndarray, q: int, m: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
 
 
-# The fixed gates and the outcome draw of the protocol interpreter. The
-# gates act on one axis of a stack of registers (unchecked), so `protocol`
-# runs each op once over all its runs.
+# The fixed gates of the protocol interpreter, on one axis of a stack of
+# registers (unchecked), so `protocol` runs each op once over all its runs.
 
 
 def apply_h(t: np.ndarray, axis: int) -> np.ndarray:
@@ -126,20 +125,6 @@ def apply_cnot(t: np.ndarray, control: int, target: int) -> np.ndarray:
     out = t.copy()
     out[tuple(sel)] = np.flip(t, axis=target)[tuple(sel)]
     return out
-
-
-def measure_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One outcome index per row of Born probabilities, row i drawn by u[i],
-    one random() of its run's stream, with rng.choice(len(row),
-    p=row / row.sum())'s arithmetic, bit for bit; a negative, non-finite or
-    all-0 row, or a draw outside [0, 1), raises."""
-    if not (np.all(u >= 0) and np.all(u < 1)):  # NaN compares False
-        raise ValueError("draws must be in [0, 1)")
-    cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
-    if not (np.all(probs >= 0) and np.all(cdf[:, -1] > 0)):  # NaN compares False
-        raise ValueError("Born probabilities must be finite, non-negative and not all 0")
-    cdf = cdf / cdf[:, -1:]
-    return np.count_nonzero(cdf <= u.reshape(len(probs), 1), axis=1)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,12 @@ same names act on a stack), `enumerate_branches` and `collapse_residual`.
 The reference keeps its own branch record, `CollapsedBranch`, with the
 full collapsed register, which the package's branch walk does not build.
 
+`sample_rows` is the retired stacked Born-row sampler: every run's
+outcome drawn from its row of Born probabilities with `measure_sample`'s
+arithmetic, a stack at once. The package draws floor(4u) instead
+(`protocol._outcomes`), and the sampler on `verify_stack`'s rows is that
+rule's oracle.
+
 `_residuals` is the retired stacked all-outcomes path: one gate call
 per outcome on its own slice, the four results stacked. The package now
 corrects every outcome through one kernel, `protocol._correct`, and the
@@ -160,6 +166,20 @@ def measure_sample(
     k = int(rng.choice(len(probs), p=probs / probs.sum()))
     bits = format(k, f"0{len(qubits)}b")
     return bits, _collapse(s, qubits, bits, float(probs[k]))
+
+
+def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One outcome index per row of Born probabilities, row i drawn by u[i],
+    one random() of its run's stream, with rng.choice(len(row),
+    p=row / row.sum())'s arithmetic, bit for bit; a negative, non-finite or
+    all-0 row, or a draw outside [0, 1), raises."""
+    if not (np.all(u >= 0) and np.all(u < 1)):  # NaN compares False
+        raise ValueError("draws must be in [0, 1)")
+    cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    if not (np.all(probs >= 0) and np.all(cdf[:, -1] > 0)):  # NaN compares False
+        raise ValueError("Born probabilities must be finite, non-negative and not all 0")
+    cdf = cdf / cdf[:, -1:]
+    return np.count_nonzero(cdf <= u.reshape(len(probs), 1), axis=1)
 
 
 def enumerate_branches(

@@ -1131,7 +1131,7 @@ def test_benchmark_tracer_installs_and_changes_no_output(capsys):
     assert {"protocol.verify_stack", "statevector.apply_h", "statevector.apply_cnot"} <= verify
     assert "protocol.run_batch" in ideal and "noise.run_noisy_stack" in noisy
     engine = {"protocol.haar_sources", "protocol.verify_stack", "protocol.pair_response",
-              "statevector.measure_sample", "noise.teleport_fidelity_noisy", "noise.werner_state"}
+              "noise.teleport_fidelity_noisy", "noise.werner_state"}
     engine |= {span for span in verify if span.startswith("statevector.apply_")}
     assert not (ideal | noisy) & engine
 

@@ -7,8 +7,9 @@ traces against the per-state path it replaced, bit for bit, and every
 stack against its stacks of one; the stacked pair responses and the
 engine's noisy fidelities against the retired per-input formulas and
 all-outcomes correction, bit for bit; the engine as the oracle of
-compare's closed forms: measure_sample of verify_stack's Born rows is
-floor(4u) and every branch's fidelity rounds to 1, every
+compare's closed forms: the Born-row oracle sample_rows on verify_stack's
+rows picks the package's one outcome rule, floor(4u), and every branch's
+fidelity rounds to 1, every
 kind's Werner fidelity is (2F+1)/3, which a noisy stack gives correctly
 rounded, and compare's JSON report is the engine's;
 the locality of every sampled run's trace; SQTP and KAK as one channel
@@ -37,7 +38,7 @@ from hypothesis import strategies as st
 
 import oracle_dense
 import per_state_reference
-from per_state_reference import _residuals
+from per_state_reference import _residuals, sample_rows
 from telecost.cli import RunConfig, _compare_json, build_parser, main
 from telecost.cost import (
     LOCC_ROUND,
@@ -78,13 +79,14 @@ from telecost.protocol import (
     _bob_rows,
     _evolve,
     _hash_constants,
+    _outcomes,
     _streams,
     haar_sources,
     sqtp_checkpoints,
     verify_stack,
 )
 from telecost.schedule import GateApplied, QubitTransferred
-from telecost.statevector import BranchOutcome, StateVector, fidelity_pure, measure_sample
+from telecost.statevector import BranchOutcome, StateVector, fidelity_pure
 
 TOL = 1e-12
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=200)
@@ -425,14 +427,16 @@ def test_each_kinds_werner_fidelity_is_two_f_plus_one_over_three(angles, f):
 @given(st.lists(st.tuples(haar_angles, st.integers(0, 2**53 - 1)), min_size=1, max_size=16))
 @example([((1.0, 0.0), 2**51), ((-1.0, 0.0), 2**52), ((0.0, 1.0), 3 * 2**51), ((0.5, 2.0), 2**51 - 1)])
 def test_sample_stacks_outcomes_are_floor_4u_and_its_fidelities_round_to_one(runs):
-    # the engine as the oracle of compare's ideal columns: u on the streams'
-    # grid of multiples of 2**-53, quarters and their neighbours included,
-    # and every branch's fidelity, drawn or not
+    # the engine as the oracle of the one outcome rule, _outcomes, which
+    # run_protocol and compare's ideal columns follow: the Born-row sampler on
+    # verify_stack's rows, at u on the streams' grid of multiples of 2**-53,
+    # quarters and their neighbours included, and every branch's fidelity,
+    # drawn or not
     psis = [qubit_from_angles(a) for a, _ in runs]
     u = np.array([k for _, k in runs]) * 2.0**-53
     for kind in ProtocolKind:
         _, probs, _, fidelities = verify_stack(kind, psis)
-        assert measure_sample(probs, u).tolist() == [math.floor(4 * x) for x in u.tolist()]
+        assert sample_rows(probs, u).tolist() == _outcomes(u)
         assert len(fidelities) == 4 * len(psis) and {round(f, 12) for f in fidelities} == {1.0}
 
 
@@ -497,7 +501,7 @@ def test_stacked_draw_matches_the_per_state_draw(rows):
     rngs = [np.random.default_rng(seed) for _, seed in rows]
     want = [int(per_state_reference.measure_sample(s, [0, 1], rng)[0], 2)
             for s, rng in zip(states, ref_rngs)]
-    assert measure_sample(probs, np.array([rng.random() for rng in rngs])).tolist() == want
+    assert sample_rows(probs, np.array([rng.random() for rng in rngs])).tolist() == want
     assert [rng.random() for rng in rngs] == [rng.random() for rng in ref_rngs]
 
 
@@ -720,11 +724,11 @@ def compare_json_reference(cfg):
     """compare's JSON report as the engine gives it, built as it was before
     the column template and the closed forms: run_batch's chunks, every
     run's Haar input from stream 0, kind j's stack alone on stream 1 + j,
-    its outcome k from measure_sample of verify_stack and the fidelity of
-    its branch 4i + k, or its fidelity through the Werner channel from
-    pair_response, a dict per run and kind, the kinds interleaved run
-    by run, the summary read back from those rows, and json.dumps of the
-    whole payload."""
+    its outcome k from sample_rows of verify_stack's Born rows and the
+    fidelity of its branch 4i + k, or its fidelity through the Werner
+    channel from pair_response, a dict per run and kind, the kinds
+    interleaved run by run, the summary read back from those rows, and
+    json.dumps of the whole payload."""
     kinds = cfg.kinds()
     per_run = []
     for runs, _ in run_batch(cfg.n_runs, cfg.seed, len(kinds)):
@@ -733,7 +737,7 @@ def compare_json_reference(cfg):
             stream = _streams(cfg.seed, runs, range(1 + j, 2 + j))
             if cfg.noise_f is None:
                 _, probs, _, branches = verify_stack(kind, sources)
-                ks = measure_sample(probs, stream.random()[0]).tolist()
+                ks = sample_rows(probs, stream.random()[0]).tolist()
                 outcomes, channel_f = [_OUTCOMES[k] for k in ks], None
                 loccs, fidelities = [0] * len(runs), [branches[4 * i + k] for i, k in enumerate(ks)]
             else:

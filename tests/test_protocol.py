@@ -14,7 +14,7 @@ import pytest
 import oracle_dense
 import oracle_exact
 import per_state_reference
-from per_state_reference import collapse_residual
+from per_state_reference import collapse_residual, sample_rows
 from telecost import protocol
 from telecost.cost import CostLedger, LedgerEntry
 from telecost.expansions import ALL_EXPANSIONS
@@ -46,7 +46,6 @@ from telecost.statevector import (
     basis_state,
     bell_pair,
     fidelity_pure,
-    measure_sample,
     tensor,
 )
 
@@ -313,16 +312,17 @@ def test_entangled_demo_rejects_wrong_size():
 def sampled_chunks(kinds, n_runs, seed):
     """run_batch's chunks as (runs, one column per kind) on the runs' Haar
     inputs from stream 0: kind j's verify_stack, and run i's outcome k drawn
-    by measure_sample from its entry of row j of the chunk's draw, one
-    column of its streams. Run i keeps branch row 4i + k, as run_protocol
-    keeps branch k of a stack of one, as (k, fidelity, Bob's qubit)."""
+    by the Born-row oracle sample_rows from its entry of row j of the
+    chunk's draw, one column of its streams. Run i keeps branch row 4i + k,
+    as run_protocol keeps branch k of a stack of one, as (k, fidelity, Bob's
+    qubit)."""
     chunks = []
     for runs, streams in run_batch(n_runs, seed, len(kinds)):
         sources, columns = per_state_reference.batch_sources(seed, runs), []
         for kind, u in zip(kinds, streams.random()):
             _, probs, bobs, fidelities = verify_stack(kind, sources)
             columns.append([(k, fidelities[4 * i + k], bobs[4 * i + k])
-                            for i, k in enumerate(measure_sample(probs, u).tolist())])
+                            for i, k in enumerate(sample_rows(probs, u).tolist())])
         chunks.append((runs, columns))
     return chunks
 
@@ -494,8 +494,8 @@ def test_every_outcome_has_born_probability_exactly_one_quarter():
     # on each of his basis states, with c_a and c_b in Q(sqrt2), so its
     # probability is A |alpha|^2 + B |beta|^2 + 2 C Re(alpha conj(beta)) for
     # A = sum c_a^2, B = sum c_b^2 and C = sum c_a c_b; it is 1/4 for every
-    # unit input exactly when A = B = 1/4 and C = 0, which compare's
-    # floor(4u) outcome draw rests on
+    # unit input exactly when A = B = 1/4 and C = 0, which the package's one
+    # outcome rule, floor(4u) in protocol._outcomes, rests on
     def dot(register, x, y):
         total = oracle_exact.ZERO
         for bob in "01":
@@ -595,12 +595,12 @@ def test_every_stack_of_no_inputs_is_empty():
 
 def test_sample_stack_holds_the_columns_of_its_traces():
     # the same draws twice: run_protocol's trace is branch k of verify_stack,
-    # k drawn by measure_sample from the rng's one random()
+    # k drawn by the Born-row oracle sample_rows from the rng's one random()
     psis = [haar(seed) for seed in range(40)]
     for kind in ProtocolKind:
         _, probs, bobs, fidelities = verify_stack(kind, psis)
         u = np.array([np.random.default_rng(s).random() for s in range(40)])
-        outcomes = measure_sample(probs, u).tolist()
+        outcomes = sample_rows(probs, u).tolist()
         assert set(outcomes) == {0, 1, 2, 3}
         traces = [run_protocol(kind, psi, np.random.default_rng(s)) for s, psi in enumerate(psis)]
         for i, (k, trace) in enumerate(zip(outcomes, traces)):
@@ -609,7 +609,7 @@ def test_sample_stack_holds_the_columns_of_its_traces():
             assert trace.final_bob_state.amps.tobytes() == bobs[4 * i + k].tobytes()
             assert trace.ledger == CostLedger([SCHEDULES[kind].teleport])
         assert len({id(trace.ledger) for trace in traces}) == 40  # no two traces share a ledger
-        assert measure_sample(verify_stack(kind, [])[1], np.array([])).tolist() == []
+        assert sample_rows(verify_stack(kind, [])[1], np.array([])).tolist() == []
 
 
 def test_sample_stack_reads_each_runs_drawn_branch(monkeypatch):
@@ -637,21 +637,30 @@ def test_sample_stack_reads_each_runs_drawn_branch(monkeypatch):
         assert rows == [1] * calls
 
 
+# inputs at the edges of the Born rows: a zero amplitude, a subnormal one,
+# a tiny imaginary one beside a negative one, and equal real and imaginary ones
+EDGE_INPUTS = [UnknownQubit(1.0, 0.0), UnknownQubit(0.0, 1.0), UnknownQubit(2**-0.5, 1j * 2**-0.5),
+               UnknownQubit(5e-324, 1.0), UnknownQubit(-1.0, 1e-170j)]
+# draws on both sides of every quarter, and outcome floor(4u) of each
+QUARTER_DRAWS = [(0.0, 0), (np.nextafter(0.25, 0.0), 0), (0.25, 1), (0.5, 2),
+                 (np.nextafter(0.75, 0.0), 2), (0.75, 3), (np.nextafter(1.0, 0.0), 3)]
+
+
 @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.0])
 def test_sample_stack_rejects_a_draw_outside_the_unit_interval(bad):
     # NaN and -0.5 would fall to outcome 0, and 1.0 would index past outcome 3,
-    # whether run_protocol's rng gives it or it stands in either row of a stack
-    psi, rows = haar(5), haar_sources(np.random.default_rng(5).random((2, 2)))
+    # whether run_protocol's rng gives it or it stands in either entry of a
+    # column; every draw in [0, 1) picks floor(4u), whatever the input
     for kind in ProtocolKind:
-        for u, k in ((0.0, 0), (np.nextafter(1.0, 0.0), 3)):
-            trace = run_protocol(kind, psi, SimpleNamespace(random=lambda u=u: u))
-            assert next(step.bits for step in trace.steps if isinstance(step, Measured)) == _OUTCOMES[k]
-        with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
-            run_protocol(kind, psi, SimpleNamespace(random=lambda: bad))
-        probs = verify_stack(kind, rows)[1]
-        for u in ([bad, 0.5], [0.5, bad]):
+        for psi in [haar(5), *EDGE_INPUTS]:
+            for u, k in QUARTER_DRAWS:
+                trace = run_protocol(kind, psi, SimpleNamespace(random=lambda u=u: u))
+                assert next(step.bits for step in trace.steps if isinstance(step, Measured)) == _OUTCOMES[k]
             with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
-                measure_sample(probs, np.array(u))
+                run_protocol(kind, psi, SimpleNamespace(random=lambda: bad))
+    for u in ([bad, 0.5], [0.5, bad]):
+        with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
+            protocol._outcomes(np.array(u))
 
 
 @pytest.mark.parametrize("u", [[np.nan, 0.5], [0.5, np.nan]])
