@@ -11,8 +11,8 @@ each kind's column over all runs, of outcomes by `protocol._outcomes`
 (ideal) or attempts (noisy), one channel fidelity and the one teleport
 fidelity of every run, which only `--format json` renders as rows.
 
-`main` parses with one parser per process, so its one build is set-up
-cost; `build_parser()` returns a new parser on every call.
+`main` builds one parser per process and scans argv once, in the command's
+subparser (else the full parser); `build_parser()` returns a new parser per call.
 
 At import this module loads only `kinds`, `cost` and `schedule`, none of
 which needs NumPy or `dataclasses` (`RunConfig` is a validated
@@ -32,6 +32,7 @@ import math
 import operator
 import sys
 from collections import namedtuple
+from collections.abc import Iterable
 
 from .cost import LOCC_ROUND_BITS, SWEEP_COLUMNS, _NOISY_MAX_ROUNDS, _SWEEP_MAX_ROUNDS, sweep_rows
 from .kinds import ProtocolKind
@@ -109,11 +110,11 @@ def _emit(text: str, out: str | None) -> None:
             raise RuntimeError(f"cannot write report to {out}: {exc}") from exc
 
 
-def _csv_text(columns: list[str], rows: list[dict]) -> str:
+def _csv_text(columns: list[str], rows: Iterable[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(map(operator.itemgetter(*columns), rows))
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -259,7 +260,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         return 0
     rows = [{"protocol": name, **vals} for name, vals in summary.items()]
     if cfg.fmt == "csv":
-        _emit(_csv_text(_SUMMARY_COLUMNS, rows), cfg.out)
+        _emit(_csv_text(_SUMMARY_COLUMNS, map(operator.itemgetter(*_SUMMARY_COLUMNS), rows)), cfg.out)
         return 0
     lines = [" ".join(f"{c:>14s}" for c in _SUMMARY_COLUMNS)]
     for r in rows:
@@ -290,8 +291,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     grid = [round(cfg.f_min + k * cfg.f_step, 12) + 0.0 for k in range(int(span) + 1)]
     if grid[0] < 0.0 or grid[-1] > 1.0:
         raise ValueError("grid must stay inside [0, 1]")
-    rows = sweep_rows(grid, cfg.distill_target, cfg.max_rounds)
-    _emit(_csv_text(SWEEP_COLUMNS, rows), cfg.out)
+    _emit(_csv_text(SWEEP_COLUMNS, sweep_rows(grid, cfg.distill_target, cfg.max_rounds)), cfg.out)
     return 0
 
 
@@ -340,7 +340,13 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    [commands] = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = commands.get(argv[0]) if argv else None  # the subparser gets the strings argparse gives it
+    args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])) if sub else (None, ())
+    if sub is None or rest:  # no command, an unknown one, a bare -h, or strings left: usage and errors
+        args = parser.parse_args(argv)
     try:
         cfg = RunConfig(**vars(args))
         handler = {"verify": cmd_verify, "compare": cmd_compare, "sweep": cmd_sweep}[cfg.command]

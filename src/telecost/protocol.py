@@ -200,7 +200,7 @@ def _outcomes(u: np.ndarray) -> int | list:
     """Alice's outcome floor(4u) of every draw u in [0, 1), as u.tolist(): the one outcome rule, as
     every outcome has Born probability 1/4 for every input, which its oracle proves exactly:
     tests/test_protocol.py::test_every_outcome_has_born_probability_exactly_one_quarter."""
-    if not (u.min() >= 0.0 and u.max() < 1.0):  # NaN propagates and compares False
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):  # NaN propagates and compares False
         raise ValueError("draws must be in [0, 1)")
     return (4.0 * u).astype(int).tolist()
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from telecost.cli import (GOLDEN_ATOL, MAX_ROUNDS, MAX_SWEEP_POINTS, RunConfig, _compare_data,
-                          _compare_json, build_parser, cmd_sweep, main)
+                          _compare_json, build_parser, cmd_compare, cmd_sweep, cmd_verify, main)
 from telecost.cost import LOCC_ROUND_BITS
 from telecost.kinds import ProtocolKind
 from telecost.noise import run_noisy_stack, run_noisy_teleport
@@ -453,18 +453,18 @@ def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch,
 def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
     # every run of a chunk climbs the same ladder to the same F: 0.75 -> 0.9
     # takes 5 levels, so 20 runs of both kinds, one chunk and one stack,
-    # evaluate the map 5 times and validate no Werner channel: a repeat and
-    # 33 runs in three 16-run chunks walk the ladder once a chunk
+    # evaluate the map (cost._step) 5 times and validate no Werner channel: a
+    # repeat and 33 runs in three 16-run chunks walk the ladder once a chunk
     from telecost import cost, noise
 
     steps, builds = [], []
-    step_map, post_init = cost.distill_step_map, noise.DensityMatrix.__post_init__
+    step_map, post_init = cost._step, noise.DensityMatrix.__post_init__
 
     def counting(self):
         builds.append(self)
         post_init(self)
 
-    monkeypatch.setattr(cost, "distill_step_map", lambda f: steps.append(f) or step_map(f))
+    monkeypatch.setattr(cost, "_step", lambda f: steps.append(f) or step_map(f))
     monkeypatch.setattr(noise.DensityMatrix, "__post_init__", counting)
     noise.werner_state.cache_clear()
     argv = ["compare", "--seed", "3", "--noise-f", "0.75", "--distill-target", "0.9",
@@ -861,6 +861,28 @@ def test_verify_json_output_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sweep's stdout, computed while sweep_rows built dict rows and _ladder stepped the checked map
+PINNED_SWEEP_SHA256 = [
+    (["sweep"], "1221fe0726fb4c19455fc93d760f89ba9c4f5698743eaecde22f373f4dbb695d"),
+    (["sweep", "--f-min", "0.51", "--f-max", "0.99", "--f-step", "0.02", "--distill-target", "0.99"],
+     "e463f086de871b0dc6df2ae245fd5b8f7b804a46f0cdf4bd94495a8892b57c54"),
+    (["sweep", "--distill-target", "1.0", "--max-rounds", "1024"],  # every ladder stalls
+     "49c568180117ec0dfa257690392132f2179c373beac373cfd1c777e9fbf9d18c"),
+    (["sweep", "--f-min", "0.3", "--f-max", "0.7", "--f-step", "0.05"],  # rows of -1 below 1/2
+     "a5f3a2e1f0e546aeffaa677db4d3d1c0ad86e39801522ecc20e8ce7054e534a8"),
+    (["sweep", "--f-min=-1e-13", "--f-max", "0.1", "--f-step", "0.1"],  # -0.0 prints as 0.0
+     "25db99b77a9a178287fcc5711cd3b4022eacef361d1b344e638a5043e471cf9c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_SWEEP_SHA256,
+                         ids=["default", "fine-0.99", "stalled", "across-half", "negative-zero"])
+def test_sweep_output_is_pinned(argv, digest, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_only_json_renders_per_run_rows(monkeypatch, capsys):
     # text and csv print the summary alone; json renders all its rows in one call
     noisy_text_argv = ["compare", "--runs", "20", "--seed", "3", "--noise-f", "0.75",
@@ -976,6 +998,42 @@ def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
     assert built == []
     # a caller of build_parser still gets a parser of its own to change
     assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    ([], 2), (["nope"], 2), (["-h"], 0), (["compare", "-h"], 0), (["compare", "--runs", "x"], 2),
+    (["compare", "--runs", "3", "--bogus"], 2),
+    (["sweep", "--f-min=-1e-13", "--f-max", "0.1", "--f-step", "0.1"], 0),
+    (["sweep", "--f-min", "-0.2", "--f-max", "0.4"], 2),
+], ids=["empty", "unknown", "help", "compare-help", "bad-int", "left-over", "negative-zero",
+        "negative-f-min"])
+def test_main_prints_what_the_full_parser_and_the_handler_print(argv, exit_code, capsys):
+    # main scans argv once, in the command's own subparser when it can; the
+    # full parser's parse_args and then the command's handler print the same
+    # bytes and exit alike, usage and error messages included
+    def through_the_full_parser():
+        try:
+            cfg = RunConfig(**vars(build_parser().parse_args(argv)))
+            return {"verify": cmd_verify, "compare": cmd_compare, "sweep": cmd_sweep}[cfg.command](cfg)
+        except SystemExit as exc:
+            return exc.code
+        except (ValueError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    code = through_the_full_parser()
+    want = code, *capsys.readouterr()
+    assert invoke(argv, capsys) == want
+    assert want[0] == exit_code
+
+
+def test_python_dash_m_prints_what_main_prints(capsys):
+    # the argv=None path: main reads sys.argv[1:]
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-m", "telecost.cli", "sweep"], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(["sweep"], capsys)
 
 
 def test_compare_builds_no_numpy_stream_per_run(monkeypatch, capsys):

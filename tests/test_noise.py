@@ -21,6 +21,7 @@ from telecost.protocol import UnknownQubit, run_batch
 from telecost.statevector import basis_state, bell_pair
 
 F_GRID = [0.55, 0.65, 0.75, 0.85, 0.95]
+col = SWEEP_COLUMNS.index  # a sweep row is a tuple in SWEEP_COLUMNS order
 
 # one recurrence step per input fidelity, frozen from tests/oracle_dense.py
 # (run `python3 tests/oracle_dense.py` to regenerate the table)
@@ -183,11 +184,28 @@ def test_distill_map_matches_live_oracle():
         assert abs(got[0] - closed[0]) < 1e-9 and abs(got[1] - closed[1]) < 1e-9
 
 
+def test_the_step_is_the_textbook_expression_bit_for_bit():
+    # the closed form squares f and r once each, in the expression's order of
+    # terms, so every float it gives, on a grid and on every level of the
+    # ladder from 0.55 to its stall below 1, is the textbook expression's
+    def textbook(f):
+        r = (1.0 - f) / 3.0
+        p_succ = f**2 + 2.0 * f * r + 5.0 * r**2
+        return p_succ, (f**2 + r**2) / p_succ
+
+    for f in [k / 1000 for k in range(1001)] + [5e-324, float(np.nextafter(1.0, 0.0)), 0.9589]:
+        assert distill_step_map(f) == textbook(f)
+    levels, stop = cost._ladder(0.55, 1.0, 1024)
+    assert stop == "stalled"
+    f_before = [0.55] + [f for _, f in levels[:-1]]
+    assert levels == [textbook(f) for f in f_before]
+
+
 def test_sweep_rounds_the_exact_recurrence_value():
     # with f the double nearest 0.9589, exact rational arithmetic gives
     # F_out = 0.97145391717550002731..., just above a 12-digit rounding tie
     row = sweep_rows([0.9589], 0.99)[0]
-    assert row["F_out"] == 0.971453917176
+    assert row[col("F_out")] == 0.971453917176
 
 
 def test_distill_map_monotone_above_half():
@@ -285,7 +303,7 @@ def test_distill_to_threshold_validation():
 
 
 def sweep_rounds(f_in, f_target, max_rounds=64):
-    return sweep_rows([f_in], f_target, max_rounds)[0]["rounds_to_target"]
+    return sweep_rows([f_in], f_target, max_rounds)[0][col("rounds_to_target")]
 
 
 def test_deterministic_ladder_from_075():
@@ -303,9 +321,11 @@ def test_deterministic_rounds_edge_cases():
 
 
 def test_deterministic_rounds_stop_when_the_iterate_stalls(monkeypatch):
-    # in floats the recurrence stalls just below 1, so F = 1 is never reached
+    # in floats the recurrence stalls just below 1, so F = 1 is never reached;
+    # each level is one cost._step
     calls = []
-    monkeypatch.setattr(cost, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
+    step = cost._step
+    monkeypatch.setattr(cost, "_step", lambda f: calls.append(f) or step(f))
     assert sweep_rounds(0.75, 1.0, 100_000) == -1
     assert len(calls) < 300
     assert distill_step_map(calls[-1])[1] == calls[-1]
@@ -368,30 +388,38 @@ def test_every_noisy_stack_ends_on_one_channel(channel_f, target, max_rounds, ro
 
 
 def test_distill_to_threshold_steps_the_map_once_per_level(monkeypatch):
-    # a failed attempt retries its level without evaluating the map again
+    # a failed attempt retries its level without evaluating the map (cost._step) again
     calls = []
-    monkeypatch.setattr(cost, "distill_step_map", lambda f: calls.append(f) or distill_step_map(f))
+    step = cost._step
+    monkeypatch.setattr(cost, "_step", lambda f: calls.append(f) or step(f))
     run = distill(0.75, 0.9, 64, np.random.default_rng(1))
     assert run.attempts > run.rounds == len(calls) == len(set(calls))
 
 
 def test_sweep_rows_shape_and_coupling():
     rows = sweep_rows(F_GRID, 0.95)
-    assert [r["F_in"] for r in rows] == F_GRID
+    assert [r[col("F_in")] for r in rows] == F_GRID
     for row in rows:
-        assert list(row) == SWEEP_COLUMNS
-        assert row["locc_bits"] == 2 * row["rounds_to_target"]
-        assert row["total_bits_sqtp"] - row["total_bits_kak"] == 1
-        assert row["total_bits_kak"] == 1 + row["locc_bits"]
-    f_outs = [r["F_out"] for r in rows]
+        assert type(row) is tuple and len(row) == len(SWEEP_COLUMNS)
+        assert row[col("locc_bits")] == 2 * row[col("rounds_to_target")]
+        assert row[col("total_bits_sqtp")] - row[col("total_bits_kak")] == 1
+        assert row[col("total_bits_kak")] == 1 + row[col("locc_bits")]
+    f_outs = [r[col("F_out")] for r in rows]
     assert f_outs == sorted(f_outs)
+
+
+@pytest.mark.parametrize("f", [-0.1, 1.2, float("nan")])
+def test_sweep_rows_rejects_a_fidelity_outside_the_unit_interval(f):
+    # the ladder's steps are unchecked, and a target above 1 would let 1.2 climb
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+        sweep_rows([0.75, f], 1.5)
 
 
 def test_sweep_rows_unreachable_marker():
     row = sweep_rows([0.3], 0.95)[0]
-    assert row["rounds_to_target"] == -1
-    assert row["locc_bits"] == -1
-    assert row["total_bits_sqtp"] == -1 and row["total_bits_kak"] == -1
+    assert row[col("rounds_to_target")] == -1
+    assert row[col("locc_bits")] == -1
+    assert row[col("total_bits_sqtp")] == -1 and row[col("total_bits_kak")] == -1
 
 
 def test_run_noisy_teleport_without_distillation():

@@ -2,7 +2,8 @@
 through Werner and arbitrary full-rank channels, and branch recovery, each
 against an independent reference; the sampled distillation run and the
 sweep against the two recurrence walks they replaced, and their two LOCC
-bills against each other; the stacked interpreter and run_protocol's
+bills against each other; the ladder's unchecked levels against the
+checked map, bit for bit; the stacked interpreter and run_protocol's
 traces against the per-state path it replaced, bit for bit, and every
 stack against its stacks of one; the stacked pair responses and the
 engine's noisy fidelities against the retired per-input formulas and
@@ -39,10 +40,12 @@ from hypothesis import strategies as st
 import oracle_dense
 import per_state_reference
 from per_state_reference import _residuals, sample_rows
+from telecost import cost
 from telecost.cli import RunConfig, _compare_json, build_parser, main
 from telecost.cost import (
     LOCC_ROUND,
     LOCC_ROUND_BITS,
+    SWEEP_COLUMNS,
     CostLedger,
     CostModel,
     distill_step_map,
@@ -132,6 +135,7 @@ def walked_rounds_to_target(f_in, f_target, max_rounds):
     return rounds if f >= f_target else -1
 
 
+col = SWEEP_COLUMNS.index  # a sweep row is a tuple in SWEEP_COLUMNS order
 above_half = st.floats(min_value=0.5, max_value=1.0, exclude_min=True)
 targets = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 caps = st.integers(min_value=1, max_value=1024)
@@ -150,16 +154,36 @@ def test_distill_run_matches_the_per_attempt_walk(f_in, f_target, max_rounds, se
 
 
 @PROPERTY
+@given(unit_f, targets, caps)
+@example(0.75, 1.0, 1024)  # stalls below 1
+@example(0.75, 0.99, 3)  # the cap
+@example(0.5, 0.9, 64)  # no level improves F = 1/2
+@example(0.95, 0.9, 64)  # already at the target
+def test_the_ladder_steps_the_checked_map_bit_for_bit(f_in, f_target, max_rounds):
+    # _ladder's unchecked levels are the public, range-checked distill_step_map's
+    levels, f, f_prev = [], f_in, None
+    while 0.5 < f < f_target and len(levels) < max_rounds and f != f_prev:
+        levels.append(distill_step_map(f))
+        f, f_prev = levels[-1][1], f
+    stop = ("target" if f >= f_target else "half" if f <= 0.5
+            else "stalled" if f == f_prev else "cap")
+    got_levels, got_stop = cost._ladder(f_in, f_target, max_rounds)
+    assert got_stop == stop
+    assert [tuple(map(float.hex, level)) for level in got_levels] == \
+        [tuple(map(float.hex, level)) for level in levels]
+
+
+@PROPERTY
 @given(st.lists(unit_f, min_size=1, max_size=8), targets, caps)
 @example([0.0, 0.5, 0.75, 0.95], 1.0, 1024)
 def test_sweep_rows_match_the_deterministic_walk(grid, f_target, max_rounds):
     for f, row in zip(grid, sweep_rows(grid, f_target, max_rounds), strict=True):
         rounds = walked_rounds_to_target(f, f_target, max_rounds)
         locc = 2 * rounds if rounds >= 0 else -1
-        assert (row["rounds_to_target"], row["locc_bits"]) == (rounds, locc)
+        assert (row[col("rounds_to_target")], row[col("locc_bits")]) == (rounds, locc)
         # the standard protocol announces 2 bits and the chained-XOR one 1
-        assert row["total_bits_sqtp"] == (2 + locc if locc >= 0 else -1)
-        assert row["total_bits_kak"] == (1 + locc if locc >= 0 else -1)
+        assert row[col("total_bits_sqtp")] == (2 + locc if locc >= 0 else -1)
+        assert row[col("total_bits_kak")] == (1 + locc if locc >= 0 else -1)
 
 
 class AlwaysSucceeds:
@@ -174,7 +198,7 @@ class AlwaysSucceeds:
 @example(0.55, 0.95, 64, 0)  # sweep's first default row: 16 levels
 @example(0.95, 0.9, 1, 0)  # already at the target: no LOCC round at all
 def test_noisy_ledger_without_failures_bills_what_sweep_bills(f_in, f_target, max_rounds, seed):
-    row = sweep_rows([f_in], f_target, max_rounds)[0]
+    row = dict(zip(SWEEP_COLUMNS, sweep_rows([f_in], f_target, max_rounds)[0], strict=True))
     assume(row["rounds_to_target"] >= 0)
     psis = [UnknownQubit.haar(np.random.default_rng(seed + i)) for i in range(2)]
     for kind in (ProtocolKind.SQTP, ProtocolKind.KAK):

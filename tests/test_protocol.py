@@ -663,6 +663,16 @@ def test_sample_stack_rejects_a_draw_outside_the_unit_interval(bad):
             protocol._outcomes(np.array(u))
 
 
+def test_no_draws_give_no_outcomes():
+    # as the oracle sample_rows gives no picks for no rows; an empty column
+    # has no minimum, so only a nonempty one is range-checked
+    assert protocol._outcomes(np.array([])) == sample_rows(np.empty((0, 4)), np.array([])).tolist() == []
+    assert protocol._outcomes(np.empty((2, 0))) == [[], []]
+    for bad in (np.nan, -0.5, 1.0):
+        with pytest.raises(ValueError, match=r"draws must be in \[0, 1\)"):
+            protocol._outcomes(np.array([bad]))
+
+
 @pytest.mark.parametrize("u", [[np.nan, 0.5], [0.5, np.nan]])
 def test_haar_sources_rejects_a_row_off_the_unit_sphere(u):
     with pytest.raises(ValueError, match="must be 1"):
