@@ -43,6 +43,9 @@ MAX_SWEEP_POINTS = 100_001
 MAX_ROUNDS = 1024  # the float recurrence stalls below 1 within a few hundred levels
 # each command's formats; sweep has no --format and prints CSV
 _FORMATS = {"verify": ("json", "text"), "compare": ("json", "csv", "text"), "sweep": ("text",)}
+# compare --protocol's values and the kinds each runs, in stream order
+_PROTOCOLS = {"sqtp": (ProtocolKind.SQTP,), "kak": (ProtocolKind.KAK,),
+              "both": (ProtocolKind.SQTP, ProtocolKind.KAK)}
 
 
 class RunConfig(namedtuple("RunConfig", "command protocol n_runs seed noise_f distill_target "
@@ -65,7 +68,7 @@ class RunConfig(namedtuple("RunConfig", "command protocol n_runs seed noise_f di
         formats = _FORMATS.get(self.command, ())
         if self.fmt not in formats:
             raise ValueError(f"{self.command} --format must be in {formats}, got {self.fmt!r}")
-        if self.protocol not in ("sqtp", "kak", "both"):
+        if self.protocol not in _PROTOCOLS:
             raise ValueError(f"protocol must be sqtp, kak or both, got {self.protocol!r}")
         # the bound: a run index must fit one uint32 word of its streams' spawn key
         if not 1 <= self.n_runs <= MAX_RUNS:
@@ -86,10 +89,8 @@ class RunConfig(namedtuple("RunConfig", "command protocol n_runs seed noise_f di
             raise ValueError(f"--max-rounds must be in 1..{MAX_ROUNDS}, got {self.max_rounds}")
         return self
 
-    def kinds(self) -> list[ProtocolKind]:
-        if self.protocol == "both":
-            return [ProtocolKind.SQTP, ProtocolKind.KAK]
-        return [ProtocolKind(self.protocol)]
+    def kinds(self) -> tuple[ProtocolKind, ...]:
+        return _PROTOCOLS[self.protocol]
 
     def public_dict(self) -> dict:
         # the destination path is plumbing, not part of the computation,
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--golden", help="alternate golden expansion file")
 
     p_compare = command("compare", "fidelity and classical cost per protocol")
-    p_compare.add_argument("--protocol", choices=("sqtp", "kak", "both"))
+    p_compare.add_argument("--protocol", choices=_PROTOCOLS)
     p_compare.add_argument("--noise-f", type=float)
     p_compare.add_argument("--distill-target", type=float)
     p_compare.add_argument("--max-rounds", type=int)

@@ -16,7 +16,7 @@ its slowest run still needs, and gives every run (2F+1)/3, correctly
 rounded to 12 digits from the float F's exact value.
 
 Every DensityMatrix is a 2-qubit channel state, checked when built: shape
-4x4, Hermiticity, trace and positivity, and a `werner_state` once per F.
+4x4, Hermiticity, trace and positivity; `werner_state` checks on every call.
 No density matrix is evolved: the protocol is linear in the resource pair,
 so one input's fidelity through any 2-qubit channel is a quadratic form,
 in the channel's matrix, of `protocol.pair_response`, one array expression
@@ -26,8 +26,7 @@ score their input so, and the tests check the closed form against it.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +63,11 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
 
 
-@functools.lru_cache(maxsize=64)
 def werner_state(f: float) -> DensityMatrix:
     """Werner pair with Bell fidelity f, r*I + (f - r)|Phi+><Phi+| with
     r = (1 - f)/3: f on |Phi+> and r on each other Bell projector; f = 1/4
-    is the maximally mixed state. Cached on f (-0.0 is 0.0), 64 deep, and
-    shared, frozen and read-only; an f outside [0, 1] raises on every call."""
+    is the maximally mixed state. Built and checked on every call, frozen
+    and read-only; an f outside [0, 1] raises."""
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity parameter must be in [0, 1], got {f}")
     rest, phi = (1.0 - f) / 3.0, bell_pair().amps
@@ -135,7 +133,7 @@ class NoisyStack:
     fidelity: float
 
 
-def run_noisy_stack(kinds: list[ProtocolKind], n_runs: int, channel_f: float, draw: Callable,
+def run_noisy_stack(kinds: Sequence[ProtocolKind], n_runs: int, channel_f: float, draw: Callable,
                     distill_target: float | None = None,
                     max_rounds: int = _NOISY_MAX_ROUNDS) -> list[NoisyStack]:
     """A NoisyStack per kind of n_runs runs: the runs of all kinds climb the

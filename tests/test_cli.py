@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -188,8 +189,23 @@ def test_verify_golden_that_does_not_parse_names_the_file(tmp_path, capsys, cont
     (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": [
         {"basis": 0, "coeff": "1", "var": "alpha"}]}},
      "kak_after_h: term {'basis': 0, 'coeff': '1', 'var': 'alpha'} must be an object of strings"),
+    (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": [
+        {"basis": "000", "coeff": "2", "var": "alpha"}]}},
+     "kak_after_h: unknown coefficient token '2'"),
+    (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": [
+        {"basis": "000", "coeff": "1", "var": "gamma"}]}},
+     "kak_after_h: unknown variable 'gamma'"),
+    (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": [
+        {"basis": "00", "coeff": "1", "var": "alpha"}]}},
+     "kak_after_h: bad basis label '00'"),
+    (lambda table: {**table, "kak_after_h": {"n_qubits": 3, "terms": [
+        {"basis": "0a1", "coeff": "1", "var": "alpha"}]}},
+     "kak_after_h: bad basis label '0a1'"),
+    (lambda table: {name: entry for name, entry in table.items() if name != "sqtp_after_h"},
+     "golden table is missing expansions: ['sqtp_after_h']"),
 ], ids=["top_level_list", "list_entry", "two_qubit_checkpoint", "oversized_register",
-        "number_terms", "string_terms", "number_term", "list_coeff", "number_basis"])
+        "number_terms", "string_terms", "number_term", "list_coeff", "number_basis",
+        "unknown_coeff", "unknown_var", "short_basis", "letter_basis", "missing_expansion"])
 def test_verify_golden_of_the_wrong_shape_exits_2(tmp_path, capsys, reshape, message):
     table = json.loads(
         resources.files("telecost").joinpath("data/expansions.json").read_text()
@@ -410,12 +426,11 @@ def test_compare_distillation_stops_when_the_iterate_stalls(capsys):
     assert LOCC_ROUND_BITS * stack.attempts[0] == 182
 
 
-def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch, capsys):
-    # a Werner channel depends on F alone and every run of a chunk, of either
-    # kind, ends on one F: compare needs no channel at all, as its fidelity
-    # is (2F+1)/3, and the runs of one that score their input through the
-    # channel, run_noisy_teleport's, validate one per distinct F (with its
-    # eigvalsh), which werner_state keeps, not one per run, kind or chunk
+def test_noisy_compare_builds_no_channel_and_each_noisy_teleport_one(monkeypatch, capsys):
+    # every run of a chunk, of either kind, ends on one F: compare needs no
+    # channel at all, as its fidelity is (2F+1)/3, while run_noisy_teleport
+    # scores its input through the channel of its F, which it builds and
+    # validates (with its eigvalsh) once per call
     from telecost import noise
 
     builds = []
@@ -426,7 +441,6 @@ def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch,
         original(self)
 
     monkeypatch.setattr(noise.DensityMatrix, "__post_init__", counting)
-    noise.werner_state.cache_clear()
     for argv in (["--noise-f", "0.75", "--distill-target", "0.9"],
                  ["--noise-f", "0.75", "--distill-target", "0.99", "--max-rounds", "3"],
                  ["--noise-f", "0.8"]):
@@ -447,7 +461,7 @@ def test_noisy_chunk_builds_one_channel_per_distinct_final_fidelity(monkeypatch,
             report = run_noisy_teleport(kind, UnknownQubit(0.6, 0.8), cfg.noise_f,
                                         np.random.default_rng(seed), cfg.distill_target, cfg.max_rounds)
             assert round(report.f_final, 12) == per_run[0]["channel_f"]
-        assert len(builds) == 1
+        assert len(builds) == 6
 
 
 def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
@@ -466,7 +480,6 @@ def test_noisy_compare_walks_the_ladder_once_per_stack(monkeypatch, capsys):
 
     monkeypatch.setattr(cost, "_step", lambda f: steps.append(f) or step_map(f))
     monkeypatch.setattr(noise.DensityMatrix, "__post_init__", counting)
-    noise.werner_state.cache_clear()
     argv = ["compare", "--seed", "3", "--noise-f", "0.75", "--distill-target", "0.9",
             "--format", "json"]
     for runs, chunk, walks in (("20", BATCH_CHUNK, 1), ("20", BATCH_CHUNK, 1), ("33", 16, 3)):
@@ -733,6 +746,34 @@ def test_benchmark_reference_output_is_byte_identical(workload, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE["sha256"][workload]
+
+
+def test_every_cache_in_src_is_hit_by_the_benchmark_workloads(capsys):
+    # a cache is process-wide mutable state, kept only where a command reuses
+    # it: every functools cache among telecost's module globals, cleared, must
+    # hit while the benchmark's reference invocations run twice each. No more
+    # caches are spelled in the source than found, so none hides in a function
+    import telecost
+
+    src = Path(telecost.__file__).parent
+    modules = [importlib.import_module(f"telecost.{path.stem}")
+               for path in sorted(src.glob("*.py")) if path.stem != "__init__"] + [telecost]
+    caches = {}
+    for module in modules:
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value not in caches.values():
+                caches[f"{module.__name__.removeprefix('telecost.')}.{name}"] = value
+    spelled = sum(len(re.findall(r"functools\.(?:lru_)?cache\b", path.read_text()))
+                  for path in src.glob("*.py"))
+    assert 0 < spelled <= len(caches), sorted(caches)
+    for cache in caches.values():
+        cache.cache_clear()
+    workloads = _perfbench_module("workloads")
+    for workload in workloads.WORKLOADS:
+        argv = workloads.reference_argv(workload, REFERENCE["sizes"][workload])
+        for _ in range(2):
+            assert run_cli(argv, capsys)[0] == 0
+    assert [name for name, cache in caches.items() if cache.cache_info().hits == 0] == []
 
 
 # stdout hashes computed with NumPy building every run's streams, before the stream kernel

@@ -1,6 +1,7 @@
 """Werner channels, noisy teleport fidelity, and recurrence
 distillation, checked against the dense oracle and frozen goldens."""
 
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,19 +83,20 @@ def test_werner_rejects_out_of_range(f):
 
 
 @pytest.mark.parametrize("f", [0.9, 0.25, -0.0, 1.0])
-def test_werner_state_is_built_once_per_f_and_read_only(f):
-    # a channel depends on f alone and is frozen, so every call shares one;
-    # -0.0 is 0.0, whose matrix it builds bit for bit
+def test_werner_state_is_frozen_read_only_and_signless_at_zero(f):
+    # every call builds and checks its own channel, frozen and read-only;
+    # -0.0 builds 0.0's matrix bit for bit
     channel = werner_state(f)
-    assert werner_state(f) is channel and werner_state(abs(f)) is channel
+    with pytest.raises(FrozenInstanceError):
+        channel.mat = np.eye(4) / 4.0
     with pytest.raises(ValueError, match="read-only"):
         channel.mat[0, 0] = 0.0
     assert np.max(np.abs(channel.mat - oracle_dense.werner_dm(abs(f)))) <= 1e-15
+    assert werner_state(abs(f)).mat.tobytes() == channel.mat.tobytes()
 
 
 @pytest.mark.parametrize("f", [float("nan"), -0.1, 1.1])
 def test_werner_state_rejects_a_bad_f_on_every_call(f):
-    # an exception is never cached: a repeat raises again
     for _ in range(2):
         with pytest.raises(ValueError, match="fidelity parameter must be in"):
             werner_state(f)

@@ -94,6 +94,10 @@ def test_statevector_validation():
         StateVector(0, np.array([1.0], dtype=complex))
     with pytest.raises(ValueError):
         StateVector(9, np.zeros(512, dtype=complex))
+    # the norm check alone passes neither: np.vdot makes both norms NaN
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(1, np.array([bad, 0.0], dtype=complex))
 
 
 def test_amps_are_read_only():
